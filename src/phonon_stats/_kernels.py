@@ -1,12 +1,8 @@
-"""Low-level summation kernels for the reciprocal-gamma series.
+"""Low-level kernels for the reciprocal-gamma series and the population sums.
 
-Everything here evaluates sums of the shape
+The series kernels evaluate sums of the shape
 
     S_j(nu, x) = sum_{k>=0} w_j(k) * x**k / Gamma(nu + k)
-
-and the per-level population sums
-
-    T_m(nu, y) = sum_{k>=m} [k!/(k-m)!] * y**k / Gamma(nu + k)
 
 in log space: terms are generated as ``exp(k*log(x) - lgamma(nu+k))`` relative
 to a running peak, because at large ``x`` the terms span hundreds of orders of
@@ -15,7 +11,7 @@ log-concave in ``k`` (term ratios are products of decreasing positive factors),
 so the peak is unique: "past the peak" is detected exactly by the first
 non-increasing term, and termination applies the relative tolerance only there.
 
-Two interchangeable lanes:
+S_j has two interchangeable lanes:
 
 * a numba lane — scalar ``@njit`` loops, one ``math.lgamma`` per term, online
   peak rescaling, Kahan-compensated accumulation;
@@ -29,6 +25,14 @@ The numba lane is the default when numba imports; set the environment variable
 by x ~ 1e5 where ulp-level lgamma disagreement on ~1e6-sized values stops
 cancelling; ``terms_used`` may differ (the numpy lane evaluates a small
 analytic overshoot past the peak).
+
+The per-level population sums
+
+    T_m(nu, y) = sum_{k>=m} [k!/(k-m)!] * y**k / Gamma(nu + k)
+
+have a single lane: one S_0 anchor and a backward continued fraction for the
+ratios T_{m+1}/T_m (Miller's algorithm), with the start depth chosen by
+:func:`backward_ratios`, which the high-temperature moment table shares.
 """
 
 from __future__ import annotations
@@ -122,59 +126,6 @@ def _series_logsums_scalar(nu, x, rel_tol, max_terms):
     return math.log(s0) + shift, l1, l2, max_terms + 1, False
 
 
-@njit(cache=True)
-def _population_logsums_scalar(nu, y, m_max, rel_tol, max_terms):
-    out = np.empty(m_max + 1, dtype=np.float64)
-    if y == 0.0:
-        out[0] = -math.lgamma(nu)
-        for m in range(1, m_max + 1):
-            out[m] = _NINF
-        return out, 1, True
-    ly = math.log(y)
-    total = 0
-    converged = True
-    for m in range(m_max + 1):
-        # substitute j = k - m; the j = 0 term seeds the accumulator
-        shift = math.lgamma(m + 1.0) + m * ly - math.lgamma(nu + m)
-        acc = 1.0
-        comp = 0.0
-        prev_ell = shift
-        past_peak = False
-        j = 1
-        done = False
-        while j <= max_terms:
-            mj = m + j
-            ell = (
-                math.lgamma(mj + 1.0)
-                - math.lgamma(j + 1.0)
-                + mj * ly
-                - math.lgamma(nu + mj)
-            )
-            if ell <= prev_ell:
-                past_peak = True
-            if ell > shift:
-                f = math.exp(shift - ell)
-                acc *= f
-                comp *= f
-                shift = ell
-            t = math.exp(ell - shift)
-            yk = t - comp
-            tmp = acc + yk
-            comp = (tmp - acc) - yk
-            acc = tmp
-            if past_peak and t <= rel_tol * acc:
-                done = True
-                total += j + 1
-                break
-            prev_ell = ell
-            j += 1
-        if not done:
-            total += max_terms + 1
-            converged = False
-        out[m] = math.log(acc) + shift
-    return out, total, converged
-
-
 # ---------------------------------------------------------------------------
 # numpy lane
 # ---------------------------------------------------------------------------
@@ -214,78 +165,19 @@ def _series_logsums_numpy(nu, x, rel_tol, max_terms):
             and w1_last <= rel_tol * s1
             and w2_last <= rel_tol * s2
         )
-        if ok:
-            l1 = math.log(s1) + gmax if s1 > 0.0 else _NINF
-            l2 = math.log(s2) + gmax if s2 > 0.0 else _NINF
-            return math.log(s0) + gmax, l1, l2, n_hi + 1, True
-        if n_hi >= max_terms:
-            l1 = math.log(s1) + gmax if s1 > 0.0 else _NINF
-            l2 = math.log(s2) + gmax if s2 > 0.0 else _NINF
-            return math.log(s0) + gmax, l1, l2, n_hi + 1, False
+        if ok or n_hi >= max_terms:
+            # s0 is 0 only when the cap falls before the analytic peak and
+            # every evaluated term underflows against it (never when ok)
+            l0, l1, l2 = (math.log(s) + gmax if s > 0.0 else _NINF for s in (s0, s1, s2))
+            return l0, l1, l2, n_hi + 1, ok
         n_hi = int(min(max_terms, 2 * n_hi))
 
 
-def _population_logsums_numpy(nu, y, m_max, rel_tol, max_terms):
-    out = np.empty(m_max + 1, dtype=np.float64)
-    if y == 0.0:
-        out[0] = -math.lgamma(nu)
-        out[1:] = _NINF
-        return out, 1, True
-    ly = math.log(y)
-    total = 0
-    converged = True
-    for m in range(m_max + 1):
-        # peak j* of lgamma(m+j+1) - lgamma(j+1) + (m+j)ly - lgamma(nu+m+j):
-        # term ratio = 1 gives (j+1)(nu+m+j) = y(m+j+1)
-        bq = nu + m + 1.0 - y
-        cq = nu + m - y * (m + 1.0)
-        disc = bq * bq - 4.0 * cq
-        jc = max(0.0, 0.5 * (-bq + math.sqrt(disc))) if disc > 0.0 else 0.0
-
-        def _ell(jj):
-            return (
-                gammaln(m + jj + 1.0)
-                - gammaln(jj + 1.0)
-                + (m + jj) * ly
-                - gammaln(nu + m + jj)
-            )
-
-        cand = np.unique(
-            np.array([0.0, np.floor(jc), np.ceil(jc), np.floor(jc) + 1.0])
-        )
-        gmax = float(np.max(_ell(cand)))
-        n_hi = int(min(max_terms, math.ceil(jc + 12.0 * math.sqrt(y + m + 10.0) + 60.0)))
-        while True:
-            parts = []
-            t_last = 0.0
-            for start in range(0, n_hi + 1, _CHUNK):
-                j = np.arange(start, min(start + _CHUNK, n_hi + 1), dtype=np.float64)
-                e = np.exp(_ell(j) - gmax)
-                parts.append(np.sort(e).sum())
-                t_last = e[-1]
-            s = math.fsum(parts)
-            if n_hi > jc and t_last <= rel_tol * s:
-                total += n_hi + 1
-                break
-            if n_hi >= max_terms:
-                total += n_hi + 1
-                converged = False
-                break
-            n_hi = int(min(max_terms, 2 * n_hi))
-        out[m] = math.log(s) + gmax
-    return out, total, converged
-
-
 # ---------------------------------------------------------------------------
-# dispatch
+# dispatch (series only)
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
-    _series_impl = _series_logsums_scalar
-    _population_impl = _population_logsums_scalar
-else:
-    _series_impl = _series_logsums_numpy
-    _population_impl = _population_logsums_numpy
+_series_impl = _series_logsums_scalar if HAS_NUMBA else _series_logsums_numpy
 
 
 def series_logsums(nu, x, rel_tol=1e-18, max_terms=10_000_000):
@@ -293,19 +185,78 @@ def series_logsums(nu, x, rel_tol=1e-18, max_terms=10_000_000):
     return _series_impl(float(nu), float(x), float(rel_tol), int(max_terms))
 
 
-def population_logsums(nu, y, m_max, rel_tol=1e-18, max_terms=10_000_000):
-    """Return (log_T[0..m_max], terms_used, converged) for the population sums."""
-    return _population_impl(float(nu), float(y), int(m_max), float(rel_tol), int(max_terms))
-
-
 def series_logsums_numpy(nu, x, rel_tol=1e-18, max_terms=10_000_000):
-    """numpy lane, always available (benchmarks / lane-equivalence tests)."""
+    """numpy lane, always available (lane-equivalence tests)."""
     return _series_logsums_numpy(float(nu), float(x), float(rel_tol), int(max_terms))
 
 
-def population_logsums_numpy(nu, y, m_max, rel_tol=1e-18, max_terms=10_000_000):
-    return _population_logsums_numpy(float(nu), float(y), int(m_max), float(rel_tol), int(max_terms))
-
-
 series_logsums_numba = _series_logsums_scalar if HAS_NUMBA else None
-population_logsums_numba = _population_logsums_scalar if HAS_NUMBA else None
+
+
+# ---------------------------------------------------------------------------
+# backward recurrences (one lane)
+# ---------------------------------------------------------------------------
+
+
+def backward_ratios(run, n_ratios, max_terms=10_000_000, rel_tol=1e-15):
+    """Miller's backward algorithm with the start depth found by doubling.
+
+    ``run(depth)`` must evaluate a backward continued fraction from level
+    ``depth`` (with a zero tail ratio) down to level 0 and return its first
+    ``n_ratios`` ratios. For the minimal solution of a three-term recurrence
+    the result stops depending on ``depth`` once it is deep enough, so the
+    depth starts at 2*n_ratios + 50 and doubles until two successive runs
+    agree to ``rel_tol`` relative, or until ``max_terms`` levels are reached.
+
+    Returns (ratios, levels_run, converged); ``levels_run`` sums the depths
+    of all runs.
+    """
+    depth = min(2 * n_ratios + 50, max_terms)
+    ratios = run(depth)
+    levels = depth
+    while depth < max_terms:
+        depth = min(2 * depth, max_terms)
+        prev, ratios = ratios, run(depth)
+        levels += depth
+        if np.all(np.abs(ratios - prev) <= rel_tol * ratios):
+            return ratios, levels, True
+    return ratios, levels, False
+
+
+def population_logsums(nu, y, m_max, rel_tol=1e-18, max_terms=10_000_000):
+    """Return (log_T[0..m_max], terms_used, converged) for the population sums.
+
+    The sums obey  y(n+1) T_n = (nu - y + n) T_{n+1} + T_{n+2}  (the
+    birth-death flux balance of the steady state), and T is its minimal
+    solution, so the ratios rho_n = T_{n+1}/T_n follow from the backward
+    continued fraction
+
+        rho_n = y(n+1) / (nu - y + n + rho_{n+1}),
+
+    in which every term is positive when nu > y (in the application
+    nu - y = (1 + n_th)/C). T_0 = S_0(nu, y) anchors the chain. ``rel_tol``
+    goes to that anchor series; ``terms_used`` counts its terms plus the
+    backward levels run, and ``max_terms`` caps each of the two.
+    """
+    nu, y, m_max = float(nu), float(y), int(m_max)
+    log_t = np.empty(m_max + 1)
+    if y == 0.0:
+        log_t[0] = -math.lgamma(nu)
+        log_t[1:] = _NINF
+        return log_t, 1, True
+    log_t[0], _, _, terms, ok = series_logsums(nu, y, rel_tol, max_terms)
+    d = nu - y
+
+    def run(depth):
+        rho = 0.0
+        for n in range(depth - 1, m_max - 1, -1):
+            rho = y * (n + 1) / (d + n + rho)
+        out = [0.0] * m_max
+        for n in range(m_max - 1, -1, -1):
+            rho = y * (n + 1) / (d + n + rho)
+            out[n] = rho
+        return np.array(out)
+
+    rho, levels, ok_rho = backward_ratios(run, m_max, max_terms)
+    log_t[1:] = log_t[0] + np.cumsum(np.log(rho))
+    return log_t, terms + levels, ok and ok_rho

@@ -25,6 +25,15 @@ Poisson distribution with mean n_th/(2 n_th + 1), so no branch switching is
 needed there. The truncation to m <= m_max leaves a reported tail, never a
 silent renormalization.
 
+The double series is never summed level by level. The flux balance across
+the cut between n and n+1,
+
+    n_th P_n = (n_th + 1 + C n) P_{n+1} + C (n+2) P_{n+2},
+
+has only positive terms when read downward, so T_0 = S_0(nu, y) and the
+backward continued fraction for T_{m+1}/T_m give every level (see
+:func:`phonon_stats._kernels.population_logsums`).
+
 Valid at all temperatures; the companion high-temperature module trades
 exactness for closed forms when x = 2 n_th / C exceeds the series budget.
 """
@@ -115,11 +124,14 @@ def phonon_populations_exact(
 ) -> np.ndarray:
     """Fock populations P(0..m_max) of the exact steady state.
 
-    Uses the analytically normalized double series described in the module
-    docstring; each inner sum runs in log space. The returned vector is the
-    exact P(m) truncated at ``m_max`` (default: a ~10-sigma cutoff from the
-    mean occupation) — its shortfall from 1 is true tail mass, reported by
-    :func:`steady_state_exact` in the diagnostics, never renormalized away.
+    Evaluates the analytically normalized double series described in the
+    module docstring through its backward recurrence: one series for T_0, one
+    continued-fraction pass per depth doubling, and the normalizer
+    S_0(nu, 2y). The returned vector is the exact P(m) truncated at ``m_max``
+    (default: a ~10-sigma cutoff from the mean occupation) — its shortfall
+    from 1 is true tail mass, reported by :func:`steady_state_exact` in the
+    diagnostics, never renormalized away. ``max_terms`` caps each series and
+    the recurrence depth; reaching it raises :class:`NotConverged`.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     if m_max is None:
@@ -132,7 +144,7 @@ def phonon_populations_exact(
     log_t, terms, ok = _kernels.population_logsums(nu, y, m_max, 1e-18, max_terms)
     if not ok:
         raise NotConverged(
-            f"population series at C={C:g}, n_th={n_th:g} hit the {max_terms}-term cap",
+            f"population recurrence at C={C:g}, n_th={n_th:g} hit the {max_terms}-term cap",
             terms_used=int(terms),
         )
     norm = recip_gamma_series(nu, 2.0 * y, max_terms=max_terms)

@@ -15,9 +15,11 @@ parts gives a M_0 + 2 b M_1 = 1, and deeper moments follow from
     M_{n+1} = (n M_{n-1} - a M_n) / (2 b).
 
 The recursion subtracts nearly equal quantities when a/sqrt(b) is large; it
-is run in a scale-invariant log form, any loss of positivity raises
-:class:`RecursionUnstable`, and the default mode falls back to adaptive
-quadrature of the defining integral (peak-normalized so it cannot underflow).
+is run upward in a scale-invariant log form only where an a-priori roundoff
+amplification gate admits it. Elsewhere the same recursion runs backward as
+the positive continued fraction  M_n/M_{n-1} = n / (a + 2b M_{n+1}/M_n)
+(Miller's algorithm for its minimal solution), anchored at the closed form
+of M_0. No quadrature is involved.
 
 Fock-level statistics come from projecting the same measure onto number
 states: P(n) ∝ M_n(a', b)/n! with a' = 1 + 1/n_th, whose exact normalizer is
@@ -32,10 +34,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
-from .errors import DomainError, RecursionUnstable
+from . import _kernels
+from .errors import DomainError, NotConverged, RecursionUnstable
 from .report import Regime, SteadyStateReport
 from .exact import classify_regime, default_m_max
 from .specfun import erfcx
@@ -57,8 +59,8 @@ from dataclasses import dataclass
 class MomentTable:
     """Moments M_n(a, b) in log form, n = 0..n_max.
 
-    ``method`` records how the table was produced ("recursion" or
-    "quadrature").
+    ``method`` records which direction produced the table: "recursion"
+    (upward) or "backward" (continued fraction).
     """
 
     a: float
@@ -102,7 +104,8 @@ def _recursion_amplification_log(r: float, n_max: int) -> float:
 
 
 # refuse the recursion once roundoff can be magnified past ~1e5 (keeps the
-# recursion's absolute moment accuracy near 1e-11; quadrature takes over)
+# recursion's absolute moment accuracy near 1e-11; the backward fraction
+# takes over)
 _AMP_LOG_MAX = math.log(1e5)
 
 
@@ -142,51 +145,42 @@ def _moments_recursion(a: float, b: float, n_max: int) -> np.ndarray:
     return log_m
 
 
-def _moment_quad_single(a: float, b: float, n: int) -> float:
-    """log M_n by adaptive quadrature of the peak-normalized integrand.
+def _moments_backward(a: float, b: float, n_max: int) -> np.ndarray:
+    """Miller's backward fraction for the moments the recursion refuses.
 
-    Integrates in the scale-free variable t = s/S, with S the peak location
-    (n >= 1) or the decay length (n = 0), so the transformed coefficients
-    A = a*S and B = b*S**2 are O(1) regardless of how extreme a and b are;
-    the quadrature then sees the same unimodal unit-scale bump everywhere
-    instead of an interval spanning many orders of magnitude.
+    M_n is the minimal solution of the recursion, so the scaled ratios
+    tau_n = m~_n/m~_{n-1} follow from  tau_n = n / (r + 2 tau_{n+1}),  in
+    which every term is positive, anchored at the erfcx closed form of m~_0.
+    The fraction converges in a few multiples of n_max levels when
+    r = a/sqrt(b) is large, which is where the recursion is refused; at small
+    r it would need millions of levels, so it never replaces the recursion.
     """
-    if n == 0:
-        scale = 1.0 / (a + math.sqrt(b))
-        t_peak = 0.0
-    else:
-        scale = (-a + math.sqrt(a * a + 8.0 * b * n)) / (4.0 * b)
-        t_peak = 1.0
-    A = a * scale
-    B = b * scale * scale
-    l_peak = -A - B if n > 0 else 0.0  # n*log(t_peak) vanishes at t_peak = 1
+    r = a / math.sqrt(b)
 
-    def g(t: float) -> float:
-        return n * math.log(t) - A * t - B * t * t if t > 0.0 else -math.inf
+    def run(depth):
+        tau = 0.0
+        for n in range(depth, n_max, -1):
+            tau = n / (r + 2.0 * tau)
+        out = [0.0] * n_max
+        for n in range(n_max, 0, -1):
+            tau = n / (r + 2.0 * tau)
+            out[n - 1] = tau
+        return np.array(out)
 
-    def f(t: float) -> float:
-        if t <= 0.0:
-            return 0.0 if n > 0 else 1.0
-        return math.exp(g(t) - l_peak)
-
-    # window covering 46 e-folds of decay past the peak
-    curv = 2.0 * B + (n if n > 0 else A * A)
-    sigma = 1.0 / math.sqrt(curv)
-    t_hi = t_peak + 14.0 * sigma
-    while g(t_hi) - l_peak > -46.0:
-        t_hi *= 1.5
-    pts = [t_peak] if 0.0 < t_peak < t_hi else None
-    val, _ = quad(f, 0.0, t_hi, points=pts, limit=200, epsabs=0.0, epsrel=1e-12)
-    return (n + 1.0) * math.log(scale) + l_peak + math.log(val)
+    tau, levels, ok = _kernels.backward_ratios(run, n_max)
+    if not ok:
+        raise NotConverged(
+            f"backward moment fraction at a={a:g}, b={b:g} (a/sqrt(b)={r:g}) "
+            f"did not settle within {levels} levels",
+            terms_used=levels,
+        )
+    log_m = np.empty(n_max + 1)
+    log_m[0] = math.log(0.5 * math.sqrt(math.pi) * erfcx(0.5 * r))
+    log_m[1:] = log_m[0] + np.cumsum(np.log(tau))
+    return log_m - 0.5 * math.log(b) * np.arange(1.0, n_max + 2.0)
 
 
-def _moments_quadrature(a: float, b: float, n_max: int) -> np.ndarray:
-    return np.array([_moment_quad_single(a, b, n) for n in range(n_max + 1)])
-
-
-def gaussian_quartic_moments(
-    a: float, b: float, n_max: int, *, method: str = "auto"
-) -> MomentTable:
+def gaussian_quartic_moments(a: float, b: float, n_max: int) -> MomentTable:
     """Moment table of the exponential-quartic weight exp(-a s - b s^2).
 
     Parameters
@@ -195,25 +189,20 @@ def gaussian_quartic_moments(
         Weight coefficients, a >= 0, b > 0.
     n_max : int
         Highest moment order.
-    method : {"auto", "recursion", "quadrature"}
-        "recursion" runs the integration-by-parts recursion and raises
-        :class:`RecursionUnstable` if cancellation destroys positivity.
-        "auto" (default) does the same but silently falls back to adaptive
-        quadrature instead of raising. "quadrature" forces the integral route.
+
+    The integration-by-parts recursion runs upward where its roundoff
+    amplification stays small (``method == "recursion"``); elsewhere the same
+    recursion runs backward as a positive continued fraction
+    (``method == "backward"``). The direction follows from a/sqrt(b) alone.
     """
     a, b = _check_ab(a, b)
     n_max = int(n_max)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max!r}")
-    if method not in ("auto", "recursion", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
-    if method in ("auto", "recursion"):
-        try:
-            return MomentTable(a, b, _moments_recursion(a, b, n_max), "recursion")
-        except RecursionUnstable:
-            if method == "recursion":
-                raise
-    return MomentTable(a, b, _moments_quadrature(a, b, n_max), "quadrature")
+    try:
+        return MomentTable(a, b, _moments_recursion(a, b, n_max), "recursion")
+    except RecursionUnstable:
+        return MomentTable(a, b, _moments_backward(a, b, n_max), "backward")
 
 
 def _check_cn(C: float, n_th: float) -> tuple[float, float]:
@@ -258,23 +247,26 @@ def g2_hitemp(C: float, n_th: float) -> float:
     return float(math.exp(t.log_m[2] + t.log_m[0] - 2.0 * t.log_m[1]))
 
 
+def _fock_projection(C: float, n_th: float, n_max: int) -> tuple[np.ndarray, float, str]:
+    """Window populations, log of their unnormalized window sum, moment method."""
+    table = gaussian_quartic_moments(1.0 + 1.0 / n_th, C / n_th, n_max)
+    log_raw = table.log_m - gammaln(np.arange(table.n_max + 1, dtype=np.float64) + 1.0)
+    log_z = float(logsumexp(log_raw))
+    return np.exp(log_raw - log_z), log_z, table.method
+
+
 def phonon_distribution_hitemp(C: float, n_th: float, n_max: int) -> np.ndarray:
     """Fock distribution P(0..n_max) ∝ M_n(1 + 1/n_th, C/n_th)/n!.
 
     Normalized by the explicit sum over 0..n_max (so the returned vector sums
     to exactly 1); the true tail beyond n_max is available from the exact
     normalizer M_0(1/n_th, C/n_th) and is reported by
-    :func:`steady_state_hitemp`. Each moment may come from the recursion or
-    the quadrature fallback; cost is one adaptive integral per level in the
-    fallback, so very large ``n_max`` (>> 10^4) is slow but exact in policy.
+    :func:`steady_state_hitemp`. One moment table serves every level: the
+    upward recursion or, where it is refused, the backward fraction, whose
+    cost grows linearly with ``n_max``.
     """
     C, n_th = _check_cn(C, n_th)
-    n_max = int(n_max)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max!r}")
-    table = gaussian_quartic_moments(1.0 + 1.0 / n_th, C / n_th, n_max)
-    log_raw = table.log_m - gammaln(np.arange(n_max + 1, dtype=np.float64) + 1.0)
-    return np.exp(log_raw - logsumexp(log_raw))
+    return _fock_projection(C, n_th, n_max)[0]
 
 
 def steady_state_hitemp(
@@ -291,10 +283,7 @@ def steady_state_hitemp(
     g2 = g2_hitemp(C, n_th)
     if n_max is None:
         n_max = default_m_max(n_ss)
-    table = gaussian_quartic_moments(1.0 + 1.0 / n_th, C / n_th, n_max)
-    log_raw = table.log_m - gammaln(np.arange(n_max + 1, dtype=np.float64) + 1.0)
-    log_z = float(logsumexp(log_raw))
-    populations = np.exp(log_raw - log_z)
+    populations, log_z, method = _fock_projection(C, n_th, n_max)
     norm = gaussian_quartic_moments(1.0 / n_th, C / n_th, 0)
     tail = max(0.0, 1.0 - math.exp(log_z - norm.log_m[0]))
     return SteadyStateReport(
@@ -304,7 +293,7 @@ def steady_state_hitemp(
         regime=classify_regime(C, n_th),
         diagnostics={
             "model": "hitemp",
-            "moment_method": table.method,
+            "moment_method": method,
             "population_tail": tail,
             "n_max": n_max,
         },

@@ -94,6 +94,22 @@ def test_populations_continuous_through_coherent_point():
     assert np.max(np.abs(below - above)) <= 1e-8
 
 
+def test_populations_wide_window():
+    """A hot, weakly damped point whose default window spans 6322 levels."""
+    C, n_th = 1e-2, 300.0
+    rep = exact.steady_state_exact(C, n_th)
+    p = rep.populations
+    assert rep.diagnostics["m_max"] == 6321
+    # birth-death flux balance across every cut n | n+1
+    n = np.arange(p.size - 2, dtype=float)
+    lhs = n_th * p[:-2]
+    rhs = (n_th + 1.0 + C * n) * p[1:-1] + C * (n + 2.0) * p[2:]
+    live = lhs > 1e-250
+    assert np.all(np.abs(lhs - rhs)[live] <= 1e-8 * lhs[live])
+    assert abs(math.fsum(p) + rep.diagnostics["population_tail"] - 1.0) <= 1e-10
+    assert np.arange(p.size) @ p == pytest.approx(rep.n_ss, rel=1e-8)
+
+
 def test_populations_domain():
     with pytest.raises(DomainError):
         exact.phonon_populations_exact(1.0, 0.0, 10)  # needs n_th > 0
@@ -112,6 +128,13 @@ def test_series_cap_raises_not_converged():
     # here and must say so instead of running forever
     with pytest.raises(NotConverged):
         exact.mean_phonon_exact(1e-7, 1e7)
+
+
+def test_population_cap_raises_not_converged():
+    # 60 levels cannot hold the doubling check of the backward recurrence
+    with pytest.raises(NotConverged) as exc:
+        exact.phonon_populations_exact(10.0, 1.0, 5, max_terms=60)
+    assert exc.value.terms_used >= 60
 
 
 def test_classify_regime():

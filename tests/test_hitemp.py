@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phonon_stats import hitemp
-from phonon_stats.errors import DomainError, RecursionUnstable
+from phonon_stats.errors import DomainError
 
 
 def test_moments_closed_form_pure_gaussian():
@@ -25,21 +25,42 @@ def test_moments_reference_values():
     assert t.moment(2) == pytest.approx(0.15923102057378528, rel=1e-12)
 
 
-@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 4.0])
+def _pcfd_log_moments(a, b, n_max):
+    """log M_n from the parabolic-cylinder closed form (30-digit mpmath):
+    M_n = b^{-(n+1)/2} n! e^{r^2/8} 2^{-(n+1)/2} D_{-(n+1)}(r/sqrt(2)),
+    r = a/sqrt(b)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        b = mpmath.mpf(b)
+        r = mpmath.mpf(a) / mpmath.sqrt(b)
+        return np.array([
+            float(
+                -(n + 1) * mpmath.log(2 * b) / 2
+                + mpmath.loggamma(n + 1)
+                + r * r / 8
+                + mpmath.log(mpmath.pcfd(-(n + 1), r / mpmath.sqrt(2)))
+            )
+            for n in range(n_max + 1)
+        ])
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 4.0, 10.0, 100.0, 1e4])
 @pytest.mark.parametrize("b", [1e-6, 1.0, 1e4])
 def test_recursion_agrees_with_quadrature(r, b):
+    # the reference is the closed form of the defining integral; r <= 4 runs
+    # the upward recursion, r >= 10 the backward fraction
     a = r * math.sqrt(b)
-    rec = hitemp.gaussian_quartic_moments(a, b, 10, method="recursion")
-    quad = hitemp.gaussian_quartic_moments(a, b, 10, method="quadrature")
-    assert np.max(np.abs(rec.log_m - quad.log_m)) <= 1e-8
+    t = hitemp.gaussian_quartic_moments(a, b, 10)
+    assert t.method == ("recursion" if r <= 4.0 else "backward")
+    assert np.max(np.abs(t.log_m - _pcfd_log_moments(a, b, 10))) <= 1e-8
 
 
 def test_recursion_refuses_cancellation_regime():
-    # a/sqrt(b) = 1e4: the recursion would amplify roundoff by >> 1e5
-    with pytest.raises(RecursionUnstable):
-        hitemp.gaussian_quartic_moments(1.0, 1e-8, 10, method="recursion")
-    t = hitemp.gaussian_quartic_moments(1.0, 1e-8, 10)  # auto falls back
-    assert t.method == "quadrature"
+    # a/sqrt(b) = 1e4: the upward recursion would amplify roundoff by >> 1e5,
+    # so the table comes from the backward fraction
+    t = hitemp.gaussian_quartic_moments(1.0, 1e-8, 10)
+    assert t.method == "backward"
+    assert np.max(np.abs(t.log_m - _pcfd_log_moments(1.0, 1e-8, 10))) <= 1e-8
 
 
 def test_moments_log_convex():
@@ -118,7 +139,7 @@ def test_steady_state_report():
     assert abs(rep.populations.sum() - 1.0) <= 1e-12
     d = rep.diagnostics
     assert d["model"] == "hitemp"
-    assert d["moment_method"] in ("recursion", "quadrature")
+    assert d["moment_method"] in ("recursion", "backward")
     # the default window covers the bulk; the honest tail estimate is the
     # point of the diagnostic (slowly decaying distribution, so it is not 0)
     assert 0.0 <= d["population_tail"] < 1e-2
@@ -138,7 +159,5 @@ def test_domain_errors():
         hitemp.gaussian_quartic_moments(1.0, 0.0, 2)
     with pytest.raises(DomainError):
         hitemp.gaussian_quartic_moments(1.0, 1.0, -1)
-    with pytest.raises(DomainError):
-        hitemp.gaussian_quartic_moments(1.0, 1.0, 2, method="series")
     with pytest.raises(DomainError):
         hitemp.phonon_distribution_hitemp(1.0, 1.0, -1)

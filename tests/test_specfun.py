@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from phonon_stats import HAS_NUMBA, specfun
-from phonon_stats._kernels import (
-    population_logsums,
-    population_logsums_numpy,
-    series_logsums,
-    series_logsums_numpy,
-)
+from phonon_stats._kernels import population_logsums, series_logsums, series_logsums_numpy
 from phonon_stats.errors import DomainError, NotConverged
 
 # reference values frozen from a 50-digit mpmath evaluation of the defining
@@ -164,21 +159,25 @@ def test_series_lanes_agree_on_observables():
         assert g_a == pytest.approx(g_b, rel=1e-10)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba lane not available")
-def test_population_lanes_agree():
-    from scipy.special import gammaln
-
-    for nu, y, m_max in [(3.0, 1.0, 12), (110.0, 50.0, 40), (2001.0, 1e3, 30)]:
-        log_t_a, _, oka = population_logsums(nu, y, m_max)
-        log_t_b, _, okb = population_logsums_numpy(nu, y, m_max)
-        assert oka and okb
-        m = np.arange(m_max + 1, dtype=np.float64)
-        # compare normalized vectors, which is what downstream code uses;
-        # shift by the max first so large-nu points don't underflow to 0/0
-        la = log_t_a - gammaln(m + 1.0)
-        lb = log_t_b - gammaln(m + 1.0)
-        pa = np.exp(la - la.max())
-        pb = np.exp(lb - lb.max())
-        pa /= pa.sum()
-        pb /= pb.sum()
-        np.testing.assert_allclose(pa, pb, rtol=1e-9, atol=1e-300)
+@pytest.mark.parametrize("nu,y,m_max", [(3.0, 1.0, 12), (110.0, 50.0, 40), (2001.0, 1e3, 30)])
+def test_population_logsums_match_double_series(nu, y, m_max):
+    """The backward recurrence reproduces the defining sums
+    T_m = sum_{k>=m} [k!/(k-m)!] y^k / Gamma(nu + k), summed directly at
+    30 digits (nu > y, so the terms decay geometrically past k = m)."""
+    mpmath = pytest.importorskip("mpmath")
+    log_t, _, ok = population_logsums(nu, y, m_max)
+    assert ok
+    ref = []
+    with mpmath.workdps(30):
+        for m in range(m_max + 1):
+            s = mpmath.mpf(0)
+            k = m
+            while True:
+                t = mpmath.exp(mpmath.loggamma(k + 1) - mpmath.loggamma(k - m + 1)
+                               + k * mpmath.log(y) - mpmath.loggamma(nu + k))
+                s += t
+                if k > m + 10 and t < s * mpmath.mpf(10) ** -25:
+                    break
+                k += 1
+            ref.append(float(mpmath.log(s)))
+    np.testing.assert_allclose(log_t, ref, rtol=1e-14, atol=1e-12)
