@@ -198,19 +198,36 @@ series_logsums_numba = _series_logsums_scalar if HAS_NUMBA else None
 # ---------------------------------------------------------------------------
 
 
-def backward_ratios(run, n_ratios, max_terms=10_000_000, rel_tol=1e-15):
-    """Miller's backward algorithm with the start depth found by doubling.
+# the backward ratios are accepted once a doubled start depth moves none of
+# them by more than this, relative
+_RATIO_TOL = 1e-15
 
-    ``run(depth)`` must evaluate a backward continued fraction from level
-    ``depth`` (with a zero tail ratio) down to level 0 and return its first
-    ``n_ratios`` ratios. For the minimal solution of a three-term recurrence
-    the result stops depending on ``depth`` once it is deep enough, so the
-    depth starts at 2*n_ratios + 50 and doubles until two successive runs
-    agree to ``rel_tol`` relative, or until ``max_terms`` levels are reached.
+
+def backward_ratios(p, q, s, n_ratios, max_terms=10_000_000):
+    """Miller's backward algorithm for x_k = p(k+1) / (q + s k + x_{k+1}).
+
+    Returns the first ``n_ratios`` ratios x_0..x_{n_ratios-1} of the minimal
+    solution. Every term is positive for p, q > 0 and s >= 0. Each run starts
+    from a zero tail ratio at level ``depth`` and goes down to level 0; the
+    result stops depending on ``depth`` once it is deep enough, so the depth
+    starts at 2*n_ratios + 50 and doubles until two successive runs agree to
+    ``_RATIO_TOL`` relative, or until ``max_terms`` levels are reached (a cap
+    of 2*n_ratios + 50 or less leaves no room for the check).
 
     Returns (ratios, levels_run, converged); ``levels_run`` sums the depths
     of all runs.
     """
+
+    def run(depth):
+        x = 0.0
+        for k in range(depth - 1, n_ratios - 1, -1):
+            x = p * (k + 1) / (q + s * k + x)
+        out = np.empty(n_ratios)
+        for k in range(n_ratios - 1, -1, -1):
+            x = p * (k + 1) / (q + s * k + x)
+            out[k] = x
+        return out
+
     depth = min(2 * n_ratios + 50, max_terms)
     ratios = run(depth)
     levels = depth
@@ -218,7 +235,7 @@ def backward_ratios(run, n_ratios, max_terms=10_000_000, rel_tol=1e-15):
         depth = min(2 * depth, max_terms)
         prev, ratios = ratios, run(depth)
         levels += depth
-        if np.all(np.abs(ratios - prev) <= rel_tol * ratios):
+        if np.all(np.abs(ratios - prev) <= _RATIO_TOL * ratios):
             return ratios, levels, True
     return ratios, levels, False
 
@@ -245,18 +262,6 @@ def population_logsums(nu, y, m_max, rel_tol=1e-18, max_terms=10_000_000):
         log_t[1:] = _NINF
         return log_t, 1, True
     log_t[0], _, _, terms, ok = series_logsums(nu, y, rel_tol, max_terms)
-    d = nu - y
-
-    def run(depth):
-        rho = 0.0
-        for n in range(depth - 1, m_max - 1, -1):
-            rho = y * (n + 1) / (d + n + rho)
-        out = [0.0] * m_max
-        for n in range(m_max - 1, -1, -1):
-            rho = y * (n + 1) / (d + n + rho)
-            out[n] = rho
-        return np.array(out)
-
-    rho, levels, ok_rho = backward_ratios(run, m_max, max_terms)
+    rho, levels, ok_rho = backward_ratios(y, nu - y, 1.0, m_max, max_terms)
     log_t[1:] = log_t[0] + np.cumsum(np.log(rho))
     return log_t, terms + levels, ok and ok_rho

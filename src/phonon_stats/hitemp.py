@@ -156,18 +156,8 @@ def _moments_backward(a: float, b: float, n_max: int) -> np.ndarray:
     r it would need millions of levels, so it never replaces the recursion.
     """
     r = a / math.sqrt(b)
-
-    def run(depth):
-        tau = 0.0
-        for n in range(depth, n_max, -1):
-            tau = n / (r + 2.0 * tau)
-        out = [0.0] * n_max
-        for n in range(n_max, 0, -1):
-            tau = n / (r + 2.0 * tau)
-            out[n - 1] = tau
-        return np.array(out)
-
-    tau, levels, ok = _kernels.backward_ratios(run, n_max)
+    # sigma_k = 2 tau_{k+1} = 2(k+1) / (r + sigma_{k+1})
+    sigma, levels, ok = _kernels.backward_ratios(2.0, r, 0.0, n_max)
     if not ok:
         raise NotConverged(
             f"backward moment fraction at a={a:g}, b={b:g} (a/sqrt(b)={r:g}) "
@@ -176,7 +166,7 @@ def _moments_backward(a: float, b: float, n_max: int) -> np.ndarray:
         )
     log_m = np.empty(n_max + 1)
     log_m[0] = math.log(0.5 * math.sqrt(math.pi) * erfcx(0.5 * r))
-    log_m[1:] = log_m[0] + np.cumsum(np.log(tau))
+    log_m[1:] = log_m[0] + np.cumsum(np.log(0.5 * sigma))
     return log_m - 0.5 * math.log(b) * np.arange(1.0, n_max + 2.0)
 
 
