@@ -131,7 +131,9 @@ def phonon_populations_exact(
     (default: a ~10-sigma cutoff from the mean occupation) — its shortfall
     from 1 is true tail mass, reported by :func:`steady_state_exact` in the
     diagnostics, never renormalized away. ``max_terms`` caps each series and
-    the recurrence depth; reaching it raises :class:`NotConverged`.
+    the recurrence depth; reaching it raises :class:`NotConverged`. The first
+    recurrence depth is 2*m_max + 50 and the check needs one deeper run, so a
+    cap of 2*m_max + 50 or less always raises.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     if m_max is None:
