@@ -29,6 +29,7 @@ from .exact import (
     classify_regime,
     g2_exact,
     mean_phonon_exact,
+    observables_exact,
     phonon_populations_exact,
     steady_state_exact,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "erfcx",
     "recip_gamma_series",
     # exact route
+    "observables_exact",
     "mean_phonon_exact",
     "g2_exact",
     "phonon_populations_exact",

@@ -10,6 +10,12 @@ Model names: ``exact`` (series), ``hitemp`` (high-temperature closed forms),
 solves), and ``auto``, which picks ``hitemp`` when n_th/C > 1e6 (past the
 series term budget) and ``exact`` otherwise, per point.
 
+What each command computes: ``sweep`` and figures 1, 2, 4 and 5 compute
+n_ss, g2 and regime only (one series call per point on the exact route, the
+two closed forms on the hitemp route); ``stats``, ``validate`` and figures 3
+and 6 also compute the Fock populations. An oracle model always solves for
+the full state.
+
 Sweeps and figure datasets are CSV (headered, RFC-4180 quoting via the csv
 module); single reports and validation summaries are JSON. Floats are
 rendered with %.17g so outputs round-trip and runs are byte-reproducible.
@@ -42,7 +48,7 @@ from .errors import (
     UnphysicalState,
 )
 from .params import ReducedParams
-from .report import SteadyStateReport
+from .report import Regime, SteadyStateReport
 
 __all__ = ["main", "RangeSpec"]
 
@@ -134,8 +140,13 @@ def _fmt(value) -> str:
 # config resolution
 
 
-def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
-    """Overlay a JSON --config file under the flags (flags win)."""
+def _merge_config(ns: argparse.Namespace, command: argparse.ArgumentParser) -> argparse.Namespace:
+    """Overlay a JSON --config file under the flags (flags win).
+
+    Each loaded value goes through the ``type`` of its flag in ``command``
+    (the subcommand's parser), so a value the flag would refuse is a
+    DomainError.
+    """
     data = vars(ns).copy()
     path = data.pop("config", None)
     if path:
@@ -147,9 +158,19 @@ def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
         unknown = set(loaded) - known
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        # argparse exposes a parser's flags only as ``_actions``
+        flag_types = {action.dest: action.type for action in command._actions}
         for key, val in loaded.items():
-            if data.get(key) is None:
-                data[key] = val
+            if data.get(key) is not None:
+                continue
+            convert = flag_types.get(key)
+            if convert is not None and val is not None:
+                # a flag's type sees the flag's text, so 2.5 is no --jobs value
+                try:
+                    val = convert(str(val))
+                except ValueError as exc:
+                    raise DomainError(f"config key {key!r}: {exc}") from exc
+            data[key] = val
     return argparse.Namespace(**data)
 
 
@@ -234,19 +255,29 @@ def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
     return name, report
 
 
+def _point_observables(name, C, n_th, cfg) -> tuple[str, float, float | None, Regime]:
+    """n_ss, g2 and regime of one point, without Fock populations.
+
+    The analytic routes evaluate their observables alone (one series call on
+    the exact route, the two closed forms on the hitemp route); an oracle's
+    Lindblad solve yields everything at once, so it goes through the report.
+    """
+    name = _resolve_model(name, C, n_th)
+    if name == "exact":
+        n_ss, g2 = exact.observables_exact(C, n_th)
+    elif name == "hitemp":
+        n_ss, g2 = hitemp.mean_phonon_hitemp(C, n_th), hitemp.g2_hitemp(C, n_th)
+    else:
+        name, rep = _point_report(name, C, n_th, cfg)
+        return name, rep.n_ss, rep.g2, rep.regime
+    return name, n_ss, g2, exact.classify_regime(C, n_th)
+
+
 def _point_worker(task):
     """Sweep worker (module-level so it pickles); shares nothing."""
     C, n_th, model, cfg_dict = task
-    cfg = argparse.Namespace(**cfg_dict)
-    name, rep = _point_report(model, C, n_th, cfg)
-    return {
-        "C": C,
-        "n_th": n_th,
-        "model": name,
-        "n_ss": rep.n_ss,
-        "g2": rep.g2,
-        "regime": rep.regime.value,
-    }
+    name, n_ss, g2, regime = _point_observables(model, C, n_th, argparse.Namespace(**cfg_dict))
+    return {"C": C, "n_th": n_th, "model": name, "n_ss": n_ss, "g2": g2, "regime": regime.value}
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +354,9 @@ def cmd_sweep(cfg) -> int:
         for n_th in nth_values
         for C in c_values
     ]
-    jobs = int(_get(cfg, "jobs", 1))
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
+    workers = min(int(_get(cfg, "jobs", 1)), len(tasks))
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             rows = pool.map(_point_worker, tasks)
     else:
         rows = [_point_worker(t) for t in tasks]
@@ -353,18 +384,11 @@ _FIG_NTH_HI = (1e3, 1e4, 1e5, 1e6)
 _FIG_NTH_LO = (1.0, 10.0, 20.0, 40.0)
 
 
-def _curve_rows(nth_values, c_values, model_name, cfg):
-    # curves only need the two observables; skip the full report so the
-    # population window (huge when n_ss is large) is never materialized
-    if model_name == "hitemp":
-        mean_fn, g2_fn = hitemp.mean_phonon_hitemp, hitemp.g2_hitemp
-    else:
-        mean_fn, g2_fn = exact.mean_phonon_exact, exact.g2_exact
+def _curve_rows(nth_values, c_values, model_name):
     rows = []
     for n_th in nth_values:
         for C in c_values:
-            n_ss = mean_fn(float(C), float(n_th))
-            g2 = g2_fn(float(C), float(n_th))
+            _, n_ss, g2, _ = _point_observables(model_name, float(C), float(n_th), None)
             rows.append([_fmt(C), _fmt(n_th), _fmt(n_ss), _fmt(g2)])
     return rows
 
@@ -383,7 +407,7 @@ def cmd_figure(cfg) -> int:
         nth_values = _parse_set(cfg.nth_set) if cfg.nth_set else list(_FIG_NTH_HI)
         default = "1e-9:1e3:120:log" if fig_id == 1 else "1e-9:1e6:120:log"
         c_values = RangeSpec.parse(cfg.c_range or default).values()
-        rows = _curve_rows(nth_values, c_values, "hitemp", cfg)
+        rows = _curve_rows(nth_values, c_values, "hitemp")
     elif fig_id == 3:
         C = float(_get(cfg, "C", 1e2))
         n_th = float(_get(cfg, "n_th", 1e4))
@@ -393,7 +417,7 @@ def cmd_figure(cfg) -> int:
     elif fig_id == 4:
         nth_values = _parse_set(cfg.nth_set) if cfg.nth_set else list(_FIG_NTH_LO)
         c_values = RangeSpec.parse(cfg.c_range or "0.1:1e3:100:log").values()
-        rows = _curve_rows(nth_values, c_values, "exact", cfg)
+        rows = _curve_rows(nth_values, c_values, "exact")
     elif fig_id == 5:
         c_values = RangeSpec.parse(cfg.c_range or "0.1:1e3:40:log").values()
         nth_values = (
@@ -401,7 +425,7 @@ def cmd_figure(cfg) -> int:
             if cfg.nth_set
             else list(RangeSpec.parse("0.1:40:40:log").values())
         )
-        rows = _curve_rows(nth_values, c_values, "exact", cfg)
+        rows = _curve_rows(nth_values, c_values, "exact")
     else:  # fig_id == 6
         n_th = float(_get(cfg, "n_th", 20.0))
         c_values = _parse_set(cfg.c_set) if cfg.c_set else [1.0, 41.0, 1000.0]
@@ -650,6 +674,7 @@ def _build_parser() -> _Parser:
         description="Steady-state phonon statistics under two-phonon optical damping.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    parser.commands = sub.choices  # name -> subparser
 
     def add_common(p, *, point=True, oracle=True):
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
@@ -728,7 +753,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cfg = _merge_config(ns)
+        cfg = _merge_config(ns, parser.commands[ns.cmd])
         return ns.func(cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,6 +51,7 @@ from .report import G2_UNDEFINED_BELOW, Regime, SteadyStateReport
 from .specfun import recip_gamma_series
 
 __all__ = [
+    "observables_exact",
     "mean_phonon_exact",
     "g2_exact",
     "phonon_populations_exact",
@@ -71,17 +72,45 @@ def _check_cn(C: float, n_th: float, *, positive_nth: bool = False) -> tuple[flo
     return C, n_th
 
 
+def _observables(C: float, n_th: float, max_terms: int) -> tuple[float, float | None, int]:
+    """(n_ss, g2, series terms) from one series evaluation.
+
+    n_ss = S_1/(2 S_0); g2 = S_2 S_0 / S_1^2, or ``None`` below the
+    definability threshold. At ``n_th = 0`` the state is the ground state:
+    (0.0, None, 0) with no series evaluation. The series is looked up as this
+    module's global, so a wrapper set on ``exact.recip_gamma_series`` sees
+    every call.
+    """
+    C, n_th = _check_cn(C, n_th)
+    if n_th == 0.0:
+        return 0.0, None, 0
+    sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C, max_terms=max_terms)
+    n_ss = 0.5 * math.exp(sums.log_s1 - sums.log_s0)
+    g2 = None
+    if n_ss >= G2_UNDEFINED_BELOW:
+        g2 = math.exp(sums.log_s2 + sums.log_s0 - 2.0 * sums.log_s1)
+    return n_ss, g2, sums.terms_used
+
+
+def observables_exact(
+    C: float, n_th: float, *, max_terms: int = 10_000_000
+) -> tuple[float, float | None]:
+    """(n_ss, g2) from a single series evaluation, with no Fock populations.
+
+    Each value equals what :func:`mean_phonon_exact` and :func:`g2_exact`
+    return separately, at half their combined cost.
+    """
+    n_ss, g2, _ = _observables(C, n_th, max_terms)
+    return n_ss, g2
+
+
 def mean_phonon_exact(C: float, n_th: float, *, max_terms: int = 10_000_000) -> float:
     """Steady-state mean phonon number S_1/(2 S_0).
 
     Returns exactly 0.0 at ``n_th = 0`` (the steady state is the ground
     state; no series evaluation involved).
     """
-    C, n_th = _check_cn(C, n_th)
-    if n_th == 0.0:
-        return 0.0
-    sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C, max_terms=max_terms)
-    return 0.5 * math.exp(sums.log_s1 - sums.log_s0)
+    return _observables(C, n_th, max_terms)[0]
 
 
 def g2_exact(C: float, n_th: float, *, max_terms: int = 10_000_000) -> float | None:
@@ -91,14 +120,7 @@ def g2_exact(C: float, n_th: float, *, max_terms: int = 10_000_000) -> float | N
     below the definability threshold (vacuum limit: the formula is 0/0; the
     physical limit value is 0 but is not emitted as data).
     """
-    C, n_th = _check_cn(C, n_th)
-    if n_th == 0.0:
-        return None
-    sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C, max_terms=max_terms)
-    n_ss = 0.5 * math.exp(sums.log_s1 - sums.log_s0)
-    if n_ss < G2_UNDEFINED_BELOW:
-        return None
-    return math.exp(sums.log_s2 + sums.log_s0 - 2.0 * sums.log_s1)
+    return _observables(C, n_th, max_terms)[1]
 
 
 def default_m_max(n_ss: float, n_th: float | None = None) -> int:
@@ -189,11 +211,7 @@ def steady_state_exact(
             regime=Regime.VACUUM,
             diagnostics={"model": "exact", "population_tail": 0.0},
         )
-    sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C, max_terms=max_terms)
-    n_ss = 0.5 * math.exp(sums.log_s1 - sums.log_s0)
-    g2 = None
-    if n_ss >= G2_UNDEFINED_BELOW:
-        g2 = math.exp(sums.log_s2 + sums.log_s0 - 2.0 * sums.log_s1)
+    n_ss, g2, terms = _observables(C, n_th, max_terms)
     if m_max is None:
         m_max = default_m_max(n_ss, n_th)
     populations = phonon_populations_exact(C, n_th, m_max, max_terms=max_terms)
@@ -205,7 +223,7 @@ def steady_state_exact(
         regime=classify_regime(C, n_th),
         diagnostics={
             "model": "exact",
-            "series_terms": sums.terms_used,
+            "series_terms": terms,
             "population_tail": tail,
             "m_max": m_max,
         },

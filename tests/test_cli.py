@@ -6,6 +6,7 @@ import py_compile
 
 import pytest
 
+from phonon_stats import _kernels, cli, hitemp
 from phonon_stats.cli import RangeSpec, main
 from phonon_stats.errors import DomainError
 
@@ -119,6 +120,20 @@ def test_config_file(tmp_path, capsys):
     assert code == 1
     assert "bogus" in err
 
+    # a value its flag would refuse is a config error, not a traceback
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"C": "abc", "n_th": 1}))
+    code, _, err = run(capsys, "stats", "--config", str(typo))
+    assert code == 1
+    assert "error:" in err and "'C'" in err
+
+    jobs = tmp_path / "jobs.json"
+    for bad_jobs in ("two", 2.5):
+        jobs.write_text(json.dumps({"jobs": bad_jobs, "c_set": "1", "nth_set": "1"}))
+        code, _, err = run(capsys, "sweep", "--config", str(jobs))
+        assert code == 1
+        assert "error:" in err and "'jobs'" in err
+
 
 def _read_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
@@ -149,8 +164,10 @@ def test_sweep_rows_and_regimes(capsys):
 
 
 def test_sweep_deterministic_and_parallel(tmp_path, capsys):
-    args = ["sweep", "--model", "exact", "--c-range", "0.5:50:4:log",
-            "--nth-set", "0.5,2"]
+    # n_th = 1e7 is past the auto hand-off at C = 0.5 and C ~ 2.3 only, so
+    # both routes run on both the serial and the pooled path
+    args = ["sweep", "--model", "auto", "--c-range", "0.5:50:4:log",
+            "--nth-set", "0.5,2,1e7"]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     out3 = tmp_path / "c.csv"
@@ -158,8 +175,70 @@ def test_sweep_deterministic_and_parallel(tmp_path, capsys):
     assert main(args + ["--out", str(out2)]) == 0
     assert main(args + ["--out", str(out3), "--jobs", "2"]) == 0
     capsys.readouterr()
+    assert {row["model"] for row in _read_csv(out1.read_text())} == {"exact", "hitemp"}
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() == out3.read_bytes()
+
+
+def test_sweep_jobs_capped_by_grid(monkeypatch, capsys):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    code, out, _ = run(
+        capsys, "sweep", "--model", "exact", "--c-set", "1,3", "--nth-set", "1",
+        "--jobs", "8",
+    )
+    assert code == 0
+    assert started == [2]
+    assert len(_read_csv(out)) == 2
+
+
+def test_sweep_and_curves_compute_no_populations(tmp_path, monkeypatch, capsys):
+    c_values, nth_values = ["1e-3", "1"], ["0", "1", "1e5"]
+    want = {}
+    for n_th in nth_values:
+        for C in c_values:
+            code, out, _ = run(capsys, "stats", "--C", C, "--n-th", n_th)
+            assert code == 0
+            rep = json.loads(out)
+            want[(float(C), float(n_th))] = (
+                rep["params"]["model"],
+                "%.17g" % rep["n_ss"],
+                "" if rep["g2"] is None else "%.17g" % rep["g2"],
+                rep["regime"],
+            )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fock populations computed")
+
+    monkeypatch.setattr(_kernels, "population_logsums", refuse)
+    monkeypatch.setattr(hitemp, "_fock_projection", refuse)
+    code, out, _ = run(
+        capsys, "sweep", "--model", "auto", "--c-set", ",".join(c_values),
+        "--nth-set", ",".join(nth_values),
+    )
+    assert code == 0
+    rows = _read_csv(out)
+    assert {row["model"] for row in rows} == {"exact", "hitemp"}
+    assert len(rows) == len(want)
+    for row in rows:
+        got = (row["model"], row["n_ss"], row["g2"], row["regime"])
+        assert got == want[(float(row["C"]), float(row["n_th"]))]
+    code, _, _ = run(capsys, "figure", "4", "--out", str(tmp_path))
+    assert code == 0
 
 
 def test_sweep_json_format(capsys):

@@ -39,6 +39,22 @@ def test_mean_phonon_monotone_cooling():
     assert values[0] == pytest.approx(n_th, rel=0.05)  # weak damping ~ thermal
 
 
+@pytest.mark.parametrize("point", [(10.0, 1.0), (1e-3, 5.0), (7.3, 0.0), (1.0, 1e-13)])
+def test_observables_exact_is_one_series_call(point, monkeypatch):
+    C, n_th = point
+    want = (exact.mean_phonon_exact(C, n_th), exact.g2_exact(C, n_th))
+    calls = []
+    series = exact.recip_gamma_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "recip_gamma_series", counted)
+    assert exact.observables_exact(C, n_th) == want
+    assert len(calls) == (0 if n_th == 0.0 else 1)
+
+
 def test_vacuum_is_exact_zero():
     assert exact.mean_phonon_exact(7.3, 0.0) == 0.0
     assert exact.g2_exact(7.3, 0.0) is None
