@@ -10,11 +10,10 @@ Three independent routes to the same observables:
 :mod:`phonon_stats.params` maps laboratory parameters onto the two
 dimensionless model inputs (cooperativity C, bath occupation n_th);
 :mod:`phonon_stats.cli` exposes everything as the ``phonon-stats`` command.
-
-Set ``PHONON_STATS_NO_NUMBA=1`` to force the pure-numpy series kernels.
+The series sums run in one vectorized numpy kernel
+(:mod:`phonon_stats._kernels`).
 """
 
-from ._kernels import HAS_NUMBA
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -54,6 +53,9 @@ from .report import Regime, SteadyStateReport
 from .specfun import SeriesSums, erfcx, log_gamma, recip_gamma_series
 
 __version__ = "0.1.0"
+
+# there is no numba lane: the series kernel is numpy only (perfbench stamps this)
+HAS_NUMBA = False
 
 __all__ = [
     "__version__",

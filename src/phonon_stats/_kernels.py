@@ -1,139 +1,51 @@
 """Low-level kernels for the reciprocal-gamma series and the population sums.
 
-The series kernels evaluate sums of the shape
+The series kernel evaluates sums of the shape
 
     S_j(nu, x) = sum_{k>=0} w_j(k) * x**k / Gamma(nu + k)
 
 in log space: terms are generated as ``exp(k*log(x) - lgamma(nu+k))`` relative
-to a running peak, because at large ``x`` the terms span hundreds of orders of
-magnitude. All summands are nonnegative, and the term sequence is strictly
+to the analytic peak, because at large ``x`` the terms span hundreds of orders
+of magnitude. All summands are nonnegative, and the term sequence is strictly
 log-concave in ``k`` (term ratios are products of decreasing positive factors),
-so the peak is unique: "past the peak" is detected exactly by the first
-non-increasing term, and termination applies the relative tolerance only there.
-
-S_j has two interchangeable lanes:
-
-* a numba lane — scalar ``@njit`` loops, one ``math.lgamma`` per term, online
-  peak rescaling, Kahan-compensated accumulation;
-* a numpy lane — chunked vectorized terms via ``scipy.special.gammaln``, the
-  analytic peak as the shift, ascending sort + pairwise sum per chunk, chunk
-  partials combined with ``math.fsum``.
-
-The numba lane is the default when numba imports; set the environment variable
-``PHONON_STATS_NO_NUMBA=1`` to force the numpy lane. The lanes agree to
-~1e-13 relative at moderate arguments (pinned by tests), degrading to ~1e-10
-by x ~ 1e5 where ulp-level lgamma disagreement on ~1e6-sized values stops
-cancelling; ``terms_used`` may differ (the numpy lane evaluates a small
-analytic overshoot past the peak).
+so the peak is unique and sits at the stationary point k ~ x - nu + 1/2.
+Terms are evaluated in vectorized chunks via ``scipy.special.gammaln``; each
+chunk is sorted ascending and summed pairwise, and the chunk partials are
+combined with ``math.fsum``. The summed range first ends about
+12*sqrt(x) terms past the peak and doubles until its last term falls below
+``_SERIES_TOL`` relative to each sum, or until ``max_terms``.
 
 The per-level population sums
 
     T_m(nu, y) = sum_{k>=m} [k!/(k-m)!] * y**k / Gamma(nu + k)
 
-have a single lane: one S_0 anchor and a backward continued fraction for the
-ratios T_{m+1}/T_m (Miller's algorithm), with the start depth chosen by
+come from one S_0 anchor and a backward continued fraction for the ratios
+T_{m+1}/T_m (Miller's algorithm), with the start depth chosen by
 :func:`backward_ratios`, which the high-temperature moment table shares.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.special import gammaln
 
 _NINF = float("-inf")
 
-try:
-    if os.environ.get("PHONON_STATS_NO_NUMBA", "").strip() not in ("", "0"):
-        raise ImportError("numba disabled via PHONON_STATS_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator so the source below still defines
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numba lane (compiled when available; the undecorated python versions are
-# never used directly — the numpy lane below is the fallback)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _series_logsums_scalar(nu, x, rel_tol, max_terms):
-    if x == 0.0:
-        return -math.lgamma(nu), _NINF, _NINF, 1, True
-    lx = math.log(x)
-    shift = -math.lgamma(nu)  # log of the k = 0 term
-    s0 = 1.0
-    c0 = 0.0
-    s1 = 0.0
-    c1 = 0.0
-    s2 = 0.0
-    c2 = 0.0
-    prev_ell = shift
-    past_peak = False
-    k = 1
-    while k <= max_terms:
-        ell = k * lx - math.lgamma(nu + k)
-        if ell <= prev_ell:
-            past_peak = True
-        if ell > shift:
-            f = math.exp(shift - ell)
-            s0 *= f
-            c0 *= f
-            s1 *= f
-            c1 *= f
-            s2 *= f
-            c2 *= f
-            shift = ell
-        t = math.exp(ell - shift)
-        kf = float(k)
-        w1 = kf * t
-        w2 = kf * (kf - 1.0) * t
-        # Kahan updates
-        y = t - c0
-        tmp = s0 + y
-        c0 = (tmp - s0) - y
-        s0 = tmp
-        y = w1 - c1
-        tmp = s1 + y
-        c1 = (tmp - s1) - y
-        s1 = tmp
-        y = w2 - c2
-        tmp = s2 + y
-        c2 = (tmp - s2) - y
-        s2 = tmp
-        if past_peak and t <= rel_tol * s0 and w1 <= rel_tol * s1 and w2 <= rel_tol * s2:
-            l1 = math.log(s1) + shift if s1 > 0.0 else _NINF
-            l2 = math.log(s2) + shift if s2 > 0.0 else _NINF
-            return math.log(s0) + shift, l1, l2, k + 1, True
-        prev_ell = ell
-        k += 1
-    l1 = math.log(s1) + shift if s1 > 0.0 else _NINF
-    l2 = math.log(s2) + shift if s2 > 0.0 else _NINF
-    return math.log(s0) + shift, l1, l2, max_terms + 1, False
-
-
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
 _CHUNK = 1 << 18
 
+# the series stops once its last term is below this, relative to each sum
+_SERIES_TOL = 1e-18
 
-def _series_logsums_numpy(nu, x, rel_tol, max_terms):
+# the backward ratios are accepted once a doubled start depth moves none of
+# them by more than this, relative
+_RATIO_TOL = 1e-15
+
+
+def series_logsums(nu, x, max_terms=10_000_000):
+    """Return (log_s0, log_s1, log_s2, terms_used, converged) for S_j(nu, x)."""
+    nu, x, max_terms = float(nu), float(x), int(max_terms)
     if x == 0.0:
         return -math.lgamma(nu), _NINF, _NINF, 1, True
     lx = math.log(x)
@@ -161,9 +73,9 @@ def _series_logsums_numpy(nu, x, rel_tol, max_terms):
         s2 = math.fsum(p2)
         ok = (
             n_hi > kc
-            and t_last <= rel_tol * s0
-            and w1_last <= rel_tol * s1
-            and w2_last <= rel_tol * s2
+            and t_last <= _SERIES_TOL * s0
+            and w1_last <= _SERIES_TOL * s1
+            and w2_last <= _SERIES_TOL * s2
         )
         if ok or n_hi >= max_terms:
             # s0 is 0 only when the cap falls before the analytic peak and
@@ -174,33 +86,8 @@ def _series_logsums_numpy(nu, x, rel_tol, max_terms):
 
 
 # ---------------------------------------------------------------------------
-# dispatch (series only)
+# backward recurrences
 # ---------------------------------------------------------------------------
-
-_series_impl = _series_logsums_scalar if HAS_NUMBA else _series_logsums_numpy
-
-
-def series_logsums(nu, x, rel_tol=1e-18, max_terms=10_000_000):
-    """Return (log_s0, log_s1, log_s2, terms_used, converged) for S_j(nu, x)."""
-    return _series_impl(float(nu), float(x), float(rel_tol), int(max_terms))
-
-
-def series_logsums_numpy(nu, x, rel_tol=1e-18, max_terms=10_000_000):
-    """numpy lane, always available (lane-equivalence tests)."""
-    return _series_logsums_numpy(float(nu), float(x), float(rel_tol), int(max_terms))
-
-
-series_logsums_numba = _series_logsums_scalar if HAS_NUMBA else None
-
-
-# ---------------------------------------------------------------------------
-# backward recurrences (one lane)
-# ---------------------------------------------------------------------------
-
-
-# the backward ratios are accepted once a doubled start depth moves none of
-# them by more than this, relative
-_RATIO_TOL = 1e-15
 
 
 def backward_ratios(p, q, s, n_ratios, max_terms=10_000_000):
@@ -240,7 +127,7 @@ def backward_ratios(p, q, s, n_ratios, max_terms=10_000_000):
     return ratios, levels, False
 
 
-def population_logsums(nu, y, m_max, rel_tol=1e-18, max_terms=10_000_000):
+def population_logsums(nu, y, m_max, max_terms=10_000_000):
     """Return (log_T[0..m_max], terms_used, converged) for the population sums.
 
     The sums obey  y(n+1) T_n = (nu - y + n) T_{n+1} + T_{n+2}  (the
@@ -251,9 +138,9 @@ def population_logsums(nu, y, m_max, rel_tol=1e-18, max_terms=10_000_000):
         rho_n = y(n+1) / (nu - y + n + rho_{n+1}),
 
     in which every term is positive when nu > y (in the application
-    nu - y = (1 + n_th)/C). T_0 = S_0(nu, y) anchors the chain. ``rel_tol``
-    goes to that anchor series; ``terms_used`` counts its terms plus the
-    backward levels run, and ``max_terms`` caps each of the two.
+    nu - y = (1 + n_th)/C). T_0 = S_0(nu, y) anchors the chain;
+    ``terms_used`` counts its terms plus the backward levels run, and
+    ``max_terms`` caps each of the two.
     """
     nu, y, m_max = float(nu), float(y), int(m_max)
     log_t = np.empty(m_max + 1)
@@ -261,7 +148,7 @@ def population_logsums(nu, y, m_max, rel_tol=1e-18, max_terms=10_000_000):
         log_t[0] = -math.lgamma(nu)
         log_t[1:] = _NINF
         return log_t, 1, True
-    log_t[0], _, _, terms, ok = series_logsums(nu, y, rel_tol, max_terms)
+    log_t[0], _, _, terms, ok = series_logsums(nu, y, max_terms)
     rho, levels, ok_rho = backward_ratios(y, nu - y, 1.0, m_max, max_terms)
     log_t[1:] = log_t[0] + np.cumsum(np.log(rho))
     return log_t, terms + levels, ok and ok_rho

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -668,7 +669,9 @@ def cmd_validate(cfg) -> int:
 # parser assembly
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The whole parser, built on first use and reused by every later call."""
     parser = _Parser(
         prog="phonon-stats",
         description="Steady-state phonon statistics under two-phonon optical damping.",

@@ -48,7 +48,7 @@ from scipy.special import gammaln
 from . import _kernels
 from .errors import DomainError, NotConverged
 from .report import G2_UNDEFINED_BELOW, Regime, SteadyStateReport
-from .specfun import recip_gamma_series
+from .specfun import SeriesSums, recip_gamma_series
 
 __all__ = [
     "observables_exact",
@@ -72,24 +72,27 @@ def _check_cn(C: float, n_th: float, *, positive_nth: bool = False) -> tuple[flo
     return C, n_th
 
 
-def _observables(C: float, n_th: float, max_terms: int) -> tuple[float, float | None, int]:
-    """(n_ss, g2, series terms) from one series evaluation.
+def _observables(
+    C: float, n_th: float, max_terms: int
+) -> tuple[float, float | None, SeriesSums | None]:
+    """(n_ss, g2, series sums) from one series evaluation.
 
     n_ss = S_1/(2 S_0); g2 = S_2 S_0 / S_1^2, or ``None`` below the
-    definability threshold. At ``n_th = 0`` the state is the ground state:
-    (0.0, None, 0) with no series evaluation. The series is looked up as this
-    module's global, so a wrapper set on ``exact.recip_gamma_series`` sees
-    every call.
+    definability threshold. The sums' ``log_s0`` is also the log of the
+    population normalizer. At ``n_th = 0`` the state is the ground state:
+    (0.0, None, None) with no series evaluation. The series is looked up as
+    this module's global, so a wrapper set on ``exact.recip_gamma_series``
+    sees every call.
     """
     C, n_th = _check_cn(C, n_th)
     if n_th == 0.0:
-        return 0.0, None, 0
+        return 0.0, None, None
     sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C, max_terms=max_terms)
     n_ss = 0.5 * math.exp(sums.log_s1 - sums.log_s0)
     g2 = None
     if n_ss >= G2_UNDEFINED_BELOW:
         g2 = math.exp(sums.log_s2 + sums.log_s0 - 2.0 * sums.log_s1)
-    return n_ss, g2, sums.terms_used
+    return n_ss, g2, sums
 
 
 def observables_exact(
@@ -137,6 +140,24 @@ def default_m_max(n_ss: float, n_th: float | None = None) -> int:
     return m
 
 
+def _populations(C: float, n_th: float, m_max: int, log_s0: float, max_terms: int) -> np.ndarray:
+    """P(0..m_max) from the backward recurrence, normalized by the given
+    log S_0(nu, 2y) (the ``log_s0`` of :func:`_observables`)."""
+    m_max = int(m_max)
+    if m_max < 0:
+        raise DomainError(f"m_max must be >= 0, got {m_max!r}")
+    log_t, terms, ok = _kernels.population_logsums(
+        (1.0 + 2.0 * n_th) / C, n_th / C, m_max, max_terms
+    )
+    if not ok:
+        raise NotConverged(
+            f"population recurrence at C={C:g}, n_th={n_th:g} hit the {max_terms}-term cap",
+            terms_used=int(terms),
+        )
+    m = np.arange(m_max + 1, dtype=np.float64)
+    return np.exp(log_t - gammaln(m + 1.0) - log_s0)
+
+
 def phonon_populations_exact(
     C: float,
     n_th: float,
@@ -148,32 +169,21 @@ def phonon_populations_exact(
 
     Evaluates the analytically normalized double series described in the
     module docstring through its backward recurrence: one series for T_0, one
-    continued-fraction pass per depth doubling, and the normalizer
-    S_0(nu, 2y). The returned vector is the exact P(m) truncated at ``m_max``
-    (default: a ~10-sigma cutoff from the mean occupation) — its shortfall
-    from 1 is true tail mass, reported by :func:`steady_state_exact` in the
+    continued-fraction pass per depth doubling, and one series for the
+    normalizer S_0(nu, 2y), which also gives the mean occupation. The
+    returned vector is the exact P(m) truncated at ``m_max`` (default: a
+    ~10-sigma cutoff from the mean occupation) — its shortfall from 1 is
+    true tail mass, reported by :func:`steady_state_exact` in the
     diagnostics, never renormalized away. ``max_terms`` caps each series and
     the recurrence depth; reaching it raises :class:`NotConverged`. The first
     recurrence depth is 2*m_max + 50 and the check needs one deeper run, so a
     cap of 2*m_max + 50 or less always raises.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
+    n_ss, _, sums = _observables(C, n_th, max_terms)
     if m_max is None:
-        m_max = default_m_max(mean_phonon_exact(C, n_th, max_terms=max_terms), n_th)
-    m_max = int(m_max)
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max!r}")
-    nu = (1.0 + 2.0 * n_th) / C
-    y = n_th / C
-    log_t, terms, ok = _kernels.population_logsums(nu, y, m_max, 1e-18, max_terms)
-    if not ok:
-        raise NotConverged(
-            f"population recurrence at C={C:g}, n_th={n_th:g} hit the {max_terms}-term cap",
-            terms_used=int(terms),
-        )
-    norm = recip_gamma_series(nu, 2.0 * y, max_terms=max_terms)
-    m = np.arange(m_max + 1, dtype=np.float64)
-    return np.exp(log_t - gammaln(m + 1.0) - norm.log_s0)
+        m_max = default_m_max(n_ss, n_th)
+    return _populations(C, n_th, m_max, sums.log_s0, max_terms)
 
 
 def classify_regime(C: float, n_th: float) -> Regime:
@@ -211,10 +221,10 @@ def steady_state_exact(
             regime=Regime.VACUUM,
             diagnostics={"model": "exact", "population_tail": 0.0},
         )
-    n_ss, g2, terms = _observables(C, n_th, max_terms)
+    n_ss, g2, sums = _observables(C, n_th, max_terms)
     if m_max is None:
         m_max = default_m_max(n_ss, n_th)
-    populations = phonon_populations_exact(C, n_th, m_max, max_terms=max_terms)
+    populations = _populations(C, n_th, m_max, sums.log_s0, max_terms)
     tail = max(0.0, 1.0 - float(populations.sum()))
     return SteadyStateReport(
         n_ss=n_ss,
@@ -223,7 +233,7 @@ def steady_state_exact(
         regime=classify_regime(C, n_th),
         diagnostics={
             "model": "exact",
-            "series_terms": terms,
+            "series_terms": sums.terms_used,
             "population_tail": tail,
             "m_max": m_max,
         },

@@ -39,7 +39,7 @@ from scipy.special import gammaln, logsumexp
 from . import _kernels
 from .errors import DomainError, NotConverged, RecursionUnstable
 from .report import Regime, SteadyStateReport
-from .exact import classify_regime, default_m_max
+from .exact import _check_cn, classify_regime, default_m_max
 from .specfun import erfcx
 
 __all__ = [
@@ -195,16 +195,6 @@ def gaussian_quartic_moments(a: float, b: float, n_max: int) -> MomentTable:
         return MomentTable(a, b, _moments_backward(a, b, n_max), "backward")
 
 
-def _check_cn(C: float, n_th: float) -> tuple[float, float]:
-    C = float(C)
-    n_th = float(n_th)
-    if not math.isfinite(C) or C <= 0.0:
-        raise DomainError(f"C must be positive, got {C!r}")
-    if not math.isfinite(n_th) or n_th <= 0.0:
-        raise DomainError(f"n_th must be positive, got {n_th!r}")
-    return C, n_th
-
-
 def mean_phonon_hitemp(C: float, n_th: float) -> float:
     """Closed-form mean occupation -1/(2C) + sqrt(n_th/(pi C))/erfcx(z).
 
@@ -213,7 +203,7 @@ def mean_phonon_hitemp(C: float, n_th: float) -> float:
     q = C*n_th < 1e-8 the two terms cancel to relative O(q), so the expansion
     n_th (1 - 4q + 40 q^2) + O(q^3) is used instead.
     """
-    C, n_th = _check_cn(C, n_th)
+    C, n_th = _check_cn(C, n_th, positive_nth=True)
     q = C * n_th
     if q < 1e-8:
         return n_th * (1.0 - 4.0 * q + 40.0 * q * q)
@@ -229,7 +219,7 @@ def g2_hitemp(C: float, n_th: float) -> float:
     the asymptotic expansion 2 - 4q + 72 q^2 + O(q^3) replaces the moment
     ratio, which loses ~eps/q^2 relative accuracy to cancellation there.
     """
-    C, n_th = _check_cn(C, n_th)
+    C, n_th = _check_cn(C, n_th, positive_nth=True)
     q = C * n_th
     if q < 1e-5:
         return 2.0 - 4.0 * q + 72.0 * q * q
@@ -255,7 +245,7 @@ def phonon_distribution_hitemp(C: float, n_th: float, n_max: int) -> np.ndarray:
     upward recursion or, where it is refused, the backward fraction, whose
     cost grows linearly with ``n_max``.
     """
-    C, n_th = _check_cn(C, n_th)
+    C, n_th = _check_cn(C, n_th, positive_nth=True)
     return _fock_projection(C, n_th, n_max)[0]
 
 
@@ -268,7 +258,7 @@ def steady_state_hitemp(
     relative to the exact normalizer, i.e. what the explicit-sum
     normalization of the population vector absorbed.
     """
-    C, n_th = _check_cn(C, n_th)
+    C, n_th = _check_cn(C, n_th, positive_nth=True)
     n_ss = mean_phonon_hitemp(C, n_th)
     g2 = g2_hitemp(C, n_th)
     if n_max is None:

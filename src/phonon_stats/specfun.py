@@ -35,9 +35,8 @@ class SeriesSums:
     properties ``s0``/``s1``/``s2`` may overflow to ``inf`` for large ``x``;
     downstream code forms ratios from the logs instead.
 
-    ``terms_used`` counts evaluated terms and is lane-dependent diagnostics,
-    not a contract (the vectorized lane evaluates a small overshoot past the
-    term peak).
+    ``terms_used`` counts evaluated terms and is diagnostics, not a contract
+    (the kernel evaluates a small overshoot past the term peak).
     """
 
     log_s0: float
@@ -89,10 +88,12 @@ def recip_gamma_series(
     nu: float,
     x: float,
     *,
-    rel_tol: float = 1e-18,
     max_terms: int = 10_000_000,
 ) -> SeriesSums:
     """Evaluate S_0, S_1, S_2 at (nu, x) in log space.
+
+    Summation stops once a term past the (unique) peak contributes less than
+    1e-18 relative to each sum (``_kernels._SERIES_TOL``).
 
     Parameters
     ----------
@@ -102,9 +103,6 @@ def recip_gamma_series(
     x : float
         Series argument; must be nonnegative. In the application
         x = 2 n_th / C, which can be enormous in the high-temperature regime.
-    rel_tol : float
-        Termination threshold: summation stops once a term past the (unique)
-        peak contributes less than ``rel_tol`` relative to each running sum.
     max_terms : int
         Term cap; reaching it raises :class:`NotConverged`. The cap signals
         a pathological ``x`` for which the high-temperature closed forms are
@@ -122,7 +120,7 @@ def recip_gamma_series(
         raise DomainError(f"recip_gamma_series requires x >= 0, got {x!r}")
     if max_terms < 1:
         raise DomainError("max_terms must be >= 1")
-    l0, l1, l2, terms, ok = _kernels.series_logsums(nu, x, rel_tol, max_terms)
+    l0, l1, l2, terms, ok = _kernels.series_logsums(nu, x, max_terms)
     sums = SeriesSums(l0, l1, l2, int(terms), bool(ok))
     if not ok:
         raise NotConverged(

@@ -90,6 +90,26 @@ def test_stats_unknown_flag_exit_1(capsys):
     assert "error:" in err
 
 
+def test_main_calls_in_a_row(capsys):
+    """One parser serves every call; no flag value carries over to the next."""
+    code, out, _ = run(capsys, "stats", "--C", "3", "--n-th", "1", "--model", "hitemp")
+    assert code == 0
+    assert json.loads(out)["params"]["model"] == "hitemp"
+    code, out, _ = run(capsys, "stats", "--C", "3", "--n-th", "1")
+    assert code == 0
+    first = json.loads(out)
+    assert first["params"] == {"C": 3.0, "n_th": 1.0, "model": "exact"}
+    assert first["regime"] == "Coherent"
+    code, _, err = run(capsys, "stats", "--C", "3", "--n-th", "1", "--bogus")
+    assert code == 1 and "error:" in err
+    code, out, _ = run(capsys, "sweep", "--model", "exact", "--c-set", "1,3", "--nth-set", "1")
+    assert code == 0
+    assert [row["regime"] for row in _read_csv(out)] == ["Bunched", "Coherent"]
+    code, out, _ = run(capsys, "stats", "--C", "3", "--n-th", "1")
+    assert code == 0 and json.loads(out) == first
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_stats_nonconvergence_exit_2(capsys):
     # x = 2 n_th/C = 2e14 exceeds the series budget; forcing the exact
     # model must fail loudly, not silently fall back

@@ -55,6 +55,22 @@ def test_observables_exact_is_one_series_call(point, monkeypatch):
     assert len(calls) == (0 if n_th == 0.0 else 1)
 
 
+@pytest.mark.parametrize("fn", [exact.steady_state_exact, exact.phonon_populations_exact])
+def test_populations_share_the_observables_series(fn, monkeypatch):
+    """The population normalizer S_0(nu, 2 n_th/C) is the S_0 of n_ss, so a
+    report or a default-window population vector sums that series once."""
+    calls = []
+    series = exact.recip_gamma_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "recip_gamma_series", counted)
+    fn(10.0, 1.0)
+    assert len(calls) == 1
+
+
 def test_vacuum_is_exact_zero():
     assert exact.mean_phonon_exact(7.3, 0.0) == 0.0
     assert exact.g2_exact(7.3, 0.0) is None

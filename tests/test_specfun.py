@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phonon_stats import HAS_NUMBA, specfun
-from phonon_stats._kernels import population_logsums, series_logsums, series_logsums_numpy
+from phonon_stats import specfun
+from phonon_stats._kernels import population_logsums
 from phonon_stats.errors import DomainError, NotConverged
 
 # reference values frozen from a 50-digit mpmath evaluation of the defining
@@ -135,28 +135,30 @@ def test_series_domain_errors():
         specfun.recip_gamma_series(1.0, 1.0, max_terms=0)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba lane not available")
-def test_series_lanes_agree_on_observables():
-    """The jit and numpy lanes must give the same physics.
+@pytest.mark.parametrize("nu,x", [(0.5, 3.0), (2.0, 40.0), (21.0, 20.0),
+                                  (1e3, 1e3), (2001.0, 2e3), (2e4, 2e4)])
+def test_series_observables_match_mpmath(nu, x):
+    """n_ss = S_1/(2 S_0) and g2 = S_2 S_0/S_1^2 against a 30-digit direct sum.
 
-    Raw log sums at x ~ 1e4 are ~1e7 in magnitude, where a ULP is ~1e-9 —
-    comparing them directly just measures float granularity. Compare the
-    dimensionless observables built from log differences instead.
+    Raw log sums at x ~ 2e4 are ~2e5 in magnitude, where a ULP is ~3e-11, so
+    the dimensionless observables built from log differences are compared
+    instead.
     """
-    for nu, x in [(0.5, 0.0), (0.5, 3.0), (2.0, 40.0), (21.0, 20.0),
-                  (1e3, 1e3), (2001.0, 2e3), (2e4, 2e4)]:
-        l0a, l1a, l2a, _, oka = series_logsums(nu, x)
-        l0b, l1b, l2b, _, okb = series_logsums_numpy(nu, x)
-        assert oka and okb
-        if x == 0.0:
-            assert l1a == l1b == -math.inf
-            continue
-        n_a = 0.5 * math.exp(l1a - l0a)
-        n_b = 0.5 * math.exp(l1b - l0b)
-        g_a = math.exp(l2a + l0a - 2.0 * l1a)
-        g_b = math.exp(l2b + l0b - 2.0 * l1b)
-        assert n_a == pytest.approx(n_b, rel=1e-10)
-        assert g_a == pytest.approx(g_b, rel=1e-10)
+    mpmath = pytest.importorskip("mpmath")
+    s = specfun.recip_gamma_series(nu, x)
+    with mpmath.workdps(30):
+        lx = mpmath.log(x)
+        # the terms peak near k = x - nu and fall off like a Gaussian of
+        # width ~sqrt(x) around it; 40 widths past the peak is far below 1e-30
+        k_hi = int(max(x - nu, 0.0) + 40.0 * math.sqrt(x + 10.0) + 60.0)
+        terms = [mpmath.exp(k * lx - mpmath.loggamma(nu + k)) for k in range(k_hi + 1)]
+        s0 = mpmath.fsum(terms)
+        s1 = mpmath.fsum(k * t for k, t in enumerate(terms))
+        s2 = mpmath.fsum(k * (k - 1) * t for k, t in enumerate(terms))
+        n_ref = float(s1 / (2 * s0))
+        g2_ref = float(s2 * s0 / (s1 * s1))
+    assert 0.5 * math.exp(s.log_s1 - s.log_s0) == pytest.approx(n_ref, rel=1e-10)
+    assert math.exp(s.log_s2 + s.log_s0 - 2.0 * s.log_s1) == pytest.approx(g2_ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("nu,y,m_max", [(3.0, 1.0, 12), (110.0, 50.0, 40), (2001.0, 1e3, 30)])
