@@ -1,26 +1,22 @@
 """Low-level kernels for the reciprocal-gamma series and the population sums.
 
-The series kernel evaluates sums of the shape
+The series kernel evaluates the Kummer sums
 
-    S_j(nu, x) = sum_{k>=0} w_j(k) * x**k / Gamma(nu + k)
+    f_j(nu, x) = sum_{k>=0} w_j(k) t_k,   t_0 = 1,   t_{k+1}/t_k = x/(nu + k),
 
-in log space: terms are generated as ``exp(k*log(x) - lgamma(nu+k))`` relative
-to the analytic peak, because at large ``x`` the terms span hundreds of orders
-of magnitude. All summands are nonnegative, and the term sequence is strictly
-log-concave in ``k`` (term ratios are products of decreasing positive factors),
-so the peak is unique and sits at the stationary point k ~ x - nu + 1/2.
-Terms are evaluated in vectorized chunks via ``scipy.special.gammaln``; each
-chunk is sorted ascending and summed pairwise, and the chunk partials are
-combined with ``math.fsum``. The summed range first ends about
-12*sqrt(x) terms past the peak and doubles until its last term falls below
-``_SERIES_TOL`` relative to each sum, or until ``max_terms``.
+with w_0 = 1, w_1 = k, w_2 = k(k-1); f_0 = 1F1(1; nu; x) = Gamma(nu) S_0(nu, x)
+(DLMF 13.2.2). No gamma function enters: log t_k is a cumulative sum of the
+exact log ratios log1p((x - nu - k)/(nu + k)), anchored at the peak index
+k* = max(0, floor(x - nu) + 1) that the ratio gives. The terms are positive,
+so each chunk is summed pairwise and the chunk partials with ``math.fsum``.
+The range first ends about 12*sqrt(x) terms past the peak and doubles until
+its last term falls below ``_SERIES_TOL`` relative to each sum, or until
+``max_terms``. The kernel returns log f_0 and the ratios f_1/f_0 and f_2/f_0,
+so the observables never meet the scale log Gamma(nu) ~ nu log nu.
 
-The per-level population sums
-
-    T_m(nu, y) = sum_{k>=m} [k!/(k-m)!] * y**k / Gamma(nu + k)
-
-come from one S_0 anchor and a backward continued fraction for the ratios
-T_{m+1}/T_m (Miller's algorithm), with the start depth chosen by
+The per-level population sums B_m(nu, y) = sum_{k>=m} C(k, m) t_k come from
+the anchor B_0 = f_0(nu, y) and a backward continued fraction for the ratios
+(m+1) B_{m+1}/B_m (Miller's algorithm), with the start depth chosen by
 :func:`backward_ratios`, which the high-temperature moment table shares.
 """
 
@@ -29,9 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
-
-_NINF = float("-inf")
 
 _CHUNK = 1 << 18
 
@@ -43,51 +36,74 @@ _SERIES_TOL = 1e-18
 _RATIO_TOL = 1e-15
 
 
+def _log_ratios(nu, x, d, i):
+    """log(t_{i+1}/t_i) = log(x/(nu + i)) at the indices ``i``, d = x - nu.
+
+    log1p(a), a = (d - i)/(nu + i), keeps the small logs near the peak
+    accurate; where the ratio 1 + a is below 1/2, a is near -1 and 1 + a has
+    lost digits, so the log of the ratio itself is taken there.
+    """
+    den = nu + i
+    a = (d - i) / den
+    lr = np.log1p(np.maximum(a, -0.5))
+    low = a < -0.5
+    if low.any():
+        lr[low] = np.log(x / den[low])
+    return lr
+
+
 def series_logsums(nu, x, max_terms=10_000_000):
-    """Return (log_s0, log_s1, log_s2, terms_used, converged) for S_j(nu, x)."""
+    """Return (log_f0, m1, m2, terms_used, converged) for the Kummer sums.
+
+    m1 = f_1/f_0 and m2 = f_2/f_0. When ``max_terms`` falls at or before the
+    peak, nothing is summed and the sums are NaN (with ``converged`` False).
+    """
     nu, x, max_terms = float(nu), float(x), int(max_terms)
     if x == 0.0:
-        return -math.lgamma(nu), _NINF, _NINF, 1, True
-    lx = math.log(x)
-    kc = max(x - nu + 0.5, 0.0)  # stationary point of k*lx - lgamma(nu+k)
-    cand = {0, int(kc), int(kc) + 1, max(int(kc) - 1, 0)}
-    gmax = max(k * lx - math.lgamma(nu + k) for k in cand)
-    n_hi = int(min(max_terms, math.ceil(kc + 12.0 * math.sqrt(x + 10.0) + 60.0)))
-    while True:
-        p0 = []
-        p1 = []
-        p2 = []
-        t_last = w1_last = w2_last = 0.0
-        for start in range(0, n_hi + 1, _CHUNK):
-            k = np.arange(start, min(start + _CHUNK, n_hi + 1), dtype=np.float64)
-            ell = k * lx - gammaln(nu + k)
-            e = np.exp(ell - gmax)
-            p0.append(np.sort(e).sum())
-            p1.append(np.sort(k * e).sum())
-            p2.append(np.sort(k * (k - 1.0) * e).sum())
-            t_last = e[-1]
-            w1_last = k[-1] * e[-1]
-            w2_last = k[-1] * (k[-1] - 1.0) * e[-1]
-        s0 = math.fsum(p0)
-        s1 = math.fsum(p1)
-        s2 = math.fsum(p2)
+        return 0.0, 0.0, 0.0, 1, True
+    d = x - nu
+    k_peak = max(0, math.floor(d) + 1)
+    n_hi = int(min(max_terms, math.ceil(k_peak + 12.0 * math.sqrt(x + 10.0) + 60.0)))
+    if n_hi <= k_peak:
+        return math.nan, math.nan, math.nan, n_hi + 1, False
+    parts = ([1.0], [float(k_peak)], [k_peak * (k_peak - 1.0)])  # the peak term
+
+    def add(k, ell):  # ell = log(t_k/t_peak) for the chunk k; returns its last
+        e = np.exp(ell)
+        for part, w in zip(parts, (e, k * e, k * (k - 1.0) * e)):
+            part.append(w.sum())
+        return ell[-1]
+
+    ell = 0.0
+    for hi in range(k_peak, 0, -_CHUNK):  # below the peak, downward from it
+        i = np.arange(hi - 1.0, max(hi - _CHUNK, 0) - 1.0, -1.0)
+        ell = add(i, ell - np.cumsum(_log_ratios(nu, x, d, i)))
+    log_peak, ell, done = -ell, 0.0, k_peak
+    while True:  # above the peak, extended until the stop rule holds
+        for lo in range(done, n_hi, _CHUNK):
+            i = np.arange(lo, min(lo + _CHUNK, n_hi), dtype=np.float64)
+            ell = add(i + 1.0, ell + np.cumsum(_log_ratios(nu, x, d, i)))
+        done = n_hi
+        s0, s1, s2 = (math.fsum(part) for part in parts)
+        t_last = math.exp(ell)
         ok = (
-            n_hi > kc
-            and t_last <= _SERIES_TOL * s0
-            and w1_last <= _SERIES_TOL * s1
-            and w2_last <= _SERIES_TOL * s2
+            t_last <= _SERIES_TOL * s0
+            and n_hi * t_last <= _SERIES_TOL * s1
+            and n_hi * (n_hi - 1.0) * t_last <= _SERIES_TOL * s2
         )
         if ok or n_hi >= max_terms:
-            # s0 is 0 only when the cap falls before the analytic peak and
-            # every evaluated term underflows against it (never when ok)
-            l0, l1, l2 = (math.log(s) + gmax if s > 0.0 else _NINF for s in (s0, s1, s2))
-            return l0, l1, l2, n_hi + 1, ok
+            return log_peak + math.log(s0), s1 / s0, s2 / s0, n_hi + 1, ok
         n_hi = int(min(max_terms, 2 * n_hi))
 
 
 # ---------------------------------------------------------------------------
 # backward recurrences
 # ---------------------------------------------------------------------------
+
+
+def first_depth(n_ratios):
+    """Start depth of :func:`backward_ratios`; its check needs a cap above it."""
+    return 2 * n_ratios + 50
 
 
 def backward_ratios(p, q, s, n_ratios, max_terms=10_000_000):
@@ -97,9 +113,10 @@ def backward_ratios(p, q, s, n_ratios, max_terms=10_000_000):
     solution. Every term is positive for p, q > 0 and s >= 0. Each run starts
     from a zero tail ratio at level ``depth`` and goes down to level 0; the
     result stops depending on ``depth`` once it is deep enough, so the depth
-    starts at 2*n_ratios + 50 and doubles until two successive runs agree to
-    ``_RATIO_TOL`` relative, or until ``max_terms`` levels are reached (a cap
-    of 2*n_ratios + 50 or less leaves no room for the check).
+    starts at :func:`first_depth` (2*n_ratios + 50) and doubles until two
+    successive runs agree to ``_RATIO_TOL`` relative, or until ``max_terms``
+    levels are reached (a cap of 2*n_ratios + 50 or less leaves no room for
+    the check).
 
     Returns (ratios, levels_run, converged); ``levels_run`` sums the depths
     of all runs.
@@ -115,7 +132,7 @@ def backward_ratios(p, q, s, n_ratios, max_terms=10_000_000):
             out[k] = x
         return out
 
-    depth = min(2 * n_ratios + 50, max_terms)
+    depth = min(first_depth(n_ratios), max_terms)
     ratios = run(depth)
     levels = depth
     while depth < max_terms:
@@ -128,27 +145,28 @@ def backward_ratios(p, q, s, n_ratios, max_terms=10_000_000):
 
 
 def population_logsums(nu, y, m_max, max_terms=10_000_000):
-    """Return (log_T[0..m_max], terms_used, converged) for the population sums.
+    """Return (log_B[0..m_max], terms_used, converged) for the population sums.
 
-    The sums obey  y(n+1) T_n = (nu - y + n) T_{n+1} + T_{n+2}  (the
-    birth-death flux balance of the steady state), and T is its minimal
-    solution, so the ratios rho_n = T_{n+1}/T_n follow from the backward
+    With T_m = m! B_m / Gamma(nu), the sums obey
+    y(n+1) T_n = (nu - y + n) T_{n+1} + T_{n+2}  (the birth-death flux
+    balance of the steady state), and T is its minimal solution, so the
+    ratios rho_n = T_{n+1}/T_n = (n+1) B_{n+1}/B_n follow from the backward
     continued fraction
 
         rho_n = y(n+1) / (nu - y + n + rho_{n+1}),
 
     in which every term is positive when nu > y (in the application
-    nu - y = (1 + n_th)/C). T_0 = S_0(nu, y) anchors the chain;
+    nu - y = (1 + n_th)/C). B_0 = f_0(nu, y) anchors the chain;
     ``terms_used`` counts its terms plus the backward levels run, and
     ``max_terms`` caps each of the two.
     """
     nu, y, m_max = float(nu), float(y), int(m_max)
-    log_t = np.empty(m_max + 1)
+    log_b = np.empty(m_max + 1)
     if y == 0.0:
-        log_t[0] = -math.lgamma(nu)
-        log_t[1:] = _NINF
-        return log_t, 1, True
-    log_t[0], _, _, terms, ok = series_logsums(nu, y, max_terms)
+        log_b[0] = 0.0
+        log_b[1:] = -np.inf
+        return log_b, 1, True
+    log_b[0], _, _, terms, ok = series_logsums(nu, y, max_terms)
     rho, levels, ok_rho = backward_ratios(y, nu - y, 1.0, m_max, max_terms)
-    log_t[1:] = log_t[0] + np.cumsum(np.log(rho))
-    return log_t, terms + levels, ok and ok_rho
+    log_b[1:] = log_b[0] + np.cumsum(np.log(rho / np.arange(1.0, m_max + 1.0)))
+    return log_b, terms + levels, ok and ok_rho

@@ -9,13 +9,16 @@ reciprocal-gamma series S_j(nu, x) evaluated at
 
     nu = (1 + 2 n_th) / C,      x = 2 n_th / C:
 
-    n_ss  = S_1 / (2 S_0),
-    g2(0) = S_2 S_0 / S_1^2.
+    n_ss  = S_1 / (2 S_0) = m1 / 2,
+    g2(0) = S_2 S_0 / S_1^2 = m2 / m1^2,
+
+with m1 = S_1/S_0 and m2 = S_2/S_0 summed from the term ratios
+t_{k+1}/t_k = x/(nu + k), t_0 = 1 (see :mod:`phonon_stats.specfun`).
 
 The Fock-level populations take the double-series form
 
-    P(m) = T_m / (m! * S_0(nu, 2y)),    y = n_th / C,
-    T_m  = sum_{k>=m} [k!/(k-m)!] y^k / Gamma(nu + k),
+    P(m) = B_m(nu, y) / f_0(nu, 2y),    y = n_th / C,
+    B_m  = sum_{k>=m} C(k, m) t_k(nu, y),   f_0 = sum_k t_k = Gamma(nu) S_0,
 
 with the normalization folded in analytically: summing P(m) over all m
 collapses, via the binomial identity sum_m C(k, m) = 2^k, to exactly 1. This
@@ -30,9 +33,9 @@ the cut between n and n+1,
 
     n_th P_n = (n_th + 1 + C n) P_{n+1} + C (n+2) P_{n+2},
 
-has only positive terms when read downward, so T_0 = S_0(nu, y) and the
-backward continued fraction for T_{m+1}/T_m give every level (see
-:func:`phonon_stats._kernels.population_logsums`).
+has only positive terms when read downward, so P_0 = f_0(nu, y)/f_0(nu, 2y)
+and the backward continued fraction for P_{m+1}/P_m = rho_m/(m+1) give every
+level (see :func:`phonon_stats._kernels.population_logsums`).
 
 Valid at all temperatures; the companion high-temperature module trades
 exactness for closed forms when x = 2 n_th / C exceeds the series budget.
@@ -43,7 +46,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _kernels
 from .errors import DomainError, NotConverged
@@ -77,9 +79,9 @@ def _observables(
 ) -> tuple[float, float | None, SeriesSums | None]:
     """(n_ss, g2, series sums) from one series evaluation.
 
-    n_ss = S_1/(2 S_0); g2 = S_2 S_0 / S_1^2, or ``None`` below the
-    definability threshold. The sums' ``log_s0`` is also the log of the
-    population normalizer. At ``n_th = 0`` the state is the ground state:
+    n_ss = m1/2; g2 = m2/m1^2, or ``None`` below the definability
+    threshold. The sums' ``log_f`` is also the log of the population
+    normalizer f_0(nu, 2y). At ``n_th = 0`` the state is the ground state:
     (0.0, None, None) with no series evaluation. The series is looked up as
     this module's global, so a wrapper set on ``exact.recip_gamma_series``
     sees every call.
@@ -88,10 +90,10 @@ def _observables(
     if n_th == 0.0:
         return 0.0, None, None
     sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C, max_terms=max_terms)
-    n_ss = 0.5 * math.exp(sums.log_s1 - sums.log_s0)
+    n_ss = 0.5 * sums.m1
     g2 = None
     if n_ss >= G2_UNDEFINED_BELOW:
-        g2 = math.exp(sums.log_s2 + sums.log_s0 - 2.0 * sums.log_s1)
+        g2 = sums.m2 / (sums.m1 * sums.m1)
     return n_ss, g2, sums
 
 
@@ -140,22 +142,24 @@ def default_m_max(n_ss: float, n_th: float | None = None) -> int:
     return m
 
 
-def _populations(C: float, n_th: float, m_max: int, log_s0: float, max_terms: int) -> np.ndarray:
+def _populations(C: float, n_th: float, m_max: int, log_f2: float, max_terms: int) -> np.ndarray:
     """P(0..m_max) from the backward recurrence, normalized by the given
-    log S_0(nu, 2y) (the ``log_s0`` of :func:`_observables`)."""
+    log f_0(nu, 2y) (the ``log_f`` of :func:`_observables`)."""
     m_max = int(m_max)
     if m_max < 0:
         raise DomainError(f"m_max must be >= 0, got {m_max!r}")
-    log_t, terms, ok = _kernels.population_logsums(
-        (1.0 + 2.0 * n_th) / C, n_th / C, m_max, max_terms
-    )
+    if max_terms <= _kernels.first_depth(m_max):
+        terms, ok = max_terms, False
+    else:
+        log_b, terms, ok = _kernels.population_logsums(
+            (1.0 + 2.0 * n_th) / C, n_th / C, m_max, max_terms
+        )
     if not ok:
         raise NotConverged(
             f"population recurrence at C={C:g}, n_th={n_th:g} hit the {max_terms}-term cap",
             terms_used=int(terms),
         )
-    m = np.arange(m_max + 1, dtype=np.float64)
-    return np.exp(log_t - gammaln(m + 1.0) - log_s0)
+    return np.exp(log_b - log_f2)
 
 
 def phonon_populations_exact(
@@ -168,22 +172,22 @@ def phonon_populations_exact(
     """Fock populations P(0..m_max) of the exact steady state.
 
     Evaluates the analytically normalized double series described in the
-    module docstring through its backward recurrence: one series for T_0, one
+    module docstring through its backward recurrence: one series for B_0, one
     continued-fraction pass per depth doubling, and one series for the
-    normalizer S_0(nu, 2y), which also gives the mean occupation. The
+    normalizer f_0(nu, 2y), which also gives the mean occupation. The
     returned vector is the exact P(m) truncated at ``m_max`` (default: a
     ~10-sigma cutoff from the mean occupation) — its shortfall from 1 is
     true tail mass, reported by :func:`steady_state_exact` in the
     diagnostics, never renormalized away. ``max_terms`` caps each series and
     the recurrence depth; reaching it raises :class:`NotConverged`. The first
     recurrence depth is 2*m_max + 50 and the check needs one deeper run, so a
-    cap of 2*m_max + 50 or less always raises.
+    cap of 2*m_max + 50 or less always raises, before any level is computed.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     n_ss, _, sums = _observables(C, n_th, max_terms)
     if m_max is None:
         m_max = default_m_max(n_ss, n_th)
-    return _populations(C, n_th, m_max, sums.log_s0, max_terms)
+    return _populations(C, n_th, m_max, sums.log_f, max_terms)
 
 
 def classify_regime(C: float, n_th: float) -> Regime:
@@ -224,7 +228,7 @@ def steady_state_exact(
     n_ss, g2, sums = _observables(C, n_th, max_terms)
     if m_max is None:
         m_max = default_m_max(n_ss, n_th)
-    populations = _populations(C, n_th, m_max, sums.log_s0, max_terms)
+    populations = _populations(C, n_th, m_max, sums.log_f, max_terms)
     tail = max(0.0, 1.0 - float(populations.sum()))
     return SteadyStateReport(
         n_ss=n_ss,

@@ -59,9 +59,6 @@ __all__ = [
     "TwoModeRWAModel",
     "PreRWAModel",
     "converge_truncation",
-    "write_triplets",
-    "read_triplets",
-    "spectral_gap",
 ]
 
 _EIG_FLOOR = -1e-8
@@ -99,7 +96,6 @@ class Superoperator:
     dim: int
     dims: tuple[int, int]
     matrix: sp.csr_matrix
-    model_tag: str
 
     def trace_defect(self) -> float:
         """max_j |sum_i <i| L applied to basis unit |j>| traced — exactly 0
@@ -165,7 +161,7 @@ def build_reduced_liouvillian(
         + _dissipator(b.conj().T, n_th)
         + _dissipator(b, n_th + 1.0)
     )
-    return Superoperator(trunc.dim_mech, (1, trunc.dim_mech), L.tocsr(), "reduced")
+    return Superoperator(trunc.dim_mech, (1, trunc.dim_mech), L.tocsr())
 
 
 def build_two_mode_rwa_liouvillian(
@@ -194,7 +190,7 @@ def build_two_mode_rwa_liouvillian(
         + _dissipator(b.conj().T, gamma * n_th)
         + _dissipator(b, gamma * (n_th + 1.0))
     )
-    return Superoperator(dims[0] * dims[1], dims, L.tocsr(), "two_mode_rwa")
+    return Superoperator(dims[0] * dims[1], dims, L.tocsr())
 
 
 def build_prerwa_liouvillian(
@@ -250,7 +246,7 @@ def build_prerwa_liouvillian(
         + _dissipator(b.conj().T, gamma * n_th)
         + _dissipator(b, gamma * (n_th + 1.0))
     )
-    return Superoperator(dims[0] * dims[1], dims, L.tocsr(), "pre_rwa")
+    return Superoperator(dims[0] * dims[1], dims, L.tocsr())
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:
@@ -448,43 +444,3 @@ def converge_truncation(
         prev = report
         trunc = nxt
 
-
-def write_triplets(sup: Superoperator, path) -> None:
-    """Dump the generator as whitespace triplets: ``row col re im`` with a
-    header comment recording the model tag, mode dimensions and nnz."""
-    coo = sup.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(
-            f"# model={sup.model_tag} dims={sup.dims[0]}x{sup.dims[1]} "
-            f"shape={coo.shape[0]}x{coo.shape[1]} nnz={coo.nnz}\n"
-        )
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def read_triplets(path) -> sp.csr_matrix:
-    """Inverse of :func:`write_triplets` (matrix only; the header is skipped)."""
-    rows, cols, vals = [], [], []
-    shape = None
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                for tok in line.split():
-                    if tok.startswith("shape="):
-                        m, n = tok[len("shape=") :].split("x")
-                        shape = (int(m), int(n))
-                continue
-            r, c, re, im = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re), float(im)))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
-
-
-def spectral_gap(sup: Superoperator) -> float:
-    """Smallest nonzero singular value of the generator (dense; keep the
-    system small). A diagnostic for how slow the slowest decay mode is —
-    reported, never asserted on."""
-    s = np.linalg.svd(sup.matrix.toarray(), compute_uv=False)
-    nonzero = s[s > 1e-12 * s[0]]
-    return float(nonzero[-1])

@@ -7,10 +7,12 @@ The central object is the triple of reciprocal-gamma series
 
 from which the steady-state mean phonon number and second-order correlation
 of the two-phonon-damped oscillator follow as ratios. At the parameter values
-of interest ``x`` reaches 1e6 and beyond, so the sums are computed entirely in
-log space (see :mod:`phonon_stats._kernels`) and returned in log-magnitude
-form. All three sums are nonnegative for ``nu > 0, x >= 0``, so no sign
-bookkeeping is needed; ratios formed from the logs can never overflow.
+of interest ``x`` reaches 1e6 and beyond, where a ULP of log S_j ~ -nu log nu
+is 1e-9 or worse. So the kernel (:mod:`phonon_stats._kernels`) sums the Kummer
+sums f_j = Gamma(nu) S_j from their exact term ratio x/(nu + k) and returns
+S_1/S_0 and S_2/S_0 before any absolute scale; :func:`recip_gamma_series` is
+the one place that applies log Gamma(nu). All three sums are nonnegative for
+``nu > 0, x >= 0``, so no sign bookkeeping is needed.
 """
 
 from __future__ import annotations
@@ -28,22 +30,37 @@ __all__ = ["SeriesSums", "log_gamma", "erfcx", "recip_gamma_series"]
 
 @dataclass(frozen=True)
 class SeriesSums:
-    """Log-magnitude values of S_0, S_1, S_2 plus convergence metadata.
+    """S_0, S_1, S_2 as log f_0 = log(Gamma(nu) S_0), the ratios
+    m1 = S_1/S_0 and m2 = S_2/S_0, and convergence metadata.
 
-    ``log_s1``/``log_s2`` are ``-inf`` when the corresponding sum is zero
-    (only at ``x = 0``, where just the ``k = 0`` term survives). The linear
-    properties ``s0``/``s1``/``s2`` may overflow to ``inf`` for large ``x``;
-    downstream code forms ratios from the logs instead.
+    Form ratios of the sums from ``m1``/``m2`` and differences of log S_0 at
+    one nu from ``log_f``. ``log_s0``/``log_s1``/``log_s2`` add the absolute
+    scale log Gamma(nu), whose ULP is 1e-9 at nu ~ 1e6; they are ``-inf`` when
+    the sum is zero (S_1 and S_2 at ``x = 0``). The linear properties
+    ``s0``/``s1``/``s2`` may overflow to ``inf`` for large ``x``.
 
     ``terms_used`` counts evaluated terms and is diagnostics, not a contract
     (the kernel evaluates a small overshoot past the term peak).
     """
 
-    log_s0: float
-    log_s1: float
-    log_s2: float
+    log_f: float
+    m1: float
+    m2: float
+    log_gamma_nu: float
     terms_used: int
     converged: bool
+
+    @property
+    def log_s0(self) -> float:
+        return self.log_f - self.log_gamma_nu
+
+    @property
+    def log_s1(self) -> float:
+        return self.log_s0 + math.log(self.m1) if self.m1 > 0.0 else -math.inf
+
+    @property
+    def log_s2(self) -> float:
+        return self.log_s0 + math.log(self.m2) if self.m2 > 0.0 else -math.inf
 
     @property
     def s0(self) -> float:
@@ -62,8 +79,8 @@ def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0.
 
     Thin, domain-checked wrapper over the platform ``lgamma`` (relative error
-    at the 1e-15 level across [1e-3, 1e6], comfortably inside the 1e-13
-    budget the series kernels assume).
+    at the 1e-15 level across [1e-3, 1e6]). The series kernels use no gamma
+    function; only the absolute scale of :class:`SeriesSums` does.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
@@ -90,7 +107,7 @@ def recip_gamma_series(
     *,
     max_terms: int = 10_000_000,
 ) -> SeriesSums:
-    """Evaluate S_0, S_1, S_2 at (nu, x) in log space.
+    """Evaluate S_0, S_1, S_2 at (nu, x) as Kummer sums of their term ratios.
 
     Summation stops once a term past the (unique) peak contributes less than
     1e-18 relative to each sum (``_kernels._SERIES_TOL``).
@@ -120,8 +137,8 @@ def recip_gamma_series(
         raise DomainError(f"recip_gamma_series requires x >= 0, got {x!r}")
     if max_terms < 1:
         raise DomainError("max_terms must be >= 1")
-    l0, l1, l2, terms, ok = _kernels.series_logsums(nu, x, max_terms)
-    sums = SeriesSums(l0, l1, l2, int(terms), bool(ok))
+    log_f, m1, m2, terms, ok = _kernels.series_logsums(nu, x, max_terms)
+    sums = SeriesSums(log_f, m1, m2, math.lgamma(nu), int(terms), bool(ok))
     if not ok:
         raise NotConverged(
             f"series at nu={nu:g}, x={x:g} did not converge within "

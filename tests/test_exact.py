@@ -12,8 +12,7 @@ FROZEN_OBSERVABLES = [
     # (C, n_th) -> (n_ss, g2), tolerance
     ((10.0, 1.0), (0.25322884922445058, 0.58227906174382116), 1e-11),
     ((0.1, 0.5), (0.43362864430096019, 1.7648783168289985), 1e-11),
-    # large-nu point (nu = 11000): log-space accumulation costs a few digits
-    ((1e-3, 5.0), (4.9047477239314443, 1.9797575948430586), 1e-10),
+    ((1e-3, 5.0), (4.9047477239314443, 1.9797575948430586), 1e-14),
 ]
 
 
@@ -142,6 +141,14 @@ def test_populations_wide_window():
     assert np.arange(p.size) @ p == pytest.approx(rep.n_ss, rel=1e-8)
 
 
+def test_populations_normalized_at_large_x():
+    """nu = 2.001e6 and 2y = 2e6: P_0 = f_0(nu, y)/f_0(nu, 2y) carries no
+    log Gamma(nu) ~ 2.7e7, so the vector sums to 1 within rounding (the true
+    tail past level 8000 is about 2e-34)."""
+    p = exact.phonon_populations_exact(1e-3, 1e3, 8000)
+    assert abs(1.0 - math.fsum(p)) <= 1e-13
+
+
 def test_populations_domain():
     with pytest.raises(DomainError):
         exact.phonon_populations_exact(1.0, 0.0, 10)  # needs n_th > 0
@@ -167,6 +174,21 @@ def test_population_cap_raises_not_converged():
     with pytest.raises(NotConverged) as exc:
         exact.phonon_populations_exact(10.0, 1.0, 5, max_terms=60)
     assert exc.value.terms_used >= 60
+
+
+@pytest.mark.parametrize("fn", [exact.steady_state_exact, exact.phonon_populations_exact])
+def test_population_cap_checked_before_any_level(fn, monkeypatch):
+    # 1e8 levels need a recurrence deeper than the default 1e7-term cap:
+    # that is known before the first level is computed
+    from phonon_stats import _kernels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("backward recurrence ran")
+
+    monkeypatch.setattr(_kernels, "backward_ratios", refuse)
+    with pytest.raises(NotConverged) as exc:
+        fn(10.0, 1.0, 10**8)
+    assert exc.value.terms_used == 10_000_000
 
 
 def test_classify_regime():

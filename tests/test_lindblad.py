@@ -16,10 +16,7 @@ from phonon_stats.lindblad import (
     build_two_mode_rwa_liouvillian,
     converge_truncation,
     observables,
-    read_triplets,
-    spectral_gap,
     steady_state,
-    write_triplets,
 )
 from phonon_stats.params import ReducedParams
 from phonon_stats.report import Regime
@@ -154,7 +151,7 @@ def test_degenerate_kernel_raises():
     # state is not unique and the solver must refuse rather than pick one
     b = lindblad._destroy(6)
     mat = lindblad._dissipator((b @ b).tocsr(), 1.0)
-    sup = Superoperator(6, (1, 6), mat.tocsr(), "degenerate")
+    sup = Superoperator(6, (1, 6), mat.tocsr())
     with pytest.raises(SingularSystem):
         steady_state(sup)
 
@@ -217,18 +214,6 @@ def test_prerwa_quadratic_term_changes_generator():
     assert (off.matrix - on.matrix).nnz > 0
 
 
-def test_triplet_round_trip(tmp_path):
-    sup = build_reduced_liouvillian(3.0, 1.0, TruncationSpec(dim_mech=8))
-    path = tmp_path / "liouvillian.txt"
-    write_triplets(sup, path)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("# model=reduced dims=1x8")
-    back = read_triplets(path)
-    assert back.shape == sup.matrix.shape
-    diff = (back - sup.matrix).tocoo()
-    assert diff.nnz == 0 or np.max(np.abs(diff.data)) <= 1e-15
-
-
 def test_observables_modes_and_diagnostics():
     sup = build_two_mode_rwa_liouvillian(
         1.0, 10.0, 1.0, 0.5, TruncationSpec(dim_mech=16, dim_cav=3)
@@ -245,8 +230,3 @@ def test_observables_modes_and_diagnostics():
     assert observables(state).diagnostics["top_two_population"] < 1e-3
     with pytest.raises(DomainError):
         observables(state, mode="both")
-
-
-def test_spectral_gap_positive():
-    sup = build_reduced_liouvillian(1.0, 0.5, TruncationSpec(dim_mech=8))
-    assert spectral_gap(sup) > 0.0

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,37 +137,66 @@ def test_series_domain_errors():
         specfun.recip_gamma_series(1.0, 1.0, max_terms=0)
 
 
-@pytest.mark.parametrize("nu,x", [(0.5, 3.0), (2.0, 40.0), (21.0, 20.0),
-                                  (1e3, 1e3), (2001.0, 2e3), (2e4, 2e4)])
-def test_series_observables_match_mpmath(nu, x):
-    """n_ss = S_1/(2 S_0) and g2 = S_2 S_0/S_1^2 against a 30-digit direct sum.
+def _application(C, n_th):
+    return (1.0 + 2.0 * n_th) / C, 2.0 * n_th / C
 
-    Raw log sums at x ~ 2e4 are ~2e5 in magnitude, where a ULP is ~3e-11, so
-    the dimensionless observables built from log differences are compared
-    instead.
+
+@pytest.mark.parametrize("nu,x", [
+    (0.5, 3.0), (2.0, 40.0), (21.0, 20.0), (1e3, 1e3), (2001.0, 2e3), (2e4, 2e4),
+    # (C, n_th) = (0.01, 1e3), (1e-3, 1e3), (0.1, 1e5), (1, 1e6): x up to 2e6
+    _application(0.01, 1e3), _application(1e-3, 1e3),
+    _application(0.1, 1e5), _application(1.0, 1e6),
+    # x > nu: the terms peak at k ~ 1e5
+    (0.5, 1e5),
+    # x/nu = 2e-9: every term ratio is far below 1
+    _application(1.0, 1e-9),
+])
+def test_series_observables_match_mpmath(nu, x):
+    """n_ss = S_1/(2 S_0) and g2 = S_2 S_0/S_1^2 against a 40-digit direct sum.
+
+    Only ratios of the sums enter, so the reference starts at 1 some 40 peak
+    widths below the peak (lower terms are below 1e-300 of it), steps the
+    terms by their ratio x/(nu + k) at 40 digits, and stops once a term past
+    the peak falls below 1e-45 of the sum. Worst measured error 6.7e-16.
     """
     mpmath = pytest.importorskip("mpmath")
     s = specfun.recip_gamma_series(nu, x)
-    with mpmath.workdps(30):
-        lx = mpmath.log(x)
-        # the terms peak near k = x - nu and fall off like a Gaussian of
-        # width ~sqrt(x) around it; 40 widths past the peak is far below 1e-30
-        k_hi = int(max(x - nu, 0.0) + 40.0 * math.sqrt(x + 10.0) + 60.0)
-        terms = [mpmath.exp(k * lx - mpmath.loggamma(nu + k)) for k in range(k_hi + 1)]
-        s0 = mpmath.fsum(terms)
-        s1 = mpmath.fsum(k * t for k, t in enumerate(terms))
-        s2 = mpmath.fsum(k * (k - 1) * t for k, t in enumerate(terms))
+    with mpmath.workdps(40):
+        k = max(0, int(x - nu - 40.0 * math.sqrt(x + 10.0)))
+        t = mpmath.mpf(1)
+        s0 = s1 = s2 = mpmath.mpf(0)
+        while True:
+            s0 += t
+            s1 += k * t
+            s2 += k * (k - 1) * t
+            if k > x - nu and t < s0 * mpmath.mpf(10) ** -45:
+                break
+            t = t * x / (nu + k)
+            k += 1
         n_ref = float(s1 / (2 * s0))
         g2_ref = float(s2 * s0 / (s1 * s1))
-    assert 0.5 * math.exp(s.log_s1 - s.log_s0) == pytest.approx(n_ref, rel=1e-10)
-    assert math.exp(s.log_s2 + s.log_s0 - 2.0 * s.log_s1) == pytest.approx(g2_ref, rel=1e-10)
+    assert 0.5 * s.m1 == pytest.approx(n_ref, rel=1e-14)
+    assert s.m2 / (s.m1 * s.m1) == pytest.approx(g2_ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("nu,x", [(0.5, 3e3), (2001.0, 2e3), (10.0, 1e4)])
+def test_series_chunks_join_exactly(nu, x, monkeypatch):
+    """Chunks of 50 terms on both sides of the peak (and across the doublings
+    of the range) give the sums of one chunk per side."""
+    from phonon_stats import _kernels
+
+    whole = _kernels.series_logsums(nu, x)
+    monkeypatch.setattr(_kernels, "_CHUNK", 50)
+    chunked = _kernels.series_logsums(nu, x)
+    assert chunked[3:] == whole[3:]
+    np.testing.assert_allclose(chunked[:3], whole[:3], rtol=1e-14)
 
 
 @pytest.mark.parametrize("nu,y,m_max", [(3.0, 1.0, 12), (110.0, 50.0, 40), (2001.0, 1e3, 30)])
 def test_population_logsums_match_double_series(nu, y, m_max):
     """The backward recurrence reproduces the defining sums
-    T_m = sum_{k>=m} [k!/(k-m)!] y^k / Gamma(nu + k), summed directly at
-    30 digits (nu > y, so the terms decay geometrically past k = m)."""
+    B_m = sum_{k>=m} C(k, m) Gamma(nu) y^k / Gamma(nu + k), summed directly
+    at 30 digits (nu > y, so the terms decay geometrically past k = m)."""
     mpmath = pytest.importorskip("mpmath")
     log_t, _, ok = population_logsums(nu, y, m_max)
     assert ok
@@ -176,6 +207,7 @@ def test_population_logsums_match_double_series(nu, y, m_max):
             k = m
             while True:
                 t = mpmath.exp(mpmath.loggamma(k + 1) - mpmath.loggamma(k - m + 1)
+                               - mpmath.loggamma(m + 1) + mpmath.loggamma(nu)
                                + k * mpmath.log(y) - mpmath.loggamma(nu + k))
                 s += t
                 if k > m + 10 and t < s * mpmath.mpf(10) ** -25:
@@ -183,3 +215,16 @@ def test_population_logsums_match_double_series(nu, y, m_max):
                 k += 1
             ref.append(float(mpmath.log(s)))
     np.testing.assert_allclose(log_t, ref, rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("module", ["_kernels.py", "exact.py"])
+def test_exact_route_modules_import_no_scipy(module):
+    """The series kernel and the exact route need only numpy and math."""
+    src = Path(specfun.__file__).with_name(module).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert not any(name.split(".")[0] == "scipy" for name in imported)
