@@ -12,7 +12,15 @@ dimensionless model inputs (cooperativity C, bath occupation n_th);
 :mod:`phonon_stats.cli` exposes everything as the ``phonon-stats`` command.
 The series sums run in one vectorized numpy kernel
 (:mod:`phonon_stats._kernels`).
+
+Importing the package loads only :mod:`phonon_stats.errors`. Every other
+public name is looked up in ``_LAZY`` and its module is imported on first
+access (a PEP 562 module ``__getattr__``), and so are the submodules
+themselves, e.g. ``phonon_stats.lindblad``. The exact route needs only numpy
+and ``math``; ``hitemp``, ``lindblad`` and :func:`erfcx` load scipy.
 """
+
+import importlib
 
 from .errors import (
     BudgetExceeded,
@@ -24,38 +32,60 @@ from .errors import (
     SingularSystem,
     UnphysicalState,
 )
-from .exact import (
-    classify_regime,
-    g2_exact,
-    mean_phonon_exact,
-    observables_exact,
-    phonon_populations_exact,
-    steady_state_exact,
-)
-from .hitemp import (
-    g2_hitemp,
-    gaussian_quartic_moments,
-    mean_phonon_hitemp,
-    phonon_distribution_hitemp,
-    steady_state_hitemp,
-)
-from .lindblad import (
-    PreRWAModel,
-    ReducedModel,
-    TruncationSpec,
-    TwoModeRWAModel,
-    converge_truncation,
-    observables,
-    steady_state,
-)
-from .params import PhysicalParams, ReducedParams, bose_occupation, derive_reduced
-from .report import Regime, SteadyStateReport
-from .specfun import SeriesSums, erfcx, log_gamma, recip_gamma_series
 
 __version__ = "0.1.0"
 
 # there is no numba lane: the series kernel is numpy only (perfbench stamps this)
 HAS_NUMBA = False
+
+# submodule -> the public names it defines, loaded on first access
+_EXPORTS = {
+    "params": ("PhysicalParams", "ReducedParams", "bose_occupation", "derive_reduced"),
+    "specfun": ("SeriesSums", "log_gamma", "erfcx", "recip_gamma_series"),
+    "exact": (
+        "observables_exact",
+        "mean_phonon_exact",
+        "g2_exact",
+        "phonon_populations_exact",
+        "classify_regime",
+        "steady_state_exact",
+    ),
+    "hitemp": (
+        "mean_phonon_hitemp",
+        "g2_hitemp",
+        "gaussian_quartic_moments",
+        "phonon_distribution_hitemp",
+        "steady_state_hitemp",
+    ),
+    "lindblad": (
+        "TruncationSpec",
+        "ReducedModel",
+        "TwoModeRWAModel",
+        "PreRWAModel",
+        "steady_state",
+        "observables",
+        "converge_truncation",
+    ),
+    "report": ("Regime", "SteadyStateReport"),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"_kernels", "cli", "constants"}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

@@ -16,6 +16,14 @@ two closed forms on the hitemp route); ``stats``, ``validate`` and figures 3
 and 6 also compute the Fock populations. An oracle model always solves for
 the full state.
 
+What each command imports: this module loads only the exact route (numpy and
+``math``). The ``hitemp`` and ``lindblad`` modules, and with them scipy, are
+reached as attributes of the package (``_pkg.hitemp``, ``_pkg.lindblad``) in
+the branches that evaluate those routes, so the package imports them on first
+use; an exact-route ``stats``, ``sweep`` or ``figure`` never loads scipy.
+Every call goes through the module attribute, so a wrapper set on e.g.
+``hitemp.g2_hitemp`` sees it.
+
 Sweeps and figure datasets are CSV (headered, RFC-4180 quoting via the csv
 module); single reports and validation summaries are JSON. Floats are
 rendered with %.17g so outputs round-trip and runs are byte-reproducible.
@@ -38,7 +46,9 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from . import exact, hitemp, lindblad
+import phonon_stats as _pkg
+
+from . import exact
 from .errors import (
     BudgetExceeded,
     DomainError,
@@ -201,6 +211,7 @@ def _resolve_model(name: str, C: float, n_th: float) -> str:
 
 def _oracle_model(name, C, n_th, cfg):
     """Instantiate a Lindblad model plus the truncation ladder's start."""
+    lindblad = _pkg.lindblad
     gamma = float(_get(cfg, "gamma", 1.0))
     if name == "oracle-reduced":
         return lindblad.ReducedModel(C, n_th), lindblad.TruncationSpec(8, 1)
@@ -242,9 +253,10 @@ def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
     if name == "exact":
         return name, exact.steady_state_exact(C, n_th)
     if name == "hitemp":
-        return name, hitemp.steady_state_hitemp(C, n_th)
+        return name, _pkg.hitemp.steady_state_hitemp(C, n_th)
     if name not in _ORACLES:
         raise DomainError(f"unknown model {name!r}")
+    lindblad = _pkg.lindblad
     model, initial = _oracle_model(name, C, n_th, cfg)
     trunc = getattr(cfg, "trunc", None)
     if trunc is not None:
@@ -267,6 +279,7 @@ def _point_observables(name, C, n_th, cfg) -> tuple[str, float, float | None, Re
     if name == "exact":
         n_ss, g2 = exact.observables_exact(C, n_th)
     elif name == "hitemp":
+        hitemp = _pkg.hitemp
         n_ss, g2 = hitemp.mean_phonon_hitemp(C, n_th), hitemp.g2_hitemp(C, n_th)
     else:
         name, rep = _point_report(name, C, n_th, cfg)

@@ -67,10 +67,10 @@ def _check_cn(C: float, n_th: float, *, positive_nth: bool = False) -> tuple[flo
     C = float(C)
     n_th = float(n_th)
     if not math.isfinite(C) or C <= 0.0:
-        raise DomainError(f"C must be positive, got {C!r}")
+        raise DomainError(f"C must be finite and positive, got {C!r}")
     if not math.isfinite(n_th) or n_th < 0.0 or (positive_nth and n_th == 0.0):
         kind = "positive" if positive_nth else "nonnegative"
-        raise DomainError(f"n_th must be {kind}, got {n_th!r}")
+        raise DomainError(f"n_th must be finite and {kind}, got {n_th!r}")
     return C, n_th
 
 

@@ -35,9 +35,9 @@ def bose_occupation(omega_m: float, T: float) -> float:
     omega_m = float(omega_m)
     T = float(T)
     if not math.isfinite(omega_m) or omega_m <= 0.0:
-        raise DomainError(f"omega_m must be positive, got {omega_m!r}")
+        raise DomainError(f"omega_m must be finite and positive, got {omega_m!r}")
     if not math.isfinite(T) or T < 0.0:
-        raise DomainError(f"T must be nonnegative, got {T!r}")
+        raise DomainError(f"T must be finite and nonnegative, got {T!r}")
     if T == 0.0:
         return 0.0
     a = HBAR * omega_m / (KB * T)

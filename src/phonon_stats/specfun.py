@@ -13,14 +13,15 @@ sums f_j = Gamma(nu) S_j from their exact term ratio x/(nu + k) and returns
 S_1/S_0 and S_2/S_0 before any absolute scale; :func:`recip_gamma_series` is
 the one place that applies log Gamma(nu). All three sums are nonnegative for
 ``nu > 0, x >= 0``, so no sign bookkeeping is needed.
+
+The module imports no scipy at load time: only :func:`erfcx`, which the
+high-temperature route alone calls, imports ``scipy.special`` on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import scipy.special as _sps
 
 from . import _kernels
 from .errors import DomainError, NotConverged
@@ -88,17 +89,24 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+_scipy_erfcx = None  # scipy.special.erfcx, bound by the first erfcx call
+
+
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) * erfc(x) for x >= 0.
 
     Evaluated via scipy's Cephes/Faddeeva implementation (relative error
     below 1e-12), which is the stable form: the unscaled erfc underflows
-    near x ~ 27 while erfcx decays only like 1/(x sqrt(pi)).
+    near x ~ 27 while erfcx decays only like 1/(x sqrt(pi)). ``scipy.special``
+    is imported on the first call, so the exact route never loads it.
     """
+    global _scipy_erfcx
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"erfcx requires x >= 0, got {x!r}")
-    return float(_sps.erfcx(x))
+    if _scipy_erfcx is None:
+        from scipy.special import erfcx as _scipy_erfcx
+    return float(_scipy_erfcx(x))
 
 
 def recip_gamma_series(

@@ -78,6 +78,18 @@ def test_stats_domain_error_exit_1(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("C,n_th,model,message", [
+    ("inf", "1", "exact", "C must be finite and positive, got inf"),
+    ("1", "nan", "exact", "n_th must be finite and nonnegative, got nan"),
+    ("1", "inf", "hitemp", "n_th must be finite and positive, got inf"),
+])
+def test_stats_nonfinite_input_exit_1(capsys, C, n_th, model, message):
+    code, out, err = run(capsys, "stats", "--C", C, "--n-th", n_th, "--model", model)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_stats_missing_point_exit_1(capsys):
     code, _, err = run(capsys, "stats")
     assert code == 1
