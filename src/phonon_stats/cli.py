@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 configuration/validation problems (bad flags, bad
 ranges, a validate run outside tolerance, an empty grid); 2 when a
-computation started but did not converge (series term cap, truncation
+computation cannot converge (the analytic routes' term budget, the truncation
 budget, unstable recursion, singular or unphysical solve).
 
 Model names: ``exact`` (series), ``hitemp`` (high-temperature closed forms),
@@ -735,7 +735,7 @@ def _build_parser() -> _Parser:
     p_fig.add_argument("--c-range", default=None, help="override the C grid")
     p_fig.add_argument("--c-set", default=None, help="override discrete C values (figure 6)")
     p_fig.add_argument("--nth-set", default=None, help="override the n_th set")
-    add_common(p_fig)
+    add_common(p_fig, oracle=False)
     p_fig.set_defaults(func=cmd_figure)
 
     p_val = sub.add_parser("validate", help="analytic-vs-oracle deviation report")

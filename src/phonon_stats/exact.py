@@ -74,9 +74,7 @@ def _check_cn(C: float, n_th: float, *, positive_nth: bool = False) -> tuple[flo
     return C, n_th
 
 
-def _observables(
-    C: float, n_th: float, max_terms: int
-) -> tuple[float, float | None, SeriesSums | None]:
+def _observables(C: float, n_th: float) -> tuple[float, float | None, SeriesSums | None]:
     """(n_ss, g2, series sums) from one series evaluation.
 
     n_ss = m1/2; g2 = m2/m1^2, or ``None`` below the definability
@@ -89,7 +87,7 @@ def _observables(
     C, n_th = _check_cn(C, n_th)
     if n_th == 0.0:
         return 0.0, None, None
-    sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C, max_terms=max_terms)
+    sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
     n_ss = 0.5 * sums.m1
     g2 = None
     if n_ss >= G2_UNDEFINED_BELOW:
@@ -97,35 +95,33 @@ def _observables(
     return n_ss, g2, sums
 
 
-def observables_exact(
-    C: float, n_th: float, *, max_terms: int = 10_000_000
-) -> tuple[float, float | None]:
+def observables_exact(C: float, n_th: float) -> tuple[float, float | None]:
     """(n_ss, g2) from a single series evaluation, with no Fock populations.
 
     Each value equals what :func:`mean_phonon_exact` and :func:`g2_exact`
     return separately, at half their combined cost.
     """
-    n_ss, g2, _ = _observables(C, n_th, max_terms)
+    n_ss, g2, _ = _observables(C, n_th)
     return n_ss, g2
 
 
-def mean_phonon_exact(C: float, n_th: float, *, max_terms: int = 10_000_000) -> float:
+def mean_phonon_exact(C: float, n_th: float) -> float:
     """Steady-state mean phonon number S_1/(2 S_0).
 
     Returns exactly 0.0 at ``n_th = 0`` (the steady state is the ground
     state; no series evaluation involved).
     """
-    return _observables(C, n_th, max_terms)[0]
+    return _observables(C, n_th)[0]
 
 
-def g2_exact(C: float, n_th: float, *, max_terms: int = 10_000_000) -> float | None:
+def g2_exact(C: float, n_th: float) -> float | None:
     """Equal-time second-order correlation S_2 S_0 / S_1^2.
 
     Returns ``None`` when undefined, i.e. when the mean occupation falls
     below the definability threshold (vacuum limit: the formula is 0/0; the
     physical limit value is 0 but is not emitted as data).
     """
-    return _observables(C, n_th, max_terms)[1]
+    return _observables(C, n_th)[1]
 
 
 def default_m_max(n_ss: float, n_th: float | None = None) -> int:
@@ -142,33 +138,21 @@ def default_m_max(n_ss: float, n_th: float | None = None) -> int:
     return m
 
 
-def _populations(C: float, n_th: float, m_max: int, log_f2: float, max_terms: int) -> np.ndarray:
+def _populations(C: float, n_th: float, m_max: int, log_f2: float) -> np.ndarray:
     """P(0..m_max) from the backward recurrence, normalized by the given
     log f_0(nu, 2y) (the ``log_f`` of :func:`_observables`)."""
-    m_max = int(m_max)
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max!r}")
-    if max_terms <= _kernels.first_depth(m_max):
-        terms, ok = max_terms, False
-    else:
-        log_b, terms, ok = _kernels.population_logsums(
-            (1.0 + 2.0 * n_th) / C, n_th / C, m_max, max_terms
-        )
+    m_max = _kernels.check_window(m_max, "populations at C=%g, n_th=%g", C, n_th)
+    log_b, terms, ok = _kernels.population_logsums((1.0 + 2.0 * n_th) / C, n_th / C, m_max)
     if not ok:
         raise NotConverged(
-            f"population recurrence at C={C:g}, n_th={n_th:g} hit the {max_terms}-term cap",
+            f"population recurrence at C={C:g}, n_th={n_th:g} hit the "
+            f"{_kernels._MAX_TERMS}-term budget",
             terms_used=int(terms),
         )
     return np.exp(log_b - log_f2)
 
 
-def phonon_populations_exact(
-    C: float,
-    n_th: float,
-    m_max: int | None = None,
-    *,
-    max_terms: int = 10_000_000,
-) -> np.ndarray:
+def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) -> np.ndarray:
     """Fock populations P(0..m_max) of the exact steady state.
 
     Evaluates the analytically normalized double series described in the
@@ -178,16 +162,15 @@ def phonon_populations_exact(
     returned vector is the exact P(m) truncated at ``m_max`` (default: a
     ~10-sigma cutoff from the mean occupation) — its shortfall from 1 is
     true tail mass, reported by :func:`steady_state_exact` in the
-    diagnostics, never renormalized away. ``max_terms`` caps each series and
-    the recurrence depth; reaching it raises :class:`NotConverged`. The first
-    recurrence depth is 2*m_max + 50 and the check needs one deeper run, so a
-    cap of 2*m_max + 50 or less always raises, before any level is computed.
+    diagnostics, never renormalized away. A series or a recurrence that
+    needs more than the term budget raises :class:`NotConverged`; a window
+    too wide for it raises before any level is computed.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
-    n_ss, _, sums = _observables(C, n_th, max_terms)
+    n_ss, _, sums = _observables(C, n_th)
     if m_max is None:
         m_max = default_m_max(n_ss, n_th)
-    return _populations(C, n_th, m_max, sums.log_f, max_terms)
+    return _populations(C, n_th, m_max, sums.log_f)
 
 
 def classify_regime(C: float, n_th: float) -> Regime:
@@ -206,17 +189,12 @@ def classify_regime(C: float, n_th: float) -> Regime:
     return Regime.ANTIBUNCHED if C > boundary else Regime.BUNCHED
 
 
-def steady_state_exact(
-    C: float,
-    n_th: float,
-    m_max: int | None = None,
-    *,
-    max_terms: int = 10_000_000,
-) -> SteadyStateReport:
+def steady_state_exact(C: float, n_th: float, m_max: int | None = None) -> SteadyStateReport:
     """Full report: mean occupation, g2, populations, regime, diagnostics."""
     C, n_th = _check_cn(C, n_th)
     if n_th == 0.0:
-        populations = np.zeros((m_max if m_max is not None else 30) + 1)
+        m_max = _kernels.check_window(30 if m_max is None else m_max, "ground state")
+        populations = np.zeros(m_max + 1)
         populations[0] = 1.0
         return SteadyStateReport(
             n_ss=0.0,
@@ -225,10 +203,10 @@ def steady_state_exact(
             regime=Regime.VACUUM,
             diagnostics={"model": "exact", "population_tail": 0.0},
         )
-    n_ss, g2, sums = _observables(C, n_th, max_terms)
+    n_ss, g2, sums = _observables(C, n_th)
     if m_max is None:
         m_max = default_m_max(n_ss, n_th)
-    populations = _populations(C, n_th, m_max, sums.log_f, max_terms)
+    populations = _populations(C, n_th, m_max, sums.log_f)
     tail = max(0.0, 1.0 - float(populations.sum()))
     return SteadyStateReport(
         n_ss=n_ss,

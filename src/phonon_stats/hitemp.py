@@ -184,11 +184,11 @@ def gaussian_quartic_moments(a: float, b: float, n_max: int) -> MomentTable:
     amplification stays small (``method == "recursion"``); elsewhere the same
     recursion runs backward as a positive continued fraction
     (``method == "backward"``). The direction follows from a/sqrt(b) alone.
+    An ``n_max`` too large for the term budget raises :class:`NotConverged`
+    before either direction runs.
     """
     a, b = _check_ab(a, b)
-    n_max = int(n_max)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max!r}")
+    n_max = _kernels.check_window(n_max, "moment table at a=%g, b=%g", a, b)
     try:
         return MomentTable(a, b, _moments_recursion(a, b, n_max), "recursion")
     except RecursionUnstable:
@@ -260,10 +260,11 @@ def steady_state_hitemp(
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     n_ss = mean_phonon_hitemp(C, n_th)
-    g2 = g2_hitemp(C, n_th)
     if n_max is None:
         n_max = default_m_max(n_ss)
+    # the populations go first, so their window check precedes any moment table
     populations, log_z, method = _fock_projection(C, n_th, n_max)
+    g2 = g2_hitemp(C, n_th)
     norm = gaussian_quartic_moments(1.0 / n_th, C / n_th, 0)
     tail = max(0.0, 1.0 - math.exp(log_z - norm.log_m[0]))
     return SteadyStateReport(

@@ -63,6 +63,7 @@ __all__ = [
 
 _EIG_FLOOR = -1e-8
 _RESIDUAL_TOL = 1e-10
+_POPULATION_TAIL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,12 @@ class TruncationSpec:
 
     dim_mech: int
     dim_cav: int = 1
-    tol_population_tail: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.dim_mech < 2:
             raise DomainError(f"dim_mech must be >= 2, got {self.dim_mech}")
         if self.dim_cav < 1:
             raise DomainError(f"dim_cav must be >= 1, got {self.dim_cav}")
-        if not (0.0 < self.tol_population_tail < 1.0):
-            raise DomainError(
-                f"tol_population_tail must be in (0, 1), got {self.tol_population_tail}"
-            )
 
     @property
     def dim(self) -> int:
@@ -144,6 +140,13 @@ def _hamiltonian_part(h: sp.spmatrix) -> sp.csr_matrix:
     return (-1j) * (sp.kron(eye, h) - sp.kron(h.T, eye)).tocsr()
 
 
+def _check_finite(**params: float) -> None:
+    # nan passes every sign check, and inf or nan leaves a singular generator
+    for name, val in params.items():
+        if not math.isfinite(val):
+            raise DomainError(f"{name} must be finite, got {val!r}")
+
+
 def build_reduced_liouvillian(
     C: float, n_th: float, trunc: TruncationSpec
 ) -> Superoperator:
@@ -153,6 +156,7 @@ def build_reduced_liouvillian(
         raise DomainError("reduced model is single-mode; dim_cav must be 1")
     C = float(C)
     n_th = float(n_th)
+    _check_finite(C=C, n_th=n_th)
     if C < 0.0 or n_th < 0.0:
         raise DomainError("C and n_th must be nonnegative")
     b = _destroy(trunc.dim_mech)
@@ -175,6 +179,7 @@ def build_two_mode_rwa_liouvillian(
     frame, cavity loss kappa, mechanical contact gamma at occupation n_th."""
     if trunc.dim_cav < 2:
         raise DomainError("two-mode model needs dim_cav >= 2")
+    _check_finite(g=g, kappa=kappa, gamma=gamma, n_th=n_th)
     if kappa <= 0.0 or gamma <= 0.0:
         raise DomainError("kappa and gamma must be positive")
     if n_th < 0.0:
@@ -215,6 +220,7 @@ def build_prerwa_liouvillian(
     """
     if trunc.dim_cav < 2:
         raise DomainError("pre-RWA model needs dim_cav >= 2")
+    _check_finite(kappa=kappa, gamma=gamma, n_th=n_th)
     if kappa <= 0.0 or gamma <= 0.0:
         raise DomainError("kappa and gamma must be positive")
     if n_th < 0.0:
@@ -399,7 +405,6 @@ def _grow(trunc: TruncationSpec, multimode: bool) -> TruncationSpec:
     return TruncationSpec(
         dim_mech=trunc.dim_mech * 2,
         dim_cav=trunc.dim_cav + 1 if multimode else trunc.dim_cav,
-        tol_population_tail=trunc.tol_population_tail,
     )
 
 
@@ -416,7 +421,7 @@ def converge_truncation(
     accepts once n_ss and g2 change by less than ``rel_tol`` between rounds
     (with an absolute floor of 1e-12 so vacuum-level observables, which are
     pure solver noise, can still settle) AND the top two mechanical
-    populations are below the tail tolerance. Raises :class:`BudgetExceeded`
+    populations sum below 1e-9. Raises :class:`BudgetExceeded`
     carrying the last attempted spec and report when the next step would
     pass ``dim_cap``.
     """
@@ -424,7 +429,7 @@ def converge_truncation(
     prev: SteadyStateReport | None = None
     while True:
         report = observables(steady_state(model.build(trunc)), mode="mech")
-        tail_ok = report.diagnostics["top_two_population"] < trunc.tol_population_tail
+        tail_ok = report.diagnostics["top_two_population"] < _POPULATION_TAIL_TOL
         if prev is not None and tail_ok:
             dn = math.isclose(report.n_ss, prev.n_ss, rel_tol=rel_tol, abs_tol=1e-12)
             if report.g2 is None or prev.g2 is None:

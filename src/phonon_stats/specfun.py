@@ -32,7 +32,7 @@ __all__ = ["SeriesSums", "log_gamma", "erfcx", "recip_gamma_series"]
 @dataclass(frozen=True)
 class SeriesSums:
     """S_0, S_1, S_2 as log f_0 = log(Gamma(nu) S_0), the ratios
-    m1 = S_1/S_0 and m2 = S_2/S_0, and convergence metadata.
+    m1 = S_1/S_0 and m2 = S_2/S_0, and the number of terms summed.
 
     Form ratios of the sums from ``m1``/``m2`` and differences of log S_0 at
     one nu from ``log_f``. ``log_s0``/``log_s1``/``log_s2`` add the absolute
@@ -49,7 +49,6 @@ class SeriesSums:
     m2: float
     log_gamma_nu: float
     terms_used: int
-    converged: bool
 
     @property
     def log_s0(self) -> float:
@@ -109,16 +108,13 @@ def erfcx(x: float) -> float:
     return float(_scipy_erfcx(x))
 
 
-def recip_gamma_series(
-    nu: float,
-    x: float,
-    *,
-    max_terms: int = 10_000_000,
-) -> SeriesSums:
+def recip_gamma_series(nu: float, x: float) -> SeriesSums:
     """Evaluate S_0, S_1, S_2 at (nu, x) as Kummer sums of their term ratios.
 
     Summation stops once a term past the (unique) peak contributes less than
-    1e-18 relative to each sum (``_kernels._SERIES_TOL``).
+    1e-18 relative to each sum (``_kernels._SERIES_TOL``). An ``x`` that needs
+    more than ``_kernels._MAX_TERMS`` terms raises :class:`NotConverged`; the
+    high-temperature closed forms are the intended route there.
 
     Parameters
     ----------
@@ -128,10 +124,6 @@ def recip_gamma_series(
     x : float
         Series argument; must be nonnegative. In the application
         x = 2 n_th / C, which can be enormous in the high-temperature regime.
-    max_terms : int
-        Term cap; reaching it raises :class:`NotConverged`. The cap signals
-        a pathological ``x`` for which the high-temperature closed forms are
-        the intended route.
 
     Returns
     -------
@@ -143,14 +135,11 @@ def recip_gamma_series(
         raise DomainError(f"recip_gamma_series requires nu > 0, got {nu!r}")
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"recip_gamma_series requires x >= 0, got {x!r}")
-    if max_terms < 1:
-        raise DomainError("max_terms must be >= 1")
-    log_f, m1, m2, terms, ok = _kernels.series_logsums(nu, x, max_terms)
-    sums = SeriesSums(log_f, m1, m2, math.lgamma(nu), int(terms), bool(ok))
+    log_f, m1, m2, terms, ok = _kernels.series_logsums(nu, x)
     if not ok:
         raise NotConverged(
-            f"series at nu={nu:g}, x={x:g} did not converge within "
-            f"{max_terms} terms (use the high-temperature route instead)",
+            f"series at nu={nu:g}, x={x:g} did not converge within the "
+            f"{_kernels._MAX_TERMS}-term budget (use the high-temperature route instead)",
             terms_used=int(terms),
         )
-    return sums
+    return SeriesSums(log_f, m1, m2, math.lgamma(nu), int(terms))

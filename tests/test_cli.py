@@ -2,13 +2,20 @@ import csv
 import io
 import json
 import math
+import os
 import py_compile
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phonon_stats
 from phonon_stats import _kernels, cli, hitemp
 from phonon_stats.cli import RangeSpec, main
 from phonon_stats.errors import DomainError
+
+SRC = str(Path(phonon_stats.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -90,6 +97,18 @@ def test_stats_nonfinite_input_exit_1(capsys, C, n_th, model, message):
     assert message in err
 
 
+@pytest.mark.parametrize("C,n_th,model", [
+    ("inf", "1", "oracle-reduced"),
+    ("nan", "1", "oracle-reduced"),
+    ("3", "nan", "oracle-rwa"),
+])
+def test_stats_oracle_nonfinite_input_exit_1(capsys, C, n_th, model):
+    code, out, err = run(capsys, "stats", "--C", C, "--n-th", n_th, "--model", model)
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
 def test_stats_missing_point_exit_1(capsys):
     code, _, err = run(capsys, "stats")
     assert code == 1
@@ -130,6 +149,20 @@ def test_stats_nonconvergence_exit_2(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_stats_hitemp_window_budget_exit_2():
+    # auto sends this point to hitemp, whose default window of 9.6e6 levels
+    # cannot fit the term budget: refused before the moment table is built
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phonon_stats", "stats", "--C", "1e-9", "--n-th", "1e7"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "10000000-term budget" in proc.stderr
 
 
 def test_config_file(tmp_path, capsys):
@@ -293,6 +326,19 @@ def test_sweep_bad_range_exit_1(capsys):
         )
         assert code == 1
         assert "error:" in err
+
+
+def test_figure_refuses_oracle_flags(tmp_path, capsys):
+    # figures run only the analytic routes, so oracle settings are errors
+    code, _, err = run(capsys, "figure", "4", "--trunc", "8", "--out", str(tmp_path))
+    assert code == 1
+    assert "--trunc" in err
+    cfg = tmp_path / "fig.json"
+    cfg.write_text(json.dumps({"kappa": 5.0}))
+    code, _, err = run(capsys, "figure", "4", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    assert "kappa" in err
+    assert not (tmp_path / "figure4.csv").exists()
 
 
 def test_figure6_dataset(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
 
+import inspect
+
 import numpy as np
 import pytest
 
-from phonon_stats import exact
+import phonon_stats
+from phonon_stats import _kernels, exact
 from phonon_stats.errors import DomainError, NotConverged
 from phonon_stats.report import Regime
 
@@ -169,19 +172,18 @@ def test_series_cap_raises_not_converged():
         exact.mean_phonon_exact(1e-7, 1e7)
 
 
-def test_population_cap_raises_not_converged():
-    # 60 levels cannot hold the doubling check of the backward recurrence
+def test_population_cap_raises_not_converged(monkeypatch):
+    # a 60-term budget cannot hold the doubling check of the backward recurrence
+    monkeypatch.setattr(_kernels, "_MAX_TERMS", 60)
     with pytest.raises(NotConverged) as exc:
-        exact.phonon_populations_exact(10.0, 1.0, 5, max_terms=60)
+        exact.phonon_populations_exact(10.0, 1.0, 5)
     assert exc.value.terms_used >= 60
 
 
 @pytest.mark.parametrize("fn", [exact.steady_state_exact, exact.phonon_populations_exact])
 def test_population_cap_checked_before_any_level(fn, monkeypatch):
-    # 1e8 levels need a recurrence deeper than the default 1e7-term cap:
-    # that is known before the first level is computed
-    from phonon_stats import _kernels
-
+    # 1e8 levels need a recurrence deeper than the 1e7-term budget: that is
+    # known before the first level is computed
     def refuse(*args, **kwargs):
         raise AssertionError("backward recurrence ran")
 
@@ -189,6 +191,23 @@ def test_population_cap_checked_before_any_level(fn, monkeypatch):
     with pytest.raises(NotConverged) as exc:
         fn(10.0, 1.0, 10**8)
     assert exc.value.terms_used == 10_000_000
+
+
+def test_ground_state_window_checked_against_the_budget():
+    # the ground state needs no recurrence, but its window obeys the same budget
+    with pytest.raises(NotConverged) as exc:
+        exact.steady_state_exact(10.0, 0.0, 5 * 10**6)
+    assert exc.value.terms_used == 10_000_000
+    with pytest.raises(DomainError):
+        exact.steady_state_exact(10.0, 0.0, -2)
+
+
+def test_public_api_has_no_term_cap_keyword():
+    # the term budget is one module constant, not a per-call keyword
+    for name in phonon_stats.__all__:
+        obj = getattr(phonon_stats, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert "max_terms" not in inspect.signature(obj).parameters, name
 
 
 def test_classify_regime():

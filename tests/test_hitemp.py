@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phonon_stats import hitemp
-from phonon_stats.errors import DomainError
+from phonon_stats import _kernels, hitemp
+from phonon_stats.errors import DomainError, NotConverged
 
 
 def test_moments_closed_form_pure_gaussian():
@@ -161,3 +161,16 @@ def test_domain_errors():
         hitemp.gaussian_quartic_moments(1.0, 1.0, -1)
     with pytest.raises(DomainError):
         hitemp.phonon_distribution_hitemp(1.0, 1.0, -1)
+
+
+def test_window_budget_checked_before_either_direction(monkeypatch):
+    # 1e8 levels need a backward depth past the 1e7-term budget; unpatched,
+    # either direction would walk 1e8 levels before failing
+    def refuse(*args, **kwargs):
+        raise AssertionError("moment direction ran")
+
+    monkeypatch.setattr(hitemp, "_moments_recursion", refuse)
+    monkeypatch.setattr(_kernels, "backward_ratios", refuse)
+    with pytest.raises(NotConverged) as exc:
+        hitemp.steady_state_hitemp(1.0, 1.0, 10**8)
+    assert exc.value.terms_used == 10_000_000

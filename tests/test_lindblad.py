@@ -45,8 +45,6 @@ def test_truncation_spec():
         TruncationSpec(dim_mech=1)
     with pytest.raises(DomainError):
         TruncationSpec(dim_mech=8, dim_cav=0)
-    with pytest.raises(DomainError):
-        TruncationSpec(dim_mech=8, tol_population_tail=0.0)
 
 
 def _inf_norm(sup):
@@ -202,6 +200,23 @@ def test_prerwa_validation():
         build_prerwa_liouvillian(
             _d19_reduced(), 2000.0, 1.0, 1.0, TruncationSpec(dim_mech=8)
         )  # needs a cavity slot
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_builders_reject_nonfinite_parameters(bad):
+    # nan passes every sign check; either value builds a singular generator
+    with pytest.raises(DomainError):
+        build_reduced_liouvillian(bad, 1.0, TruncationSpec(dim_mech=8))
+    with pytest.raises(DomainError):
+        build_reduced_liouvillian(3.0, bad, TruncationSpec(dim_mech=8))
+    two_mode = TruncationSpec(dim_mech=8, dim_cav=2)
+    for args in ((bad, 10.0, 1.0, 1.0), (1.0, bad, 1.0, 1.0),
+                 (1.0, 10.0, bad, 1.0), (1.0, 10.0, 1.0, bad)):
+        with pytest.raises(DomainError):
+            build_two_mode_rwa_liouvillian(*args, two_mode)
+    for args in ((bad, 1.0, 1.0), (2000.0, bad, 1.0), (2000.0, 1.0, bad)):
+        with pytest.raises(DomainError):
+            build_prerwa_liouvillian(_d19_reduced(), *args, two_mode)
 
 
 def test_prerwa_quadratic_term_changes_generator():

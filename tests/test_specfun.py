@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_stats import specfun
+from phonon_stats import _kernels, specfun
 from phonon_stats._kernels import population_logsums
 from phonon_stats.errors import DomainError, NotConverged
 
@@ -60,7 +60,6 @@ def test_series_sums_reference_point():
     assert s.s0 == pytest.approx(0.59457630316407353, rel=1e-13)
     assert s.s1 == pytest.approx(0.30112774605273279, rel=1e-13)
     assert s.s2 == pytest.approx(0.088802486027541427, rel=1e-13)
-    assert s.converged
     assert s.terms_used >= 1
 
 
@@ -116,9 +115,11 @@ def test_series_cauchy_schwarz(nu, x):
     assert s.m1 * s.m1 <= s.m1 + s.m2
 
 
-def test_series_not_converged_carries_term_count():
+def test_series_not_converged_carries_term_count(monkeypatch):
+    # a budget at or before the term peak (k ~ 1e5) sums nothing
+    monkeypatch.setattr(_kernels, "_MAX_TERMS", 100)
     with pytest.raises(NotConverged) as exc:
-        specfun.recip_gamma_series(0.5, 1e5, max_terms=100)
+        specfun.recip_gamma_series(0.5, 1e5)
     assert exc.value.terms_used is not None
     assert exc.value.terms_used >= 100
 
@@ -130,8 +131,6 @@ def test_series_domain_errors():
         specfun.recip_gamma_series(-2.0, 1.0)
     with pytest.raises(DomainError):
         specfun.recip_gamma_series(1.0, -0.5)
-    with pytest.raises(DomainError):
-        specfun.recip_gamma_series(1.0, 1.0, max_terms=0)
 
 
 def _application(C, n_th):
@@ -180,8 +179,6 @@ def test_series_observables_match_mpmath(nu, x):
 def test_series_chunks_join_exactly(nu, x, monkeypatch):
     """Chunks of 50 terms on both sides of the peak (and across the doublings
     of the range) give the sums of one chunk per side."""
-    from phonon_stats import _kernels
-
     whole = _kernels.series_logsums(nu, x)
     monkeypatch.setattr(_kernels, "_CHUNK", 50)
     chunked = _kernels.series_logsums(nu, x)
