@@ -229,6 +229,7 @@ def g2_hitemp(C: float, n_th: float) -> float:
 
 def _fock_projection(C: float, n_th: float, n_max: int) -> tuple[np.ndarray, float, str]:
     """Window populations, log of their unnormalized window sum, moment method."""
+    n_max = _kernels.check_window(n_max, "populations at C=%g, n_th=%g", C, n_th)
     table = gaussian_quartic_moments(1.0 + 1.0 / n_th, C / n_th, n_max)
     log_raw = table.log_m - gammaln(np.arange(table.n_max + 1, dtype=np.float64) + 1.0)
     log_z = float(logsumexp(log_raw))

@@ -18,13 +18,17 @@ with no shared code path. Three generators are provided:
 Dissipators carry the convention D[o] rho = 2 o rho o^dag - o^dag o rho
 - rho o^dag o with rate prefactors of 1/2, so rates match decay constants.
 
-Liouvillians are assembled sparse via column-stacking, vec(A rho B) =
-(B^T kron A) vec(rho), with the cavity slot first in every Kronecker
-product. The steady state is the null vector, pinned by replacing one row
-with the trace constraint (scaled to the Liouvillian's own norm so the
-system stays well conditioned); the solution is hermitized, positivity is
-enforced up to a small eigenvalue floor, and the residual of the original
-generator is checked before anything is reported.
+Every generator is a Hamiltonian plus a list of (jump operator, rate) pairs,
+assembled sparse by one function in the effective-Hamiltonian form
+(Dalibard, Castin & Molmer, PRL 68, 580 (1992)): with column stacking,
+vec(X rho Y) = (Y^T kron X) vec(rho), and A = -i H - (1/2) sum_k rate_k
+o_k^dag o_k, it is I kron A + conj(A) kron I + sum_k rate_k conj(o_k) kron
+o_k, cavity slot first. The steady state is the null vector, pinned by
+replacing one row with the trace constraint (scaled to the Liouvillian's own
+norm so the system stays well conditioned); the solution is hermitized, one
+eigen-decomposition enforces positivity up to a small floor and is kept as
+``min_eigenvalue``, and the residual of the original generator is checked
+before anything is reported.
 """
 
 from __future__ import annotations
@@ -89,9 +93,12 @@ class TruncationSpec:
 class Superoperator:
     """Sparse Liouvillian acting on vec(rho), dims = (dim_cav, dim_mech)."""
 
-    dim: int
     dims: tuple[int, int]
     matrix: sp.csr_matrix
+
+    @property
+    def dim(self) -> int:
+        return self.dims[0] * self.dims[1]
 
     def trace_defect(self) -> float:
         """max_j |sum_i <i| L applied to basis unit |j>| traced — exactly 0
@@ -105,11 +112,14 @@ class Superoperator:
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Solved steady state; ``residual`` is ||L vec(rho)||_2 / ||L||_inf."""
+    """Solved steady state; ``residual`` is ||L vec(rho)||_2 / ||L||_inf and
+    ``min_eigenvalue`` the smallest eigenvalue before any positivity repair
+    (the value checked against the floor)."""
 
     matrix: np.ndarray
     dims: tuple[int, int]
     residual: float
+    min_eigenvalue: float
 
 
 def _destroy(dim: int) -> sp.csr_matrix:
@@ -125,19 +135,17 @@ def _lift(op: sp.spmatrix, dims: tuple[int, int], slot: int) -> sp.csr_matrix:
     return sp.kron(eye_c, op, format="csr")
 
 
-def _dissipator(op: sp.spmatrix, rate: float) -> sp.csr_matrix:
-    """(rate/2) * vec form of D[o] = 2 o . o^dag - {o^dag o, .}."""
-    d = op.shape[0]
+def _liouvillian(h: sp.spmatrix | None, jumps) -> sp.csr_matrix:
+    """vec form of -i[h, .] + sum_k (rate_k/2) D[o_k] for ``jumps`` of
+    (o_k, rate_k); ``h = None`` (no Hamiltonian) keeps a real generator real."""
+    d = jumps[0][0].shape[0]
     eye = sp.identity(d, format="csr")
-    opd_op = (op.conj().T @ op).tocsr()
-    out = 2.0 * sp.kron(op.conj(), op) - sp.kron(eye, opd_op) - sp.kron(opd_op.T, eye)
-    return (0.5 * rate) * out.tocsr()
-
-
-def _hamiltonian_part(h: sp.spmatrix) -> sp.csr_matrix:
-    d = h.shape[0]
-    eye = sp.identity(d, format="csr")
-    return (-1j) * (sp.kron(eye, h) - sp.kron(h.T, eye)).tocsr()
+    a = sum((0.5 * rate) * (op.conj().T @ op) for op, rate in jumps)
+    a = -a if h is None else (-1j) * h - a
+    out = sp.kron(eye, a) + sp.kron(a.conj(), eye)
+    for op, rate in jumps:
+        out = out + rate * sp.kron(op.conj(), op)
+    return out.tocsr()
 
 
 def _check_finite(**params: float) -> None:
@@ -160,12 +168,26 @@ def build_reduced_liouvillian(
     if C < 0.0 or n_th < 0.0:
         raise DomainError("C and n_th must be nonnegative")
     b = _destroy(trunc.dim_mech)
-    L = (
-        _dissipator(b @ b, C)
-        + _dissipator(b.conj().T, n_th)
-        + _dissipator(b, n_th + 1.0)
-    )
-    return Superoperator(trunc.dim_mech, (1, trunc.dim_mech), L.tocsr())
+    jumps = [(b @ b, C), (b.conj().T, n_th), (b, n_th + 1.0)]
+    return Superoperator((1, trunc.dim_mech), _liouvillian(None, jumps))
+
+
+def _two_mode_parts(model, trunc, kappa, gamma, n_th, **finite):
+    """Checks, lifted a and b, and the jump list the two-mode builders share:
+    cavity loss kappa, mechanical contact gamma at occupation n_th.
+    ``finite`` holds the builder's own parameters checked ahead of these."""
+    if trunc.dim_cav < 2:
+        raise DomainError(f"{model} model needs dim_cav >= 2")
+    _check_finite(**finite, kappa=kappa, gamma=gamma, n_th=n_th)
+    if kappa <= 0.0 or gamma <= 0.0:
+        raise DomainError("kappa and gamma must be positive")
+    if n_th < 0.0:
+        raise DomainError("n_th must be nonnegative")
+    dims = (trunc.dim_cav, trunc.dim_mech)
+    a = _lift(_destroy(dims[0]), dims, 0)
+    b = _lift(_destroy(dims[1]), dims, 1)
+    jumps = [(a, kappa), (b.conj().T, gamma * n_th), (b, gamma * (n_th + 1.0))]
+    return dims, a, b, jumps
 
 
 def build_two_mode_rwa_liouvillian(
@@ -177,25 +199,10 @@ def build_two_mode_rwa_liouvillian(
 ) -> Superoperator:
     """Cavity + mechanics with H = g (a^dag b^2 + b^dag^2 a) in the rotating
     frame, cavity loss kappa, mechanical contact gamma at occupation n_th."""
-    if trunc.dim_cav < 2:
-        raise DomainError("two-mode model needs dim_cav >= 2")
-    _check_finite(g=g, kappa=kappa, gamma=gamma, n_th=n_th)
-    if kappa <= 0.0 or gamma <= 0.0:
-        raise DomainError("kappa and gamma must be positive")
-    if n_th < 0.0:
-        raise DomainError("n_th must be nonnegative")
-    dims = (trunc.dim_cav, trunc.dim_mech)
-    a = _lift(_destroy(dims[0]), dims, 0)
-    b = _lift(_destroy(dims[1]), dims, 1)
+    dims, a, b, jumps = _two_mode_parts("two-mode", trunc, kappa, gamma, n_th, g=g)
     b2 = b @ b
     h = g * (a.conj().T @ b2 + b2.conj().T @ a)
-    L = (
-        _hamiltonian_part(h)
-        + _dissipator(a, kappa)
-        + _dissipator(b.conj().T, gamma * n_th)
-        + _dissipator(b, gamma * (n_th + 1.0))
-    )
-    return Superoperator(dims[0] * dims[1], dims, L.tocsr())
+    return Superoperator(dims, _liouvillian(h, jumps))
 
 
 def build_prerwa_liouvillian(
@@ -218,20 +225,11 @@ def build_prerwa_liouvillian(
     g0 n_c = g sqrt(n_c) carried by the condensate displacement. Frequencies
     are in the same units as kappa and gamma.
     """
-    if trunc.dim_cav < 2:
-        raise DomainError("pre-RWA model needs dim_cav >= 2")
-    _check_finite(kappa=kappa, gamma=gamma, n_th=n_th)
-    if kappa <= 0.0 or gamma <= 0.0:
-        raise DomainError("kappa and gamma must be positive")
-    if n_th < 0.0:
-        raise DomainError("n_th must be nonnegative")
+    dims, a, b, jumps = _two_mode_parts("pre-RWA", trunc, kappa, gamma, n_th)
     if reduced.n_c == 0.0 and reduced.g > 0.0:
         raise DomainError(
             "pre-RWA model needs the cavity occupation n_c that produced g"
         )
-    dims = (trunc.dim_cav, trunc.dim_mech)
-    a = _lift(_destroy(dims[0]), dims, 0)
-    b = _lift(_destroy(dims[1]), dims, 1)
     b2 = (b @ b).tocsr()
     x2 = (b + b.conj().T) @ (b + b.conj().T)
     num_a = (a.conj().T @ a).tocsr()
@@ -246,13 +244,7 @@ def build_prerwa_liouvillian(
     if include_quadratic_fluctuation:
         g0 = g / math.sqrt(reduced.n_c) if reduced.n_c > 0.0 else 0.0
         h = h + g0 * (num_a @ x2)
-    L = (
-        _hamiltonian_part(h)
-        + _dissipator(a, kappa)
-        + _dissipator(b.conj().T, gamma * n_th)
-        + _dissipator(b, gamma * (n_th + 1.0))
-    )
-    return Superoperator(dims[0] * dims[1], dims, L.tocsr())
+    return Superoperator(dims, _liouvillian(h, jumps))
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:
@@ -260,9 +252,11 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
 
     Row 0 of L is replaced by the trace functional scaled to ||L||_inf, the
     right-hand side is that same scale, and the sparse LU solution is
-    hermitized and floor-checked. Raises :class:`SingularSystem` when the
-    factorization degenerates or the unpinned generator's residual exceeds
-    ``1e-10 ||L||_inf`` (e.g. a generator with multiple steady states), and
+    hermitized and floor-checked; the one ``eigvalsh`` of that check also
+    sets ``min_eigenvalue``, which :func:`observables` reports. Raises
+    :class:`SingularSystem` when the factorization degenerates or the
+    unpinned generator's residual exceeds ``1e-10 ||L||_inf`` (e.g. a
+    generator with multiple steady states), and
     :class:`UnphysicalState` when an eigenvalue falls below -1e-8.
     """
     d = sup.dim
@@ -294,13 +288,13 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
         raise SingularSystem("solved state has vanishing trace")
     rho /= tr
 
-    evals = np.linalg.eigvalsh(rho)
-    if evals[0] < _EIG_FLOOR:
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
+    if min_eig < _EIG_FLOOR:
         raise UnphysicalState(
-            f"steady state has eigenvalue {evals[0]:.3e} below {_EIG_FLOOR:g}; "
+            f"steady state has eigenvalue {min_eig:.3e} below {_EIG_FLOOR:g}; "
             "truncation is too tight for this parameter set"
         )
-    if evals[0] < 0.0:
+    if min_eig < 0.0:
         w, v = np.linalg.eigh(rho)
         w = np.clip(w, 0.0, None)
         rho = (v * w) @ v.conj().T
@@ -313,7 +307,7 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
             f"{_RESIDUAL_TOL:g} * ||L||_inf = {_RESIDUAL_TOL * scale:.3e}; "
             "the generator's kernel is likely degenerate"
         )
-    return DensityMatrix(rho, sup.dims, residual / scale)
+    return DensityMatrix(rho, sup.dims, residual / scale, min_eig)
 
 
 def _partial_trace_mech(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -327,7 +321,9 @@ def _partial_trace_cav(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 
 def observables(state: DensityMatrix, mode: str = "mech") -> SteadyStateReport:
-    """Occupation, g2(0), and Fock populations of one mode of the state."""
+    """Occupation, g2(0), and Fock populations of one mode of the state;
+    ``min_eigenvalue`` is the state's, so where the positivity repair fired
+    it is the negative eigenvalue checked against the floor, not 0."""
     if mode == "mech":
         red = _partial_trace_mech(state.matrix, state.dims)
     elif mode == "cav":
@@ -349,7 +345,7 @@ def observables(state: DensityMatrix, mode: str = "mech") -> SteadyStateReport:
             "model": "lindblad",
             "residual": state.residual,
             "top_two_population": top_two,
-            "min_eigenvalue": float(np.linalg.eigvalsh(state.matrix)[0]),
+            "min_eigenvalue": state.min_eigenvalue,
         },
     )
 
@@ -358,8 +354,6 @@ def observables(state: DensityMatrix, mode: str = "mech") -> SteadyStateReport:
 class ReducedModel:
     C: float
     n_th: float
-
-    multimode = False
 
     def build(self, trunc: TruncationSpec) -> Superoperator:
         return build_reduced_liouvillian(self.C, self.n_th, trunc)
@@ -371,8 +365,6 @@ class TwoModeRWAModel:
     kappa: float
     gamma: float
     n_th: float
-
-    multimode = True
 
     def build(self, trunc: TruncationSpec) -> Superoperator:
         return build_two_mode_rwa_liouvillian(
@@ -388,8 +380,6 @@ class PreRWAModel:
     n_th: float
     include_quadratic_fluctuation: bool = False
 
-    multimode = True
-
     def build(self, trunc: TruncationSpec) -> Superoperator:
         return build_prerwa_liouvillian(
             self.reduced,
@@ -401,10 +391,12 @@ class PreRWAModel:
         )
 
 
-def _grow(trunc: TruncationSpec, multimode: bool) -> TruncationSpec:
+def _grow(trunc: TruncationSpec) -> TruncationSpec:
+    # the builders refuse a cavity slot on the reduced model and a two-mode
+    # model without one, so dim_cav > 1 says the cavity grows too
     return TruncationSpec(
         dim_mech=trunc.dim_mech * 2,
-        dim_cav=trunc.dim_cav + 1 if multimode else trunc.dim_cav,
+        dim_cav=trunc.dim_cav + 1 if trunc.dim_cav > 1 else 1,
     )
 
 
@@ -417,7 +409,7 @@ def converge_truncation(
 ) -> tuple[TruncationSpec, SteadyStateReport]:
     """Grow the truncation until the mechanical observables stop moving.
 
-    Doubles dim_mech each round (and bumps dim_cav for multimode models);
+    Doubles dim_mech each round (and bumps dim_cav for two-mode models);
     accepts once n_ss and g2 change by less than ``rel_tol`` between rounds
     (with an absolute floor of 1e-12 so vacuum-level observables, which are
     pure solver noise, can still settle) AND the top two mechanical
@@ -438,7 +430,7 @@ def converge_truncation(
                 dg = math.isclose(report.g2, prev.g2, rel_tol=rel_tol, abs_tol=1e-12)
             if dn and dg:
                 return trunc, report
-        nxt = _grow(trunc, model.multimode)
+        nxt = _grow(trunc)
         if nxt.dim > dim_cap:
             raise BudgetExceeded(
                 f"next truncation {nxt.dim_cav}x{nxt.dim_mech} exceeds "

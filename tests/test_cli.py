@@ -163,6 +163,8 @@ def test_stats_hitemp_window_budget_exit_2():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "10000000-term budget" in proc.stderr
+    # the message names the user's point, not the moment parameters
+    assert "C=1e-09" in proc.stderr and "n_th=1e+07" in proc.stderr
 
 
 def test_config_file(tmp_path, capsys):
@@ -198,6 +200,27 @@ def test_config_file(tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--config", str(jobs))
         assert code == 1
         assert "error:" in err and "'jobs'" in err
+
+
+def test_config_value_outside_choices(tmp_path, capsys):
+    # a config value obeys its flag's choices as the flag itself would:
+    # validate takes no oracle as its analytic side
+    cfg = tmp_path / "oracle_vs_oracle.json"
+    cfg.write_text(json.dumps({
+        "model": "oracle-rwa", "c_set": "4", "nth_set": "0.2",
+        "tol_nss": 0.05, "tol_g2": 0.05, "tol_pop": 0.05,
+    }))
+    code, out, err = run(capsys, "validate", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "'model'" in err and "oracle-rwa" in err
+
+    fmt = tmp_path / "format.json"
+    fmt.write_text(json.dumps({"format": "xml", "c_set": "1", "nth_set": "1"}))
+    code, out, err = run(capsys, "sweep", "--config", str(fmt))
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "'format'" in err and "xml" in err
 
 
 def _read_csv(text):

@@ -85,6 +85,73 @@ def test_generator_preserves_hermiticity():
     assert np.max(np.abs(out - out.conj().T)) <= 1e-12 * np.max(np.abs(out))
 
 
+def _dense_destroy(dim):
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+
+
+def _dense_generator_apply(h, jumps, rho):
+    """-i[h, rho] + sum (rate/2)(2 o rho o^dag - o^dag o rho - rho o^dag o)."""
+    out = -1j * (h @ rho - rho @ h)
+    for o, rate in jumps:
+        od = o.conj().T
+        out = out + 0.5 * rate * (2.0 * o @ rho @ od - od @ o @ rho - rho @ od @ o)
+    return out
+
+
+def _textbook_cases():
+    """(sparse generator, dense h, dense jump list) at small dimensions."""
+    C, n_th = 3.0, 0.7
+    b = _dense_destroy(10)
+    yield (
+        build_reduced_liouvillian(C, n_th, TruncationSpec(dim_mech=10)),
+        np.zeros((10, 10)),
+        [(b @ b, C), (b.T, n_th), (b, n_th + 1.0)],
+    )
+    dc, dm = 3, 8
+    a = np.kron(_dense_destroy(dc), np.eye(dm))
+    b = np.kron(np.eye(dc), _dense_destroy(dm))
+    ad, bd = a.T, b.T
+    kappa, gamma, n_th = 10.0, 1.0, 0.5
+    jumps = [(a, kappa), (bd, gamma * n_th), (b, gamma * (n_th + 1.0))]
+    g = math.sqrt(7.5)
+    yield (
+        build_two_mode_rwa_liouvillian(g, kappa, gamma, n_th, TruncationSpec(dm, dc)),
+        g * (ad @ b @ b + bd @ bd @ a),
+        jumps,
+    )
+    red = _d19_reduced()
+    kappa = 2000.0
+    jumps = [(a, kappa), (bd, gamma * n_th), (b, gamma * (n_th + 1.0))]
+    g, n_c = red.g, red.n_c
+    x2 = (b + bd) @ (b + bd)
+    h = (
+        -red.Delta_c * ad @ a
+        + red.omega_m_eff * bd @ b
+        + g * math.sqrt(n_c) * (b @ b + bd @ bd)
+        + g * (a + ad) @ x2
+    )
+    for flag in (False, True):
+        sup = build_prerwa_liouvillian(
+            red, kappa, gamma, n_th, TruncationSpec(dm, dc),
+            include_quadratic_fluctuation=flag,
+        )
+        quad = (g / math.sqrt(n_c)) * (ad @ a @ x2) if flag else 0.0
+        yield sup, h + quad, jumps
+
+
+def test_generators_match_textbook_form():
+    # each sparse generator, applied to vec(rho), must equal the master
+    # equation evaluated with dense operators
+    rng = np.random.default_rng(11)
+    for sup, h, jumps in _textbook_cases():
+        d = sup.dim
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = m + m.conj().T
+        got = (sup.matrix @ rho.reshape(-1, order="F")).reshape(d, d, order="F")
+        want = _dense_generator_apply(h, jumps, rho)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_thermal_fixed_point():
     # C = 0 leaves a pure thermal contact: n_ss = n_th, g2 = 2
     sup = build_reduced_liouvillian(0.0, 2.0, TruncationSpec(dim_mech=64))
@@ -148,8 +215,7 @@ def test_degenerate_kernel_raises():
     # a bare two-phonon drain leaves span{|0>, |1>} dark: the stationary
     # state is not unique and the solver must refuse rather than pick one
     b = lindblad._destroy(6)
-    mat = lindblad._dissipator((b @ b).tocsr(), 1.0)
-    sup = Superoperator(6, (1, 6), mat.tocsr())
+    sup = Superoperator((1, 6), lindblad._liouvillian(None, [(b @ b, 1.0)]))
     with pytest.raises(SingularSystem):
         steady_state(sup)
 
@@ -227,6 +293,23 @@ def test_prerwa_quadratic_term_changes_generator():
         red, 2000.0, 1.0, 1.0, trunc, include_quadratic_fluctuation=True
     )
     assert (off.matrix - on.matrix).nnz > 0
+
+
+def test_one_eigen_decomposition_per_solve(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    state = steady_state(build_reduced_liouvillian(10.0, 1.0, TruncationSpec(dim_mech=40)))
+    rep = observables(state)
+    assert rep.diagnostics["min_eigenvalue"] >= 0.0  # no positivity repair
+    assert calls == ["eigvalsh"]
+    assert rep.diagnostics["min_eigenvalue"] == state.min_eigenvalue
 
 
 def test_observables_modes_and_diagnostics():
