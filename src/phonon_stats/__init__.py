@@ -87,50 +87,10 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
+# the version stamps, the error types imported above and every lazy name
 __all__ = [
     "__version__",
     "HAS_NUMBA",
-    # errors
-    "PhononStatsError",
-    "DomainError",
-    "NotConverged",
-    "FixedPointDiverged",
-    "RecursionUnstable",
-    "SingularSystem",
-    "UnphysicalState",
-    "BudgetExceeded",
-    # parameters
-    "PhysicalParams",
-    "ReducedParams",
-    "bose_occupation",
-    "derive_reduced",
-    # special functions
-    "SeriesSums",
-    "log_gamma",
-    "erfcx",
-    "recip_gamma_series",
-    # exact route
-    "observables_exact",
-    "mean_phonon_exact",
-    "g2_exact",
-    "phonon_populations_exact",
-    "classify_regime",
-    "steady_state_exact",
-    # high-temperature route
-    "mean_phonon_hitemp",
-    "g2_hitemp",
-    "gaussian_quartic_moments",
-    "phonon_distribution_hitemp",
-    "steady_state_hitemp",
-    # oracle route
-    "TruncationSpec",
-    "ReducedModel",
-    "TwoModeRWAModel",
-    "PreRWAModel",
-    "steady_state",
-    "observables",
-    "converge_truncation",
-    # reports
-    "Regime",
-    "SteadyStateReport",
+    *(k for k, v in globals().items() if isinstance(v, type) and issubclass(v, PhononStatsError)),
+    *_LAZY,
 ]

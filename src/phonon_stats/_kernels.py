@@ -188,10 +188,6 @@ def population_logsums(nu, y, m_max):
     """
     nu, y, m_max = float(nu), float(y), int(m_max)
     log_b = np.empty(m_max + 1)
-    if y == 0.0:
-        log_b[0] = 0.0
-        log_b[1:] = -np.inf
-        return log_b, 1, True
     log_b[0], _, _, terms, ok = series_logsums(nu, y)
     rho, levels, ok_rho = backward_ratios(y, nu - y, 1.0, m_max)
     log_b[1:] = log_b[0] + np.cumsum(np.log(rho / np.arange(1.0, m_max + 1.0)))

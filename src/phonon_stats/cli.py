@@ -154,9 +154,11 @@ def _fmt(value) -> str:
 def _merge_config(ns: argparse.Namespace, command: argparse.ArgumentParser) -> argparse.Namespace:
     """Overlay a JSON --config file under the flags (flags win).
 
-    Each loaded value goes through the ``type`` and ``choices`` of its flag
-    in ``command`` (the subcommand's parser), so a value the flag would
-    refuse is a DomainError.
+    The keys are the flags of ``command`` (the subcommand's parser) other
+    than ``--config`` and ``--help``. Each loaded value goes through the
+    ``type`` and ``choices`` of its flag, and a flag that takes no value
+    (``store_true``) takes a JSON boolean, so a value the flag would refuse
+    is a DomainError.
     """
     data = vars(ns).copy()
     path = data.pop("config", None)
@@ -165,17 +167,22 @@ def _merge_config(ns: argparse.Namespace, command: argparse.ArgumentParser) -> a
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise DomainError("--config file must hold a JSON object")
-        known = {k for k in data if k != "func"}
-        unknown = set(loaded) - known
+        # argparse exposes a parser's flags only as ``_actions``
+        actions = {
+            action.dest: action
+            for action in command._actions
+            if action.option_strings and action.dest not in ("config", "help")
+        }
+        unknown = set(loaded) - set(actions)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        # argparse exposes a parser's flags only as ``_actions``
-        actions = {action.dest: action for action in command._actions}
         for key, val in loaded.items():
             if data.get(key) is not None:
                 continue
-            action = actions.get(key)
-            if action is not None and val is not None:
+            action = actions[key]
+            if action.nargs == 0 and not isinstance(val, bool):
+                raise DomainError(f"config key {key!r}: {val!r} is not true or false")
+            if val is not None:
                 # a flag's type sees the flag's text, so 2.5 is no --jobs value
                 if action.type is not None:
                     try:
@@ -448,15 +455,10 @@ def cmd_figure(cfg) -> int:
     else:  # fig_id == 6
         n_th = float(_get(cfg, "n_th", 20.0))
         c_values = _parse_set(cfg.c_set) if cfg.c_set else [1.0, 41.0, 1000.0]
-        pops = []
-        for C in c_values:
-            n_ss = exact.mean_phonon_exact(float(C), n_th)
-            pops.append((float(C), n_ss))
-        m_max = max(exact.default_m_max(n_ss, n_th) for _, n_ss in pops)
-        cols = [
-            exact.phonon_populations_exact(C, n_th, m_max) for C, _ in pops
-        ]
-        header = ["n"] + [f"P_C{C:g}" for C, _ in pops]
+        # each column takes its own window; all are then recomputed at the widest
+        m_max = max(exact.phonon_populations_exact(C, n_th).size for C in c_values) - 1
+        cols = [exact.phonon_populations_exact(C, n_th, m_max) for C in c_values]
+        header = ["n"] + [f"P_C{C:g}" for C in c_values]
         rows = [
             [_fmt(n)] + [_fmt(col[n]) for col in cols] for n in range(m_max + 1)
         ]

@@ -26,7 +26,9 @@ form is positive, exactly normalized, and regular everywhere in C > 0,
 n_th > 0 — including the coherent point C = 1 + 2 n_th, where it reduces to a
 Poisson distribution with mean n_th/(2 n_th + 1), so no branch switching is
 needed there. The truncation to m <= m_max leaves a reported tail, never a
-silent renormalization.
+silent renormalization. Without an explicit m_max the window ends at the
+first level m whose tail bound P_m n_th/(1 + C m), which the flux balance
+below gives, is at most 1e-12.
 
 The double series is never summed level by level. The flux balance across
 the cut between n and n+1,
@@ -59,8 +61,10 @@ __all__ = [
     "phonon_populations_exact",
     "classify_regime",
     "steady_state_exact",
-    "default_m_max",
 ]
+
+# a window chosen here ends at the first level whose tail bound is at most this
+_TAIL_TOL = 1e-12
 
 
 def _check_cn(C: float, n_th: float, *, positive_nth: bool = False) -> tuple[float, float]:
@@ -124,21 +128,7 @@ def g2_exact(C: float, n_th: float) -> float | None:
     return _observables(C, n_th)[1]
 
 
-def default_m_max(n_ss: float, n_th: float | None = None) -> int:
-    """Population cutoff covering the distribution to ~10 sigma.
-
-    When ``n_th`` is supplied the cutoff also covers the thermal-bath floor:
-    as C -> 0 the distribution tends to a geometric one whose tail shrinks
-    only by n_th/(n_th+1) per step, far slower than the cooled bulk's width
-    suggests, and reaching 1e-9 tail mass there takes ~ 21*(n_th+1) states.
-    """
-    m = max(30, int(math.ceil(n_ss + 10.0 * math.sqrt(n_ss + 1.0))))
-    if n_th is not None and n_th > 0.0:
-        m = max(m, int(math.ceil(21.0 * (n_th + 1.0))))
-    return m
-
-
-def _populations(C: float, n_th: float, m_max: int, log_f2: float) -> np.ndarray:
+def _window(C: float, n_th: float, m_max: int, log_f2: float) -> np.ndarray:
     """P(0..m_max) from the backward recurrence, normalized by the given
     log f_0(nu, 2y) (the ``log_f`` of :func:`_observables`)."""
     m_max = _kernels.check_window(m_max, "populations at C=%g, n_th=%g", C, n_th)
@@ -152,6 +142,30 @@ def _populations(C: float, n_th: float, m_max: int, log_f2: float) -> np.ndarray
     return np.exp(log_b - log_f2)
 
 
+def _populations(
+    C: float, n_th: float, m_max: int | None, n_ss: float, g2: float | None, log_f2: float
+) -> np.ndarray:
+    """P(0..m_max); with ``m_max=None`` the window ends where its tail is bounded.
+
+    The flux balance gives P_{n+1} <= q_n P_n with q_n = n_th/(n_th + 1 + C n)
+    falling in n, so the mass past level m is below P_m q_m/(1 - q_m) =
+    P_m n_th/(1 + C m), with no 1 - sum(P) and its roundoff. The window ends
+    at the first level where that bound is at most ``_TAIL_TOL``; the trial
+    window that must hold it starts at n_ss + 10 sd, with
+    sd^2 = n_ss + n_ss^2 (g2 - 1) (n_ss where g2 is undefined), and doubles.
+    """
+    if m_max is not None:
+        return _window(C, n_th, m_max, log_f2)
+    var = n_ss if g2 is None else n_ss + n_ss * n_ss * (g2 - 1.0)
+    trial = math.ceil(n_ss + 10.0 * math.sqrt(var))
+    while True:
+        p = _window(C, n_th, trial, log_f2)
+        held = p * n_th / (1.0 + C * np.arange(trial + 1.0)) <= _TAIL_TOL
+        if held[-1]:
+            return p[: int(np.argmax(held)) + 1]
+        trial *= 2
+
+
 def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) -> np.ndarray:
     """Fock populations P(0..m_max) of the exact steady state.
 
@@ -159,18 +173,17 @@ def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) ->
     module docstring through its backward recurrence: one series for B_0, one
     continued-fraction pass per depth doubling, and one series for the
     normalizer f_0(nu, 2y), which also gives the mean occupation. The
-    returned vector is the exact P(m) truncated at ``m_max`` (default: a
-    ~10-sigma cutoff from the mean occupation) — its shortfall from 1 is
-    true tail mass, reported by :func:`steady_state_exact` in the
-    diagnostics, never renormalized away. A series or a recurrence that
-    needs more than the term budget raises :class:`NotConverged`; a window
-    too wide for it raises before any level is computed.
+    returned vector is the exact P(m) truncated at ``m_max`` (default: the
+    first level m whose flux-balance tail bound P_m n_th/(1 + C m) is at most
+    1e-12) — its shortfall from 1 is true tail mass, reported by
+    :func:`steady_state_exact` in the diagnostics, never renormalized away.
+    A series or a recurrence that needs more than the term budget raises
+    :class:`NotConverged`; so does a window too wide for it, before that
+    window's first level is computed.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
-    n_ss, _, sums = _observables(C, n_th)
-    if m_max is None:
-        m_max = default_m_max(n_ss, n_th)
-    return _populations(C, n_th, m_max, sums.log_f)
+    n_ss, g2, sums = _observables(C, n_th)
+    return _populations(C, n_th, m_max, n_ss, g2, sums.log_f)
 
 
 def classify_regime(C: float, n_th: float) -> Regime:
@@ -193,7 +206,8 @@ def steady_state_exact(C: float, n_th: float, m_max: int | None = None) -> Stead
     """Full report: mean occupation, g2, populations, regime, diagnostics."""
     C, n_th = _check_cn(C, n_th)
     if n_th == 0.0:
-        m_max = _kernels.check_window(30 if m_max is None else m_max, "ground state")
+        # every q_m is 0 here, so the window rule ends the window at level 0
+        m_max = _kernels.check_window(0 if m_max is None else m_max, "ground state")
         populations = np.zeros(m_max + 1)
         populations[0] = 1.0
         return SteadyStateReport(
@@ -204,9 +218,7 @@ def steady_state_exact(C: float, n_th: float, m_max: int | None = None) -> Stead
             diagnostics={"model": "exact", "population_tail": 0.0},
         )
     n_ss, g2, sums = _observables(C, n_th)
-    if m_max is None:
-        m_max = default_m_max(n_ss, n_th)
-    populations = _populations(C, n_th, m_max, sums.log_f)
+    populations = _populations(C, n_th, m_max, n_ss, g2, sums.log_f)
     tail = max(0.0, 1.0 - float(populations.sum()))
     return SteadyStateReport(
         n_ss=n_ss,
@@ -217,6 +229,6 @@ def steady_state_exact(C: float, n_th: float, m_max: int | None = None) -> Stead
             "model": "exact",
             "series_terms": sums.terms_used,
             "population_tail": tail,
-            "m_max": m_max,
+            "m_max": populations.size - 1,
         },
     )

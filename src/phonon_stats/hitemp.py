@@ -39,7 +39,7 @@ from scipy.special import gammaln, logsumexp
 from . import _kernels
 from .errors import DomainError, NotConverged, RecursionUnstable
 from .report import Regime, SteadyStateReport
-from .exact import _check_cn, classify_regime, default_m_max
+from .exact import _check_cn, classify_regime
 from .specfun import erfcx
 
 __all__ = [
@@ -261,8 +261,8 @@ def steady_state_hitemp(
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     n_ss = mean_phonon_hitemp(C, n_th)
-    if n_max is None:
-        n_max = default_m_max(n_ss)
+    if n_max is None:  # a Poisson width: it can hide a super-Poissonian tail (K2)
+        n_max = max(30, math.ceil(n_ss + 10.0 * math.sqrt(n_ss + 1.0)))
     # the populations go first, so their window check precedes any moment table
     populations, log_z, method = _fock_projection(C, n_th, n_max)
     g2 = g2_hitemp(C, n_th)

@@ -167,6 +167,18 @@ def test_stats_hitemp_window_budget_exit_2():
     assert "C=1e-09" in proc.stderr and "n_th=1e+07" in proc.stderr
 
 
+def test_stats_hot_exact_point_window_fits(capsys):
+    # auto keeps this point on the series; its window ends where the
+    # flux-balance tail bound holds, a few thousand levels, well inside
+    # the term budget
+    code, out, _ = run(capsys, "stats", "--C", "1", "--n-th", "3e5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["model"] == "exact"
+    assert payload["diagnostics"]["population_tail"] <= 1e-12
+    assert len(payload["populations"]) <= 4000
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({"C": 3.0, "n_th": 1.0, "model": "exact"}))
@@ -200,6 +212,28 @@ def test_config_file(tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--config", str(jobs))
         assert code == 1
         assert "error:" in err and "'jobs'" in err
+
+    # a flag without a value takes a JSON boolean and nothing else
+    quad = tmp_path / "quad.json"
+    parser = cli._build_parser()
+    for value in (True, False):
+        quad.write_text(json.dumps({"include_quad_fluct": value}))
+        ns = parser.parse_args(["stats", "--config", str(quad)])
+        assert cli._merge_config(ns, parser.commands["stats"]).include_quad_fluct is value
+    for value in ("false", 0, None):
+        quad.write_text(json.dumps({"C": 3.0, "n_th": 1.0, "model": "exact",
+                                    "include_quad_fluct": value}))
+        code, out, err = run(capsys, "stats", "--config", str(quad))
+        assert code == 1 and out == ""
+        assert "error:" in err and "'include_quad_fluct'" in err
+
+    # only the subcommand's flags are keys: not its name, not a positional
+    for argv, key in ((["stats"], "cmd"), (["figure", "6", "--out", str(tmp_path)], "fig_id")):
+        extra = tmp_path / f"{key}.json"
+        extra.write_text(json.dumps({key: 3}))
+        code, _, err = run(capsys, *argv, "--config", str(extra))
+        assert code == 1
+        assert "error:" in err and key in err
 
 
 def test_config_value_outside_choices(tmp_path, capsys):

@@ -129,11 +129,10 @@ def test_populations_continuous_through_coherent_point():
 
 
 def test_populations_wide_window():
-    """A hot, weakly damped point whose default window spans 6322 levels."""
+    """A hot, weakly damped point on an explicit window of 6322 levels."""
     C, n_th = 1e-2, 300.0
-    rep = exact.steady_state_exact(C, n_th)
+    rep = exact.steady_state_exact(C, n_th, m_max=6321)
     p = rep.populations
-    assert rep.diagnostics["m_max"] == 6321
     # birth-death flux balance across every cut n | n+1
     n = np.arange(p.size - 2, dtype=float)
     lhs = n_th * p[:-2]
@@ -142,6 +141,23 @@ def test_populations_wide_window():
     assert np.all(np.abs(lhs - rhs)[live] <= 1e-8 * lhs[live])
     assert abs(math.fsum(p) + rep.diagnostics["population_tail"] - 1.0) <= 1e-10
     assert np.arange(p.size) @ p == pytest.approx(rep.n_ss, rel=1e-8)
+
+
+@pytest.mark.parametrize("point", [(3.0, 1.0), (1e-2, 300.0), (1.0, 1e5), (1e-6, 10.0)])
+def test_default_window_ends_where_the_tail_bound_holds(point):
+    # the flux balance gives P_{n+1} <= q_n P_n, q_n = n_th/(n_th + 1 + C n)
+    # falling, so P_m q_m/(1 - q_m) bounds the mass past level m
+    C, n_th = point
+    rep = exact.steady_state_exact(C, n_th)
+    p = rep.populations
+    m = np.arange(p.size, dtype=float)
+    q = n_th / (n_th + 1.0 + C * m)
+    bound = p * q / (1.0 - q)
+    assert bound[-1] <= 1e-12 < bound[-2]
+    assert 1.0 - math.fsum(p) <= 1e-12
+    assert rep.diagnostics["m_max"] == p.size - 1
+    np.testing.assert_array_equal(exact.phonon_populations_exact(C, n_th), p)
+    assert exact.steady_state_exact(C, 0.0).populations.size == 1
 
 
 def test_populations_normalized_at_large_x():
@@ -217,13 +233,6 @@ def test_classify_regime():
     assert exact.classify_regime(C0, n_th) is Regime.COHERENT
     assert exact.classify_regime(C0 * (1.0 + 3e-12), n_th) is Regime.ANTIBUNCHED
     assert exact.classify_regime(C0 * (1.0 - 3e-12), n_th) is Regime.BUNCHED
-
-
-def test_default_m_max():
-    assert exact.default_m_max(0.0) == 30
-    assert exact.default_m_max(100.0) == math.ceil(100.0 + 10.0 * math.sqrt(101.0))
-    # thermal-bath floor dominates for weakly damped hot states
-    assert exact.default_m_max(1.0, 5.0) == 126
 
 
 def test_steady_state_report_vacuum():

@@ -86,6 +86,16 @@ def test_public_names_resolve():
     assert namespace["erfcx"] is phonon_stats.specfun.erfcx
 
 
+def test_all_is_the_exports_plus_errors_and_stamps():
+    errors = {
+        name for name, obj in vars(phonon_stats.errors).items()
+        if isinstance(obj, type) and issubclass(obj, phonon_stats.PhononStatsError)
+    }
+    exports = {name for names in phonon_stats._EXPORTS.values() for name in names}
+    assert len(phonon_stats.__all__) == len(set(phonon_stats.__all__))
+    assert set(phonon_stats.__all__) == exports | errors | {"__version__", "HAS_NUMBA"}
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         phonon_stats.no_such_name
