@@ -16,8 +16,10 @@ so the observables never meet the scale log Gamma(nu) ~ nu log nu.
 
 The per-level population sums B_m(nu, y) = sum_{k>=m} C(k, m) t_k come from
 the anchor B_0 = f_0(nu, y) and a backward continued fraction for the ratios
-(m+1) B_{m+1}/B_m (Miller's algorithm), with the start depth chosen by
-:func:`backward_ratios`, which the high-temperature moment table shares.
+(m+1) B_{m+1}/B_m (Miller's algorithm), run by :func:`backward_ratios`, which
+the high-temperature moment table shares. Its fractions are positive, so two
+runs from a zero tail at adjacent depths bracket the minimal solution; the
+depth grows until that bracket closes, and one run carries it down.
 
 ``_MAX_TERMS``, the one budget of series terms and recurrence levels on both
 analytic routes, is read at call time, so a test can lower it.
@@ -36,9 +38,12 @@ _CHUNK = 1 << 18
 # the series stops once its last term is below this, relative to each sum
 _SERIES_TOL = 1e-18
 
-# the backward ratios are accepted once a doubled start depth moves none of
-# them by more than this, relative
+# the backward ratios are accepted once their bracket is this narrow, relative
 _RATIO_TOL = 1e-15
+
+# levels run below the window before the bracket is first checked; doubled
+# until it closes
+_EXCESS = 64
 
 _MAX_TERMS = 10_000_000
 
@@ -46,16 +51,24 @@ _MAX_TERMS = 10_000_000
 def _log_ratios(nu, x, d, i):
     """log(t_{i+1}/t_i) = log(x/(nu + i)) at the indices ``i``, d = x - nu.
 
+    ``i`` is monotone (a chunk of consecutive indices, either direction).
+
     log1p(a), a = (d - i)/(nu + i), keeps the small logs near the peak
     accurate; where the ratio 1 + a is below 1/2, a is near -1 and 1 + a has
-    lost digits, so the log of the ratio itself is taken there.
+    lost digits, so the log of the ratio itself is taken there, or
+    log x - log(nu + i) where the ratio underflows to 0.
     """
     den = nu + i
     a = (d - i) / den
     lr = np.log1p(np.maximum(a, -0.5))
     low = a < -0.5
     if low.any():
-        lr[low] = np.log(x / den[low])
+        ratio = x / den[low]
+        if ratio[0] and ratio[-1]:  # the smallest ratio is at one end
+            lr[low] = np.log(ratio)
+        else:
+            split = math.log(x) - np.log(den[low])
+            lr[low] = np.log(ratio, out=split, where=ratio > 0.0)
     return lr
 
 
@@ -108,23 +121,18 @@ def series_logsums(nu, x):
 # ---------------------------------------------------------------------------
 
 
-def first_depth(n_ratios):
-    """Start depth of :func:`backward_ratios`; its check needs a deeper run."""
-    return 2 * n_ratios + 50
-
-
 def check_window(m_max, what, *args):
     """Return ``m_max`` as an int once the window 0..m_max is valid and fits.
 
     Raises :class:`NotConverged` before any work when the first backward depth
-    for its ``m_max`` ratios already reaches ``_MAX_TERMS``, which leaves no
-    room for the doubling check. ``what % args`` names the window in the
-    message; it is formatted only on failure, since the check runs per point.
+    for its ``m_max`` ratios, ``m_max + _EXCESS``, already reaches
+    ``_MAX_TERMS``. ``what % args`` names the window in the message; it is
+    formatted only on failure, since the check runs per point.
     """
     m_max = int(m_max)
     if m_max < 0:
         raise DomainError(f"{what % args}: the window end must be >= 0, got {m_max!r}")
-    if first_depth(m_max) >= _MAX_TERMS:
+    if m_max + _EXCESS >= _MAX_TERMS:
         raise NotConverged(
             f"{what % args}: a window of {m_max} levels does not fit the "
             f"{_MAX_TERMS}-term budget",
@@ -134,40 +142,47 @@ def check_window(m_max, what, *args):
 
 
 def backward_ratios(p, q, s, n_ratios):
-    """Miller's backward algorithm for x_k = p(k+1) / (q + s k + x_{k+1}).
+    """Minimal solution of x_k = p(k+1) / (q + s k + x_{k+1}), k < n_ratios.
 
-    Returns the first ``n_ratios`` ratios x_0..x_{n_ratios-1} of the minimal
-    solution. Every term is positive for p, q > 0 and s >= 0. Each run starts
-    from a zero tail ratio at level ``depth`` and goes down to level 0; the
-    result stops depending on ``depth`` once it is deep enough, so the depth
-    starts at :func:`first_depth` (2*n_ratios + 50) and doubles until two
-    successive runs agree to ``_RATIO_TOL`` relative, or until the depth
-    reaches ``_MAX_TERMS``.
+    For p, q > 0 and s >= 0 the map is positive and decreasing in x_{k+1}, so
+    the runs from a zero tail x_D = 0 and x_{D-1} = 0 bracket the minimal
+    solution at every level below D-1 (the alternating convergents of a
+    positive continued fraction; Jones & Thron, Continued Fractions, 1980,
+    ch. 4; Gautschi, SIAM Rev. 9, 24 (1967)). Both lanes run in one loop from
+    D = n_ratios + ``_EXCESS`` to the top level n_ratios - 1, and the excess
+    doubles until their relative gap there is at most ``_RATIO_TOL``, or until
+    D reaches ``_MAX_TERMS``. For c > 0, |log((c+u)/(c+v))| < |log(u/v)|, so
+    the gap only narrows further down: one lane carries the midpoint of the
+    bracket from the top level to level 0.
 
-    Returns (ratios, levels_run, converged); ``levels_run`` sums the depths
-    of all runs.
+    Returns (ratios, levels_run, converged, width): ``levels_run`` counts the
+    levels visited, a level both lanes run once; ``width`` is the final
+    relative gap at the top level, which bounds the relative error of every
+    returned ratio up to roundoff.
     """
-
-    def run(depth):
-        x = 0.0
-        for k in range(depth - 1, n_ratios - 1, -1):
-            x = p * (k + 1) / (q + s * k + x)
-        out = np.empty(n_ratios)
-        for k in range(n_ratios - 1, -1, -1):
-            x = p * (k + 1) / (q + s * k + x)
-            out[k] = x
-        return out
-
-    depth = min(first_depth(n_ratios), _MAX_TERMS)
-    ratios = run(depth)
-    levels = depth
-    while depth < _MAX_TERMS:
-        depth = min(2 * depth, _MAX_TERMS)
-        prev, ratios = ratios, run(depth)
-        levels += depth
-        if np.all(np.abs(ratios - prev) <= _RATIO_TOL * ratios):
-            return ratios, levels, True
-    return ratios, levels, False
+    top = n_ratios - 1
+    if top < 0:
+        return np.empty(0), 0, True, 0.0
+    excess, levels = _EXCESS, 0
+    while True:
+        depth = min(n_ratios + excess, _MAX_TERMS)
+        lo, hi = 0.0, p * depth / (q + s * (depth - 1))  # x_{D-1} on each lane
+        for k in range(depth - 2, top - 1, -1):
+            num, den = p * (k + 1), q + s * k
+            lo, hi = num / (den + hi), num / (den + lo)
+        levels += depth - top
+        gap = hi - lo
+        width = gap / lo if lo > 0.0 else (math.inf if gap > 0.0 else 0.0)
+        converged = width <= _RATIO_TOL
+        if converged or depth >= _MAX_TERMS:
+            break
+        excess *= 2
+    out = np.empty(n_ratios)
+    out[top] = x = 0.5 * (lo + hi)
+    for k in range(top - 1, -1, -1):
+        x = p * (k + 1) / (q + s * k + x)
+        out[k] = x
+    return out, levels + top, converged, width
 
 
 def population_logsums(nu, y, m_max):
@@ -189,6 +204,6 @@ def population_logsums(nu, y, m_max):
     nu, y, m_max = float(nu), float(y), int(m_max)
     log_b = np.empty(m_max + 1)
     log_b[0], _, _, terms, ok = series_logsums(nu, y)
-    rho, levels, ok_rho = backward_ratios(y, nu - y, 1.0, m_max)
+    rho, levels, ok_rho, _ = backward_ratios(y, nu - y, 1.0, m_max)
     log_b[1:] = log_b[0] + np.cumsum(np.log(rho / np.arange(1.0, m_max + 1.0)))
     return log_b, terms + levels, ok and ok_rho

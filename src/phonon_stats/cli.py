@@ -455,6 +455,8 @@ def cmd_figure(cfg) -> int:
     else:  # fig_id == 6
         n_th = float(_get(cfg, "n_th", 20.0))
         c_values = _parse_set(cfg.c_set) if cfg.c_set else [1.0, 41.0, 1000.0]
+        if not c_values:
+            raise DomainError("figure 6 needs at least one C in --c-set")
         # each column takes its own window; all are then recomputed at the widest
         m_max = max(exact.phonon_populations_exact(C, n_th).size for C in c_values) - 1
         cols = [exact.phonon_populations_exact(C, n_th, m_max) for C in c_values]

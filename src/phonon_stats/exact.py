@@ -171,8 +171,8 @@ def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) ->
 
     Evaluates the analytically normalized double series described in the
     module docstring through its backward recurrence: one series for B_0, one
-    continued-fraction pass per depth doubling, and one series for the
-    normalizer f_0(nu, 2y), which also gives the mean occupation. The
+    bracketed continued-fraction pass for the level ratios, and one series for
+    the normalizer f_0(nu, 2y), which also gives the mean occupation. The
     returned vector is the exact P(m) truncated at ``m_max`` (default: the
     first level m whose flux-balance tail bound P_m n_th/(1 + C m) is at most
     1e-12) — its shortfall from 1 is true tail mass, reported by

@@ -151,13 +151,13 @@ def _moments_backward(a: float, b: float, n_max: int) -> np.ndarray:
     M_n is the minimal solution of the recursion, so the scaled ratios
     tau_n = m~_n/m~_{n-1} follow from  tau_n = n / (r + 2 tau_{n+1}),  in
     which every term is positive, anchored at the erfcx closed form of m~_0.
-    The fraction converges in a few multiples of n_max levels when
+    Its bracket closes within a few dozen levels of the window when
     r = a/sqrt(b) is large, which is where the recursion is refused; at small
     r it would need millions of levels, so it never replaces the recursion.
     """
     r = a / math.sqrt(b)
     # sigma_k = 2 tau_{k+1} = 2(k+1) / (r + sigma_{k+1})
-    sigma, levels, ok = _kernels.backward_ratios(2.0, r, 0.0, n_max)
+    sigma, levels, ok, _ = _kernels.backward_ratios(2.0, r, 0.0, n_max)
     if not ok:
         raise NotConverged(
             f"backward moment fraction at a={a:g}, b={b:g} (a/sqrt(b)={r:g}) "

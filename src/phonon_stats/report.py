@@ -41,7 +41,7 @@ class SteadyStateReport:
             "n_ss": self.n_ss,
             "g2": self.g2,
             "regime": self.regime.value,
-            "populations": [float(p) for p in np.asarray(self.populations)],
+            "populations": np.asarray(self.populations).tolist(),
             "diagnostics": dict(self.diagnostics),
         }
 

@@ -152,19 +152,19 @@ def test_stats_nonconvergence_exit_2(capsys):
 
 
 def test_stats_hitemp_window_budget_exit_2():
-    # auto sends this point to hitemp, whose default window of 9.6e6 levels
+    # auto sends this point to hitemp, whose default window of 2e7 levels
     # cannot fit the term budget: refused before the moment table is built
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "phonon_stats", "stats", "--C", "1e-9", "--n-th", "1e7"],
+        [sys.executable, "-m", "phonon_stats", "stats", "--C", "1e-10", "--n-th", "2e7"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "10000000-term budget" in proc.stderr
     # the message names the user's point, not the moment parameters
-    assert "C=1e-09" in proc.stderr and "n_th=1e+07" in proc.stderr
+    assert "C=1e-10" in proc.stderr and "n_th=2e+07" in proc.stderr
 
 
 def test_stats_hot_exact_point_window_fits(capsys):
@@ -416,6 +416,14 @@ def test_figure6_dataset(tmp_path, capsys):
     var = sum((ni - mean) ** 2 * pi for ni, pi in zip(n, p))
     assert abs(sum(p) - 1.0) <= 1e-9
     assert var / mean == pytest.approx(1.0, abs=1e-3)
+
+
+def test_figure6_empty_c_set_exit_1(tmp_path, capsys):
+    code, out, err = run(capsys, "figure", "6", "--c-set", ",", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "--c-set" in err
+    assert not (tmp_path / "figure6.csv").exists()
 
 
 def test_validate_small_grid(capsys):

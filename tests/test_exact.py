@@ -1,6 +1,7 @@
 import math
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -188,8 +189,16 @@ def test_series_cap_raises_not_converged():
         exact.mean_phonon_exact(1e-7, 1e7)
 
 
+def test_tiny_n_th_series_warns_nothing():
+    # x/(nu + k) underflows to 0 in the series at n_th = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact.mean_phonon_exact(1.0, 5e-324) == 5e-324
+
+
 def test_population_cap_raises_not_converged(monkeypatch):
-    # a 60-term budget cannot hold the doubling check of the backward recurrence
+    # a 60-term budget cannot hold the first backward depth 5 + 64: the
+    # window is refused before any level is computed
     monkeypatch.setattr(_kernels, "_MAX_TERMS", 60)
     with pytest.raises(NotConverged) as exc:
         exact.phonon_populations_exact(10.0, 1.0, 5)
@@ -212,7 +221,7 @@ def test_population_cap_checked_before_any_level(fn, monkeypatch):
 def test_ground_state_window_checked_against_the_budget():
     # the ground state needs no recurrence, but its window obeys the same budget
     with pytest.raises(NotConverged) as exc:
-        exact.steady_state_exact(10.0, 0.0, 5 * 10**6)
+        exact.steady_state_exact(10.0, 0.0, 10**7 - 64)
     assert exc.value.terms_used == 10_000_000
     with pytest.raises(DomainError):
         exact.steady_state_exact(10.0, 0.0, -2)

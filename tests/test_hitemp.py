@@ -163,6 +163,17 @@ def test_domain_errors():
         hitemp.phonon_distribution_hitemp(1.0, 1.0, -1)
 
 
+def test_open_bracket_raises_not_converged(monkeypatch):
+    # at a/sqrt(b) = 6 the recursion is refused for 100 orders, and the
+    # backward bracket needs 128 levels past the window to close; a budget of
+    # 165 admits the window (its first depth 164) but stops the bracket
+    monkeypatch.setattr(_kernels, "_MAX_TERMS", 165)
+    with pytest.raises(NotConverged) as exc:
+        hitemp.gaussian_quartic_moments(6.0, 1.0, 100)
+    assert "backward moment fraction" in str(exc.value)
+    assert exc.value.terms_used >= 165
+
+
 def test_window_budget_checked_before_either_direction(monkeypatch):
     # 1e8 levels need a backward depth past the 1e7-term budget; unpatched,
     # either direction would walk 1e8 levels before failing

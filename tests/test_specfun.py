@@ -211,6 +211,77 @@ def test_population_logsums_match_double_series(nu, y, m_max):
     np.testing.assert_allclose(log_t, ref, rtol=1e-14, atol=1e-12)
 
 
+def _minimal_solution(p, q, s, n):
+    """x_0..x_{n-1} of x_k = p(k+1)/(q + s k + x_{k+1}) at 50 digits, run down
+    from a zero tail at depth 4n + 1000; a tail twice as deep agrees to 50
+    digits at every point below."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        p, q, s = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(s)
+        x, out = mpmath.mpf(0), []
+        for k in range(4 * n + 999, -1, -1):
+            x = p * (k + 1) / (q + s * k + x)
+            if k < n:
+                out.append(x)
+    return out[::-1]
+
+
+def _fraction(route, C, n_th):
+    """(p, q, s) of the backward fraction that ``route`` runs at (C, n_th)."""
+    if route == "exact":  # population ratios: p = y, q = nu - y, s = 1
+        nu, y = (1.0 + 2.0 * n_th) / C, n_th / C
+        return y, nu - y, 1.0
+    a, b = 1.0 + 1.0 / n_th, C / n_th  # hitemp Fock moment table
+    return 2.0, a / math.sqrt(b), 0.0
+
+
+# the default windows there: 330 exact levels and 2590 hitemp levels, the
+# latter from the backward moment table (a/sqrt(b) = 3914)
+BRACKET_POINTS = [("exact", 0.05, 200.0, 330), ("hitemp", 2.22278e-3, 34053.2, 2590)]
+
+
+@pytest.mark.parametrize("route,C,n_th,n", BRACKET_POINTS)
+def test_backward_ratios_match_mpmath_minimal_solution(route, C, n_th, n):
+    p, q, s = _fraction(route, C, n_th)
+    ratios, levels, ok, width = _kernels.backward_ratios(p, q, s, n)
+    assert ok and width <= _kernels._RATIO_TOL
+    # one pass: the window plus the first excess over it
+    assert levels == n + _kernels._EXCESS
+    ref = np.array([float(x) for x in _minimal_solution(p, q, s, n)])
+    np.testing.assert_allclose(ratios, ref, rtol=_kernels._RATIO_TOL, atol=0.0)
+
+
+@pytest.mark.parametrize("route,C,n_th,n", BRACKET_POINTS)
+def test_open_bracket_bounds_every_level(route, C, n_th, n, monkeypatch):
+    """A budget one level past the window stops the lanes after one step:
+    the bracket stays open, and its width still bounds the error of every
+    returned ratio against the 50-digit minimal solution."""
+    p, q, s = _fraction(route, C, n_th)
+    monkeypatch.setattr(_kernels, "_MAX_TERMS", n + 1)
+    ratios, _, ok, width = _kernels.backward_ratios(p, q, s, n)
+    assert not ok and width > _kernels._RATIO_TOL
+    ref = _minimal_solution(p, q, s, n)
+    err = max(float(abs(x - r) / r) for x, r in zip(ratios, ref))
+    assert err <= width + 1e-15
+
+
+def test_backward_ratios_short_windows():
+    ratios, levels, ok, width = _kernels.backward_ratios(2.0, 6.0, 0.0, 0)
+    assert ratios.shape == (0,) and levels == 0 and ok and width == 0.0
+    ratios, levels, ok, width = _kernels.backward_ratios(2.0, 6.0, 0.0, 1)
+    assert ratios.shape == (1,) and ok and width <= _kernels._RATIO_TOL
+    assert ratios[0] == pytest.approx(float(_minimal_solution(2.0, 6.0, 0.0, 1)[0]), rel=1e-15)
+
+
+def test_check_window_bounds_the_first_depth():
+    # the first backward depth is m_max + 64, which must stay below the budget
+    cap = _kernels._MAX_TERMS
+    assert _kernels.check_window(cap - 65, "window") == cap - 65
+    with pytest.raises(NotConverged) as exc:
+        _kernels.check_window(cap - 64, "window")
+    assert exc.value.terms_used == cap
+
+
 @pytest.mark.parametrize("module", ["_kernels.py", "exact.py", "specfun.py"])
 def test_exact_route_modules_import_no_scipy(module):
     """The series kernel and the exact route need only numpy and math.
