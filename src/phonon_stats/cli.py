@@ -300,9 +300,14 @@ def _point_observables(name, C, n_th, cfg) -> tuple[str, float, float | None, Re
 
 
 def _point_worker(task):
-    """Sweep worker (module-level so it pickles); shares nothing."""
+    """Sweep worker (module-level so it pickles); shares nothing. A point
+    that fails to converge returns its message as a string, so the rest of
+    the grid survives it."""
     C, n_th, model, cfg_dict = task
-    name, n_ss, g2, regime = _point_observables(model, C, n_th, argparse.Namespace(**cfg_dict))
+    try:
+        name, n_ss, g2, regime = _point_observables(model, C, n_th, argparse.Namespace(**cfg_dict))
+    except _NONCONV as exc:
+        return str(exc)
     return {"C": C, "n_th": n_th, "model": name, "n_ss": n_ss, "g2": g2, "regime": regime.value}
 
 
@@ -386,6 +391,8 @@ def cmd_sweep(cfg) -> int:
             rows = pool.map(_point_worker, tasks)
     else:
         rows = [_point_worker(t) for t in tasks]
+    failed = [(task, msg) for task, msg in zip(tasks, rows) if isinstance(msg, str)]
+    rows = [row for row in rows if not isinstance(row, str)]
 
     fmt = _get(cfg, "format", "csv")
     if fmt == "json":
@@ -401,7 +408,9 @@ def cmd_sweep(cfg) -> int:
         _emit_text(_csv_text(header, csv_rows), cfg.out)
     else:
         raise DomainError(f"unknown format {fmt!r}")
-    return EXIT_OK
+    for (C, n_th, _, _), msg in failed:
+        print(f"error: C={_fmt(C)} n_th={_fmt(n_th)}: {msg}", file=sys.stderr)
+    return EXIT_NOCONV if failed else EXIT_OK
 
 
 # figure datasets: captions' parameter sets, hard-coded, flag-overridable

@@ -23,16 +23,29 @@ assembled sparse by one function in the effective-Hamiltonian form
 (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): with column stacking,
 vec(X rho Y) = (Y^T kron X) vec(rho), and A = -i H - (1/2) sum_k rate_k
 o_k^dag o_k, it is I kron A + conj(A) kron I + sum_k rate_k conj(o_k) kron
-o_k, cavity slot first. The steady state is the null vector, pinned by
-replacing one row with the trace constraint (scaled to the Liouvillian's own
-norm so the system stays well conditioned); the solution is hermitized, one
+o_k, cavity slot first. A builder's generator is linear in its rates and
+couplings, sum_k c_k G_k, so that function forms each unit part G_k (one
+unit-rate jump or one unit Hamiltonian term) once per model and truncation;
+a bounded cache keeps them, and each build only weighs them with its c_k.
+
+Each builder also declares a weak symmetry (Buca & Prosen, NJP 14, 073007
+(2012); Albert & Jiang, PRA 89, 022118 (2014)) as an integer charge per
+basis state: n_b for the reduced model, 2 n_a + n_b for the two-mode RWA
+model, n_b mod 2 before the RWA. L never mixes entries of rho whose charge
+differences differ, so the steady state lies in the sector of zero
+difference, which holds the diagonal, and only that block is solved: d
+unknowns instead of d^2 for the reduced model. It is solved in the
+generator's dtype (real for the reduced model), pinned by replacing one row
+with the trace constraint (scaled to the Liouvillian's own norm so the
+system stays well conditioned); the solution is hermitized, one
 eigen-decomposition enforces positivity up to a small floor and is kept as
-``min_eigenvalue``, and the residual of the original generator is checked
+``min_eigenvalue``, and the residual of the whole generator is checked
 before anything is reported.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,14 +104,39 @@ class TruncationSpec:
 
 @dataclass(eq=False)
 class Superoperator:
-    """Sparse Liouvillian acting on vec(rho), dims = (dim_cav, dim_mech)."""
+    """Sparse Liouvillian acting on vec(rho), dims = (dim_cav, dim_mech).
+
+    ``charge`` declares a weak symmetry: one integer per basis state such
+    that L never couples the entry (i, j) of rho to an entry (k, l) whose
+    charge difference differs from charge_i - charge_j, modulo ``modulus``
+    (exactly when ``modulus`` is None). The steady state then lies in the
+    sector of zero difference, which holds the diagonal. ``charge=None``
+    puts every entry in that one sector.
+    """
 
     dims: tuple[int, int]
     matrix: sp.csr_matrix
+    charge: np.ndarray | None = None
+    modulus: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.charge is not None and np.shape(self.charge) != (self.dim,):
+            raise DomainError(f"charge needs one integer per basis state, {self.dim} in all")
 
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
+
+    def sector(self) -> np.ndarray:
+        """Ascending vec(rho) indices (column stacking) of the zero-charge-
+        difference sector; every index when no charge is declared."""
+        d = self.dim
+        if self.charge is None:
+            return np.arange(d * d)
+        diff = self.charge[:, None] - self.charge[None, :]
+        if self.modulus is not None:
+            diff %= self.modulus
+        return np.flatnonzero(diff.ravel(order="F") == 0)
 
     def trace_defect(self) -> float:
         """max_j |sum_i <i| L applied to basis unit |j>| traced — exactly 0
@@ -138,7 +176,7 @@ def _lift(op: sp.spmatrix, dims: tuple[int, int], slot: int) -> sp.csr_matrix:
 def _liouvillian(h: sp.spmatrix | None, jumps) -> sp.csr_matrix:
     """vec form of -i[h, .] + sum_k (rate_k/2) D[o_k] for ``jumps`` of
     (o_k, rate_k); ``h = None`` (no Hamiltonian) keeps a real generator real."""
-    d = jumps[0][0].shape[0]
+    d = (jumps[0][0] if h is None else h).shape[0]
     eye = sp.identity(d, format="csr")
     a = sum((0.5 * rate) * (op.conj().T @ op) for op, rate in jumps)
     a = -a if h is None else (-1j) * h - a
@@ -146,6 +184,55 @@ def _liouvillian(h: sp.spmatrix | None, jumps) -> sp.csr_matrix:
     for op, rate in jumps:
         out = out + rate * sp.kron(op.conj(), op)
     return out.tocsr()
+
+
+def _unit_terms(model: str, dims: tuple[int, int]):
+    """Unit-rate jump operators and unit-coupling Hamiltonian terms of
+    ``model``, in the order of the coefficients its builder passes."""
+    if model == "reduced":
+        b = _destroy(dims[1])
+        return [b @ b, b.conj().T, b], []
+    a = _lift(_destroy(dims[0]), dims, 0)
+    b = _lift(_destroy(dims[1]), dims, 1)
+    ad, bd = a.conj().T, b.conj().T
+    jumps = [a, bd, b]  # cavity loss, thermal gain, thermal loss
+    if model == "rwa":
+        return jumps, [ad @ b @ b + bd @ bd @ a]
+    x2 = (b + bd) @ (b + bd)
+    num_a = ad @ a
+    return jumps, [num_a, bd @ b, b @ b + bd @ bd, (a + ad) @ x2, num_a @ x2]
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_parts(model: str, dims: tuple[int, int]):
+    """The unit generators G_k of ``model`` at ``dims``, each from
+    :func:`_liouvillian`, stacked on the union of their sparsity patterns.
+
+    Returns (indices, indptr, weights): the CSR pattern of sum_k c_k G_k and
+    a sparse (nnz, K) matrix whose product with the coefficients c gives the
+    data array in that pattern.
+    """
+    jumps, terms = _unit_terms(model, dims)
+    gens = [_liouvillian(None, [(op, 1.0)]) for op in jumps]
+    gens += [_liouvillian(h, []) for h in terms]
+    n = gens[0].shape[0]
+    coos = [g.tocoo() for g in gens]
+    keys = np.concatenate([c.row.astype(np.int64) * n + c.col for c in coos])
+    union, slot = np.unique(keys, return_inverse=True)
+    part = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
+    dtype = np.result_type(*(g.dtype for g in gens))
+    vals = np.concatenate([c.data.astype(dtype) for c in coos])
+    weights = sp.csr_matrix((vals, (slot, part)), shape=(union.size, len(coos)))
+    indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
+    return (union % n).astype(np.int32), indptr.astype(np.int32), weights
+
+
+def _assemble(model: str, dims: tuple[int, int], coefs) -> sp.csr_matrix:
+    """sum_k coefs[k] G_k, in arrays of its own (the cache stays untouched)."""
+    indices, indptr, weights = _unit_parts(model, dims)
+    data = weights @ np.asarray(coefs, dtype=np.float64)
+    n = indptr.size - 1
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
 def _check_finite(**params: float) -> None:
@@ -159,7 +246,9 @@ def build_reduced_liouvillian(
     C: float, n_th: float, trunc: TruncationSpec
 ) -> Superoperator:
     """Single-mode generator (C/2) D[b^2] + (n_th/2) D[b^dag]
-    + ((n_th+1)/2) D[b], time in units of 1/gamma."""
+    + ((n_th+1)/2) D[b], time in units of 1/gamma. Every jump moves n_b
+    on both sides of rho alike, so the charge is n_b and the steady
+    state is diagonal."""
     if trunc.dim_cav != 1:
         raise DomainError("reduced model is single-mode; dim_cav must be 1")
     C = float(C)
@@ -167,15 +256,15 @@ def build_reduced_liouvillian(
     _check_finite(C=C, n_th=n_th)
     if C < 0.0 or n_th < 0.0:
         raise DomainError("C and n_th must be nonnegative")
-    b = _destroy(trunc.dim_mech)
-    jumps = [(b @ b, C), (b.conj().T, n_th), (b, n_th + 1.0)]
-    return Superoperator((1, trunc.dim_mech), _liouvillian(None, jumps))
+    dims = (1, trunc.dim_mech)
+    matrix = _assemble("reduced", dims, (C, n_th, n_th + 1.0))
+    return Superoperator(dims, matrix, charge=np.arange(dims[1]))
 
 
-def _two_mode_parts(model, trunc, kappa, gamma, n_th, **finite):
-    """Checks, lifted a and b, and the jump list the two-mode builders share:
-    cavity loss kappa, mechanical contact gamma at occupation n_th.
-    ``finite`` holds the builder's own parameters checked ahead of these."""
+def _two_mode_checks(model, trunc, kappa, gamma, n_th, **finite):
+    """Checks the two-mode builders share: cavity loss kappa, mechanical
+    contact gamma at occupation n_th. ``finite`` holds the builder's own
+    parameters checked ahead of these. Returns (dims, jump coefficients)."""
     if trunc.dim_cav < 2:
         raise DomainError(f"{model} model needs dim_cav >= 2")
     _check_finite(**finite, kappa=kappa, gamma=gamma, n_th=n_th)
@@ -184,10 +273,7 @@ def _two_mode_parts(model, trunc, kappa, gamma, n_th, **finite):
     if n_th < 0.0:
         raise DomainError("n_th must be nonnegative")
     dims = (trunc.dim_cav, trunc.dim_mech)
-    a = _lift(_destroy(dims[0]), dims, 0)
-    b = _lift(_destroy(dims[1]), dims, 1)
-    jumps = [(a, kappa), (b.conj().T, gamma * n_th), (b, gamma * (n_th + 1.0))]
-    return dims, a, b, jumps
+    return dims, [kappa, gamma * n_th, gamma * (n_th + 1.0)]
 
 
 def build_two_mode_rwa_liouvillian(
@@ -198,11 +284,13 @@ def build_two_mode_rwa_liouvillian(
     trunc: TruncationSpec,
 ) -> Superoperator:
     """Cavity + mechanics with H = g (a^dag b^2 + b^dag^2 a) in the rotating
-    frame, cavity loss kappa, mechanical contact gamma at occupation n_th."""
-    dims, a, b, jumps = _two_mode_parts("two-mode", trunc, kappa, gamma, n_th, g=g)
-    b2 = b @ b
-    h = g * (a.conj().T @ b2 + b2.conj().T @ a)
-    return Superoperator(dims, _liouvillian(h, jumps))
+    frame, cavity loss kappa, mechanical contact gamma at occupation n_th.
+    H conserves 2 n_a + n_b and each jump moves it on both sides of rho
+    alike, so that is the charge."""
+    dims, coefs = _two_mode_checks("two-mode", trunc, kappa, gamma, n_th, g=g)
+    matrix = _assemble("rwa", dims, coefs + [g])
+    charge = np.add.outer(2 * np.arange(dims[0]), np.arange(dims[1])).ravel()
+    return Superoperator(dims, matrix, charge=charge)
 
 
 def build_prerwa_liouvillian(
@@ -223,64 +311,69 @@ def build_prerwa_liouvillian(
     with Delta_c = -2 omega' taken from ``reduced`` (enforced there), the
     displaced-frame coupling g = g0 sqrt(n_c), and the static squeezing term
     g0 n_c = g sqrt(n_c) carried by the condensate displacement. Frequencies
-    are in the same units as kappa and gamma.
+    are in the same units as kappa and gamma. Only the parity of n_b
+    survives the counter-rotating terms: the charge is n_b mod 2.
     """
-    dims, a, b, jumps = _two_mode_parts("pre-RWA", trunc, kappa, gamma, n_th)
+    dims, coefs = _two_mode_checks("pre-RWA", trunc, kappa, gamma, n_th)
     if reduced.n_c == 0.0 and reduced.g > 0.0:
         raise DomainError(
             "pre-RWA model needs the cavity occupation n_c that produced g"
         )
-    b2 = (b @ b).tocsr()
-    x2 = (b + b.conj().T) @ (b + b.conj().T)
-    num_a = (a.conj().T @ a).tocsr()
     g = reduced.g
-    omega = reduced.omega_m_eff
-    h = (
-        (-reduced.Delta_c) * num_a
-        + omega * (b.conj().T @ b)
-        + (g * math.sqrt(reduced.n_c)) * (b2 + b2.conj().T)
-        + g * ((a + a.conj().T) @ x2)
-    )
-    if include_quadratic_fluctuation:
-        g0 = g / math.sqrt(reduced.n_c) if reduced.n_c > 0.0 else 0.0
-        h = h + g0 * (num_a @ x2)
-    return Superoperator(dims, _liouvillian(h, jumps))
+    g0 = 0.0
+    if include_quadratic_fluctuation and reduced.n_c > 0.0:
+        g0 = g / math.sqrt(reduced.n_c)
+    coefs += [-reduced.Delta_c, reduced.omega_m_eff, g * math.sqrt(reduced.n_c), g, g0]
+    matrix = _assemble("prerwa", dims, coefs)
+    charge = np.tile(np.arange(dims[1]), dims[0])
+    return Superoperator(dims, matrix, charge=charge, modulus=2)
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:
-    """Null vector of the generator, pinned by the trace constraint.
+    """Null vector of the generator in its declared sector, pinned by the
+    trace constraint.
 
-    Row 0 of L is replaced by the trace functional scaled to ||L||_inf, the
-    right-hand side is that same scale, and the sparse LU solution is
-    hermitized and floor-checked; the one ``eigvalsh`` of that check also
-    sets ``min_eigenvalue``, which :func:`observables` reports. Raises
-    :class:`SingularSystem` when the factorization degenerates or the
-    unpinned generator's residual exceeds ``1e-10 ||L||_inf`` (e.g. a
-    generator with multiple steady states), and
-    :class:`UnphysicalState` when an eigenvalue falls below -1e-8.
+    Only the block L[S, S] of the sector S (see :class:`Superoperator`) is
+    solved, in the generator's own dtype, so a real generator takes a real
+    factorization; with no charge S is every entry. The row of rho[0, 0]
+    is replaced by the trace functional scaled to ||L||_inf, the right-hand
+    side is that same scale, and the sparse LU solution is hermitized and
+    floor-checked; the one ``eigvalsh`` of that check also sets
+    ``min_eigenvalue``, which :func:`observables` reports. The residual is
+    taken against the whole generator. Raises :class:`SingularSystem` when
+    the factorization degenerates or that residual exceeds
+    ``1e-10 ||L||_inf`` (e.g. a generator with multiple steady states), and
+    :class:`UnphysicalState` when an eigenvalue falls below -1e-8. A second
+    steady state outside the sector goes unseen, so only generators whose
+    symmetry is known declare a charge.
     """
     d = sup.dim
-    L = sup.matrix.tocsr().astype(np.complex128)
+    L = sup.matrix.tocsr()
     scale = float(np.max(np.abs(L).sum(axis=1))) or 1.0
 
-    coo = L.tocoo()
-    keep = coo.row != 0
+    sector = sup.sector()
+    n = sector.size
+    coo = L[sector][:, sector].tocoo()
+    keep = coo.row != 0  # rho[0, 0] is sector entry 0
+    trace_cols = np.searchsorted(sector, np.arange(d) * (d + 1))
     rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], np.arange(d) * (d + 1)])
-    vals = np.concatenate([coo.data[keep], np.full(d, scale, dtype=np.complex128)])
-    pinned = sp.csc_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    cols = np.concatenate([coo.col[keep], trace_cols])
+    vals = np.concatenate([coo.data[keep], np.full(d, scale, dtype=L.dtype)])
+    pinned = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
-    rhs = np.zeros(d * d, dtype=np.complex128)
+    rhs = np.zeros(n, dtype=L.dtype)
     rhs[0] = scale
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            vec = spsolve(pinned, rhs)
+            sol = spsolve(pinned, rhs)
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystem(f"sparse solve failed: {exc}") from exc
-    if not np.all(np.isfinite(vec)):
+    if not np.all(np.isfinite(sol)):
         raise SingularSystem("sparse solve returned non-finite entries")
 
+    vec = np.zeros(d * d, dtype=sol.dtype)
+    vec[sector] = sol
     rho = vec.reshape(d, d, order="F")  # column stacking
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.real(np.trace(rho)))

@@ -302,6 +302,27 @@ def test_sweep_deterministic_and_parallel(tmp_path, capsys):
     assert out1.read_bytes() == out3.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+def test_sweep_keeps_converged_rows_past_a_failed_point(capsys, jobs):
+    # (C, n_th) = (1e-3, 1e9) needs more than the series' term budget; the
+    # three other points keep their rows, in grid order, and the sweep
+    # reports the failed one on stderr and exits 2 at the end
+    code, out, err = run(
+        capsys, "sweep", "--model", "exact", "--c-set", "1,1e-3",
+        "--nth-set", "1,1e9", *jobs,
+    )
+    assert code == 2
+    assert out.splitlines()[0] == "C,n_th,model,n_ss,g2,regime"
+    rows = _read_csv(out)
+    assert [(r["C"], r["n_th"]) for r in rows] == [
+        ("1", "1"), ("0.001", "1"), ("1", "1000000000")
+    ]
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: C=0.001 n_th=1000000000: series at")
+    assert isinstance(cli._point_worker((1e-3, 1e9, "exact", {})), str)
+
+
 def test_sweep_jobs_capped_by_grid(monkeypatch, capsys):
     started = []
 

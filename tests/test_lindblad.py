@@ -1,7 +1,10 @@
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from phonon_stats import exact, lindblad
 from phonon_stats.errors import BudgetExceeded, DomainError, SingularSystem
@@ -211,13 +214,121 @@ def test_cavity_empties_with_faster_decay():
     assert 0.0 < occ[1] < occ[0]
 
 
-def test_degenerate_kernel_raises():
+@pytest.mark.parametrize("charge", [None, np.arange(6)])
+def test_degenerate_kernel_raises(charge):
     # a bare two-phonon drain leaves span{|0>, |1>} dark: the stationary
-    # state is not unique and the solver must refuse rather than pick one
+    # state is not unique and the solver must refuse rather than pick one,
+    # also when the degeneracy lies inside the declared sector
     b = lindblad._destroy(6)
-    sup = Superoperator((1, 6), lindblad._liouvillian(None, [(b @ b, 1.0)]))
+    sup = Superoperator((1, 6), lindblad._liouvillian(None, [(b @ b, 1.0)]), charge=charge)
     with pytest.raises(SingularSystem):
         steady_state(sup)
+
+
+def test_sigma_x_dephasing_without_charge_raises():
+    # D[sigma_x] keeps I/2 and the traceless sigma_x: with no charge the
+    # whole space is solved and the second steady state is seen
+    sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sup = Superoperator((1, 2), lindblad._liouvillian(None, [(sx, 1.0)]))
+    with pytest.raises(SingularSystem):
+        steady_state(sup)
+
+
+def _sector_cases():
+    """Builder outputs at small dimensions, edge cases included."""
+    yield from _all_generators()
+    yield build_reduced_liouvillian(3.0, 0.0, TruncationSpec(dim_mech=12))
+    yield build_reduced_liouvillian(0.0, 0.7, TruncationSpec(dim_mech=12))
+    two_mode = TruncationSpec(dim_mech=10, dim_cav=3)
+    yield build_two_mode_rwa_liouvillian(0.0, 10.0, 1.0, 0.5, two_mode)
+    yield build_two_mode_rwa_liouvillian(math.sqrt(7.5), 10.0, 1.0, 0.0, two_mode)
+    for flag in (False, True):
+        yield build_prerwa_liouvillian(
+            _d19_reduced(), 2000.0, 1.0, 0.0, two_mode,
+            include_quadratic_fluctuation=flag,
+        )
+
+
+def test_builders_declare_a_closed_sector():
+    # L never couples the steady state's sector S to its complement
+    for sup in _sector_cases():
+        assert sup.charge is not None
+        inside = np.zeros(sup.dim**2, dtype=bool)
+        inside[sup.sector()] = True
+        L = sup.matrix.tocsr()
+        assert L[~inside][:, inside].count_nonzero() == 0
+        assert L[inside][:, ~inside].count_nonzero() == 0
+
+
+def test_sector_solve_matches_full_solve():
+    for sup in _sector_cases():
+        sector = steady_state(sup)
+        full = steady_state(dataclasses.replace(sup, charge=None, modulus=None))
+        assert sup.sector().size < sup.dim**2
+        assert np.max(np.abs(sector.matrix - full.matrix)) <= 1e-12
+
+
+def test_reduced_sector_is_the_diagonal_and_stays_real():
+    sup = build_reduced_liouvillian(3.0, 1.0, TruncationSpec(dim_mech=12))
+    assert np.array_equal(sup.sector(), np.arange(12) * 13)
+    with pytest.raises(DomainError):
+        Superoperator(sup.dims, sup.matrix, charge=np.arange(11))
+    state = steady_state(sup)
+    assert state.matrix.dtype == np.float64
+    assert np.count_nonzero(state.matrix - np.diag(np.diag(state.matrix))) == 0
+
+
+def _fresh_assemblies(C, n_th, g, n_c, flag):
+    """Builder outputs beside one _liouvillian call on the whole
+    Hamiltonian and jump list, at one parameter set."""
+    dm, dc = 8, 3
+    b1 = lindblad._destroy(dm)
+    yield (
+        build_reduced_liouvillian(C, n_th, TruncationSpec(dim_mech=dm)),
+        lindblad._liouvillian(None, [(b1 @ b1, C), (b1.T, n_th), (b1, n_th + 1.0)]),
+    )
+    a = sp.kron(lindblad._destroy(dc), sp.identity(dm), format="csr")
+    b = sp.kron(sp.identity(dc), b1, format="csr")
+    ad, bd = a.T, b.T
+    kappa, gamma = 40.0, 1.0
+    jumps = [(a, kappa), (bd, gamma * n_th), (b, gamma * (n_th + 1.0))]
+    trunc = TruncationSpec(dim_mech=dm, dim_cav=dc)
+    yield (
+        build_two_mode_rwa_liouvillian(g, kappa, gamma, n_th, trunc),
+        lindblad._liouvillian(g * (ad @ b @ b + bd @ bd @ a), jumps),
+    )
+    omega = 1e3
+    red = ReducedParams(C=C, n_th=n_th, n_c=n_c, g=g, omega_m_eff=omega,
+                        Gamma_opt=C, Delta_c=-2.0 * omega)
+    x2 = (b + bd) @ (b + bd)
+    h = (2.0 * omega * (ad @ a) + omega * (bd @ b)
+         + g * math.sqrt(n_c) * (b @ b + bd @ bd) + g * ((a + ad) @ x2))
+    if flag:
+        h = h + (g / math.sqrt(n_c)) * (ad @ a @ x2)
+    yield (
+        build_prerwa_liouvillian(red, kappa, gamma, n_th, trunc,
+                                 include_quadratic_fluctuation=flag),
+        lindblad._liouvillian(h, jumps),
+    )
+
+
+def test_cached_builds_match_fresh_assembly():
+    lindblad._unit_parts.cache_clear()
+    for params in ((3.0, 1.0, 2.0, 4.0, False), (0.5, 0.2, 0.7, 9.0, True)):
+        for sup, fresh in _fresh_assemblies(*params):
+            diff = abs(sup.matrix - fresh).max()
+            assert diff <= 1e-13 * abs(fresh).max()
+    assert lindblad._unit_parts.cache_info().hits == 3
+
+
+def test_cached_parts_survive_writes_into_a_build():
+    trunc = TruncationSpec(dim_mech=10, dim_cav=3)
+    first = build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, trunc)
+    want = first.matrix.toarray()
+    first.matrix.data[:] = np.nan
+    first.matrix.indices[:] = 0
+    again = build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, trunc)
+    assert np.array_equal(again.matrix.toarray(), want)
 
 
 def test_converge_truncation_reduced():
