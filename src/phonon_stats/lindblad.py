@@ -31,10 +31,10 @@ a bounded cache keeps them, and each build only weighs them with its c_k.
 Each builder also declares a weak symmetry (Buca & Prosen, NJP 14, 073007
 (2012); Albert & Jiang, PRA 89, 022118 (2014)) as an integer charge per
 basis state: n_b for the reduced model, 2 n_a + n_b for the two-mode RWA
-model, n_b mod 2 before the RWA. L never mixes entries of rho whose charge
-differences differ, so the steady state lies in the sector of zero
-difference, which holds the diagonal, and only that block is solved: d
-unknowns instead of d^2 for the reduced model. It is solved in the
+model, n_b mod 2 before the RWA. The sector of entries rho_ij with charge_i
+= charge_j holds the diagonal and L maps it into itself and its complement
+into the complement, so the steady state lies in it and only that block is
+solved: d unknowns instead of d^2 for the reduced model. It is solved in the
 generator's dtype (real for the reduced model), pinned by replacing one row
 with the trace constraint (scaled to the Liouvillian's own norm so the
 system stays well conditioned); the solution is hermitized, one
@@ -106,18 +106,15 @@ class TruncationSpec:
 class Superoperator:
     """Sparse Liouvillian acting on vec(rho), dims = (dim_cav, dim_mech).
 
-    ``charge`` declares a weak symmetry: one integer per basis state such
-    that L never couples the entry (i, j) of rho to an entry (k, l) whose
-    charge difference differs from charge_i - charge_j, modulo ``modulus``
-    (exactly when ``modulus`` is None). The steady state then lies in the
-    sector of zero difference, which holds the diagonal. ``charge=None``
-    puts every entry in that one sector.
+    ``charge`` declares a weak symmetry: one integer label per basis state
+    such that the sector S = {(i, j) : charge_i == charge_j} of vec(rho) is
+    closed under L, and so is its complement. S holds the diagonal, so the
+    steady state lies in it. ``charge=None`` makes S every entry.
     """
 
     dims: tuple[int, int]
     matrix: sp.csr_matrix
     charge: np.ndarray | None = None
-    modulus: int | None = None
 
     def __post_init__(self) -> None:
         if self.charge is not None and np.shape(self.charge) != (self.dim,):
@@ -128,15 +125,13 @@ class Superoperator:
         return self.dims[0] * self.dims[1]
 
     def sector(self) -> np.ndarray:
-        """Ascending vec(rho) indices (column stacking) of the zero-charge-
-        difference sector; every index when no charge is declared."""
+        """Ascending vec(rho) indices (column stacking) of the sector S;
+        every index when no charge is declared."""
         d = self.dim
         if self.charge is None:
             return np.arange(d * d)
-        diff = self.charge[:, None] - self.charge[None, :]
-        if self.modulus is not None:
-            diff %= self.modulus
-        return np.flatnonzero(diff.ravel(order="F") == 0)
+        same = self.charge[:, None] == self.charge[None, :]
+        return np.flatnonzero(same.ravel(order="F"))
 
     def trace_defect(self) -> float:
         """max_j |sum_i <i| L applied to basis unit |j>| traced — exactly 0
@@ -325,8 +320,8 @@ def build_prerwa_liouvillian(
         g0 = g / math.sqrt(reduced.n_c)
     coefs += [-reduced.Delta_c, reduced.omega_m_eff, g * math.sqrt(reduced.n_c), g, g0]
     matrix = _assemble("prerwa", dims, coefs)
-    charge = np.tile(np.arange(dims[1]), dims[0])
-    return Superoperator(dims, matrix, charge=charge, modulus=2)
+    charge = np.tile(np.arange(dims[1]) % 2, dims[0])
+    return Superoperator(dims, matrix, charge=charge)
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:

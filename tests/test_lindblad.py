@@ -262,7 +262,7 @@ def test_builders_declare_a_closed_sector():
 def test_sector_solve_matches_full_solve():
     for sup in _sector_cases():
         sector = steady_state(sup)
-        full = steady_state(dataclasses.replace(sup, charge=None, modulus=None))
+        full = steady_state(dataclasses.replace(sup, charge=None))
         assert sup.sector().size < sup.dim**2
         assert np.max(np.abs(sector.matrix - full.matrix)) <= 1e-12
 
