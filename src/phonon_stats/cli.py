@@ -10,6 +10,14 @@ Model names: ``exact`` (series), ``hitemp`` (high-temperature closed forms),
 solves), and ``auto``, which picks ``hitemp`` when n_th/C > 1e6 (past the
 series term budget) and ``exact`` otherwise, per point.
 
+Grids: ``sweep``, the curve figures (1, 2, 4 and 5), figure 6's C list and
+``validate`` read their (C, n_th) grid through :func:`_grid` (per axis: the
+set flag, then the range flag, then the single-point flag, then the
+command's default) and evaluate it through :func:`_run_grid`, n_th outer and
+C inner. A point that fails to converge drops out of the output; the command
+writes the converged rest, prints one ``error: C=… n_th=…: <message>`` line
+per failed point and exits 2, whatever its exit code would have been.
+
 What each command computes: ``sweep`` and figures 1, 2, 4 and 5 compute
 n_ss, g2 and regime only (one series call per point on the exact route, the
 two closed forms on the hitemp route); ``stats``, ``validate`` and figures 3
@@ -266,8 +274,6 @@ def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
         return name, exact.steady_state_exact(C, n_th)
     if name == "hitemp":
         return name, _pkg.hitemp.steady_state_hitemp(C, n_th)
-    if name not in _ORACLES:
-        raise DomainError(f"unknown model {name!r}")
     lindblad = _pkg.lindblad
     model, initial = _oracle_model(name, C, n_th, cfg)
     trunc = getattr(cfg, "trunc", None)
@@ -299,16 +305,86 @@ def _point_observables(name, C, n_th, cfg) -> tuple[str, float, float | None, Re
     return name, n_ss, g2, exact.classify_regime(C, n_th)
 
 
-def _point_worker(task):
-    """Sweep worker (module-level so it pickles); shares nothing. A point
+def _point_worker(task, point=_point_observables):
+    """Evaluate the grid task ``(C, n_th, model, cfg)`` as ``point(model, C,
+    n_th, cfg)``; module-level so it pickles, and shares nothing. A point
     that fails to converge returns its message as a string, so the rest of
     the grid survives it."""
-    C, n_th, model, cfg_dict = task
+    C, n_th, model, cfg = task
     try:
-        name, n_ss, g2, regime = _point_observables(model, C, n_th, argparse.Namespace(**cfg_dict))
+        return point(model, C, n_th, cfg)
     except _NONCONV as exc:
         return str(exc)
-    return {"C": C, "n_th": n_th, "model": name, "n_ss": n_ss, "g2": g2, "regime": regime.value}
+
+
+# ---------------------------------------------------------------------------
+# grids
+
+# per axis, the destinations of its value-list, range and single-point flags
+_AXES = (("c_set", "c_range", "C"), ("nth_set", "nth_range", "n_th"))
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _grid(cfg, what, *, c_default=None, nth_default=None) -> tuple[list[float], list[float]]:
+    """The (C, n_th) grid of command ``what``, as two lists of floats.
+
+    Each axis takes the first of its flags that is set: the value list
+    (``--c-set``), the range (``--c-range``), the single point (``--C``).
+    Failing those it takes the default, a value list or a range in the
+    flags' syntax. An axis with neither, or with no values, is a DomainError
+    that names the flags.
+    """
+    axes = []
+    for dests, default in zip(_AXES, (c_default, nth_default)):
+        set_dest, range_dest, point_dest = dests
+        dest = next((d for d in dests if getattr(cfg, d, None) is not None), None)
+        if dest is None and default is None:
+            flags = ", ".join(_flag(d) for d in dests if hasattr(cfg, d))
+            raise DomainError(f"{what} needs one of {flags}")
+        text = default if dest is None else getattr(cfg, dest)
+        if dest == point_dest:
+            values = [float(text)]
+        elif dest == range_dest or (dest is None and ":" in text):
+            values = [float(v) for v in RangeSpec.parse(text).values()]
+        else:
+            values = _parse_set(text)
+        if not values:  # only a value list given by its flag can be empty
+            raise DomainError(f"{what} grid is empty: {_flag(set_dest)} gives no values")
+        axes.append(values)
+    return axes[0], axes[1]
+
+
+def _run_grid(cfg, model, c_values, nth_values, point=_point_observables):
+    """Evaluate ``point`` over the grid, n_th outer and C inner.
+
+    Returns ``(C, n_th, result)`` for each converged point, in grid order,
+    and one ``C=… n_th=…: <message>`` entry per point that failed to
+    converge. Only a command with ``--jobs`` (``sweep``) runs a worker pool.
+    """
+    tasks = [(C, n_th, model, cfg) for n_th in nth_values for C in c_values]
+    workers = min(int(_get(cfg, "jobs", 1)), len(tasks))
+    if workers > 1:
+        with Pool(processes=workers) as pool:
+            results = pool.map(functools.partial(_point_worker, point=point), tasks)
+    else:
+        results = [_point_worker(task, point) for task in tasks]
+    points, failed = [], []
+    for (C, n_th, _, _), result in zip(tasks, results):
+        if isinstance(result, str):
+            failed.append(f"C={_fmt(C)} n_th={_fmt(n_th)}: {result}")
+        else:
+            points.append((C, n_th, result))
+    return points, failed
+
+
+def _exit_code(failed, code=EXIT_OK) -> int:
+    """Print one error line per failed grid point; 2 if any failed, else ``code``."""
+    for msg in failed:
+        print(f"error: {msg}", file=sys.stderr)
+    return EXIT_NOCONV if failed else code
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +407,7 @@ def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -350,141 +425,77 @@ def cmd_stats(cfg) -> int:
     return EXIT_OK
 
 
-def _grid_values(cfg, *, c_default=None, nth_default=None):
-    if getattr(cfg, "c_set", None) is not None:
-        c_values = _parse_set(cfg.c_set)
-    elif getattr(cfg, "c_range", None) is not None:
-        c_values = list(RangeSpec.parse(cfg.c_range).values())
-    elif getattr(cfg, "C", None) is not None:
-        c_values = [float(cfg.C)]
-    else:
-        c_values = c_default
-    if getattr(cfg, "nth_set", None) is not None:
-        nth_values = _parse_set(cfg.nth_set)
-    elif getattr(cfg, "nth_range", None) is not None:
-        nth_values = list(RangeSpec.parse(cfg.nth_range).values())
-    elif getattr(cfg, "n_th", None) is not None:
-        nth_values = [float(cfg.n_th)]
-    else:
-        nth_values = nth_default
-    return c_values, nth_values
-
-
 def cmd_sweep(cfg) -> int:
-    c_values, nth_values = _grid_values(cfg)
-    if c_values is None:
-        raise DomainError("sweep needs --c-range, --c-set or --C")
-    if nth_values is None:
-        raise DomainError("sweep needs --nth-range, --nth-set or --n-th")
-    if len(c_values) == 0 or len(nth_values) == 0:
-        raise DomainError("sweep grid is empty")
-    model = _get(cfg, "model", "auto")
-    cfg_dict = {k: v for k, v in vars(cfg).items() if k != "func"}
-    tasks = [
-        (float(C), float(n_th), model, cfg_dict)
-        for n_th in nth_values
-        for C in c_values
-    ]
-    workers = min(int(_get(cfg, "jobs", 1)), len(tasks))
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            rows = pool.map(_point_worker, tasks)
-    else:
-        rows = [_point_worker(t) for t in tasks]
-    failed = [(task, msg) for task, msg in zip(tasks, rows) if isinstance(msg, str)]
-    rows = [row for row in rows if not isinstance(row, str)]
-
-    fmt = _get(cfg, "format", "csv")
-    if fmt == "json":
-        for row in rows:  # floats stay floats; g2 None -> null
-            row["C"], row["n_th"] = float(row["C"]), float(row["n_th"])
-        _emit_text(_json_dumps(rows), cfg.out)
-    elif fmt == "csv":
-        header = ["C", "n_th", "model", "n_ss", "g2", "regime"]
-        csv_rows = [
-            [_fmt(r["C"]), _fmt(r["n_th"]), r["model"], _fmt(r["n_ss"]), _fmt(r["g2"]), r["regime"]]
-            for r in rows
+    points, failed = _run_grid(cfg, _get(cfg, "model", "auto"), *_grid(cfg, "sweep"))
+    header = ["C", "n_th", "model", "n_ss", "g2", "regime"]
+    if _get(cfg, "format", "csv") == "json":
+        rows = [  # floats stay floats; g2 None -> null
+            dict(zip(header, (C, n_th, name, n_ss, g2, regime.value)))
+            for C, n_th, (name, n_ss, g2, regime) in points
         ]
-        _emit_text(_csv_text(header, csv_rows), cfg.out)
+        text = _json_dumps(rows)
     else:
-        raise DomainError(f"unknown format {fmt!r}")
-    for (C, n_th, _, _), msg in failed:
-        print(f"error: C={_fmt(C)} n_th={_fmt(n_th)}: {msg}", file=sys.stderr)
-    return EXIT_NOCONV if failed else EXIT_OK
+        text = _csv_text(header, (
+            [_fmt(C), _fmt(n_th), name, _fmt(n_ss), _fmt(g2), regime.value]
+            for C, n_th, (name, n_ss, g2, regime) in points
+        ))
+    _emit_text(text, cfg.out)
+    return _exit_code(failed)
 
 
 # figure datasets: captions' parameter sets, hard-coded, flag-overridable
 
-_FIG_NTH_HI = (1e3, 1e4, 1e5, 1e6)
-_FIG_NTH_LO = (1.0, 10.0, 20.0, 40.0)
-
-
-def _curve_rows(nth_values, c_values, model_name):
-    rows = []
-    for n_th in nth_values:
-        for C in c_values:
-            _, n_ss, g2, _ = _point_observables(model_name, float(C), float(n_th), None)
-            rows.append([_fmt(C), _fmt(n_th), _fmt(n_ss), _fmt(g2)])
-    return rows
+# curve figures: (model, default C grid, default n_th grid), in the flags' syntax
+_CURVES = {
+    1: ("hitemp", "1e-9:1e3:120:log", "1e3,1e4,1e5,1e6"),
+    2: ("hitemp", "1e-9:1e6:120:log", "1e3,1e4,1e5,1e6"),
+    4: ("exact", "0.1:1e3:100:log", "1,10,20,40"),
+    5: ("exact", "0.1:1e3:40:log", "0.1:40:40:log"),
+}
 
 
 def cmd_figure(cfg) -> int:
     fig_id = int(cfg.fig_id)
     if not 1 <= fig_id <= 6:
         raise DomainError(f"fig_id must be in 1..6, got {fig_id}")
-    outdir = cfg.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    csv_name = f"figure{fig_id}.csv"
-    script_name = f"figure{fig_id}_plot.py"
-    header = ["C", "n_th", "n_ss", "g2"]
-
-    if fig_id in (1, 2):
-        nth_values = _parse_set(cfg.nth_set) if cfg.nth_set else list(_FIG_NTH_HI)
-        default = "1e-9:1e3:120:log" if fig_id == 1 else "1e-9:1e6:120:log"
-        c_values = RangeSpec.parse(cfg.c_range or default).values()
-        rows = _curve_rows(nth_values, c_values, "hitemp")
+    what = f"figure {fig_id}"
+    failed = []
+    if fig_id in _CURVES:
+        model, c_default, nth_default = _CURVES[fig_id]
+        grid = _grid(cfg, what, c_default=c_default, nth_default=nth_default)
+        points, failed = _run_grid(cfg, model, *grid)
+        header = ["C", "n_th", "n_ss", "g2"]
+        rows = (
+            [_fmt(C), _fmt(n_th), _fmt(n_ss), _fmt(g2)]
+            for C, n_th, (_, n_ss, g2, _) in points
+        )
     elif fig_id == 3:
         C = float(_get(cfg, "C", 1e2))
         n_th = float(_get(cfg, "n_th", 1e4))
         _, rep = _point_report("hitemp", C, n_th, cfg)
         header = ["n", "P"]
-        rows = [[_fmt(n), _fmt(p)] for n, p in enumerate(rep.populations)]
-    elif fig_id == 4:
-        nth_values = _parse_set(cfg.nth_set) if cfg.nth_set else list(_FIG_NTH_LO)
-        c_values = RangeSpec.parse(cfg.c_range or "0.1:1e3:100:log").values()
-        rows = _curve_rows(nth_values, c_values, "exact")
-    elif fig_id == 5:
-        c_values = RangeSpec.parse(cfg.c_range or "0.1:1e3:40:log").values()
-        nth_values = (
-            _parse_set(cfg.nth_set)
-            if cfg.nth_set
-            else list(RangeSpec.parse("0.1:40:40:log").values())
-        )
-        rows = _curve_rows(nth_values, c_values, "exact")
+        rows = ([_fmt(n), _fmt(p)] for n, p in enumerate(rep.populations))
     else:  # fig_id == 6
-        n_th = float(_get(cfg, "n_th", 20.0))
-        c_values = _parse_set(cfg.c_set) if cfg.c_set else [1.0, 41.0, 1000.0]
-        if not c_values:
-            raise DomainError("figure 6 needs at least one C in --c-set")
+        c_values, nth_values = _grid(cfg, what, c_default="1,41,1000", nth_default="20")
+        if len(nth_values) != 1:
+            raise DomainError(f"figure 6 takes one n_th, got {len(nth_values)}")
+        n_th = nth_values[0]
         # each column takes its own window; all are then recomputed at the widest
         m_max = max(exact.phonon_populations_exact(C, n_th).size for C in c_values) - 1
         cols = [exact.phonon_populations_exact(C, n_th, m_max) for C in c_values]
         header = ["n"] + [f"P_C{C:g}" for C in c_values]
-        rows = [
-            [_fmt(n)] + [_fmt(col[n]) for col in cols] for n in range(m_max + 1)
-        ]
+        rows = ([_fmt(n)] + [_fmt(col[n]) for col in cols] for n in range(m_max + 1))
 
+    outdir = cfg.out or "."
+    os.makedirs(outdir, exist_ok=True)
+    csv_name = f"figure{fig_id}.csv"
     csv_path = os.path.join(outdir, csv_name)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    script_path = os.path.join(outdir, script_name)
-    with open(script_path, "w") as fh:
-        fh.write(_plot_script(fig_id, csv_name))
+    script_path = os.path.join(outdir, f"figure{fig_id}_plot.py")
+    _emit_text(_csv_text(header, rows), csv_path)
+    _emit_text(_plot_script(fig_id, csv_name), script_path)
     print(csv_path)
     print(script_path)
-    return EXIT_OK
+    return _exit_code(failed)
 
 
 _SCRIPT_CURVES = '''"""Plot %(csv)s: %(ycol)s against C, one curve per n_th."""
@@ -616,82 +627,59 @@ def _pop_l1(pa, pb) -> float:
     return float(np.abs(a - b).sum())
 
 
-def cmd_validate(cfg) -> int:
-    c_values, nth_values = _grid_values(
-        cfg,
-        c_default=[0.1, 1.0, 3.0, 11.0, 50.0],
-        nth_default=[0.0, 0.5, 1.0, 3.0, 5.0],
-    )
-    if not c_values or not nth_values:
-        print("error: validation grid is empty", file=sys.stderr)
-        return EXIT_CONFIG
-    tol_nss = float(_get(cfg, "tol_nss", 1e-6))
-    tol_g2 = float(_get(cfg, "tol_g2", 1e-6))
-    tol_pop = float(_get(cfg, "tol_pop", 1e-5))
-    model = _get(cfg, "model", "auto")
-    oracle = _get(cfg, "oracle", "oracle-reduced")
-
-    points = []
-    for n_th in nth_values:
-        for C in c_values:
-            n_th = float(n_th)
-            C = float(C)
-            a_name, a_rep = _point_report(model, C, n_th, cfg)
-            try:
-                _, o_rep = _point_report(oracle, C, n_th, cfg)
-            except BudgetExceeded as exc:
-                _LOG.warning("skipping C=%g n_th=%g: %s", C, n_th, exc)
-                points.append(
-                    {"C": C, "n_th": n_th, "model": a_name, "skipped": True,
-                     "reason": str(exc)}
-                )
-                continue
-            dev_g2 = None
-            if a_rep.g2 is not None and o_rep.g2 is not None:
-                dev_g2 = _rel_dev(a_rep.g2, o_rep.g2)
-            points.append(
-                {
-                    "C": C,
-                    "n_th": n_th,
-                    "model": a_name,
-                    "skipped": False,
-                    "dev_n_ss": _rel_dev(a_rep.n_ss, o_rep.n_ss),
-                    "dev_g2": dev_g2,
-                    "pop_l1": _pop_l1(a_rep.populations, o_rep.populations),
-                }
-            )
-
-    live = [p for p in points if not p["skipped"]]
-    devs_nss = [p["dev_n_ss"] for p in live]
-    devs_g2 = [p["dev_g2"] for p in live if p["dev_g2"] is not None]
-    devs_pop = [p["pop_l1"] for p in live]
-    summary = {
-        "n_points": len(points),
-        "n_skipped": len(points) - len(live),
-        "max_dev_n_ss": max(devs_nss) if devs_nss else None,
-        "median_dev_n_ss": float(np.median(devs_nss)) if devs_nss else None,
-        "max_dev_g2": max(devs_g2) if devs_g2 else None,
-        "median_dev_g2": float(np.median(devs_g2)) if devs_g2 else None,
-        "max_pop_l1": max(devs_pop) if devs_pop else None,
-        "median_pop_l1": float(np.median(devs_pop)) if devs_pop else None,
+def _validate_point(model, C, n_th, cfg) -> dict:
+    """The analytic report against the oracle's at one point. An oracle
+    whose truncation ladder runs out of budget leaves a skipped row."""
+    a_name, a_rep = _point_report(model, C, n_th, cfg)
+    try:
+        _, o_rep = _point_report(_get(cfg, "oracle", "oracle-reduced"), C, n_th, cfg)
+    except BudgetExceeded as exc:
+        _LOG.warning("skipping C=%g n_th=%g: %s", C, n_th, exc)
+        return {"model": a_name, "skipped": True, "reason": str(exc)}
+    dev_g2 = None
+    if a_rep.g2 is not None and o_rep.g2 is not None:
+        dev_g2 = _rel_dev(a_rep.g2, o_rep.g2)
+    return {
+        "model": a_name,
+        "skipped": False,
+        "dev_n_ss": _rel_dev(a_rep.n_ss, o_rep.n_ss),
+        "dev_g2": dev_g2,
+        "pop_l1": _pop_l1(a_rep.populations, o_rep.populations),
     }
-    passed = (
-        (not devs_nss or summary["max_dev_n_ss"] <= tol_nss)
-        and (not devs_g2 or summary["max_dev_g2"] <= tol_g2)
-        and (not devs_pop or summary["max_pop_l1"] <= tol_pop)
+
+
+def cmd_validate(cfg) -> int:
+    c_values, nth_values = _grid(
+        cfg, "validate", c_default="0.1,1,3,11,50", nth_default="0,0.5,1,3,5"
     )
+    model = _get(cfg, "model", "auto")
+    tolerances = {
+        "n_ss": float(_get(cfg, "tol_nss", 1e-6)),
+        "g2": float(_get(cfg, "tol_g2", 1e-6)),
+        "pop_l1": float(_get(cfg, "tol_pop", 1e-5)),
+    }
+    results, failed = _run_grid(cfg, model, c_values, nth_values, point=_validate_point)
+    points = [{"C": C, "n_th": n_th, **row} for C, n_th, row in results]
+    live = [p for p in points if not p["skipped"]]
+    summary = {"n_points": len(points), "n_skipped": len(points) - len(live)}
+    passed = True
+    for key, tol in zip(("dev_n_ss", "dev_g2", "pop_l1"), tolerances.values()):
+        devs = [p[key] for p in live if p[key] is not None]
+        worst = max(devs) if devs else None
+        summary[f"max_{key}"] = worst
+        summary[f"median_{key}"] = float(np.median(devs)) if devs else None
+        passed = passed and (worst is None or worst <= tol)
     payload = {
-        "grid": {"C": [float(c) for c in c_values],
-                 "n_th": [float(n) for n in nth_values]},
+        "grid": {"C": c_values, "n_th": nth_values},
         "model": model,
-        "oracle": oracle,
-        "tolerances": {"n_ss": tol_nss, "g2": tol_g2, "pop_l1": tol_pop},
+        "oracle": _get(cfg, "oracle", "oracle-reduced"),
+        "tolerances": tolerances,
         "points": points,
         "summary": summary,
         "pass": passed,
     }
     _emit_text(_json_dumps(payload), cfg.out)
-    return EXIT_OK if passed else EXIT_CONFIG
+    return _exit_code(failed, EXIT_OK if passed else EXIT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +737,8 @@ def _build_parser() -> _Parser:
     p_fig = sub.add_parser("figure", help="figure dataset CSV + plotting script")
     p_fig.add_argument("fig_id", type=int, help="figure number, 1..6")
     p_fig.add_argument("--c-range", default=None, help="override the C grid")
-    p_fig.add_argument("--c-set", default=None, help="override discrete C values (figure 6)")
-    p_fig.add_argument("--nth-set", default=None, help="override the n_th set")
+    p_fig.add_argument("--c-set", default=None, help="override the C grid with a value list")
+    p_fig.add_argument("--nth-set", default=None, help="override the n_th values")
     add_common(p_fig, oracle=False)
     p_fig.set_defaults(func=cmd_figure)
 
@@ -787,15 +775,12 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(ns, parser.commands[ns.cmd])
         return ns.func(cfg)
-    except DomainError as exc:
+    except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NONCONV as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

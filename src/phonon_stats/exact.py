@@ -179,11 +179,10 @@ def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) ->
     :func:`steady_state_exact` in the diagnostics, never renormalized away.
     A series or a recurrence that needs more than the term budget raises
     :class:`NotConverged`; so does a window too wide for it, before that
-    window's first level is computed.
+    window's first level is computed. At ``n_th = 0`` it is the ground state,
+    ``[1.0]`` padded with zeros to an explicit ``m_max``.
     """
-    C, n_th = _check_cn(C, n_th, positive_nth=True)
-    n_ss, g2, sums = _observables(C, n_th)
-    return _populations(C, n_th, m_max, n_ss, g2, sums.log_f)
+    return steady_state_exact(C, n_th, m_max).populations
 
 
 def classify_regime(C: float, n_th: float) -> Regime:

@@ -447,6 +447,72 @@ def test_figure6_empty_c_set_exit_1(tmp_path, capsys):
     assert not (tmp_path / "figure6.csv").exists()
 
 
+def test_figure_keeps_converged_rows_past_a_failed_point(tmp_path, capsys):
+    # only (C, n_th) = (1e-3, 1e9) needs more than the series' term budget;
+    # the five other rows, in grid order, and the script are still written
+    code, out, err = run(
+        capsys, "figure", "4", "--nth-set", "1,1e9", "--c-range", "1e-3:1:3:log",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert out.splitlines() == [str(tmp_path / "figure4.csv"), str(tmp_path / "figure4_plot.py")]
+    rows = _read_csv((tmp_path / "figure4.csv").read_text())
+    assert [(float(r["C"]), float(r["n_th"])) for r in rows] == [
+        (1e-3, 1.0), (pytest.approx(10 ** -1.5), 1.0), (1.0, 1.0),
+        (pytest.approx(10 ** -1.5), 1e9), (1.0, 1e9),
+    ]
+    py_compile.compile(str(tmp_path / "figure4_plot.py"), doraise=True)
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: C=0.001 n_th=1000000000: series at")
+
+
+@pytest.mark.parametrize("fig,flags,n_rows", [
+    ("4", ["--c-set", "1,2", "--nth-set", "1"], 2),
+    ("1", ["--C", "5", "--n-th", "3"], 1),
+])
+def test_curve_figures_honour_grid_flags(tmp_path, capsys, fig, flags, n_rows):
+    code, _, err = run(capsys, "figure", fig, *flags, "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    assert len(_read_csv((tmp_path / f"figure{fig}.csv").read_text())) == n_rows
+
+
+def test_figure6_grid_flags(tmp_path, capsys):
+    code, _, _ = run(capsys, "figure", "6", "--c-range", "1:100:4:log", "--out", str(tmp_path))
+    assert code == 0
+    header = (tmp_path / "figure6.csv").read_text().splitlines()[0].split(",")
+    assert header[0] == "n" and len(header) == 5
+    assert all(name.startswith("P_C") for name in header[1:])
+
+    code, out, err = run(capsys, "figure", "6", "--nth-set", "1,2", "--out", str(tmp_path / "two"))
+    assert code == 1 and out == ""
+    assert "one n_th" in err
+    assert not (tmp_path / "two").exists()
+
+    # the ground state: every column is [1.0]
+    code, _, _ = run(capsys, "figure", "6", "--n-th", "0", "--out", str(tmp_path / "cold"))
+    assert code == 0
+    rows = _read_csv((tmp_path / "cold" / "figure6.csv").read_text())
+    assert rows == [{"n": "0", "P_C1": "1", "P_C41": "1", "P_C1000": "1"}]
+
+
+def test_validate_keeps_converged_points_past_a_failed_point(capsys):
+    # the analytic side fails at (1e-3, 1e9); the point at C = 1 is still
+    # reported, and exit 2 wins over the exit 1 of its tolerance failure
+    code, out, err = run(
+        capsys, "validate", "--model", "exact", "--c-set", "1,1e-3", "--nth-set", "1e9",
+        "--trunc", "8",
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert [(p["C"], p["n_th"]) for p in payload["points"]] == [(1.0, 1e9)]
+    assert payload["summary"]["n_points"] == 1
+    assert payload["pass"] is False
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: C=0.001 n_th=1000000000:")
+
+
 def test_validate_small_grid(capsys):
     code, out, _ = run(
         capsys,

@@ -169,9 +169,20 @@ def test_populations_normalized_at_large_x():
     assert abs(1.0 - math.fsum(p)) <= 1e-13
 
 
-def test_populations_domain():
+def test_populations_ground_state():
+    # n_th = 0 is the ground state on both population entry points, with no
+    # series or recurrence (whose log would divide by zero there)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact.phonon_populations_exact(1.0, 0.0).tolist() == [1.0]
+        assert exact.phonon_populations_exact(1.0, 0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert exact.steady_state_exact(1.0, 0.0).populations.tolist() == [1.0]
+    # an explicit window still goes through the window check
     with pytest.raises(DomainError):
-        exact.phonon_populations_exact(1.0, 0.0, 10)  # needs n_th > 0
+        exact.phonon_populations_exact(1.0, 0.0, -2)
+
+
+def test_populations_domain():
     with pytest.raises(DomainError):
         exact.phonon_populations_exact(1.0, 1.0, -2)
     with pytest.raises(DomainError):
