@@ -470,6 +470,9 @@ def cmd_figure(cfg) -> int:
             for C, n_th, (_, n_ss, g2, _) in points
         )
     elif fig_id == 3:
+        grid = [_flag(d) for d in ("c_set", "c_range", "nth_set") if getattr(cfg, d) is not None]
+        if grid:
+            raise DomainError(f"figure 3 takes one point (--C, --n-th), not {', '.join(grid)}")
         C = float(_get(cfg, "C", 1e2))
         n_th = float(_get(cfg, "n_th", 1e4))
         _, rep = _point_report("hitemp", C, n_th, cfg)
@@ -483,7 +486,7 @@ def cmd_figure(cfg) -> int:
         # each column takes its own window; all are then recomputed at the widest
         m_max = max(exact.phonon_populations_exact(C, n_th).size for C in c_values) - 1
         cols = [exact.phonon_populations_exact(C, n_th, m_max) for C in c_values]
-        header = ["n"] + [f"P_C{C:g}" for C in c_values]
+        header = ["n"] + [f"P_C{_fmt(C)}" for C in c_values]
         rows = ([_fmt(n)] + [_fmt(col[n]) for col in cols] for n in range(m_max + 1))
 
     outdir = cfg.out or "."

@@ -496,6 +496,39 @@ def test_figure6_grid_flags(tmp_path, capsys):
     assert rows == [{"n": "0", "P_C1": "1", "P_C41": "1", "P_C1000": "1"}]
 
 
+def test_figure6_columns_named_in_full_precision(tmp_path, capsys):
+    code, _, _ = run(capsys, "figure", "6", "--c-set", "1.0000001,1.0000002",
+                     "--out", str(tmp_path))
+    assert code == 0
+    # %.17g, as every other float the CLI writes, so the names stay apart
+    header = (tmp_path / "figure6.csv").read_text().splitlines()[0]
+    assert header == "n,P_C1.0000001000000001,P_C1.0000001999999999"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--c-set", "1,2", "--nth-set", "5"], ["--c-range", "1:10:3:log"], ["--nth-set", "5"],
+])
+def test_figure3_refuses_grid_flags(tmp_path, capsys, flags):
+    code, out, err = run(capsys, "figure", "3", *flags, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert "figure 3 takes one point" in err and flags[0] in err
+    assert not (tmp_path / "figure3.csv").exists()
+
+
+def test_stats_prerwa_names_its_solver(capsys):
+    code, out, _ = run(capsys, "stats", "--C", "4", "--n-th", "0.2", "--model", "oracle-prerwa",
+                       "--trunc", "16")
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    assert diag["solver"] == "krylov"
+    assert 0 < diag["iterations"] <= 40
+    code, out, _ = run(capsys, "stats", "--C", "4", "--n-th", "0.2", "--model", "oracle-rwa",
+                       "--trunc", "16")
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    assert diag["solver"] == "sector-lu" and "iterations" not in diag
+
+
 def test_validate_keeps_converged_points_past_a_failed_point(capsys):
     # the analytic side fails at (1e-3, 1e9); the point at C = 1 is still
     # reported, and exit 2 wins over the exit 1 of its tolerance failure

@@ -259,12 +259,100 @@ def test_builders_declare_a_closed_sector():
         assert L[inside][:, ~inside].count_nonzero() == 0
 
 
+def _plain(sup, **changes):
+    """``sup`` without its factors, so it always takes the LU."""
+    return dataclasses.replace(sup, h=None, jumps=(), **changes)
+
+
 def test_sector_solve_matches_full_solve():
     for sup in _sector_cases():
-        sector = steady_state(sup)
-        full = steady_state(dataclasses.replace(sup, charge=None))
+        sector = steady_state(_plain(sup))
+        full = steady_state(_plain(sup, charge=None))
         assert sup.sector().size < sup.dim**2
+        assert sector.solver == full.solver == "sector-lu"
         assert np.max(np.abs(sector.matrix - full.matrix)) <= 1e-12
+
+
+def _prerwa(C, n_th, trunc, flag=False):
+    # the CLI's pre-RWA point: kappa = 2000, omega' = 50 kappa, g0 n_c = 1e-3 omega'
+    kappa, omega = 2000.0, 1e5
+    g = math.sqrt(C * kappa / 4.0)
+    n_c = (1e-3 * omega / g) ** 2
+    red = ReducedParams(C=C, n_th=n_th, n_c=n_c, g=g, omega_m_eff=omega,
+                        Gamma_opt=C, Delta_c=-2.0 * omega)
+    return build_prerwa_liouvillian(red, kappa, 1.0, n_th, trunc,
+                                    include_quadratic_fluctuation=flag)
+
+
+def _krylov_cases():
+    """The pre-RWA generators of _sector_cases, and the pre-RWA model at 4x16."""
+    for sup in _sector_cases():
+        if 2 * sup.sector().size == sup.dim**2:  # the parity sector
+            yield sup
+    for flag in (False, True):
+        yield _prerwa(4.0, 0.2, TruncationSpec(dim_mech=16, dim_cav=4), flag)
+    yield _prerwa(0.1, 0.0, TruncationSpec(dim_mech=16, dim_cav=4))
+
+
+def test_krylov_solve_matches_full_lu():
+    cases = list(_krylov_cases())
+    assert len(cases) == 7
+    for sup in cases:
+        state = steady_state(sup)
+        full = steady_state(_plain(sup, charge=None))
+        assert state.solver == "krylov" and full.solver == "sector-lu"
+        assert 0 < state.iterations <= 40
+        assert state.residual <= 1e-14
+        assert np.max(np.abs(state.matrix - full.matrix)) <= 1e-9
+
+
+def test_krylov_solve_at_zero_temperature(monkeypatch):
+    # at n_th = 0 the vacuum is an eigenvector of A with eigenvalue 0 on the
+    # RWA model; the shift keeps the preconditioner finite there
+    monkeypatch.setattr(lindblad, "_krylov_pays", lambda n, d: True)
+    two_mode = TruncationSpec(dim_mech=16, dim_cav=3)
+    for sup in (
+        build_two_mode_rwa_liouvillian(math.sqrt(7.5), 10.0, 1.0, 0.0, two_mode),
+        _prerwa(3.0, 0.0, two_mode),
+    ):
+        state = steady_state(sup)
+        full = steady_state(_plain(sup, charge=None))
+        assert state.solver == "krylov"
+        assert np.max(np.abs(state.matrix - full.matrix)) <= 1e-9
+
+
+def test_krylov_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(lindblad, "_KRYLOV_RESTART", 2)
+    monkeypatch.setattr(lindblad, "_KRYLOV_CYCLES", 1)
+    with pytest.raises(SingularSystem, match="GMRES"):
+        steady_state(_prerwa(4.0, 0.2, TruncationSpec(dim_mech=8, dim_cav=3)))
+
+
+def test_solver_choice_follows_the_sector_size():
+    # pre-RWA sectors hold half the d^2 entries; RWA and reduced ones few
+    for sup in _sector_cases():
+        n, d = sup.sector().size, sup.dim
+        want = "krylov" if n > d**1.5 else "sector-lu"
+        assert steady_state(sup).solver == want
+        assert steady_state(_plain(sup)).solver == "sector-lu"
+
+
+def test_block_min_eigenvalue_matches_dense():
+    for sup in _sector_cases():
+        rho = steady_state(sup).matrix
+        # the state as solved, and shifted so that blocks need repair (the
+        # smallest eigenvalue then is -1e-9, above the floor)
+        for shift in (0.0, np.linalg.eigvalsh(rho)[0] + 1e-9):
+            m = rho - shift * np.eye(sup.dim)
+            want = np.linalg.eigvalsh(m)
+            fixed, got = lindblad._positive_part(m.copy(), sup.blocks())
+            assert abs(got - want[0]) <= 1e-15
+            if got >= 0.0:
+                assert np.array_equal(fixed, m)
+                continue
+            w, v = np.linalg.eigh(m)
+            dense = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            assert np.max(np.abs(fixed - dense)) <= 1e-14
 
 
 def test_reduced_sector_is_the_diagonal_and_stays_real():
@@ -328,6 +416,9 @@ def test_cached_parts_survive_writes_into_a_build():
     first.matrix.indices[:] = 0
     again = build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, trunc)
     assert np.array_equal(again.matrix.toarray(), want)
+    # the jump operators are the cache's own, so they refuse writes
+    with pytest.raises(ValueError):
+        first.jumps[0][0].data[:] = 0.0
 
 
 def test_converge_truncation_reduced():
@@ -405,21 +496,36 @@ def test_prerwa_quadratic_term_changes_generator():
     assert (off.matrix - on.matrix).nnz > 0
 
 
-def test_one_eigen_decomposition_per_solve(monkeypatch):
+def _count_eigen_calls(monkeypatch):
     calls = []
     for name in ("eigvalsh", "eigh"):
         orig = getattr(np.linalg, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls.append(_name)
+            calls.append((_name, np.shape(args[0])))
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_positivity_check_per_block_size(monkeypatch):
+    calls = _count_eigen_calls(monkeypatch)
+    # the reduced sector is the diagonal: its entries are the eigenvalues
     state = steady_state(build_reduced_liouvillian(10.0, 1.0, TruncationSpec(dim_mech=40)))
     rep = observables(state)
-    assert rep.diagnostics["min_eigenvalue"] >= 0.0  # no positivity repair
-    assert calls == ["eigvalsh"]
     assert rep.diagnostics["min_eigenvalue"] == state.min_eigenvalue
+    assert state.min_eigenvalue == np.diag(state.matrix).min() >= 0.0
+    assert calls == []
+    # RWA at 3x10: 4, 4 and 6 charge blocks of sizes 1, 2 and 3, one stacked call per
+    # size above 1, and a decomposition again only of the blocks repaired
+    sup = build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, TruncationSpec(10, 3))
+    state = steady_state(sup)
+    checks = [shape for name, shape in calls if name == "eigvalsh"]
+    assert checks == [(4, 2, 2), (6, 3, 3)]
+    repaired = [shape for name, shape in calls if name == "eigh"]
+    assert (state.min_eigenvalue < 0.0) == bool(repaired)
+    assert all(shape[0] <= k for shape, (k, _, _) in zip(repaired, checks))
 
 
 def test_observables_modes_and_diagnostics():
@@ -432,6 +538,8 @@ def test_observables_modes_and_diagnostics():
         rep = observables(state, mode=mode)
         assert abs(rep.populations.sum() - 1.0) <= 1e-9
         assert rep.diagnostics["model"] == "lindblad"
+        assert rep.diagnostics["solver"] == "sector-lu"
+        assert "iterations" not in rep.diagnostics
         assert rep.diagnostics["min_eigenvalue"] >= -1e-8
         assert 0.0 <= rep.diagnostics["top_two_population"] <= 1.0
     # the mechanical window is wide enough that its top levels are empty
