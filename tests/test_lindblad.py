@@ -265,12 +265,21 @@ def _plain(sup, **changes):
 
 
 def test_sector_solve_matches_full_solve():
+    # the sector LU against the full-space LU, and the solve each builder's
+    # output selects (GMRES on the pre-RWA parity sector) against the same
+    krylov = 0
     for sup in _sector_cases():
-        sector = steady_state(_plain(sup))
+        n, d = sup.sector().size, sup.dim
         full = steady_state(_plain(sup, charge=None))
-        assert sup.sector().size < sup.dim**2
+        sector = steady_state(_plain(sup))
+        chosen = steady_state(sup)
+        assert n < d**2
         assert sector.solver == full.solver == "sector-lu"
+        assert chosen.solver == ("krylov" if n > d**1.5 else "sector-lu")
+        krylov += chosen.solver == "krylov"
         assert np.max(np.abs(sector.matrix - full.matrix)) <= 1e-12
+        assert np.max(np.abs(chosen.matrix - full.matrix)) <= 1e-9
+    assert krylov == 4  # the pre-RWA cases
 
 
 def _prerwa(C, n_th, trunc, flag=False):
@@ -284,20 +293,10 @@ def _prerwa(C, n_th, trunc, flag=False):
                                     include_quadratic_fluctuation=flag)
 
 
-def _krylov_cases():
-    """The pre-RWA generators of _sector_cases, and the pre-RWA model at 4x16."""
-    for sup in _sector_cases():
-        if 2 * sup.sector().size == sup.dim**2:  # the parity sector
-            yield sup
-    for flag in (False, True):
-        yield _prerwa(4.0, 0.2, TruncationSpec(dim_mech=16, dim_cav=4), flag)
-    yield _prerwa(0.1, 0.0, TruncationSpec(dim_mech=16, dim_cav=4))
-
-
-def test_krylov_solve_matches_full_lu():
-    cases = list(_krylov_cases())
-    assert len(cases) == 7
-    for sup in cases:
+def test_krylov_solve_matches_full_lu_at_4x16():
+    trunc = TruncationSpec(dim_mech=16, dim_cav=4)
+    for sup in (_prerwa(4.0, 0.2, trunc), _prerwa(4.0, 0.2, trunc, flag=True),
+                _prerwa(0.1, 0.0, trunc)):
         state = steady_state(sup)
         full = steady_state(_plain(sup, charge=None))
         assert state.solver == "krylov" and full.solver == "sector-lu"
@@ -326,15 +325,6 @@ def test_krylov_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(lindblad, "_KRYLOV_CYCLES", 1)
     with pytest.raises(SingularSystem, match="GMRES"):
         steady_state(_prerwa(4.0, 0.2, TruncationSpec(dim_mech=8, dim_cav=3)))
-
-
-def test_solver_choice_follows_the_sector_size():
-    # pre-RWA sectors hold half the d^2 entries; RWA and reduced ones few
-    for sup in _sector_cases():
-        n, d = sup.sector().size, sup.dim
-        want = "krylov" if n > d**1.5 else "sector-lu"
-        assert steady_state(sup).solver == want
-        assert steady_state(_plain(sup)).solver == "sector-lu"
 
 
 def test_block_min_eigenvalue_matches_dense():
@@ -496,7 +486,7 @@ def test_prerwa_quadratic_term_changes_generator():
     assert (off.matrix - on.matrix).nnz > 0
 
 
-def _count_eigen_calls(monkeypatch):
+def test_positivity_check_per_block_size(monkeypatch):
     calls = []
     for name in ("eigvalsh", "eigh"):
         orig = getattr(np.linalg, name)
@@ -506,26 +496,23 @@ def _count_eigen_calls(monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_positivity_check_per_block_size(monkeypatch):
-    calls = _count_eigen_calls(monkeypatch)
     # the reduced sector is the diagonal: its entries are the eigenvalues
     state = steady_state(build_reduced_liouvillian(10.0, 1.0, TruncationSpec(dim_mech=40)))
     rep = observables(state)
     assert rep.diagnostics["min_eigenvalue"] == state.min_eigenvalue
     assert state.min_eigenvalue == np.diag(state.matrix).min() >= 0.0
     assert calls == []
-    # RWA at 3x10: 4, 4 and 6 charge blocks of sizes 1, 2 and 3, one stacked call per
-    # size above 1, and a decomposition again only of the blocks repaired
+    # RWA at 3x10 has 4, 4 and 6 charge blocks of sizes 1, 2 and 3: one
+    # stacked check per size above 1, and a decomposition again only of the
+    # blocks repaired
     sup = build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, TruncationSpec(10, 3))
     state = steady_state(sup)
     checks = [shape for name, shape in calls if name == "eigvalsh"]
     assert checks == [(4, 2, 2), (6, 3, 3)]
     repaired = [shape for name, shape in calls if name == "eigh"]
     assert (state.min_eigenvalue < 0.0) == bool(repaired)
-    assert all(shape[0] <= k for shape, (k, _, _) in zip(repaired, checks))
+    blocks = {m: k for k, m, _ in checks}
+    assert all(k <= blocks[m] for k, m, _ in repaired)
 
 
 def test_observables_modes_and_diagnostics():
