@@ -5,19 +5,24 @@ Three independent routes to the same observables:
 * :mod:`phonon_stats.exact` — closed-form series solution, valid everywhere;
 * :mod:`phonon_stats.hitemp` — high-temperature closed forms (n_th >> C);
 * :mod:`phonon_stats.lindblad` — truncated-Fock-space master-equation solves,
-  the oracle the analytic routes are validated against.
+  the oracle the analytic routes are validated against. An oracle is a
+  callable from a :class:`TruncationSpec` to a generator, e.g.
+  ``functools.partial(lindblad.build_reduced_liouvillian, C, n_th)``, whose
+  truncation :func:`converge_truncation` grows until the observables settle.
 
 :mod:`phonon_stats.params` maps laboratory parameters onto the two
-dimensionless model inputs (cooperativity C, bath occupation n_th);
-:mod:`phonon_stats.cli` exposes everything as the ``phonon-stats`` command.
-The series sums run in one vectorized numpy kernel
-(:mod:`phonon_stats._kernels`).
+dimensionless model inputs (cooperativity C = 4 g^2/(gamma kappa), bath
+occupation n_th); :mod:`phonon_stats.cli` exposes everything as the
+``phonon-stats`` command. The series sums run in one vectorized numpy kernel
+(:mod:`phonon_stats._kernels`). Tolerances and budgets are module constants,
+not keywords: ``_kernels._MAX_TERMS``, ``lindblad._LADDER_REL_TOL`` and
+``lindblad._DIM_CAP``, ``params._FIXED_POINT_TOL`` and ``params._MAX_ITER``.
 
 Importing the package loads only :mod:`phonon_stats.errors`. Every other
 public name is looked up in ``_LAZY`` and its module is imported on first
 access (a PEP 562 module ``__getattr__``), and so are the submodules
 themselves, e.g. ``phonon_stats.lindblad``. The exact route needs only numpy
-and ``math``; ``hitemp``, ``lindblad`` and :func:`erfcx` load scipy.
+and ``math``; ``hitemp`` (with :func:`erfcx`) and ``lindblad`` load scipy.
 """
 
 import importlib
@@ -41,7 +46,7 @@ HAS_NUMBA = False
 # submodule -> the public names it defines, loaded on first access
 _EXPORTS = {
     "params": ("PhysicalParams", "ReducedParams", "bose_occupation", "derive_reduced"),
-    "specfun": ("SeriesSums", "log_gamma", "erfcx", "recip_gamma_series"),
+    "specfun": ("SeriesSums", "recip_gamma_series"),
     "exact": (
         "observables_exact",
         "mean_phonon_exact",
@@ -54,14 +59,11 @@ _EXPORTS = {
         "mean_phonon_hitemp",
         "g2_hitemp",
         "gaussian_quartic_moments",
-        "phonon_distribution_hitemp",
+        "erfcx",
         "steady_state_hitemp",
     ),
     "lindblad": (
         "TruncationSpec",
-        "ReducedModel",
-        "TwoModeRWAModel",
-        "PreRWAModel",
         "steady_state",
         "observables",
         "converge_truncation",

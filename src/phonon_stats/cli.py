@@ -49,7 +49,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -69,7 +68,7 @@ from .errors import (
 from .params import ReducedParams
 from .report import Regime, SteadyStateReport
 
-__all__ = ["main", "RangeSpec"]
+__all__ = ["main"]
 
 _LOG = logging.getLogger("phonon_stats.cli")
 
@@ -105,39 +104,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class RangeSpec:
-    """Parameter range ``lo:hi:steps:log|lin``."""
-
-    lo: float
-    hi: float
-    steps: int
-    spacing: str
-
-    @classmethod
-    def parse(cls, text: str) -> "RangeSpec":
-        parts = str(text).split(":")
-        if len(parts) != 4:
-            raise DomainError(f"range {text!r} is not of the form lo:hi:steps:log|lin")
-        try:
-            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise DomainError(f"range {text!r}: {exc}") from exc
-        spacing = parts[3]
-        if spacing not in ("log", "lin"):
-            raise DomainError(f"range spacing must be 'log' or 'lin', got {spacing!r}")
-        if steps < 1:
-            raise DomainError(f"range needs at least one step, got {steps}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"range {text!r} has non-finite endpoints")
-        if spacing == "log" and (lo <= 0.0 or hi <= 0.0):
+def _parse_range(text: str) -> list[float]:
+    """The values of a range ``lo:hi:steps:log|lin``, endpoints included."""
+    parts = str(text).split(":")
+    if len(parts) != 4:
+        raise DomainError(f"range {text!r} is not of the form lo:hi:steps:log|lin")
+    try:
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise DomainError(f"range {text!r}: {exc}") from exc
+    spacing = parts[3]
+    if spacing not in ("log", "lin"):
+        raise DomainError(f"range spacing must be 'log' or 'lin', got {spacing!r}")
+    if steps < 1:
+        raise DomainError(f"range needs at least one step, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"range {text!r} has non-finite endpoints")
+    if spacing == "log":
+        if lo <= 0.0 or hi <= 0.0:
             raise DomainError("log-spaced range needs positive endpoints")
-        return cls(lo, hi, steps, spacing)
-
-    def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.logspace(math.log10(self.lo), math.log10(self.hi), self.steps)
-        return np.linspace(self.lo, self.hi, self.steps)
+        values = np.logspace(math.log10(lo), math.log10(hi), steps)
+    else:
+        values = np.linspace(lo, hi, steps)
+    return [float(v) for v in values]
 
 
 def _parse_set(text: str) -> list[float]:
@@ -230,19 +219,24 @@ def _resolve_model(name: str, C: float, n_th: float) -> str:
 
 
 def _oracle_model(name, C, n_th, cfg):
-    """Instantiate a Lindblad model plus the truncation ladder's start."""
+    """The Lindblad builder of one point, a callable from a truncation to
+    its generator, plus the truncation ladder's start. The builder is looked
+    up on the module here, at call time, so a wrapper set on it is seen."""
     lindblad = _pkg.lindblad
     gamma = float(_get(cfg, "gamma", 1.0))
     if name == "oracle-reduced":
-        return lindblad.ReducedModel(C, n_th), lindblad.TruncationSpec(8, 1)
+        build = functools.partial(lindblad.build_reduced_liouvillian, C, n_th)
+        return build, lindblad.TruncationSpec(8, 1)
     kappa = float(_get(cfg, "kappa", 400.0 if name == "oracle-rwa" else 2000.0))
     # Coupling chosen so that eliminating the cavity leaves two-phonon
     # damping with cooperativity C: the second-order elimination of
     # (kappa/2) D[a] against H = g (a^dag b^2 + h.c.) gives Gamma = 4 g^2/kappa.
     g = math.sqrt(C * gamma * kappa / 4.0)
     if name == "oracle-rwa":
-        model = lindblad.TwoModeRWAModel(g, kappa, gamma, n_th)
-        return model, lindblad.TruncationSpec(8, 2)
+        build = functools.partial(
+            lindblad.build_two_mode_rwa_liouvillian, g, kappa, gamma, n_th
+        )
+        return build, lindblad.TruncationSpec(8, 2)
     omega = float(_get(cfg, "omega_m_eff", 50.0 * kappa))
     # Default drive strength saturates g0*n_c/omega' = 1e-3 (with g0 = g/sqrt(n_c)),
     # the deep-sideband hierarchy under which the pre-RWA terms were ordered.
@@ -257,14 +251,12 @@ def _oracle_model(name, C, n_th, cfg):
         Gamma_opt=C * gamma,
         Delta_c=-2.0 * omega,
     )
-    model = lindblad.PreRWAModel(
-        reduced,
-        kappa,
-        gamma,
-        n_th,
-        include_quadratic_fluctuation=bool(_get(cfg, "include_quad_fluct", False)),
+    quad = bool(_get(cfg, "include_quad_fluct", False))
+    build = functools.partial(
+        lindblad.build_prerwa_liouvillian, reduced, kappa, gamma, n_th,
+        include_quadratic_fluctuation=quad,
     )
-    return model, lindblad.TruncationSpec(8, 3)
+    return build, lindblad.TruncationSpec(8, 3)
 
 
 def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
@@ -275,14 +267,14 @@ def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
     if name == "hitemp":
         return name, _pkg.hitemp.steady_state_hitemp(C, n_th)
     lindblad = _pkg.lindblad
-    model, initial = _oracle_model(name, C, n_th, cfg)
+    build, initial = _oracle_model(name, C, n_th, cfg)
     trunc = getattr(cfg, "trunc", None)
     if trunc is not None:
         dim_cav = _get(cfg, "trunc_cav", 4 if initial.dim_cav > 1 else 1)
         spec = lindblad.TruncationSpec(int(trunc), int(dim_cav))
-        report = lindblad.observables(lindblad.steady_state(model.build(spec)))
+        report = lindblad.observables(lindblad.steady_state(build(spec)))
     else:
-        _, report = lindblad.converge_truncation(model, initial)
+        _, report = lindblad.converge_truncation(build, initial)
     return name, report
 
 
@@ -348,7 +340,7 @@ def _grid(cfg, what, *, c_default=None, nth_default=None) -> tuple[list[float], 
         if dest == point_dest:
             values = [float(text)]
         elif dest == range_dest or (dest is None and ":" in text):
-            values = [float(v) for v in RangeSpec.parse(text).values()]
+            values = _parse_range(text)
         else:
             values = _parse_set(text)
         if not values:  # only a value list given by its flag can be empty

@@ -32,27 +32,38 @@ shrinks, quantified against the exact series by the validation tooling.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx as _erfcx
 from scipy.special import gammaln, logsumexp
 
 from . import _kernels
 from .errors import DomainError, NotConverged, RecursionUnstable
-from .report import Regime, SteadyStateReport
+from .report import SteadyStateReport
 from .exact import _check_cn, classify_regime
-from .specfun import erfcx
 
 __all__ = [
     "MomentTable",
+    "erfcx",
     "gaussian_quartic_moments",
     "mean_phonon_hitemp",
     "g2_hitemp",
-    "phonon_distribution_hitemp",
     "steady_state_hitemp",
 ]
 
 
-from dataclasses import dataclass
+def erfcx(x: float) -> float:
+    """Scaled complementary error function exp(x^2) * erfc(x) for x >= 0.
+
+    Evaluated via scipy's Cephes/Faddeeva implementation (relative error
+    below 1e-12), which is the stable form: the unscaled erfc underflows
+    near x ~ 27 while erfcx decays only like 1/(x sqrt(pi)).
+    """
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise DomainError(f"erfcx requires x >= 0, got {x!r}")
+    return float(_erfcx(x))
 
 
 @dataclass(eq=False)
@@ -71,9 +82,6 @@ class MomentTable:
     @property
     def n_max(self) -> int:
         return len(self.log_m) - 1
-
-    def moment(self, n: int) -> float:
-        return float(np.exp(self.log_m[n]))
 
 
 def _check_ab(a: float, b: float) -> tuple[float, float]:
@@ -234,20 +242,6 @@ def _fock_projection(C: float, n_th: float, n_max: int) -> tuple[np.ndarray, flo
     log_raw = table.log_m - gammaln(np.arange(table.n_max + 1, dtype=np.float64) + 1.0)
     log_z = float(logsumexp(log_raw))
     return np.exp(log_raw - log_z), log_z, table.method
-
-
-def phonon_distribution_hitemp(C: float, n_th: float, n_max: int) -> np.ndarray:
-    """Fock distribution P(0..n_max) ∝ M_n(1 + 1/n_th, C/n_th)/n!.
-
-    Normalized by the explicit sum over 0..n_max (so the returned vector sums
-    to exactly 1); the true tail beyond n_max is available from the exact
-    normalizer M_0(1/n_th, C/n_th) and is reported by
-    :func:`steady_state_hitemp`. One moment table serves every level: the
-    upward recursion or, where it is refused, the backward fraction, whose
-    cost grows linearly with ``n_max``.
-    """
-    C, n_th = _check_cn(C, n_th, positive_nth=True)
-    return _fock_projection(C, n_th, n_max)[0]
 
 
 def steady_state_hitemp(

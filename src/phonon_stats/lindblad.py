@@ -92,15 +92,16 @@ __all__ = [
     "build_prerwa_liouvillian",
     "steady_state",
     "observables",
-    "ReducedModel",
-    "TwoModeRWAModel",
-    "PreRWAModel",
     "converge_truncation",
 ]
 
 _EIG_FLOOR = -1e-8
 _RESIDUAL_TOL = 1e-10
 _POPULATION_TAIL_TOL = 1e-9
+# the truncation ladder: relative change of n_ss and g2 at which a rung is
+# accepted, and the largest Hilbert dimension it may try; read at call time
+_LADDER_REL_TOL = 1e-6
+_DIM_CAP = 4096
 # GMRES on the preconditioned system: relative residual, Krylov basis size
 # (restart + 1 vectors of the sector's length are held, 12.5 MB at 5x32)
 # and restart cycles. Pre-RWA took 11 to 40 iterations at most points tried
@@ -633,47 +634,6 @@ def observables(state: DensityMatrix, mode: str = "mech") -> SteadyStateReport:
     )
 
 
-@dataclass(frozen=True)
-class ReducedModel:
-    C: float
-    n_th: float
-
-    def build(self, trunc: TruncationSpec) -> Superoperator:
-        return build_reduced_liouvillian(self.C, self.n_th, trunc)
-
-
-@dataclass(frozen=True)
-class TwoModeRWAModel:
-    g: float
-    kappa: float
-    gamma: float
-    n_th: float
-
-    def build(self, trunc: TruncationSpec) -> Superoperator:
-        return build_two_mode_rwa_liouvillian(
-            self.g, self.kappa, self.gamma, self.n_th, trunc
-        )
-
-
-@dataclass(frozen=True)
-class PreRWAModel:
-    reduced: ReducedParams
-    kappa: float
-    gamma: float
-    n_th: float
-    include_quadratic_fluctuation: bool = False
-
-    def build(self, trunc: TruncationSpec) -> Superoperator:
-        return build_prerwa_liouvillian(
-            self.reduced,
-            self.kappa,
-            self.gamma,
-            self.n_th,
-            trunc,
-            include_quadratic_fluctuation=self.include_quadratic_fluctuation,
-        )
-
-
 def _grow(trunc: TruncationSpec) -> TruncationSpec:
     # the builders refuse a cavity slot on the reduced model and a two-mode
     # model without one, so dim_cav > 1 says the cavity grows too
@@ -684,40 +644,39 @@ def _grow(trunc: TruncationSpec) -> TruncationSpec:
 
 
 def converge_truncation(
-    model,
-    initial: TruncationSpec,
-    *,
-    rel_tol: float = 1e-6,
-    dim_cap: int = 4096,
+    build, initial: TruncationSpec
 ) -> tuple[TruncationSpec, SteadyStateReport]:
     """Grow the truncation until the mechanical observables stop moving.
 
-    Doubles dim_mech each round (and bumps dim_cav for two-mode models);
-    accepts once n_ss and g2 change by less than ``rel_tol`` between rounds
-    (with an absolute floor of 1e-12 so vacuum-level observables, which are
-    pure solver noise, can still settle) AND the top two mechanical
-    populations sum below 1e-9. Raises :class:`BudgetExceeded`
-    carrying the last attempted spec and report when the next step would
-    pass ``dim_cap``.
+    ``build`` maps a :class:`TruncationSpec` to a :class:`Superoperator`,
+    e.g. ``functools.partial(build_reduced_liouvillian, C, n_th)``. Doubles
+    dim_mech each round (and bumps dim_cav for two-mode models); accepts once
+    n_ss and g2 change by less than ``_LADDER_REL_TOL`` between rounds (with
+    an absolute floor of 1e-12 so vacuum-level observables, which are pure
+    solver noise, can still settle) AND the top two mechanical populations
+    sum below 1e-9. Raises :class:`BudgetExceeded` carrying the last
+    attempted spec and report when the next step would pass ``_DIM_CAP``
+    Hilbert-space dimensions.
     """
     trunc = initial
     prev: SteadyStateReport | None = None
     while True:
-        report = observables(steady_state(model.build(trunc)), mode="mech")
+        report = observables(steady_state(build(trunc)), mode="mech")
         tail_ok = report.diagnostics["top_two_population"] < _POPULATION_TAIL_TOL
         if prev is not None and tail_ok:
-            dn = math.isclose(report.n_ss, prev.n_ss, rel_tol=rel_tol, abs_tol=1e-12)
+            tol = _LADDER_REL_TOL
+            dn = math.isclose(report.n_ss, prev.n_ss, rel_tol=tol, abs_tol=1e-12)
             if report.g2 is None or prev.g2 is None:
                 dg = report.g2 is None and prev.g2 is None
             else:
-                dg = math.isclose(report.g2, prev.g2, rel_tol=rel_tol, abs_tol=1e-12)
+                dg = math.isclose(report.g2, prev.g2, rel_tol=tol, abs_tol=1e-12)
             if dn and dg:
                 return trunc, report
         nxt = _grow(trunc)
-        if nxt.dim > dim_cap:
+        if nxt.dim > _DIM_CAP:
             raise BudgetExceeded(
                 f"next truncation {nxt.dim_cav}x{nxt.dim_mech} exceeds "
-                f"dim_cap={dim_cap} before convergence",
+                f"dim_cap={_DIM_CAP} before convergence",
                 last_spec=trunc,
                 last_report=report,
             )

@@ -1,7 +1,7 @@
 """Laboratory parameters and their reduction to dimensionless model inputs.
 
 The reduced model of the two-phonon-damped oscillator is controlled by two
-dimensionless numbers: the multiphoton cooperativity ``C = 8 g^2/(gamma kappa)``
+dimensionless numbers: the multiphoton cooperativity ``C = 4 g^2/(gamma kappa)``
 and the bath occupation ``n_th``. This module maps a physical parameter set
 (quadratic coupling g0, cavity linewidth kappa, mechanical linewidth gamma,
 bare mechanical frequency omega_m, pump rate eta, and bath temperature) onto
@@ -118,28 +118,30 @@ class ReducedParams:
         )
 
 
-def derive_reduced(
-    phys: PhysicalParams,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> ReducedParams:
+# the detuning loop: relative change at which the photon number is accepted,
+# and the most damped rounds it may take; read at call time
+_FIXED_POINT_TOL = 1e-12
+_MAX_ITER = 10_000
+
+
+def derive_reduced(phys: PhysicalParams) -> ReducedParams:
     """Solve the self-consistent detuning loop and form the reduced parameters.
 
-    Returns a :class:`ReducedParams` satisfying, to ``rel_tol``,
+    Returns a :class:`ReducedParams` satisfying, to ``_FIXED_POINT_TOL``,
 
         n_c = eta^2 / (Delta_c^2 + kappa^2/4),
         omega'_m = omega_m + 2 g0 n_c,
         Delta_c = -2 omega'_m,
 
-    with g = g0 sqrt(n_c), Gamma_opt = 8 g^2/kappa, C = Gamma_opt/gamma.
+    with g = g0 sqrt(n_c), Gamma_opt = 4 g^2/kappa (the two-phonon rate left
+    by eliminating the cavity, see :mod:`.lindblad`), C = Gamma_opt/gamma.
 
     Raises
     ------
     FixedPointDiverged
-        If the damped iteration has not met ``rel_tol`` within ``max_iter``
-        rounds (parameters far outside the g0*n_c << omega'_m regime, or an
-        artificially small ``max_iter``).
+        If the damped iteration has not met ``_FIXED_POINT_TOL`` within
+        ``_MAX_ITER`` rounds (parameters far outside the g0*n_c << omega'_m
+        regime).
     """
     eta2 = phys.eta_mag * phys.eta_mag
     kap2 = 0.25 * phys.kappa * phys.kappa
@@ -153,9 +155,9 @@ def derive_reduced(
         n_c = photon_map(0.0)
     else:
         n_c = eta2 / (4.0 * phys.omega_m * phys.omega_m + kap2)
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             f = photon_map(n_c)
-            if abs(f - n_c) <= rel_tol * max(f, n_c):
+            if abs(f - n_c) <= _FIXED_POINT_TOL * max(f, n_c):
                 n_c = f
                 break
             if not math.isfinite(f):
@@ -165,13 +167,13 @@ def derive_reduced(
             n_c = 0.5 * (n_c + f)  # damped update
         else:
             raise FixedPointDiverged(
-                f"photon-number fixed point not converged to {rel_tol:g} "
-                f"within {max_iter} iterations"
+                f"photon-number fixed point not converged to {_FIXED_POINT_TOL:g} "
+                f"within {_MAX_ITER} iterations"
             )
 
     omega_m_eff = phys.omega_m + 2.0 * phys.g0 * n_c
     g = phys.g0 * math.sqrt(n_c)
-    gamma_opt = 8.0 * g * g / phys.kappa
+    gamma_opt = 4.0 * g * g / phys.kappa
     return ReducedParams(
         C=gamma_opt / phys.gamma,
         n_th=n_th,

@@ -11,6 +11,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from conftest import ACCEPTANCE_RESULTS
 from phonon_stats import exact, hitemp, lindblad
 from phonon_stats.cli import main
-from phonon_stats.lindblad import ReducedModel, TruncationSpec, TwoModeRWAModel
+from phonon_stats.lindblad import TruncationSpec, build_reduced_liouvillian
 
 
 @contextmanager
@@ -57,7 +58,7 @@ def test_01_oracle_equivalence():
         for n_th in NTH_GRID:
             for C in C_GRID:
                 _, rep = lindblad.converge_truncation(
-                    ReducedModel(C, n_th), TruncationSpec(dim_mech=8)
+                    partial(build_reduced_liouvillian, C, n_th), TruncationSpec(dim_mech=8)
                 )
                 worst_n = max(worst_n, _rel_dev(exact.mean_phonon_exact(C, n_th), rep.n_ss))
                 if n_th > 0.0:
@@ -73,7 +74,7 @@ def test_02_coherent_point():
             assert abs(exact.g2_exact(C, n_th) - 1.0) <= 1e-9
             assert abs(exact.mean_phonon_exact(C, n_th) - n_th / C) <= 1e-9
         _, rep = lindblad.converge_truncation(
-            ReducedModel(41.0, 20.0), TruncationSpec(dim_mech=8)
+            partial(build_reduced_liouvillian, 41.0, 20.0), TruncationSpec(dim_mech=8)
         )
         assert _rel_dev(rep.n_ss, 20.0 / 41.0) <= 1e-6
         assert _rel_dev(rep.g2, 1.0) <= 1e-6
@@ -98,7 +99,7 @@ def test_04_thermal_and_ground_state_endpoints():
         assert exact.mean_phonon_exact(1e-4, 5.0) == pytest.approx(5.0, rel=1e-2)
         for C in (1.0, 10.0):
             _, rep = lindblad.converge_truncation(
-                ReducedModel(C, 0.0), TruncationSpec(dim_mech=8)
+                partial(build_reduced_liouvillian, C, 0.0), TruncationSpec(dim_mech=8)
             )
             assert rep.populations[0] >= 1.0 - 1e-10
 

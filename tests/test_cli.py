@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import phonon_stats
 from phonon_stats import _kernels, cli, hitemp
-from phonon_stats.cli import RangeSpec, main
+from phonon_stats.cli import main
 from phonon_stats.errors import DomainError
 
 SRC = str(Path(phonon_stats.__file__).resolve().parents[1])
@@ -25,16 +26,14 @@ def run(capsys, *argv):
 
 
 def test_range_spec():
-    r = RangeSpec.parse("0.1:10:5:log")
-    assert (r.lo, r.hi, r.steps, r.spacing) == (0.1, 10.0, 5, "log")
-    vals = r.values()
+    vals = cli._parse_range("0.1:10:5:log")
     assert vals[0] == pytest.approx(0.1) and vals[-1] == pytest.approx(10.0)
     assert len(vals) == 5
-    lin = RangeSpec.parse("0:4:5:lin").values()
-    assert list(lin) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert all(type(v) is float for v in vals)
+    assert cli._parse_range("0:4:5:lin") == [0.0, 1.0, 2.0, 3.0, 4.0]
     for bad in ("1:10:0:log", "abc", "0:10:5:log", "1:10:5", "1:10:5:geom"):
         with pytest.raises(DomainError):
-            RangeSpec.parse(bad)
+            cli._parse_range(bad)
 
 
 def test_stats_coherent_point(capsys):
@@ -571,3 +570,37 @@ def test_validate_empty_grid_exit_1(capsys):
     code, _, err = run(capsys, "validate", "--c-set", "", "--nth-set", "1")
     assert code == 1
     assert "empty" in err
+
+
+def test_perfbench_spans_trace_the_cli(capsys):
+    """perfbench's tracer wraps its span targets and reads fields of their
+    results and arguments; a renamed target or field fails here, not only
+    under ``perfbench/run.py --self-check``."""
+    path = Path(SRC).parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {
+        (mod, attr): getattr(getattr(phonon_stats, mod), attr) for mod, attr, _ in spans.TARGETS
+    }
+    tracer = spans.Tracer()
+    tracer.install(phonon_stats)
+    try:
+        traced_main = tracer.wrap("cli.main", main)
+        assert traced_main(["stats", "--C", "100", "--n-th", "1e4", "--model", "hitemp"]) == 0
+        assert traced_main(["validate", "--c-set", "3", "--nth-set", "0.5"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for (mod, attr), fn in originals.items():
+        assert getattr(getattr(phonon_stats, mod), attr) is fn, (mod, attr)
+    counts, times = spans.layer_metrics(tracer, levels_used=0)
+    spans.derived(counts, times)
+    for key in ("cli.main.calls", "exact.report.calls", "kernels.series.terms",
+                "kernels.population.terms", "hitemp.moments.orders",
+                "lindblad.build.calls", "lindblad.build.nnz", "lindblad.solve.dim_max",
+                "lindblad.ladder.converged"):
+        assert counts[key] > 0, key
+    assert counts["lindblad.ladder.rungs"] >= 2
+    assert 0.0 < tracer.tail_max < 1.0
+    assert phonon_stats.HAS_NUMBA is False  # the lane perfbench stamps

@@ -239,11 +239,14 @@ def test_ground_state_window_checked_against_the_budget():
 
 
 def test_public_api_has_no_term_cap_keyword():
-    # the term budget is one module constant, not a per-call keyword
+    # budgets and tolerances are module constants, not per-call keywords:
+    # the term budget, the truncation ladder's and the detuning loop's
     for name in phonon_stats.__all__:
         obj = getattr(phonon_stats, name)
         if callable(obj) and not inspect.isclass(obj):
-            assert "max_terms" not in inspect.signature(obj).parameters, name
+            params = inspect.signature(obj).parameters
+            for knob in ("max_terms", "rel_tol", "dim_cap", "max_iter"):
+                assert knob not in params, (name, knob)
 
 
 def test_classify_regime():

@@ -83,7 +83,7 @@ def test_public_names_resolve():
     exec("from phonon_stats import *", namespace)
     assert set(phonon_stats.__all__) <= set(namespace)
     assert namespace["steady_state"] is phonon_stats.lindblad.steady_state
-    assert namespace["erfcx"] is phonon_stats.specfun.erfcx
+    assert namespace["erfcx"] is phonon_stats.hitemp.erfcx
 
 
 def test_all_is_the_exports_plus_errors_and_stamps():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,11 +9,8 @@ import scipy.sparse as sp
 from phonon_stats import exact, lindblad
 from phonon_stats.errors import BudgetExceeded, DomainError, SingularSystem
 from phonon_stats.lindblad import (
-    PreRWAModel,
-    ReducedModel,
     Superoperator,
     TruncationSpec,
-    TwoModeRWAModel,
     build_prerwa_liouvillian,
     build_reduced_liouvillian,
     build_two_mode_rwa_liouvillian,
@@ -411,29 +409,32 @@ def test_cached_parts_survive_writes_into_a_build():
         first.jumps[0][0].data[:] = 0.0
 
 
-def test_converge_truncation_reduced():
+def test_converge_truncation_reduced(monkeypatch):
+    monkeypatch.setattr(lindblad, "_LADDER_REL_TOL", 1e-8)
     trunc, rep = converge_truncation(
-        ReducedModel(10.0, 1.0), TruncationSpec(dim_mech=8), rel_tol=1e-8
+        partial(build_reduced_liouvillian, 10.0, 1.0), TruncationSpec(dim_mech=8)
     )
     assert trunc.dim_mech >= 16
     assert rep.n_ss == pytest.approx(0.25322884922445058, rel=1e-8)
     assert rep.g2 == pytest.approx(0.58227906174382116, rel=1e-8)
 
 
-def test_converge_truncation_grows_cavity():
-    model = TwoModeRWAModel(g=math.sqrt(7.5), kappa=10.0, gamma=1.0, n_th=1.0)
-    trunc, rep = converge_truncation(
-        model, TruncationSpec(dim_mech=16, dim_cav=3), rel_tol=1e-4, dim_cap=1024
-    )
+def test_converge_truncation_grows_cavity(monkeypatch):
+    monkeypatch.setattr(lindblad, "_LADDER_REL_TOL", 1e-4)
+    monkeypatch.setattr(lindblad, "_DIM_CAP", 1024)
+    # g, kappa, gamma, n_th
+    build = partial(build_two_mode_rwa_liouvillian, math.sqrt(7.5), 10.0, 1.0, 1.0)
+    trunc, rep = converge_truncation(build, TruncationSpec(dim_mech=16, dim_cav=3))
     assert trunc.dim_cav >= 4  # at least one growth round before acceptance
     assert rep.n_ss > 0.0
     assert rep.g2 is not None
 
 
-def test_converge_truncation_budget():
+def test_converge_truncation_budget(monkeypatch):
+    monkeypatch.setattr(lindblad, "_DIM_CAP", 32)
     with pytest.raises(BudgetExceeded) as exc:
         converge_truncation(
-            ReducedModel(0.1, 5.0), TruncationSpec(dim_mech=8), dim_cap=32
+            partial(build_reduced_liouvillian, 0.1, 5.0), TruncationSpec(dim_mech=8)
         )
     assert exc.value.last_spec.dim_mech == 32
     assert exc.value.last_report.n_ss > 0.0

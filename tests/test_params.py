@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from phonon_stats import constants
+from phonon_stats import constants, exact, lindblad, params
 from phonon_stats.errors import DomainError, FixedPointDiverged
 from phonon_stats.params import (
     PhysicalParams,
@@ -110,7 +110,7 @@ def test_derive_reduced_against_root_finder():
     assert red.n_c == pytest.approx(n_ref, rel=1e-10)
     g_ref = phys.g0 * math.sqrt(n_ref)
     assert red.g == pytest.approx(g_ref, rel=1e-10)
-    assert red.C == pytest.approx(8.0 * g_ref**2 / (phys.gamma * phys.kappa), rel=1e-10)
+    assert red.C == pytest.approx(4.0 * g_ref**2 / (phys.gamma * phys.kappa), rel=1e-10)
 
 
 def test_derive_reduced_internal_relations():
@@ -122,7 +122,7 @@ def test_derive_reduced_internal_relations():
     assert resid <= 1e-10 * phys.eta_mag**2
     assert red.omega_m_eff == pytest.approx(phys.omega_m + 2.0 * phys.g0 * red.n_c, rel=1e-14)
     assert red.Delta_c == -2.0 * red.omega_m_eff
-    assert red.Gamma_opt == pytest.approx(8.0 * red.g**2 / phys.kappa, rel=1e-14)
+    assert red.Gamma_opt == pytest.approx(4.0 * red.g**2 / phys.kappa, rel=1e-14)
     assert red.C * phys.gamma == pytest.approx(red.Gamma_opt, rel=1e-14)
     assert red.n_th == 1.0
 
@@ -145,6 +145,27 @@ def test_derive_reduced_closed_forms():
     assert red.n_c == 0.0 and red.C == 0.0
 
 
-def test_derive_reduced_iteration_cap():
+def test_derive_reduced_iteration_cap(monkeypatch):
+    monkeypatch.setattr(params, "_MAX_ITER", 1)
     with pytest.raises(FixedPointDiverged):
-        derive_reduced(_phys(), max_iter=1)
+        derive_reduced(_phys())
+
+
+def test_derive_reduced_cooperativity_matches_the_two_mode_oracle():
+    """The C that derive_reduced reports is the one the two-mode RWA model
+    at its g reduces to: the oracle at (red.g, kappa) matches the exact
+    route at red.C within acceptance criterion 07's 5e-2."""
+    kappa, gamma, n_th, g0, omega_m, n_c = 400.0, 1.0, 1.0, 1.0, 1e5, 300.0
+    # the pump that holds n_c photons at the shifted two-phonon resonance,
+    # so g^2 = g0^2 n_c = 300 and C = 4 g^2/(gamma kappa) = 3
+    wp = omega_m + 2.0 * g0 * n_c
+    eta = math.sqrt(n_c * (4.0 * wp * wp + 0.25 * kappa * kappa))
+    red = derive_reduced(PhysicalParams(g0, kappa, gamma, omega_m, eta, n_th=n_th))
+    assert red.C == pytest.approx(3.0, rel=1e-10)
+    sup = lindblad.build_two_mode_rwa_liouvillian(
+        red.g, kappa, gamma, n_th, lindblad.TruncationSpec(dim_mech=30, dim_cav=4)
+    )
+    rep = lindblad.observables(lindblad.steady_state(sup))
+    n_ref, g2_ref = exact.observables_exact(red.C, n_th)
+    assert rep.n_ss == pytest.approx(n_ref, rel=5e-2)
+    assert rep.g2 == pytest.approx(g2_ref, rel=5e-2)
