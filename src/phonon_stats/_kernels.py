@@ -127,17 +127,19 @@ def check_window(m_max, what, *args):
     Raises :class:`NotConverged` before any work when the first backward depth
     for its ``m_max`` ratios, ``m_max + _EXCESS``, already reaches
     ``_MAX_TERMS``. ``what % args`` names the window in the message; it is
-    formatted only on failure, since the check runs per point.
+    formatted only on failure, since the check runs per point. A float
+    ``m_max`` is compared before it is converted, so an infinite (or nan)
+    window is refused by the budget, not by ``int()``.
     """
-    m_max = int(m_max)
-    if m_max < 0:
-        raise DomainError(f"{what % args}: the window end must be >= 0, got {m_max!r}")
-    if m_max + _EXCESS >= _MAX_TERMS:
+    if not m_max + _EXCESS < _MAX_TERMS:
         raise NotConverged(
             f"{what % args}: a window of {m_max} levels does not fit the "
             f"{_MAX_TERMS}-term budget",
             terms_used=_MAX_TERMS,
         )
+    m_max = int(m_max)
+    if m_max < 0:
+        raise DomainError(f"{what % args}: the window end must be >= 0, got {m_max!r}")
     return m_max
 
 

@@ -105,9 +105,11 @@ def _recursion_amplification_log(r: float, n_max: int) -> float:
     partial product is the right stability measure.
     """
     t = 0.5 * r * r
-    if t <= 1.0:
+    if t <= 1.0 or n_max == 0:  # no step is amplified (0 * log(inf) is nan)
         return 0.0
-    k = min(n_max, int(t))
+    # compared as floats first: t overflows to inf once r^2 does (b near the
+    # smallest float), and an infinite amplification refuses the recursion
+    k = n_max if t >= n_max else int(t)
     return k * math.log(t) - math.lgamma(k + 1.0)
 
 
@@ -256,7 +258,10 @@ def steady_state_hitemp(
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     n_ss = mean_phonon_hitemp(C, n_th)
     if n_max is None:  # a Poisson width: it can hide a super-Poissonian tail (K2)
-        n_max = max(30, math.ceil(n_ss + 10.0 * math.sqrt(n_ss + 1.0)))
+        width = n_ss + 10.0 * math.sqrt(n_ss + 1.0)
+        # an infinite n_ss (n_th/C overflows) is refused here, before ceil()
+        _kernels.check_window(width, "populations at C=%g, n_th=%g", C, n_th)
+        n_max = max(30, math.ceil(width))
     # the populations go first, so their window check precedes any moment table
     populations, log_z, method = _fock_projection(C, n_th, n_max)
     g2 = g2_hitemp(C, n_th)

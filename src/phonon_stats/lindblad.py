@@ -23,10 +23,13 @@ assembled sparse by one function in the effective-Hamiltonian form
 (Dalibard, Castin & Molmer, PRL 68, 580 (1992)): with column stacking,
 vec(X rho Y) = (Y^T kron X) vec(rho), and A = -i H - (1/2) sum_k rate_k
 o_k^dag o_k, it is I kron A + conj(A) kron I + sum_k rate_k conj(o_k) kron
-o_k, cavity slot first. A builder's generator is linear in its rates and
-couplings, sum_k c_k G_k, so that function forms each unit part G_k (one
-unit-rate jump or one unit Hamiltonian term) once per model and truncation;
-a bounded cache keeps them, and each build only weighs them with its c_k.
+o_k, cavity slot first. That function is the full reference; the
+builders assemble only the sector block the solve reads (below). A
+builder's generator is linear in its rates and couplings, sum_k c_k G_k,
+so each unit part G_k (one unit-rate jump or one unit Hamiltonian term)
+is formed once per model and truncation, restricted to the sector, from
+the nonzeros of its Kronecker factors; a bounded cache keeps them, and
+each build only weighs them with its c_k.
 
 Each builder also declares a weak symmetry (Buca & Prosen, NJP 14, 073007
 (2012); Albert & Jiang, PRA 89, 022118 (2014)) as an integer charge per
@@ -34,8 +37,9 @@ basis state: n_b for the reduced model, 2 n_a + n_b for the two-mode RWA
 model, n_b mod 2 before the RWA. The sector of entries rho_ij with charge_i
 = charge_j holds the diagonal and L maps it into itself and its complement
 into the complement, so the steady state lies in it and only that block is
-solved: d unknowns instead of d^2 for the reduced model. Two solves share
-that block:
+built and solved: d unknowns instead of d^2 for the reduced model, and
+memory and time that scale with the sector, not with d^2. Two solves
+share that block:
 
 * sparse LU in the generator's dtype (real for the reduced model), pinned
   by replacing one row with the trace constraint (scaled to the
@@ -59,8 +63,11 @@ positivity is checked per charge block (rho is block-diagonal in the
 charge, so its spectrum is the union of the blocks' spectra; the reduced
 model's blocks are its diagonal entries) up to a small floor and kept as
 ``min_eigenvalue``, only blocks with a negative eigenvalue are repaired,
-and the residual of the whole generator is checked before anything is
-reported.
+and the residual against the sector block is checked before anything is
+reported. That residual equals the whole generator's because the charge
+is checked to close its sector (L[S^c, S] = 0) once, where the block is
+formed: in the builders' cache, or when a hand-built generator's block is
+sliced from its matrix.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,21 +149,35 @@ class Superoperator:
 
     ``h`` and ``jumps`` are the generator's factors, the Hamiltonian and
     the (o_k, rate_k) pairs that :func:`_liouvillian` turns into
-    ``matrix``; the builders set them and :func:`steady_state` uses them
-    for its Krylov solve. A generator without jumps carries no factors.
-    The builders' jump operators are shared with their cache and are
-    read-only.
+    ``matrix``; :func:`steady_state` uses them for its Krylov solve. A
+    generator without jumps carries no factors. The builders pass
+    ``matrix=None``: they assemble only the block L[S, S] that the solve
+    reads, and ``matrix`` is formed from the factors when first read. Their
+    jump operators are shared with their cache and are read-only.
     """
 
     dims: tuple[int, int]
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | None = field(repr=False)
     charge: np.ndarray | None = None
     h: sp.csr_matrix | None = None
     jumps: tuple = ()
+    # (layout, L[S, S]); see _sector_block
+    _block: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.charge is not None and np.shape(self.charge) != (self.dim,):
             raise DomainError(f"charge needs one integer per basis state, {self.dim} in all")
+        if self.matrix is None:
+            if not self.jumps:
+                raise DomainError("a generator needs its matrix or its jump operators")
+            del self.matrix  # formed by __getattr__ when first read
+
+    def __getattr__(self, name: str):
+        # reached only for attributes not set, and only ``matrix`` may be
+        if name != "matrix":
+            raise AttributeError(name)
+        self.matrix = _liouvillian(self.h, self.jumps)
+        return self.matrix
 
     @property
     def dim(self) -> int:
@@ -166,38 +187,82 @@ class Superoperator:
         """Basis indices of the charge blocks, grouped by block size: one
         (k, m) array per size m, one row per block. With no charge the whole
         basis is one block."""
-        if self.charge is None:
-            return [np.arange(self.dim)[None, :]]
-        order = np.argsort(self.charge, kind="stable")
-        _, starts, sizes = np.unique(
-            self.charge[order], return_index=True, return_counts=True
-        )
-        return [
-            order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)
-        ]
+        return _blocks(self.charge, self.dim)
 
     def sector(self) -> np.ndarray:
         """Ascending vec(rho) indices (column stacking) of the sector S;
         every index when no charge is declared."""
-        d = self.dim
-        if self.charge is None:
-            return np.arange(d * d)
-        same = self.charge[:, None] == self.charge[None, :]
-        return np.flatnonzero(same.ravel(order="F"))
+        return _sector(self.charge, self.dim)
 
     def trace_defect(self) -> float:
-        """max_j |sum_i <i| L applied to basis unit |j>| traced — exactly 0
-        for any Lindblad generator, so this measures assembly error."""
-        d = self.dim
-        trace_row = np.zeros(d * d)
-        trace_row[:: d + 1] = 1.0
-        defect = trace_row @ self.matrix
+        """max_j |sum_i <i| L applied to basis unit |j>| traced, over the
+        sector block the solve reads (L maps the complement into itself,
+        which holds no diagonal entry) — exactly 0 for any Lindblad
+        generator, so this measures assembly error."""
+        lay, block = self._sector_block()
+        trace_row = np.zeros(block.shape[0])
+        trace_row[lay.diag] = 1.0
+        defect = trace_row @ block
         return float(np.max(np.abs(defect)))
+
+    def _sector_block(self) -> tuple[_Layout, sp.csr_matrix]:
+        """The :class:`_Layout` of the charge and the block L[S, S].
+
+        The builders set both from their cache. A hand-built generator's
+        block is sliced from ``matrix`` here, once, after the check that L
+        maps no entry of S outside it (L[S^c, S] = 0): a charge that fails
+        it raises :class:`DomainError`.
+        """
+        if self._block is None:
+            d = self.dim
+            sector = self.sector()
+            L = self.matrix.tocsr()
+            outside = np.ones(d * d, dtype=bool)
+            outside[sector] = False
+            if L[outside][:, sector].count_nonzero():
+                raise DomainError(
+                    "the declared charge does not close its sector: "
+                    "L maps entries of S outside it"
+                )
+            block = L[sector][:, sector]
+            block.sum_duplicates()
+            n = sector.size
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(block.indptr))
+            self._block = (_layout(self.charge, d, sector, rows * n + block.indices), block)
+        return self._block
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """What a charge fixes about the steady-state solve at one dimension d.
+
+    ``sector`` holds S's ascending vec(rho) indices, ``diag`` the positions
+    in S of rho's diagonal, ``blocks`` the charge blocks
+    (:meth:`Superoperator.blocks`). ``indices``/``indptr`` are the CSR
+    pattern of L[S, S]; ``pinned_indices``/``pinned_indptr`` the CSC
+    pattern of the system the sparse LU solves, the row of rho[0, 0]
+    (sector entry 0) replaced by the trace functional, and ``take`` maps
+    its entries to the block's data, the trace entries to index nnz, where
+    the solve appends the scale. The builders keep one per (model, dims);
+    its arrays are read-only.
+    """
+
+    charge: np.ndarray | None
+    sector: np.ndarray
+    diag: np.ndarray
+    blocks: list
+    indices: np.ndarray
+    indptr: np.ndarray
+    pinned_indices: np.ndarray
+    pinned_indptr: np.ndarray
+    take: np.ndarray
 
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Solved steady state; ``residual`` is ||L vec(rho)||_2 / ||L||_inf,
+    """Solved steady state; ``residual`` is ||L[S, S] rho_S||_2 /
+    ||L[S, S]||_inf over the sector entries rho_S (equal to the whole
+    generator's, see :func:`steady_state`),
     ``min_eigenvalue`` the smallest eigenvalue before any positivity repair
     (the value checked against the floor), ``solver`` the solve that ran
     (``"sector-lu"`` or ``"krylov"``) and ``iterations`` the Krylov
@@ -237,14 +302,111 @@ def _liouvillian(h: sp.spmatrix | None, jumps) -> sp.csr_matrix:
     return out.tocsr()
 
 
-@functools.lru_cache(maxsize=16)
+def _sector(charge, d: int) -> np.ndarray:
+    """Ascending vec(rho) indices of S = {(i, j) : charge_i == charge_j};
+    every index for ``charge=None``."""
+    if charge is None:
+        return np.arange(d * d)
+    # pairs within each charge block, so nothing of size d^2 is formed
+    keys = [(idx[:, None, :] * d + idx[:, :, None]).ravel() for idx in _blocks(charge, d)]
+    return np.sort(np.concatenate(keys))
+
+
+def _blocks(charge, d: int) -> list[np.ndarray]:
+    """See :meth:`Superoperator.blocks`."""
+    if charge is None:
+        return [np.arange(d)[None, :]]
+    order = np.argsort(charge, kind="stable")
+    _, starts, sizes = np.unique(charge[order], return_index=True, return_counts=True)
+    return [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
+
+
+def _compressed(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, indptr) of n x n entries given as ascending unique keys
+    major * n + minor: the CSR pattern for keys row * n + col, the CSC
+    pattern for col * n + row."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return (keys % n).astype(np.int32), indptr.astype(np.int32)
+
+
+def _layout(charge, d: int, sector: np.ndarray, keys: np.ndarray) -> _Layout:
+    """The :class:`_Layout` of ``charge`` at dimension ``d``, given its
+    ``sector``, where ``keys`` are row * n + col of the entries of L[S, S],
+    ascending and unique."""
+    n = sector.size
+    diag = np.searchsorted(sector, np.arange(d) * (d + 1))
+    kept = np.flatnonzero(keys >= n)  # every row but row 0
+    # column-major keys; the trace entries sit in row 0, at rho's diagonal
+    pinned = np.concatenate([keys[kept] % n * n + keys[kept] // n, diag * n])
+    order = np.argsort(pinned)
+    take = np.concatenate([kept, np.full(d, keys.size)])[order].astype(np.int32)
+    lay = _Layout(
+        charge, sector, diag, _blocks(charge, d),
+        *_compressed(keys, n), *_compressed(pinned[order], n), take,
+    )
+    for arr in (lay.sector, lay.diag, *lay.blocks, lay.indices, lay.indptr,
+                lay.pinned_indices, lay.pinned_indptr, lay.take):
+        arr.flags.writeable = False
+    return lay
+
+
+def _equal_pairs(k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (p, q) of every pair with k1[p] == k2[q]."""
+    order = np.argsort(k2, kind="stable")
+    ks = k2[order]
+    lo = np.searchsorted(ks, k1, side="left")
+    count = np.searchsorted(ks, k1, side="right") - lo
+    p = np.repeat(np.arange(k1.size), count)
+    q = order[np.arange(p.size) + np.repeat(lo - np.cumsum(count) + count, count)]
+    return p, q
+
+
+def _sector_kron(m1, m2, charge: np.ndarray, sector: np.ndarray):
+    """kron(m1, m2)[S, S] as (keys, values), key = row * n + col for row and
+    column given as positions in S, without forming the d^2 x d^2 product.
+
+    With column stacking kron(m1, m2) sends rho[i, j] to rho[i', j'] with
+    weight m1[j', j] m2[i', i]. S's columns have charge_i == charge_j, so
+    the nonzeros of m1 and m2 are paired where their columns carry equal
+    charge. A pair whose row (i', j') has unequal charges lands outside S:
+    the charge does not close its sector, and :class:`DomainError` is raised.
+    """
+    c1, c2 = m1.tocoo(), m2.tocoo()
+    p, q = _equal_pairs(charge[c1.col], charge[c2.col])
+    i, j = c2.row[q], c1.row[p]
+    if np.any(charge[i] != charge[j]):
+        raise DomainError(
+            "the declared charge does not close its sector: "
+            "L maps entries of S outside it"
+        )
+    d = charge.size
+    rows = np.searchsorted(sector, j.astype(np.int64) * d + i)
+    cols = np.searchsorted(sector, c1.col[p].astype(np.int64) * d + c2.col[q])
+    return rows * sector.size + cols, c1.data[p] * c2.data[q]
+
+
+def _kron_factors(jumps, terms, d: int):
+    """(k, m1, m2) for each Kronecker product kron(m1, m2) of the unit
+    generator G_k, in the form of the module docstring: a unit-rate jump o
+    gives I kron A + conj(A) kron I + conj(o) kron o with A = -(1/2) o^dag
+    o, a unit Hamiltonian term t the first two with A = -i t."""
+    eye = sp.identity(d, format="csr")
+    for k, op in enumerate(jumps):
+        a = -0.5 * (op.conj().T @ op)
+        yield from ((k, eye, a), (k, a.conj(), eye), (k, op.conj(), op))
+    for k, t in enumerate(terms, len(jumps)):
+        a = -1j * t
+        yield from ((k, eye, a), (k, a.conj(), eye))
+
+
 def _unit_ops(model: str, dims: tuple[int, int]):
     """Unit-rate jump operators and unit-coupling Hamiltonian terms of
-    ``model``, in the order of the coefficients its builder passes. Kept per
-    (model, dims) and shared by every build, so their arrays are read-only."""
+    ``model``, in the order of the coefficients its builder passes, and its
+    charge (see the builders)."""
     if model == "reduced":
         b = _destroy(dims[1])
         jumps, terms = [b @ b, b.conj().T, b], []
+        charge = np.arange(dims[1])
     else:
         a = _lift(_destroy(dims[0]), dims, 0)
         b = _lift(_destroy(dims[1]), dims, 1)
@@ -252,53 +414,63 @@ def _unit_ops(model: str, dims: tuple[int, int]):
         jumps = [a, bd, b]  # cavity loss, thermal gain, thermal loss
         if model == "rwa":
             terms = [ad @ b @ b + bd @ bd @ a]
+            charge = np.add.outer(2 * np.arange(dims[0]), np.arange(dims[1])).ravel()
         else:
             x2 = (b + bd) @ (b + bd)
             num_a = ad @ a
             terms = [num_a, bd @ b, b @ b + bd @ bd, (a + ad) @ x2, num_a @ x2]
-    jumps = [op.tocsr() for op in jumps]
-    for op in jumps + terms:
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False
-    return jumps, terms
+            charge = np.tile(np.arange(dims[1]) % 2, dims[0])
+    return [op.tocsr() for op in jumps], terms, charge
 
 
 @functools.lru_cache(maxsize=16)
 def _unit_parts(model: str, dims: tuple[int, int]):
-    """The unit generators G_k of ``model`` at ``dims``, each from
-    :func:`_liouvillian`, stacked on the union of their sparsity patterns.
+    """The unit generators G_k of ``model`` at ``dims`` restricted to the
+    sector, stacked on the union of their sparsity patterns.
 
-    Returns (indices, indptr, weights): the CSR pattern of sum_k c_k G_k and
-    a sparse (nnz, K) matrix whose product with the coefficients c gives the
-    data array in that pattern.
+    Each G_k is a sum of Kronecker products (see the module docstring), and
+    each product enters through :func:`_sector_kron`, so nothing of size
+    d^2 x d^2 is formed and a charge that does not close its sector is
+    refused here, once. Returns (jumps, terms, layout, weights): the unit
+    operators (read-only, shared by every build), the :class:`_Layout`, and
+    a sparse (nnz, K) matrix whose product with the coefficients c gives
+    the data of sum_k c_k G_k[S, S] in the layout's CSR pattern. Per
+    (model, dims), so a build is that product and one matrix.
     """
-    jumps, terms = _unit_ops(model, dims)
-    gens = [_liouvillian(None, [(op, 1.0)]) for op in jumps]
-    gens += [_liouvillian(h, []) for h in terms]
-    n = gens[0].shape[0]
-    coos = [g.tocoo() for g in gens]
-    keys = np.concatenate([c.row.astype(np.int64) * n + c.col for c in coos])
-    union, slot = np.unique(keys, return_inverse=True)
-    part = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
-    dtype = np.result_type(*(g.dtype for g in gens))
-    vals = np.concatenate([c.data.astype(dtype) for c in coos])
-    weights = sp.csr_matrix((vals, (slot, part)), shape=(union.size, len(coos)))
-    indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
-    return (union % n).astype(np.int32), indptr.astype(np.int32), weights
+    jumps, terms, charge = _unit_ops(model, dims)
+    for op in jumps + terms:
+        for arr in (op.data, op.indices, op.indptr):
+            arr.flags.writeable = False
+    d = charge.size
+    sector = _sector(charge, d)
+    part, keys, vals = zip(*(
+        (k, *_sector_kron(m1, m2, charge, sector))
+        for k, m1, m2 in _kron_factors(jumps, terms, d)
+    ))
+    union, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    part = np.repeat(part, [key.size for key in keys])
+    weights = sp.csr_matrix(
+        (np.concatenate(vals), (slot, part)), shape=(union.size, len(jumps) + len(terms))
+    )
+    # a part whose products cancel at an entry leaves no entry there
+    weights.eliminate_zeros()
+    live = np.diff(weights.indptr) > 0
+    return jumps, terms, _layout(charge, d, sector, union[live]), weights[live]
 
 
-def _assemble(model: str, dims: tuple[int, int], coefs, charge) -> Superoperator:
-    """sum_k coefs[k] G_k, in arrays of its own (the cache stays untouched),
-    with its factors: the leading coefs are the jump rates, the rest weigh
-    the Hamiltonian terms."""
-    indices, indptr, weights = _unit_parts(model, dims)
+def _assemble(model: str, dims: tuple[int, int], coefs) -> Superoperator:
+    """sum_k coefs[k] G_k[S, S], in arrays of its own (the cache stays
+    untouched), with its factors: the leading coefs are the jump rates, the
+    rest weigh the Hamiltonian terms."""
+    jumps, terms, lay, weights = _unit_parts(model, dims)
     data = weights @ np.asarray(coefs, dtype=np.float64)
-    n = indptr.size - 1
-    matrix = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
-    jumps, terms = _unit_ops(model, dims)
+    n = lay.sector.size
+    block = sp.csr_matrix((data, lay.indices.copy(), lay.indptr.copy()), shape=(n, n))
     rates = [float(c) for c in coefs[: len(jumps)]]
     h = sum(c * t for c, t in zip(coefs[len(jumps) :], terms)) if terms else None
-    return Superoperator(dims, matrix, charge, h=h, jumps=tuple(zip(jumps, rates)))
+    sup = Superoperator(dims, None, lay.charge, h=h, jumps=tuple(zip(jumps, rates)))
+    sup._block = (lay, block)
+    return sup
 
 
 def _check_finite(**params: float) -> None:
@@ -323,7 +495,7 @@ def build_reduced_liouvillian(
     if C < 0.0 or n_th < 0.0:
         raise DomainError("C and n_th must be nonnegative")
     dims = (1, trunc.dim_mech)
-    return _assemble("reduced", dims, (C, n_th, n_th + 1.0), np.arange(dims[1]))
+    return _assemble("reduced", dims, (C, n_th, n_th + 1.0))
 
 
 def _two_mode_checks(model, trunc, kappa, gamma, n_th, **finite):
@@ -353,8 +525,7 @@ def build_two_mode_rwa_liouvillian(
     H conserves 2 n_a + n_b and each jump moves it on both sides of rho
     alike, so that is the charge."""
     dims, coefs = _two_mode_checks("two-mode", trunc, kappa, gamma, n_th, g=g)
-    charge = np.add.outer(2 * np.arange(dims[0]), np.arange(dims[1])).ravel()
-    return _assemble("rwa", dims, coefs + [g], charge)
+    return _assemble("rwa", dims, coefs + [g])
 
 
 def build_prerwa_liouvillian(
@@ -388,8 +559,7 @@ def build_prerwa_liouvillian(
     if include_quadratic_fluctuation and reduced.n_c > 0.0:
         g0 = g / math.sqrt(reduced.n_c)
     coefs += [-reduced.Delta_c, reduced.omega_m_eff, g * math.sqrt(reduced.n_c), g, g0]
-    charge = np.tile(np.arange(dims[1]) % 2, dims[0])
-    return _assemble("prerwa", dims, coefs, charge)
+    return _assemble("prerwa", dims, coefs)
 
 
 def _krylov_pays(n: int, d: int) -> bool:
@@ -399,17 +569,14 @@ def _krylov_pays(n: int, d: int) -> bool:
     return n > d**1.5
 
 
-def _sector_lu(block: sp.csr_matrix, diag: np.ndarray, scale: float) -> np.ndarray:
+def _sector_lu(block: sp.csr_matrix, lay: _Layout, scale: float) -> np.ndarray:
     """Solve L[S, S] x = 0 by sparse LU, the row of rho[0, 0] replaced by the
-    trace functional (ones at the sector positions ``diag`` of rho's
-    diagonal) scaled to ||L||_inf and the right-hand side that scale."""
-    n, d = block.shape[0], diag.size
-    coo = block.tocoo()
-    keep = coo.row != 0  # rho[0, 0] is sector entry 0
-    rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], diag])
-    vals = np.concatenate([coo.data[keep], np.full(d, scale, dtype=block.dtype)])
-    pinned = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    trace functional (ones at the sector positions of rho's diagonal) scaled
+    to ||L[S, S]||_inf and the right-hand side that scale. The pinned system
+    takes its pattern from ``lay`` and its data from ``block``."""
+    n = block.shape[0]
+    data = np.append(block.data, scale)[lay.take]
+    pinned = sp.csc_matrix((data, lay.pinned_indices, lay.pinned_indptr), shape=(n, n))
     rhs = np.zeros(n, dtype=block.dtype)
     rhs[0] = scale
     with warnings.catch_warnings():
@@ -420,9 +587,7 @@ def _sector_lu(block: sp.csr_matrix, diag: np.ndarray, scale: float) -> np.ndarr
             raise SingularSystem(f"sparse solve failed: {exc}") from exc
 
 
-def _krylov(
-    sup: Superoperator, block: sp.csr_matrix, sector: np.ndarray, diag: np.ndarray
-) -> tuple[np.ndarray, int]:
+def _krylov(sup: Superoperator, block: sp.csr_matrix, lay: _Layout) -> tuple[np.ndarray, int]:
     """GMRES on X + S^-1 (J(X) + sigma X) + E tr X = E over the sector S.
 
     With A = -i h - (1/2) sum_k r_k o_k^dag o_k the generator is
@@ -438,10 +603,12 @@ def _krylov(
     vacuum at n_th = 0); a two-mode builder's median rate is positive,
     since two of its three rates, kappa and gamma (n_th + 1), are. E = I/d makes the system nonsingular:
     tr S(E) = (2 Re tr A - sigma)/d is nonzero, so S(E) is not in the range
-    of L. ``diag`` holds the sector positions of rho's diagonal. Returns
-    the sector entries of the solution and the iteration count.
+    of L. ``lay`` gives the sector, its diagonal positions and the charge
+    blocks. Returns the sector entries of the solution and the iteration
+    count.
     """
     d = sup.dim
+    sector, diag = lay.sector, lay.diag
     sigma = float(np.median([rate for _, rate in sup.jumps]))
     a = sum((-0.5 * rate) * (op.conj().T @ op) for op, rate in sup.jumps)
     if sup.h is not None:
@@ -449,7 +616,7 @@ def _krylov(
     a = a.toarray()
     parts = []  # per block size: sector positions, eigenvectors, inverses, denominators
     try:
-        for idx in sup.blocks():
+        for idx in lay.blocks:
             rows, cols = idx[:, :, None], idx[:, None, :]
             lam, vecs = np.linalg.eig(a[rows, cols])
             inv = np.linalg.inv(vecs)
@@ -529,12 +696,13 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
     """Null vector of the generator in its declared sector, pinned by the
     trace constraint.
 
-    Only the sector S (see :class:`Superoperator`) is solved, in one of two
-    ways chosen by its size n against the Hilbert dimension d:
+    Only the block L[S, S] of the sector S (see :class:`Superoperator`) is
+    read, built and hand-built generators alike, and it is solved in one of
+    two ways chosen by its size n against the Hilbert dimension d:
 
-    * sparse LU of the block L[S, S] in the generator's own dtype (so a
-      real generator takes a real factorization), the row of rho[0, 0]
-      replaced by the trace functional scaled to ||L||_inf;
+    * sparse LU of L[S, S] in the generator's own dtype (so a real
+      generator takes a real factorization), the row of rho[0, 0]
+      replaced by the trace functional scaled to ||L[S, S]||_inf;
     * where :func:`_krylov_pays` and the generator carries its factors,
       GMRES preconditioned by the generator's own non-jump part
       (:func:`_krylov`). Hand-built generators carry no factors and always
@@ -542,50 +710,55 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
 
     The solution is hermitized, normalized and checked for positivity per
     charge block (:func:`_positive_part`), which sets ``min_eigenvalue``;
-    the residual is taken against the whole generator. Raises
+    the residual is taken against L[S, S]. The declared charge is checked
+    once, where the block is formed (the builders' cache, or the slice of
+    a hand-built ``matrix``): L maps no entry of S outside it, so that
+    residual is the whole generator's. ||L[S, S]||_inf takes the rows of S
+    only; their sums are the whole generator's (L[S, S^c] = 0), so the
+    norm is at most the whole one and can only tighten the gate. Raises
+    :class:`DomainError` for a charge that does not close its sector,
     :class:`SingularSystem` when the factorization degenerates, GMRES does
-    not converge or that residual exceeds ``1e-10 ||L||_inf`` (e.g. a
+    not converge or the residual exceeds ``1e-10 ||L[S, S]||_inf`` (e.g. a
     generator with multiple steady states), and :class:`UnphysicalState`
     when an eigenvalue falls below -1e-8. A second steady state outside
     the sector goes unseen, so only generators whose symmetry is known
     declare a charge.
     """
     d = sup.dim
-    L = sup.matrix.tocsr()
-    scale = float(np.max(np.abs(L).sum(axis=1))) or 1.0
+    lay, block = sup._sector_block()
+    n = lay.sector.size
+    starts = block.indptr[:-1][np.diff(block.indptr) > 0]  # of the nonempty rows
+    scale = float(np.add.reduceat(np.abs(block.data), starts).max(initial=0.0)) or 1.0
 
-    sector = sup.sector()
-    block = L[sector][:, sector]
-    diag = np.searchsorted(sector, np.arange(d) * (d + 1))
     iterations = None
-    if sup.jumps and _krylov_pays(sector.size, d):
-        sol, iterations = _krylov(sup, block, sector, diag)
+    if sup.jumps and _krylov_pays(n, d):
+        sol, iterations = _krylov(sup, block, lay)
     else:
-        sol = _sector_lu(block, diag, scale)
+        sol = _sector_lu(block, lay, scale)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("steady-state solve returned non-finite entries")
 
-    vec = np.zeros(d * d, dtype=sol.dtype)
-    vec[sector] = sol
-    rho = vec.reshape(d, d, order="F")  # column stacking
+    cols, rows = np.divmod(lay.sector, d)  # column stacking
+    rho = np.zeros((d, d), dtype=sol.dtype)
+    rho[rows, cols] = sol
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.real(np.trace(rho)))
     if abs(tr) < 1e-300:
         raise SingularSystem("solved state has vanishing trace")
     rho /= tr
 
-    rho, min_eig = _positive_part(rho, sup.blocks())
+    rho, min_eig = _positive_part(rho, lay.blocks)
     if min_eig < 0.0:
         rho /= np.real(np.trace(rho))
 
-    r = L @ rho.reshape(-1, order="F")
+    r = block @ rho[rows, cols]
     # summed by numpy, not by a BLAS dot, which may hand a vector this long
     # to threads and wait milliseconds for them on a loaded machine
     residual = math.sqrt(float(np.sum(r.real**2) + np.sum(r.imag**2)))
     if residual > _RESIDUAL_TOL * scale:
         raise SingularSystem(
             f"steady state residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_TOL:g} * ||L||_inf = {_RESIDUAL_TOL * scale:.3e}; "
+            f"{_RESIDUAL_TOL:g} * ||L[S, S]||_inf = {_RESIDUAL_TOL * scale:.3e}; "
             "the generator's kernel is likely degenerate"
         )
     solver = "sector-lu" if iterations is None else "krylov"

@@ -166,6 +166,24 @@ def test_stats_hitemp_window_budget_exit_2():
     assert "C=1e-10" in proc.stderr and "n_th=2e+07" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "hitemp", "--C", "5e-324", "--n-th", "1"),  # (a/sqrt(b))^2 overflows
+    ("--C", "1e-12", "--n-th", "1e300"),  # auto -> hitemp, n_ss overflows to inf
+])
+def test_stats_hitemp_overflowing_point_is_typed(capsys, argv):
+    # either finite values or one typed error line, never an OverflowError
+    code, out, err = run(capsys, "stats", *argv)
+    if code == 0:
+        payload = json.loads(out)
+        values = [payload["n_ss"], payload["g2"], *payload["populations"]]
+        assert all(math.isfinite(v) for v in values)
+    else:
+        assert code in (1, 2)
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [err.strip()]
+
+
 def test_stats_hot_exact_point_window_fits(capsys):
     # auto keeps this point on the series; its window ends where the
     # flux-balance tail bound holds, a few thousand levels, well inside

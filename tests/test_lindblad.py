@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -257,6 +258,44 @@ def test_builders_declare_a_closed_sector():
         assert L[inside][:, ~inside].count_nonzero() == 0
 
 
+def test_sector_assembly_matches_the_full_generator():
+    # the cached sector block against the d^2 x d^2 reference assembled
+    # from the build's own factors, then sliced
+    for sup in _sector_cases():
+        sector = sup.sector()
+        full = lindblad._liouvillian(sup.h, sup.jumps)[sector][:, sector]
+        block = _block(sup)
+        assert block.shape == full.shape
+        assert abs(block - full).max() <= 1e-15 * abs(full).max()
+
+
+def test_sector_build_memory_is_linear_in_the_sector():
+    # the reduced model at d = 4096 has a sector of 4096 unknowns; the
+    # whole generator would be 4096^2 x 4096^2
+    lindblad._unit_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        build_reduced_liouvillian(1.0, 1e8, TruncationSpec(4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_charge_that_does_not_close_its_sector_raises():
+    # -i[sigma_x, rho] moves populations into coherences: charge [0, 1]
+    # declares a sector (the diagonal) that L leaves
+    sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    charge = np.array([0, 1])
+    sup = Superoperator((1, 2), lindblad._liouvillian(sx, []), charge=charge)
+    with pytest.raises(DomainError, match="does not close"):
+        steady_state(sup)
+    # the builders' cache refuses the same pair of factors when it pairs them
+    eye = sp.identity(2, format="csr")
+    with pytest.raises(DomainError, match="does not close"):
+        lindblad._sector_kron(eye, -1j * sx, charge, sup.sector())
+
+
 def _plain(sup, **changes):
     """``sup`` without its factors, so it always takes the LU."""
     return dataclasses.replace(sup, h=None, jumps=(), **changes)
@@ -348,6 +387,8 @@ def test_reduced_sector_is_the_diagonal_and_stays_real():
     assert np.array_equal(sup.sector(), np.arange(12) * 13)
     with pytest.raises(DomainError):
         Superoperator(sup.dims, sup.matrix, charge=np.arange(11))
+    with pytest.raises(DomainError):
+        Superoperator(sup.dims, None)  # neither a matrix nor factors to form it
     state = steady_state(sup)
     assert state.matrix.dtype == np.float64
     assert np.count_nonzero(state.matrix - np.diag(np.diag(state.matrix))) == 0
@@ -387,11 +428,17 @@ def _fresh_assemblies(C, n_th, g, n_c, flag):
     )
 
 
+def _block(sup):
+    """The block L[S, S] that steady_state reads."""
+    return sup._sector_block()[1]
+
+
 def test_cached_builds_match_fresh_assembly():
     lindblad._unit_parts.cache_clear()
     for params in ((3.0, 1.0, 2.0, 4.0, False), (0.5, 0.2, 0.7, 9.0, True)):
         for sup, fresh in _fresh_assemblies(*params):
-            diff = abs(sup.matrix - fresh).max()
+            sector = sup.sector()
+            diff = abs(_block(sup) - fresh[sector][:, sector]).max()
             assert diff <= 1e-13 * abs(fresh).max()
     assert lindblad._unit_parts.cache_info().hits == 3
 
@@ -399,11 +446,11 @@ def test_cached_builds_match_fresh_assembly():
 def test_cached_parts_survive_writes_into_a_build():
     trunc = TruncationSpec(dim_mech=10, dim_cav=3)
     first = build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, trunc)
-    want = first.matrix.toarray()
-    first.matrix.data[:] = np.nan
-    first.matrix.indices[:] = 0
+    want = _block(first).toarray()
+    _block(first).data[:] = np.nan
+    _block(first).indices[:] = 0
     again = build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, trunc)
-    assert np.array_equal(again.matrix.toarray(), want)
+    assert np.array_equal(_block(again).toarray(), want)
     # the jump operators are the cache's own, so they refuse writes
     with pytest.raises(ValueError):
         first.jumps[0][0].data[:] = 0.0
