@@ -9,7 +9,9 @@ with w_0 = 1, w_1 = k, w_2 = k(k-1); f_0 = 1F1(1; nu; x) = Gamma(nu) S_0(nu, x)
 exact log ratios log1p((x - nu - k)/(nu + k)), anchored at the peak index
 k* = max(0, floor(x - nu) + 1) that the ratio gives. The terms are positive,
 so each chunk is summed pairwise and the chunk partials with ``math.fsum``.
-The range first ends about 12*sqrt(x) terms past the peak and doubles until
+The range first ends min(12 sqrt(x + 10), 45 nu/(nu - x)) + 60 terms past
+the peak, the second bound where nu > x: every ratio is then at most x/nu,
+and 45 nu/(nu - x) >= 45/log(nu/x) terms fall below 1e-19. It doubles until
 its last term falls below ``_SERIES_TOL`` relative to each sum, or until
 ``_MAX_TERMS``. The kernel returns log f_0 and the ratios f_1/f_0 and f_2/f_0,
 so the observables never meet the scale log Gamma(nu) ~ nu log nu.
@@ -83,7 +85,10 @@ def series_logsums(nu, x):
         return 0.0, 0.0, 0.0, 1, True
     d = x - nu
     k_peak = max(0, math.floor(d) + 1)
-    n_hi = int(min(cap, math.ceil(k_peak + 12.0 * math.sqrt(x + 10.0) + 60.0)))
+    width = 12.0 * math.sqrt(x + 10.0)
+    if nu > x:  # every ratio x/(nu + k) is at most x/nu
+        width = min(width, 45.0 * nu / (nu - x))
+    n_hi = int(min(cap, math.ceil(k_peak + width + 60.0)))
     if n_hi <= k_peak:
         return math.nan, math.nan, math.nan, n_hi + 1, False
     parts = ([1.0], [float(k_peak)], [k_peak * (k_peak - 1.0)])  # the peak term

@@ -40,7 +40,7 @@ and the backward continued fraction for P_{m+1}/P_m = rho_m/(m+1) give every
 level (see :func:`phonon_stats._kernels.population_logsums`).
 
 Valid at all temperatures; the companion high-temperature module trades
-exactness for closed forms when x = 2 n_th / C exceeds the series budget.
+exactness for closed forms, which the CLI's ``auto`` takes past n_th/C = 1e6.
 """
 
 from __future__ import annotations

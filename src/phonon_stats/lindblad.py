@@ -58,7 +58,8 @@ share that block:
   On the other models GMRES loses: 22-26 against 10-12 ms for RWA at
   4x32, 20 against 2 ms for the reduced model at 64 levels.
 
-Both end in one tail: the solution is hermitized and normalized, its
+Both end in one tail on the sector entries, which stay the state: no d x d
+array is formed. They are hermitized with their transposes and normalized,
 positivity is checked per charge block (rho is block-diagonal in the
 charge, so its spectrum is the union of the blocks' spectra; the reduced
 model's blocks are its diagonal entries) up to a small floor and kept as
@@ -183,12 +184,6 @@ class Superoperator:
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
 
-    def blocks(self) -> list[np.ndarray]:
-        """Basis indices of the charge blocks, grouped by block size: one
-        (k, m) array per size m, one row per block. With no charge the whole
-        basis is one block."""
-        return _blocks(self.charge, self.dim)
-
     def sector(self) -> np.ndarray:
         """Ascending vec(rho) indices (column stacking) of the sector S;
         every index when no charge is declared."""
@@ -237,10 +232,11 @@ class _Layout:
     """What a charge fixes about the steady-state solve at one dimension d.
 
     ``sector`` holds S's ascending vec(rho) indices, ``diag`` the positions
-    in S of rho's diagonal, ``blocks`` the charge blocks
-    (:meth:`Superoperator.blocks`). ``indices``/``indptr`` are the CSR
-    pattern of L[S, S]; ``pinned_indices``/``pinned_indptr`` the CSC
-    pattern of the system the sparse LU solves, the row of rho[0, 0]
+    in S of rho's diagonal, ``mirror`` the position of each entry's
+    transpose, ``block_pos`` those of the charge blocks' entries, one
+    (k, m, m) array per block size m (:func:`_blocks`). ``indices``/``indptr``
+    are the CSR pattern of L[S, S]; ``pinned_indices``/``pinned_indptr`` the
+    CSC pattern of the system the sparse LU solves, the row of rho[0, 0]
     (sector entry 0) replaced by the trace functional, and ``take`` maps
     its entries to the block's data, the trace entries to index nnz, where
     the solve appends the scale. The builders keep one per (model, dims);
@@ -250,7 +246,8 @@ class _Layout:
     charge: np.ndarray | None
     sector: np.ndarray
     diag: np.ndarray
-    blocks: list
+    mirror: np.ndarray
+    block_pos: list
     indices: np.ndarray
     indptr: np.ndarray
     pinned_indices: np.ndarray
@@ -260,15 +257,16 @@ class _Layout:
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Solved steady state; ``residual`` is ||L[S, S] rho_S||_2 /
-    ||L[S, S]||_inf over the sector entries rho_S (equal to the whole
-    generator's, see :func:`steady_state`),
-    ``min_eigenvalue`` the smallest eigenvalue before any positivity repair
-    (the value checked against the floor), ``solver`` the solve that ran
-    (``"sector-lu"`` or ``"krylov"``) and ``iterations`` the Krylov
-    iteration count (None for the LU)."""
+    """Solved steady state: ``values`` holds its sector entries rho_S in the
+    order of ``layout.sector`` (rho is zero outside S), ``residual`` is
+    ||L[S, S] rho_S||_2 / ||L[S, S]||_inf (equal to the whole generator's,
+    see :func:`steady_state`), ``min_eigenvalue`` the smallest eigenvalue
+    before any positivity repair (the value checked against the floor),
+    ``solver`` the solve that ran (``"sector-lu"`` or ``"krylov"``) and
+    ``iterations`` the Krylov iteration count (None for the LU)."""
 
-    matrix: np.ndarray
+    values: np.ndarray
+    layout: _Layout
     dims: tuple[int, int]
     residual: float
     min_eigenvalue: float
@@ -313,7 +311,9 @@ def _sector(charge, d: int) -> np.ndarray:
 
 
 def _blocks(charge, d: int) -> list[np.ndarray]:
-    """See :meth:`Superoperator.blocks`."""
+    """Basis indices of the charge blocks, grouped by block size: one (k, m)
+    array per size m, one row per block. With no charge the whole basis is
+    one block."""
     if charge is None:
         return [np.arange(d)[None, :]]
     order = np.argsort(charge, kind="stable")
@@ -335,17 +335,21 @@ def _layout(charge, d: int, sector: np.ndarray, keys: np.ndarray) -> _Layout:
     ascending and unique."""
     n = sector.size
     diag = np.searchsorted(sector, np.arange(d) * (d + 1))
+    cols, rows = np.divmod(sector, d)  # column stacking
+    mirror = np.searchsorted(sector, rows * d + cols)
+    block_pos = [np.searchsorted(sector, idx[:, :, None] + idx[:, None, :] * d)
+                 for idx in _blocks(charge, d)]
     kept = np.flatnonzero(keys >= n)  # every row but row 0
     # column-major keys; the trace entries sit in row 0, at rho's diagonal
     pinned = np.concatenate([keys[kept] % n * n + keys[kept] // n, diag * n])
     order = np.argsort(pinned)
     take = np.concatenate([kept, np.full(d, keys.size)])[order].astype(np.int32)
     lay = _Layout(
-        charge, sector, diag, _blocks(charge, d),
+        charge, sector, diag, mirror, block_pos,
         *_compressed(keys, n), *_compressed(pinned[order], n), take,
     )
-    for arr in (lay.sector, lay.diag, *lay.blocks, lay.indices, lay.indptr,
-                lay.pinned_indices, lay.pinned_indptr, lay.take):
+    for arr in (lay.sector, lay.diag, lay.mirror, *lay.block_pos, lay.indices,
+                lay.indptr, lay.pinned_indices, lay.pinned_indptr, lay.take):
         arr.flags.writeable = False
     return lay
 
@@ -603,29 +607,27 @@ def _krylov(sup: Superoperator, block: sp.csr_matrix, lay: _Layout) -> tuple[np.
     vacuum at n_th = 0); a two-mode builder's median rate is positive,
     since two of its three rates, kappa and gamma (n_th + 1), are. E = I/d makes the system nonsingular:
     tr S(E) = (2 Re tr A - sigma)/d is nonzero, so S(E) is not in the range
-    of L. ``lay`` gives the sector, its diagonal positions and the charge
-    blocks. Returns the sector entries of the solution and the iteration
-    count.
+    of L. ``lay`` gives the sector, its diagonal positions and the positions
+    of the charge blocks, which gather A's blocks from its entries on S.
+    Returns the sector entries of the solution and the iteration count.
     """
-    d = sup.dim
-    sector, diag = lay.sector, lay.diag
+    d, diag = sup.dim, lay.diag
     sigma = float(np.median([rate for _, rate in sup.jumps]))
     a = sum((-0.5 * rate) * (op.conj().T @ op) for op, rate in sup.jumps)
     if sup.h is not None:
         a = a - 1j * sup.h
-    a = a.toarray()
+    cols, rows = np.divmod(lay.sector, d)
+    a = np.asarray(a.tocsr()[rows, cols]).ravel()  # on S, which holds its blocks
     parts = []  # per block size: sector positions, eigenvectors, inverses, denominators
     try:
-        for idx in lay.blocks:
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            lam, vecs = np.linalg.eig(a[rows, cols])
+        for pos in lay.block_pos:
+            lam, vecs = np.linalg.eig(a[pos])
             inv = np.linalg.inv(vecs)
             denom = lam[:, :, None] + lam.conj()[:, None, :] - sigma
-            pos = np.searchsorted(sector, rows + cols * d)
             parts.append((pos, vecs, inv, denom))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"preconditioner eigenbasis failed: {exc}") from exc
-    n = sector.size
+    n = lay.sector.size
     rhs = np.zeros(n, dtype=complex)
     rhs[diag] = 1.0 / d
 
@@ -656,40 +658,41 @@ def _krylov(sup: Superoperator, block: sp.csr_matrix, lay: _Layout) -> tuple[np.
     return sol, iterations
 
 
-def _positive_part(rho: np.ndarray, blocks) -> tuple[np.ndarray, float]:
-    """``rho`` with the negative eigenvalues of its blocks clipped to 0, in
-    place, and its smallest eigenvalue before that.
+def _positive_part(values: np.ndarray, block_pos) -> float:
+    """Clip the negative eigenvalues of the state's charge blocks to 0, in
+    place in its sector entries ``values``, and return its smallest
+    eigenvalue before that.
 
-    ``rho`` is Hermitian and block-diagonal in the charge, ``blocks`` is
-    :meth:`Superoperator.blocks`, and the spectrum is the union of the
-    blocks' spectra. Blocks of one size go through one stacked ``eigvalsh``
-    (a 1 x 1 block is its own eigenvalue), and only a block with a negative
-    eigenvalue is decomposed again and rebuilt. Raises
+    The state is Hermitian and block-diagonal in the charge, so its spectrum
+    is the union of the blocks' spectra. ``values[pos]`` stacks the blocks of
+    one size (``block_pos``, see :class:`_Layout`), which go through one
+    ``eigvalsh`` (a 1 x 1 block is its own eigenvalue), and only a block
+    with a negative eigenvalue is decomposed again and rebuilt. Raises
     :class:`UnphysicalState` below the floor, before any repair.
     """
     spectra = []
-    for idx in blocks:
-        sub = rho[idx[:, :, None], idx[:, None, :]]
-        w = sub[:, :, 0].real if idx.shape[1] == 1 else np.linalg.eigvalsh(sub)
-        spectra.append((idx, sub, w))
+    for pos in block_pos:
+        sub = values[pos]
+        w = sub[:, :, 0].real if pos.shape[1] == 1 else np.linalg.eigvalsh(sub)
+        spectra.append((pos, sub, w))
     min_eig = float(min(w.min() for _, _, w in spectra))
     if min_eig < _EIG_FLOOR:
         raise UnphysicalState(
             f"steady state has eigenvalue {min_eig:.3e} below {_EIG_FLOOR:g}; "
             "truncation is too tight for this parameter set"
         )
-    for idx, sub, w in spectra:
+    for pos, sub, w in spectra:
         bad = w.min(axis=1) < 0.0
         if not bad.any():
             continue
-        idx, sub = idx[bad], sub[bad]
-        if idx.shape[1] == 1:
+        pos, sub = pos[bad], sub[bad]
+        if pos.shape[1] == 1:
             sub = np.zeros_like(sub)
         else:
             w, v = np.linalg.eigh(sub)
             sub = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        rho[idx[:, :, None], idx[:, None, :]] = sub
-    return rho, min_eig
+        values[pos] = sub
+    return min_eig
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:
@@ -708,14 +711,15 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
       (:func:`_krylov`). Hand-built generators carry no factors and always
       take the LU.
 
-    The solution is hermitized, normalized and checked for positivity per
-    charge block (:func:`_positive_part`), which sets ``min_eigenvalue``;
-    the residual is taken against L[S, S]. The declared charge is checked
-    once, where the block is formed (the builders' cache, or the slice of
-    a hand-built ``matrix``): L maps no entry of S outside it, so that
-    residual is the whole generator's. ||L[S, S]||_inf takes the rows of S
-    only; their sums are the whole generator's (L[S, S^c] = 0), so the
-    norm is at most the whole one and can only tighten the gate. Raises
+    The solution stays its sector entries, hermitized, normalized and
+    checked for positivity per charge block (:func:`_positive_part`), which
+    sets ``min_eigenvalue``; the residual is L[S, S] times them. The
+    declared charge is checked once, where the block is formed (the
+    builders' cache, or the slice of a hand-built ``matrix``): L maps no
+    entry of S outside it, so that residual is the whole generator's.
+    ||L[S, S]||_inf takes the rows of S only; their sums are the whole
+    generator's (L[S, S^c] = 0), so the norm is at most the whole one and
+    can only tighten the gate. Raises
     :class:`DomainError` for a charge that does not close its sector,
     :class:`SingularSystem` when the factorization degenerates, GMRES does
     not converge or the residual exceeds ``1e-10 ||L[S, S]||_inf`` (e.g. a
@@ -738,20 +742,17 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("steady-state solve returned non-finite entries")
 
-    cols, rows = np.divmod(lay.sector, d)  # column stacking
-    rho = np.zeros((d, d), dtype=sol.dtype)
-    rho[rows, cols] = sol
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.real(np.trace(rho)))
+    rho = 0.5 * (sol + sol[lay.mirror].conj())
+    tr = float(np.real(rho[lay.diag].sum()))
     if abs(tr) < 1e-300:
         raise SingularSystem("solved state has vanishing trace")
     rho /= tr
 
-    rho, min_eig = _positive_part(rho, lay.blocks)
+    min_eig = _positive_part(rho, lay.block_pos)
     if min_eig < 0.0:
-        rho /= np.real(np.trace(rho))
+        rho /= np.real(rho[lay.diag].sum())
 
-    r = block @ rho[rows, cols]
+    r = block @ rho
     # summed by numpy, not by a BLAS dot, which may hand a vector this long
     # to threads and wait milliseconds for them on a loaded machine
     residual = math.sqrt(float(np.sum(r.real**2) + np.sum(r.imag**2)))
@@ -762,30 +763,19 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
             "the generator's kernel is likely degenerate"
         )
     solver = "sector-lu" if iterations is None else "krylov"
-    return DensityMatrix(rho, sup.dims, residual / scale, min_eig, solver, iterations)
-
-
-def _partial_trace_mech(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    full = rho.reshape(dims[0], dims[1], dims[0], dims[1])
-    return np.einsum("aiaj->ij", full)
-
-
-def _partial_trace_cav(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    full = rho.reshape(dims[0], dims[1], dims[0], dims[1])
-    return np.einsum("aibi->ab", full)
+    return DensityMatrix(rho, lay, sup.dims, residual / scale, min_eig, solver, iterations)
 
 
 def observables(state: DensityMatrix, mode: str = "mech") -> SteadyStateReport:
     """Occupation, g2(0), and Fock populations of one mode of the state;
     ``min_eigenvalue`` is the state's, so where the positivity repair fired
-    it is the negative eigenvalue checked against the floor, not 0."""
-    if mode == "mech":
-        red = _partial_trace_mech(state.matrix, state.dims)
-    elif mode == "cav":
-        red = _partial_trace_cav(state.matrix, state.dims)
-    else:
+    it is the negative eigenvalue checked against the floor, not 0. The
+    populations sum rho's diagonal (basis index n_a dim_mech + n_b) over
+    the other mode."""
+    if mode not in ("mech", "cav"):
         raise DomainError(f"mode must be 'mech' or 'cav', got {mode!r}")
-    pops = np.clip(np.real(np.diag(red)), 0.0, None)
+    diag = state.values[state.layout.diag].real.reshape(state.dims)
+    pops = np.clip(diag.sum(axis=0 if mode == "mech" else 1), 0.0, None)
     n = np.arange(len(pops), dtype=np.float64)
     n_ss = float(n @ pops)
     m2 = float((n * (n - 1.0)) @ pops)

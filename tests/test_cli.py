@@ -196,6 +196,18 @@ def test_stats_hot_exact_point_window_fits(capsys):
     assert len(payload["populations"]) <= 4000
 
 
+@pytest.mark.parametrize("C, n_th, max_terms", [
+    ("1e-300", "1", 1_000),  # term ratio x/nu = 2/3
+    ("1e-12", "1e3", 200_000),  # x/nu = 1 - 1/(2 n_th + 1)
+])
+def test_stats_exact_series_ends_with_its_geometric_decay(capsys, C, n_th, max_terms):
+    # where nu > x the terms fall at least as fast as (x/nu)^k, so the
+    # series stops long before the term budget (counts, not wall clock)
+    code, out, _ = run(capsys, "stats", "--model", "exact", "--C", C, "--n-th", n_th)
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["series_terms"] <= max_terms
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({"C": 3.0, "n_th": 1.0, "model": "exact"}))

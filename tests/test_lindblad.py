@@ -282,6 +282,20 @@ def test_sector_build_memory_is_linear_in_the_sector():
     assert peak < 4 * 2**20
 
 
+def test_sector_state_memory_is_linear_in_the_sector():
+    # the solve and the observables keep the state as its 4096 sector
+    # entries; a dense d x d state would take 128 MiB per copy. SuperLU
+    # allocates through C malloc, which tracemalloc does not trace
+    sup = build_reduced_liouvillian(1.0, 1e8, TruncationSpec(4096))
+    tracemalloc.start()
+    try:
+        observables(steady_state(sup))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_charge_that_does_not_close_its_sector_raises():
     # -i[sigma_x, rho] moves populations into coherences: charge [0, 1]
     # declares a sector (the diagonal) that L leaves
@@ -301,6 +315,24 @@ def _plain(sup, **changes):
     return dataclasses.replace(sup, h=None, jumps=(), **changes)
 
 
+def _gap(state, full):
+    """max |state - full| over every entry of rho, where ``full`` was solved
+    with no charge (its entries are all of vec(rho)) and ``state`` is zero
+    outside its sector."""
+    gap = np.abs(full.values)
+    sector = state.layout.sector
+    gap[sector] = np.abs(full.values[sector] - state.values)
+    return gap.max()
+
+
+def _dense(state):
+    """The state as a d x d array, zero outside its sector."""
+    d = state.dims[0] * state.dims[1]
+    rho = np.zeros(d * d, dtype=state.values.dtype)
+    rho[state.layout.sector] = state.values
+    return rho.reshape(d, d, order="F")  # column stacking
+
+
 def test_sector_solve_matches_full_solve():
     # the sector LU against the full-space LU, and the solve each builder's
     # output selects (GMRES on the pre-RWA parity sector) against the same
@@ -314,8 +346,8 @@ def test_sector_solve_matches_full_solve():
         assert sector.solver == full.solver == "sector-lu"
         assert chosen.solver == ("krylov" if n > d**1.5 else "sector-lu")
         krylov += chosen.solver == "krylov"
-        assert np.max(np.abs(sector.matrix - full.matrix)) <= 1e-12
-        assert np.max(np.abs(chosen.matrix - full.matrix)) <= 1e-9
+        assert _gap(sector, full) <= 1e-12
+        assert _gap(chosen, full) <= 1e-9
     assert krylov == 4  # the pre-RWA cases
 
 
@@ -339,7 +371,7 @@ def test_krylov_solve_matches_full_lu_at_4x16():
         assert state.solver == "krylov" and full.solver == "sector-lu"
         assert 0 < state.iterations <= 40
         assert state.residual <= 1e-14
-        assert np.max(np.abs(state.matrix - full.matrix)) <= 1e-9
+        assert _gap(state, full) <= 1e-9
 
 
 def test_krylov_solve_at_zero_temperature(monkeypatch):
@@ -354,7 +386,7 @@ def test_krylov_solve_at_zero_temperature(monkeypatch):
         state = steady_state(sup)
         full = steady_state(_plain(sup, charge=None))
         assert state.solver == "krylov"
-        assert np.max(np.abs(state.matrix - full.matrix)) <= 1e-9
+        assert _gap(state, full) <= 1e-9
 
 
 def test_krylov_nonconvergence_raises(monkeypatch):
@@ -366,19 +398,24 @@ def test_krylov_nonconvergence_raises(monkeypatch):
 
 def test_block_min_eigenvalue_matches_dense():
     for sup in _sector_cases():
-        rho = steady_state(sup).matrix
+        state = steady_state(sup)
+        lay, rho = state.layout, _dense(state)
         # the state as solved, and shifted so that blocks need repair (the
         # smallest eigenvalue then is -1e-9, above the floor)
         for shift in (0.0, np.linalg.eigvalsh(rho)[0] + 1e-9):
             m = rho - shift * np.eye(sup.dim)
             want = np.linalg.eigvalsh(m)
-            fixed, got = lindblad._positive_part(m.copy(), sup.blocks())
+            values = state.values.copy()
+            values[lay.diag] -= shift
+            fixed = values.copy()
+            got = lindblad._positive_part(fixed, lay.block_pos)
             assert abs(got - want[0]) <= 1e-15
             if got >= 0.0:
-                assert np.array_equal(fixed, m)
+                assert np.array_equal(fixed, values)
                 continue
             w, v = np.linalg.eigh(m)
             dense = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            fixed = _dense(dataclasses.replace(state, values=fixed))
             assert np.max(np.abs(fixed - dense)) <= 1e-14
 
 
@@ -390,8 +427,8 @@ def test_reduced_sector_is_the_diagonal_and_stays_real():
     with pytest.raises(DomainError):
         Superoperator(sup.dims, None)  # neither a matrix nor factors to form it
     state = steady_state(sup)
-    assert state.matrix.dtype == np.float64
-    assert np.count_nonzero(state.matrix - np.diag(np.diag(state.matrix))) == 0
+    assert state.values.dtype == np.float64
+    assert np.array_equal(state.layout.sector, sup.sector())
 
 
 def _fresh_assemblies(C, n_th, g, n_c, flag):
@@ -548,7 +585,7 @@ def test_positivity_check_per_block_size(monkeypatch):
     state = steady_state(build_reduced_liouvillian(10.0, 1.0, TruncationSpec(dim_mech=40)))
     rep = observables(state)
     assert rep.diagnostics["min_eigenvalue"] == state.min_eigenvalue
-    assert state.min_eigenvalue == np.diag(state.matrix).min() >= 0.0
+    assert state.min_eigenvalue == state.values.min() >= 0.0
     assert calls == []
     # RWA at 3x10 has 4, 4 and 6 charge blocks of sizes 1, 2 and 3: one
     # stacked check per size above 1, and a decomposition again only of the
