@@ -42,21 +42,22 @@ memory and time that scale with the sector, not with d^2. Two solves
 share that block:
 
 * sparse LU in the generator's dtype (real for the reduced model), pinned
-  by replacing one row with the trace constraint (scaled to the
-  Liouvillian's own norm so the system stays well conditioned). It runs
-  where the sector is small next to d^2: the reduced model (n = d) and
-  the two-mode RWA model (n of about 4 d at 4x32).
+  by rho[0, 0] = 1 in place of that entry's own row and normalized after
+  (W. J. Stewart, *Introduction to the Numerical Solution of Markov
+  Chains*, 1994), so the system keeps the block's sparsity. It runs where
+  the sector is small next to d^2: the reduced model (n = d) and the
+  two-mode RWA model (n of about 4 d at 4x32).
 * GMRES preconditioned by the generator's non-jump part, inverted in its
   eigenbasis (Nation, arXiv:1504.06768, reviews such solvers). It runs
   where the sector holds more than d^1.5 entries and the generator
   carries its factors: the pre-RWA parity sector (n = d^2/2), whose 4-D
   lattice sparse LU fills almost densely. Measured on 2 vCPUs at C = 4,
-  n_th = 0.2, GMRES against LU: 7 against 8-10 ms at 3x8, 13-18 against
-  247-276 ms at 4x16, 26 against 645-788 ms at 5x16, and 0.14 s against
-  10.8 s (623 MiB peak) at 5x32; 15 to 33 iterations for C in [0.1, 50]
+  n_th = 0.2, GMRES against LU: 6 against 8 ms at 3x8, 10-11 against
+  218-246 ms at 4x16, 22 against 551-604 ms at 5x16, and 0.14 s against
+  7.3 s (504 MiB peak) at 5x32; 15 to 33 iterations for C in [0.1, 50]
   and n_th in [0, 1], with and without the quadratic fluctuation term.
-  On the other models GMRES loses: 22-26 against 10-12 ms for RWA at
-  4x32, 20 against 2 ms for the reduced model at 64 levels.
+  On the other models GMRES loses: 15-18 against 4 ms for RWA at 4x32,
+  10 against 0.5 ms for the reduced model at 64 levels.
 
 Both end in one tail on the sector entries, which stay the state: no d x d
 array is formed. They are hermitized with their transposes and normalized,
@@ -221,26 +222,19 @@ class Superoperator:
                 )
             block = L[sector][:, sector]
             block.sum_duplicates()
-            n = sector.size
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(block.indptr))
-            self._block = (_layout(self.charge, d, sector, rows * n + block.indices), block)
+            self._block = (_layout(self.charge, d, sector), block)
         return self._block
 
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """What a charge fixes about the steady-state solve at one dimension d.
+    """Where a charge puts the steady state's entries at one dimension d.
 
     ``sector`` holds S's ascending vec(rho) indices, ``diag`` the positions
     in S of rho's diagonal, ``mirror`` the position of each entry's
     transpose, ``block_pos`` those of the charge blocks' entries, one
-    (k, m, m) array per block size m (:func:`_blocks`). ``indices``/``indptr``
-    are the CSR pattern of L[S, S]; ``pinned_indices``/``pinned_indptr`` the
-    CSC pattern of the system the sparse LU solves, the row of rho[0, 0]
-    (sector entry 0) replaced by the trace functional, and ``take`` maps
-    its entries to the block's data, the trace entries to index nnz, where
-    the solve appends the scale. The builders keep one per (model, dims);
-    its arrays are read-only.
+    (k, m, m) array per block size m (:func:`_blocks`). The builders keep
+    one per (model, dims); its arrays are read-only.
     """
 
     charge: np.ndarray | None
@@ -248,17 +242,13 @@ class _Layout:
     diag: np.ndarray
     mirror: np.ndarray
     block_pos: list
-    indices: np.ndarray
-    indptr: np.ndarray
-    pinned_indices: np.ndarray
-    pinned_indptr: np.ndarray
-    take: np.ndarray
 
 
 @dataclass(eq=False)
 class DensityMatrix:
     """Solved steady state: ``values`` holds its sector entries rho_S in the
-    order of ``layout.sector`` (rho is zero outside S), ``residual`` is
+    order of ``layout.sector`` (rho is zero outside S; ``layout`` places
+    its diagonal and charge blocks there too), ``residual`` is
     ||L[S, S] rho_S||_2 / ||L[S, S]||_inf (equal to the whole generator's,
     see :func:`steady_state`), ``min_eigenvalue`` the smallest eigenvalue
     before any positivity repair (the value checked against the floor),
@@ -321,35 +311,16 @@ def _blocks(charge, d: int) -> list[np.ndarray]:
     return [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
 
 
-def _compressed(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, indptr) of n x n entries given as ascending unique keys
-    major * n + minor: the CSR pattern for keys row * n + col, the CSC
-    pattern for col * n + row."""
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return (keys % n).astype(np.int32), indptr.astype(np.int32)
-
-
-def _layout(charge, d: int, sector: np.ndarray, keys: np.ndarray) -> _Layout:
+def _layout(charge, d: int, sector: np.ndarray) -> _Layout:
     """The :class:`_Layout` of ``charge`` at dimension ``d``, given its
-    ``sector``, where ``keys`` are row * n + col of the entries of L[S, S],
-    ascending and unique."""
-    n = sector.size
+    ``sector``."""
     diag = np.searchsorted(sector, np.arange(d) * (d + 1))
     cols, rows = np.divmod(sector, d)  # column stacking
     mirror = np.searchsorted(sector, rows * d + cols)
     block_pos = [np.searchsorted(sector, idx[:, :, None] + idx[:, None, :] * d)
                  for idx in _blocks(charge, d)]
-    kept = np.flatnonzero(keys >= n)  # every row but row 0
-    # column-major keys; the trace entries sit in row 0, at rho's diagonal
-    pinned = np.concatenate([keys[kept] % n * n + keys[kept] // n, diag * n])
-    order = np.argsort(pinned)
-    take = np.concatenate([kept, np.full(d, keys.size)])[order].astype(np.int32)
-    lay = _Layout(
-        charge, sector, diag, mirror, block_pos,
-        *_compressed(keys, n), *_compressed(pinned[order], n), take,
-    )
-    for arr in (lay.sector, lay.diag, lay.mirror, *lay.block_pos, lay.indices,
-                lay.indptr, lay.pinned_indices, lay.pinned_indptr, lay.take):
+    lay = _Layout(charge, sector, diag, mirror, block_pos)
+    for arr in (lay.sector, lay.diag, lay.mirror, *lay.block_pos):
         arr.flags.writeable = False
     return lay
 
@@ -435,11 +406,12 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     Each G_k is a sum of Kronecker products (see the module docstring), and
     each product enters through :func:`_sector_kron`, so nothing of size
     d^2 x d^2 is formed and a charge that does not close its sector is
-    refused here, once. Returns (jumps, terms, layout, weights): the unit
-    operators (read-only, shared by every build), the :class:`_Layout`, and
-    a sparse (nnz, K) matrix whose product with the coefficients c gives
-    the data of sum_k c_k G_k[S, S] in the layout's CSR pattern. Per
-    (model, dims), so a build is that product and one matrix.
+    refused here, once. Returns (jumps, terms, layout, indices, indptr,
+    weights): the unit operators, the :class:`_Layout`, the CSR pattern of
+    L[S, S] (these read-only and shared by every build), and a sparse
+    (nnz, K) matrix whose product with the coefficients c gives the data of
+    sum_k c_k G_k[S, S] in that pattern. Per (model, dims), so a build is
+    that product and one matrix.
     """
     jumps, terms, charge = _unit_ops(model, dims)
     for op in jumps + terms:
@@ -459,17 +431,21 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     # a part whose products cancel at an entry leaves no entry there
     weights.eliminate_zeros()
     live = np.diff(weights.indptr) > 0
-    return jumps, terms, _layout(charge, d, sector, union[live]), weights[live]
+    keys, n = union[live], sector.size  # row * n + col, ascending
+    indices = (keys % n).astype(np.int32)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+    indices.flags.writeable = indptr.flags.writeable = False
+    return jumps, terms, _layout(charge, d, sector), indices, indptr, weights[live]
 
 
 def _assemble(model: str, dims: tuple[int, int], coefs) -> Superoperator:
     """sum_k coefs[k] G_k[S, S], in arrays of its own (the cache stays
     untouched), with its factors: the leading coefs are the jump rates, the
     rest weigh the Hamiltonian terms."""
-    jumps, terms, lay, weights = _unit_parts(model, dims)
+    jumps, terms, lay, indices, indptr, weights = _unit_parts(model, dims)
     data = weights @ np.asarray(coefs, dtype=np.float64)
     n = lay.sector.size
-    block = sp.csr_matrix((data, lay.indices.copy(), lay.indptr.copy()), shape=(n, n))
+    block = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
     rates = [float(c) for c in coefs[: len(jumps)]]
     h = sum(c * t for c, t in zip(coefs[len(jumps) :], terms)) if terms else None
     sup = Superoperator(dims, None, lay.charge, h=h, jumps=tuple(zip(jumps, rates)))
@@ -573,20 +549,27 @@ def _krylov_pays(n: int, d: int) -> bool:
     return n > d**1.5
 
 
-def _sector_lu(block: sp.csr_matrix, lay: _Layout, scale: float) -> np.ndarray:
-    """Solve L[S, S] x = 0 by sparse LU, the row of rho[0, 0] replaced by the
-    trace functional (ones at the sector positions of rho's diagonal) scaled
-    to ||L[S, S]||_inf and the right-hand side that scale. The pinned system
-    takes its pattern from ``lay`` and its data from ``block``."""
-    n = block.shape[0]
-    data = np.append(block.data, scale)[lay.take]
-    pinned = sp.csc_matrix((data, lay.pinned_indices, lay.pinned_indptr), shape=(n, n))
-    rhs = np.zeros(n, dtype=block.dtype)
-    rhs[0] = scale
+def _sector_lu(block: sp.csr_matrix) -> np.ndarray:
+    """Solve L[S, S] x = 0 by sparse LU, the row of rho[0, 0] (sector entry
+    0) replaced by the unit row e_0^T and the right-hand side e_0, so x is
+    the steady state scaled to rho[0, 0] = 1 (W. J. Stewart, *Introduction
+    to the Numerical Solution of Markov Chains*, 1994). The row dropped is
+    implied by the others, as the trace is a left null vector of L, and the
+    pinned system keeps the block's sparsity. SuperLU gets it as CSC:
+    handed CSR, it factors the transpose, which cost the RWA model's g2 up
+    to 8e-8 relative at n_th = 1e-6."""
+    cut = block.indptr[1]
+    pinned = sp.csr_matrix(
+        (np.insert(block.data[cut:], 0, 1.0), np.insert(block.indices[cut:], 0, 0),
+         np.insert(block.indptr[1:] - cut + 1, 0, 0)),
+        shape=block.shape,
+    )
+    rhs = np.zeros(block.shape[0], dtype=block.dtype)
+    rhs[0] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            return spsolve(pinned, rhs)
+            return spsolve(pinned.tocsc(), rhs)
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystem(f"sparse solve failed: {exc}") from exc
 
@@ -696,20 +679,27 @@ def _positive_part(values: np.ndarray, block_pos) -> float:
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:
-    """Null vector of the generator in its declared sector, pinned by the
-    trace constraint.
+    """Null vector of the generator in its declared sector, normalized to
+    unit trace.
 
     Only the block L[S, S] of the sector S (see :class:`Superoperator`) is
     read, built and hand-built generators alike, and it is solved in one of
     two ways chosen by its size n against the Hilbert dimension d:
 
     * sparse LU of L[S, S] in the generator's own dtype (so a real
-      generator takes a real factorization), the row of rho[0, 0]
-      replaced by the trace functional scaled to ||L[S, S]||_inf;
+      generator takes a real factorization), pinned by rho[0, 0] = 1
+      (:func:`_sector_lu`);
     * where :func:`_krylov_pays` and the generator carries its factors,
       GMRES preconditioned by the generator's own non-jump part
       (:func:`_krylov`). Hand-built generators carry no factors and always
       take the LU.
+
+    The LU's pin assumes the steady state populates the vacuum, rho[0, 0]
+    > 0; where it does not, the pinned system is singular and
+    :class:`SingularSystem` is raised. No builder is affected: each carries
+    its loss jumps (b, and a on the two-mode models) at positive rates, so
+    every state decays toward the vacuum and the steady state keeps it
+    populated.
 
     The solution stays its sector entries, hermitized, normalized and
     checked for positivity per charge block (:func:`_positive_part`), which
@@ -738,7 +728,7 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
     if sup.jumps and _krylov_pays(n, d):
         sol, iterations = _krylov(sup, block, lay)
     else:
-        sol = _sector_lu(block, lay, scale)
+        sol = _sector_lu(block)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("steady-state solve returned non-finite entries")
 

@@ -558,6 +558,25 @@ def test_stats_prerwa_names_its_solver(capsys):
     assert diag["solver"] == "sector-lu" and "iterations" not in diag
 
 
+def test_stats_rwa_ladder_settles_near_the_vacuum(capsys, monkeypatch):
+    # at n_th = 1e-6 the small populations decide g2; a solve that loses
+    # their digits sends the ladder up to 7x256 (seconds, over 600 MiB)
+    from phonon_stats import lindblad
+
+    dims = []
+    solve = lindblad.steady_state
+
+    def recorded(sup):
+        dims.append(sup.dims)
+        return solve(sup)
+
+    monkeypatch.setattr(lindblad, "steady_state", recorded)
+    code, out, _ = run(capsys, "stats", "--model", "oracle-rwa", "--C", "1", "--n-th", "1e-6")
+    assert code == 0
+    assert json.loads(out)["g2"] is not None
+    assert dims and all(c <= 4 and m <= 32 for c, m in dims)
+
+
 def test_validate_keeps_converged_points_past_a_failed_point(capsys):
     # the analytic side fails at (1e-3, 1e9); the point at C = 1 is still
     # reported, and exit 2 wins over the exit 1 of its tolerance failure

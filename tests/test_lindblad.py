@@ -5,7 +5,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from phonon_stats import exact, lindblad
 from phonon_stats.errors import BudgetExceeded, DomainError, SingularSystem
@@ -294,6 +296,67 @@ def test_sector_state_memory_is_linear_in_the_sector():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_sector_lu_keeps_the_reduced_band():
+    # the pinned system keeps the band of the rate matrix (n_b moves by +1,
+    # -1 and -2), so its LU stays near a few entries per unknown; a dense
+    # pinned row fills it to about n^2 / 2
+    sup = build_reduced_liouvillian(1.0, 1e8, TruncationSpec(4096))
+    systems = []
+    solve = lindblad.spsolve
+
+    def captured(a, b, **kwargs):
+        systems.append(a)
+        return solve(a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "spsolve", captured)
+        steady_state(sup)
+    (a,) = systems
+    n = a.shape[0]
+    lu = splu(sp.csc_matrix(a))
+    assert lu.L.nnz + lu.U.nnz <= 10 * n
+
+
+def test_sector_lu_matches_refined_solution():
+    # RWA at (C, n_th) = (4, 0.2): the reference is the same sector block,
+    # pinned by rho[0, 0] = 1, solved by dense LU and refined with its
+    # residual taken in extended precision
+    kappa = 400.0
+    sup = build_two_mode_rwa_liouvillian(
+        math.sqrt(4.0 * kappa / 4.0), kappa, 1.0, 0.2, TruncationSpec(dim_mech=32, dim_cav=4)
+    )
+    rep = observables(steady_state(sup))
+    lay, block = sup._sector_block()
+    a = block.toarray()
+    a[0] = 0.0
+    a[0, 0] = 1.0
+    rhs = np.zeros(a.shape[0], dtype=a.dtype)
+    rhs[0] = 1.0
+    lu = scipy.linalg.lu_factor(a)
+    a_ext = a.astype(np.clongdouble)
+    x = scipy.linalg.lu_solve(lu, rhs).astype(np.clongdouble)
+    for _ in range(3):
+        r = rhs - a_ext @ x
+        x += scipy.linalg.lu_solve(lu, r.astype(a.dtype))
+    pops = x[lay.diag].real.reshape(sup.dims).sum(axis=0)
+    pops /= pops.sum()
+    n = np.arange(pops.size)
+    n_ss = (n * pops).sum()
+    g2 = (n * (n - 1) * pops).sum() / n_ss**2
+    assert rep.n_ss == pytest.approx(float(n_ss), rel=1e-13, abs=0.0)
+    assert rep.g2 == pytest.approx(float(g2), rel=1e-13, abs=0.0)
+
+
+def test_empty_vacuum_raises():
+    # pure pumping drives every state to |3><3|: rho[0, 0] = 0 leaves the
+    # LU's pin rho[0, 0] = 1 without a solution
+    b = lindblad._destroy(4)
+    matrix = lindblad._liouvillian(None, [(b.T.tocsr(), 1.0)])
+    for charge in (None, np.arange(4)):
+        with pytest.raises(SingularSystem):
+            steady_state(Superoperator((1, 4), matrix, charge=charge))
 
 
 def test_charge_that_does_not_close_its_sector_raises():
