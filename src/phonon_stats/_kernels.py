@@ -16,6 +16,15 @@ its last term falls below ``_SERIES_TOL`` relative to each sum, or until
 ``_MAX_TERMS``. The kernel returns log f_0 and the ratios f_1/f_0 and f_2/f_0,
 so the observables never meet the scale log Gamma(nu) ~ nu log nu.
 
+The kernel takes its points as rows and evaluates them together: each round
+takes every pending row's next chunk of at most ``_CHUNK`` terms, sorts the
+chunks by length and stacks chunks of similar length into 2-D blocks of at
+most ``_BLOCK`` elements, whose log ratios, row-wise cumulative sums,
+exponentials and weights are single numpy calls. Each row sums its chunk
+over its own length and keeps its own chunk boundaries and doubling rounds,
+so every row of a batched call equals the call with that row alone, bit for
+bit. The one-point callers pass one row.
+
 The per-level population sums B_m(nu, y) = sum_{k>=m} C(k, m) t_k come from
 the anchor B_0 = f_0(nu, y) and a backward continued fraction for the ratios
 (m+1) B_{m+1}/B_m (Miller's algorithm), run by :func:`backward_ratios`, which
@@ -30,12 +39,18 @@ analytic routes, is read at call time, so a test can lower it.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DomainError, NotConverged
 
 _CHUNK = 1 << 18
+
+# rows stacked into one 2-D block hold at most this many elements: a larger
+# block's temporaries outgrow what the allocator keeps mapped between blocks,
+# and the page faults on fresh memory cost more than the stacking saves
+_BLOCK = 1 << 12
 
 # the series stops once its last term is below this, relative to each sum
 _SERIES_TOL = 1e-18
@@ -53,7 +68,8 @@ _MAX_TERMS = 10_000_000
 def _log_ratios(nu, x, d, i):
     """log(t_{i+1}/t_i) = log(x/(nu + i)) at the indices ``i``, d = x - nu.
 
-    ``i`` is monotone (a chunk of consecutive indices, either direction).
+    ``i`` holds one chunk of consecutive indices (either direction) per row;
+    ``nu``, ``x`` and ``d`` are columns, one value per row (scalars for one).
 
     log1p(a), a = (d - i)/(nu + i), keeps the small logs near the peak
     accurate; where the ratio 1 + a is below 1/2, a is near -1 and 1 + a has
@@ -65,60 +81,151 @@ def _log_ratios(nu, x, d, i):
     lr = np.log1p(np.maximum(a, -0.5))
     low = a < -0.5
     if low.any():
-        ratio = x / den[low]
-        if ratio[0] and ratio[-1]:  # the smallest ratio is at one end
+        ratio = (x / den)[low]
+        # the smallest ratio of a row is at one end of it
+        if ratio[0] and ratio[-1] and (i.ndim == 1 or ratio.all()):
             lr[low] = np.log(ratio)
         else:
-            split = math.log(x) - np.log(den[low])
+            log_x = np.vectorize(math.log, otypes=[np.float64])(x)
+            split = (log_x - np.log(den))[low]
             lr[low] = np.log(ratio, out=split, where=ratio > 0.0)
     return lr
+
+
+class _Row:
+    """One row's state: the next index ``lo`` (one past it below the peak),
+    the end ``n_hi`` of its current range, the log ``ell`` of its last term
+    relative to the peak term, and the partials of its three sums, one
+    triple per chunk."""
+
+    __slots__ = ("index", "nu", "x", "d", "lo", "n_hi", "ell", "log_peak", "parts")
+
+    def __init__(self, index, nu, x, d, k_peak, n_hi):
+        self.index, self.nu, self.x, self.d = index, nu, x, d
+        self.lo, self.n_hi, self.ell, self.log_peak = k_peak, n_hi, 0.0, 0.0
+        self.parts = [(1.0, float(k_peak), k_peak * (k_peak - 1.0))]  # the peak term
+
+
+def _chunks(rows, sizes, down=False):
+    """Sum the next ``sizes[r]`` terms of each row in one 2-D block.
+
+    Above the peak a chunk runs upward from ``lo``, below it (``down``, one
+    row at a time) downward from ``lo - 1``. Each row appends the pairwise
+    sums of its chunk over its own length, so its partials do not depend on
+    the other rows.
+    """
+    width = sizes[0]
+    if len(rows) == 1:  # a lone row's values broadcast as scalars
+        nu, x, d, lo, ell0 = rows[0].nu, rows[0].x, rows[0].d, rows[0].lo, rows[0].ell
+        if down:
+            i = np.arange(lo - 1.0, lo - 1.0 - width, -1.0)
+        else:
+            i = np.arange(lo, lo + width, dtype=np.float64)
+    else:
+        nu, x, d, lo, ell0 = np.array([(r.nu, r.x, r.d, r.lo, r.ell) for r in rows]).T[:, :, None]
+        i = lo + np.arange(width, dtype=np.float64)
+    ell = _log_ratios(nu, x, d, i).cumsum(-1)
+    if down:
+        ell, k, km1 = ell0 - ell, i, i - 1.0
+    else:  # the chunk's log ratios lead to the terms k = i + 1
+        ell += ell0
+        k, km1 = i + 1.0, i
+    w = np.empty((3,) + ell.shape)  # e, k e, k(k-1) e with e = t_k/t_peak
+    e = np.exp(ell, w[0])
+    np.multiply(k, e, w[1])
+    np.multiply(k * km1, e, w[2])
+    if len(rows) > 1:  # one row's weights are already one row each
+        w = w.reshape(3, -1)
+    for start, row, n in zip(range(0, ell.size, width), rows, sizes):
+        row.parts.append(np.add.reduce(w[:, start : start + n], 1).tolist())
+        row.lo += -n if down else n
+        row.ell = ell.item(start + n - 1)
+
+
+def _blocks(rows):
+    """(rows, sizes) per block: the rows' next chunks, longest first, cut
+    into blocks of chunks at least half as long as the block's first and of
+    at most ``_BLOCK`` elements."""
+    if len(rows) == 1:  # the one-point call: nothing to sort or stack
+        return [(rows, [min(_CHUNK, rows[0].n_hi - rows[0].lo)])]
+    todo = sorted(((min(_CHUNK, r.n_hi - r.lo), r) for r in rows), key=itemgetter(0), reverse=True)
+    blocks = []
+    for n, row in todo:
+        if blocks and 2 * n >= width and (len(sizes) + 1) * width <= _BLOCK:
+            block.append(row)
+            sizes.append(n)
+        else:
+            block, sizes, width = [row], [n], n
+            blocks.append((block, sizes))
+    return blocks
 
 
 def series_logsums(nu, x):
     """Return (log_f0, m1, m2, terms_used, converged) for the Kummer sums.
 
-    m1 = f_1/f_0 and m2 = f_2/f_0. When the budget falls at or before the
-    peak, nothing is summed and the sums are NaN (with ``converged`` False).
+    ``nu`` and ``x`` are 1-D arrays with one row per point; each returned
+    item is a tuple with one entry per row: m1 = f_1/f_0 and m2 = f_2/f_0.
+    A row that does not converge within the budget (or whose budget falls at
+    or before its peak, where nothing is summed) has NaN sums and
+    ``converged`` False.
+
+    All rows run together (see the module docstring): each round stacks the
+    rows' next chunks into blocks of at most ``_BLOCK`` elements
+    (:func:`_blocks`), and every row equals the call with that row alone,
+    bit for bit. A float ``nu`` and ``x`` are one row. Rows whose peak lies
+    past k = 0 sum the terms below it first, row by row.
     """
-    nu, x, cap = float(nu), float(x), _MAX_TERMS
-    if x == 0.0:
-        return 0.0, 0.0, 0.0, 1, True
-    d = x - nu
-    k_peak = max(0, math.floor(d) + 1)
-    width = 12.0 * math.sqrt(x + 10.0)
-    if nu > x:  # every ratio x/(nu + k) is at most x/nu
-        width = min(width, 45.0 * nu / (nu - x))
-    n_hi = int(min(cap, math.ceil(k_peak + width + 60.0)))
-    if n_hi <= k_peak:
-        return math.nan, math.nan, math.nan, n_hi + 1, False
-    parts = ([1.0], [float(k_peak)], [k_peak * (k_peak - 1.0)])  # the peak term
-
-    def add(k, ell):  # ell = log(t_k/t_peak) for the chunk k; returns its last
-        e = np.exp(ell)
-        for part, w in zip(parts, (e, k * e, k * (k - 1.0) * e)):
-            part.append(w.sum())
-        return ell[-1]
-
-    ell = 0.0
-    for hi in range(k_peak, 0, -_CHUNK):  # below the peak, downward from it
-        i = np.arange(hi - 1.0, max(hi - _CHUNK, 0) - 1.0, -1.0)
-        ell = add(i, ell - np.cumsum(_log_ratios(nu, x, d, i)))
-    log_peak, ell, done = -ell, 0.0, k_peak
-    while True:  # above the peak, extended until the stop rule holds
-        for lo in range(done, n_hi, _CHUNK):
-            i = np.arange(lo, min(lo + _CHUNK, n_hi), dtype=np.float64)
-            ell = add(i + 1.0, ell + np.cumsum(_log_ratios(nu, x, d, i)))
-        done = n_hi
-        s0, s1, s2 = (math.fsum(part) for part in parts)
-        t_last = math.exp(ell)
-        ok = (
-            t_last <= _SERIES_TOL * s0
-            and n_hi * t_last <= _SERIES_TOL * s1
-            and n_hi * (n_hi - 1.0) * t_last <= _SERIES_TOL * s2
-        )
-        if ok or n_hi >= cap:
-            return log_peak + math.log(s0), s1 / s0, s2 / s0, n_hi + 1, ok
-        n_hi = int(min(cap, 2 * n_hi))
+    if isinstance(nu, float):  # one row, as the one-point callers pass it
+        nu, x = [nu], [x]
+    else:
+        nu = np.array(nu, dtype=np.float64, ndmin=1).tolist()
+        x = np.array(x, dtype=np.float64, ndmin=1).tolist()
+    cap, nan = _MAX_TERMS, math.nan
+    out = [(0.0, 0.0, 0.0, 1, True)] * len(nu)  # the row at x = 0
+    rows = []
+    for index, (nu_r, x_r) in enumerate(zip(nu, x)):
+        if x_r == 0.0:
+            continue
+        d = x_r - nu_r
+        k_peak = max(0, math.floor(d) + 1)
+        width = 12.0 * math.sqrt(x_r + 10.0)
+        if nu_r > x_r:  # every ratio x/(nu + k) is at most x/nu
+            width = min(width, 45.0 * nu_r / (nu_r - x_r))
+        n_hi = int(min(cap, math.ceil(k_peak + width + 60.0)))
+        if n_hi <= k_peak:
+            out[index] = (nan, nan, nan, n_hi + 1, False)
+            continue
+        row = _Row(index, nu_r, x_r, d, k_peak, n_hi)
+        if k_peak:
+            while row.lo:  # below the peak, downward from it
+                _chunks([row], [min(_CHUNK, row.lo)], down=True)
+            row.log_peak, row.ell, row.lo = -row.ell, 0.0, k_peak
+        rows.append(row)
+    while rows:  # above the peak, each range extended until the stop rule holds
+        for block, sizes in _blocks(rows):
+            _chunks(block, sizes)
+        pending = []
+        for row in rows:
+            n_hi = row.n_hi
+            if row.lo < n_hi:  # a range longer than one chunk
+                pending.append(row)
+                continue
+            s0, s1, s2 = map(math.fsum, zip(*row.parts))
+            t_last = math.exp(row.ell)
+            ok = (
+                t_last <= _SERIES_TOL * s0
+                and n_hi * t_last <= _SERIES_TOL * s1
+                and n_hi * (n_hi - 1.0) * t_last <= _SERIES_TOL * s2
+            )
+            if ok:
+                out[row.index] = (row.log_peak + math.log(s0), s1 / s0, s2 / s0, n_hi + 1, True)
+            elif n_hi >= cap:
+                out[row.index] = (nan, nan, nan, n_hi + 1, False)
+            else:
+                row.n_hi = int(min(cap, 2 * n_hi))
+                pending.append(row)
+        rows = pending
+    return tuple(zip(*out)) or ((),) * 5
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +299,7 @@ def backward_ratios(p, q, s, n_ratios):
     return out, levels + top, converged, width
 
 
-def population_logsums(nu, y, m_max):
+def population_logsums(nu, y, m_max, log_b0=None):
     """Return (log_B[0..m_max], terms_used, converged) for the population sums.
 
     With T_m = m! B_m / Gamma(nu), the sums obey
@@ -206,11 +313,17 @@ def population_logsums(nu, y, m_max):
     in which every term is positive when nu > y (in the application
     nu - y = (1 + n_th)/C). B_0 = f_0(nu, y) anchors the chain;
     ``terms_used`` counts its terms plus the backward levels run, and
-    ``_MAX_TERMS`` caps each of the two.
+    ``_MAX_TERMS`` caps each of the two. A caller that widens its window at
+    the same (nu, y) passes the log_B[0] of its first call as ``log_b0``:
+    the series is then not summed again, and ``terms_used`` counts the
+    backward levels alone.
     """
     nu, y, m_max = float(nu), float(y), int(m_max)
     log_b = np.empty(m_max + 1)
-    log_b[0], _, _, terms, ok = series_logsums(nu, y)
+    terms, ok = 0, True
+    if log_b0 is None:
+        log_b0, _, _, terms, ok = next(zip(*series_logsums(nu, y)))
+    log_b[0] = log_b0
     rho, levels, ok_rho, _ = backward_ratios(y, nu - y, 1.0, m_max)
     log_b[1:] = log_b[0] + np.cumsum(np.log(rho / np.arange(1.0, m_max + 1.0)))
     return log_b, terms + levels, ok and ok_rho

@@ -22,10 +22,11 @@ writes the converged rest, prints one ``error: C=… n_th=…: <message>`` line
 per failed point and exits 2, whatever its exit code would have been.
 
 What each command computes: ``sweep`` and figures 1, 2, 4 and 5 compute
-n_ss, g2 and regime only (one series call per point on the exact route, the
-two closed forms on the hitemp route); ``stats``, ``validate`` and figures 3
-and 6 also compute the Fock populations. An oracle model always solves for
-the full state.
+n_ss, g2 and regime only (on the exact route one series kernel call sums the
+series of every point of a grid slice; the hitemp route evaluates the two
+closed forms per point); ``stats``, ``validate`` and figures 3 and 6 also
+compute the Fock populations. An oracle model always solves for the full
+state.
 
 What each command imports: this module loads only the exact route (numpy and
 ``math``). The ``hitemp`` and ``lindblad`` modules, and with them scipy, are
@@ -47,6 +48,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import logging
 import math
@@ -302,14 +304,46 @@ def _point_observables(name, C, n_th, cfg) -> tuple[str, float, float | None, Re
 
 def _point_worker(task, point=_point_observables):
     """Evaluate the grid task ``(C, n_th, model, cfg)`` as ``point(model, C,
-    n_th, cfg)``; module-level so it pickles, and shares nothing. A point
-    that fails to converge returns its message as a string, so the rest of
-    the grid survives it."""
+    n_th, cfg)``. A point that fails to converge returns its message as a
+    string, so the rest of the grid survives it."""
     C, n_th, model, cfg = task
     try:
         return point(model, C, n_th, cfg)
     except _NONCONV as exc:
         return str(exc)
+
+
+def _slice_worker(tasks, point=_point_observables):
+    """Evaluate a slice of grid tasks: per task its result, its failure
+    message (a string) or the exception that aborts the command. The slice
+    stops at the first point evaluated alone that raises such an exception.
+
+    On an observables grid the exact-route points of the slice go to one
+    :func:`exact._observables_grid` call, so their series share one kernel
+    call; every other point is evaluated alone. Module-level so it pickles,
+    and shares nothing.
+    """
+    results, batch = [], []
+    for task in tasks:
+        C, n_th, model, _ = task
+        if point is _point_observables and _resolve_model(model, C, n_th) == "exact":
+            batch.append(len(results))
+            results.append(None)
+            continue
+        try:
+            results.append(_point_worker(task, point))
+        except Exception as exc:  # aborts the command: no later point comes first
+            results.append(exc)
+            break
+    values = exact._observables_grid([tasks[j][:2] for j in batch])
+    for j, value in zip(batch, values):
+        C, n_th = tasks[j][:2]
+        if isinstance(value, _NONCONV):
+            value = str(value)
+        elif not isinstance(value, Exception):
+            value = ("exact", *value, exact.classify_regime(C, n_th))
+        results[j] = value
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +391,29 @@ def _run_grid(cfg, model, c_values, nth_values, point=_point_observables):
 
     Returns ``(C, n_th, result)`` for each converged point, in grid order,
     and one ``C=… n_th=…: <message>`` entry per point that failed to
-    converge. Only a command with ``--jobs`` (``sweep``) runs a worker pool.
+    converge. Any other failure aborts the command: the first failing point
+    in grid order raises its exception here.
+
+    The grid is evaluated in contiguous slices by :func:`_slice_worker`:
+    one slice without ``--jobs``, and with ``--jobs N`` (``sweep`` only)
+    four per worker of an N-process pool. On an observables grid the
+    exact-route points of a slice share one series kernel call.
     """
     tasks = [(C, n_th, model, cfg) for n_th in nth_values for C in c_values]
     workers = min(int(_get(cfg, "jobs", 1)), len(tasks))
     if workers > 1:
+        # four slices per worker, as pool.map cuts a task list by default, so
+        # that points of uneven cost still spread over the workers
+        size = -(-len(tasks) // (4 * workers))
+        slices = [tasks[i : i + size] for i in range(0, len(tasks), size)]
         with Pool(processes=workers) as pool:
-            results = pool.map(functools.partial(_point_worker, point=point), tasks)
+            parts = pool.map(functools.partial(_slice_worker, point=point), slices)
     else:
-        results = [_point_worker(task, point) for task in tasks]
+        slices, parts = [tasks], [_slice_worker(tasks, point)]
     points, failed = [], []
-    for (C, n_th, _, _), result in zip(tasks, results):
+    for (C, n_th, _, _), result in itertools.chain.from_iterable(map(zip, slices, parts)):
+        if isinstance(result, Exception):
+            raise result
         if isinstance(result, str):
             failed.append(f"C={_fmt(C)} n_th={_fmt(n_th)}: {result}")
         else:

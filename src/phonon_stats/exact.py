@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, specfun
 from .errors import DomainError, NotConverged
 from .report import G2_UNDEFINED_BELOW, Regime, SteadyStateReport
 from .specfun import SeriesSums, recip_gamma_series
@@ -86,17 +86,52 @@ def _observables(C: float, n_th: float) -> tuple[float, float | None, SeriesSums
     normalizer f_0(nu, 2y). At ``n_th = 0`` the state is the ground state:
     (0.0, None, None) with no series evaluation. The series is looked up as
     this module's global, so a wrapper set on ``exact.recip_gamma_series``
-    sees every call.
+    sees every one-point call (a grid's points go to the kernel together,
+    through :func:`_observables_grid`).
     """
     C, n_th = _check_cn(C, n_th)
     if n_th == 0.0:
         return 0.0, None, None
     sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
-    n_ss = 0.5 * sums.m1
+    return (*_ratios(sums.m1, sums.m2), sums)
+
+
+def _ratios(m1: float, m2: float) -> tuple[float, float | None]:
+    n_ss = 0.5 * m1
     g2 = None
     if n_ss >= G2_UNDEFINED_BELOW:
-        g2 = sums.m2 / (sums.m1 * sums.m1)
-    return n_ss, g2, sums
+        g2 = m2 / (m1 * m1)
+    return n_ss, g2
+
+
+def _observables_grid(points) -> list:
+    """:func:`observables_exact` at each (C, n_th) of ``points``, with the
+    series of all of them summed in one kernel call.
+
+    Returns one entry per point: its (n_ss, g2), or the
+    :class:`~phonon_stats.errors.PhononStatsError` that the point raises
+    alone. Each value and each message equals the one-point call's, since
+    every kernel row equals the kernel called with that row alone.
+    """
+    out, rows = [], []
+    for C, n_th in points:
+        try:
+            C, n_th = _check_cn(C, n_th)
+            if n_th == 0.0:
+                out.append((0.0, None))
+                continue
+            nu_x = specfun._check_args((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
+        except DomainError as exc:
+            out.append(exc)
+            continue
+        rows.append((len(out), *nu_x))
+        out.append(None)
+    if rows:
+        _, nu, x = zip(*rows)
+        for (j, nu_j, x_j), row in zip(rows, zip(*_kernels.series_logsums(nu, x))):
+            _, m1, m2, terms, ok = row
+            out[j] = _ratios(m1, m2) if ok else specfun._not_converged(nu_j, x_j, terms)
+    return out
 
 
 def observables_exact(C: float, n_th: float) -> tuple[float, float | None]:
@@ -128,24 +163,28 @@ def g2_exact(C: float, n_th: float) -> float | None:
     return _observables(C, n_th)[1]
 
 
-def _window(C: float, n_th: float, m_max: int, log_f2: float) -> np.ndarray:
-    """P(0..m_max) from the backward recurrence, normalized by the given
-    log f_0(nu, 2y) (the ``log_f`` of :func:`_observables`)."""
+def _window(C: float, n_th: float, m_max: int, log_b0: float | None = None) -> np.ndarray:
+    """log B(0..m_max) from the backward recurrence; ``log_b0`` is the
+    log B_0 of an earlier window at the same point, which saves its series."""
     m_max = _kernels.check_window(m_max, "populations at C=%g, n_th=%g", C, n_th)
-    log_b, terms, ok = _kernels.population_logsums((1.0 + 2.0 * n_th) / C, n_th / C, m_max)
+    log_b, terms, ok = _kernels.population_logsums(
+        (1.0 + 2.0 * n_th) / C, n_th / C, m_max, log_b0
+    )
     if not ok:
         raise NotConverged(
             f"population recurrence at C={C:g}, n_th={n_th:g} hit the "
             f"{_kernels._MAX_TERMS}-term budget",
             terms_used=int(terms),
         )
-    return np.exp(log_b - log_f2)
+    return log_b
 
 
 def _populations(
     C: float, n_th: float, m_max: int | None, n_ss: float, g2: float | None, log_f2: float
 ) -> np.ndarray:
-    """P(0..m_max); with ``m_max=None`` the window ends where its tail is bounded.
+    """P(0..m_max), normalized by the given log f_0(nu, 2y) (the ``log_f`` of
+    :func:`_observables`); with ``m_max=None`` the window ends where its tail
+    is bounded.
 
     The flux balance gives P_{n+1} <= q_n P_n with q_n = n_th/(n_th + 1 + C n)
     falling in n, so the mass past level m is below P_m q_m/(1 - q_m) =
@@ -153,17 +192,20 @@ def _populations(
     at the first level where that bound is at most ``_TAIL_TOL``; the trial
     window that must hold it starts at n_ss + 10 sd, with
     sd^2 = n_ss + n_ss^2 (g2 - 1) (n_ss where g2 is undefined), and doubles.
+    The trials share the series for B_0 = f_0(nu, y), summed once.
     """
     if m_max is not None:
-        return _window(C, n_th, m_max, log_f2)
+        return np.exp(_window(C, n_th, m_max) - log_f2)
     var = n_ss if g2 is None else n_ss + n_ss * n_ss * (g2 - 1.0)
     trial = math.ceil(n_ss + 10.0 * math.sqrt(var))
+    log_b0 = None
     while True:
-        p = _window(C, n_th, trial, log_f2)
+        log_b = _window(C, n_th, trial, log_b0)
+        p = np.exp(log_b - log_f2)
         held = p * n_th / (1.0 + C * np.arange(trial + 1.0)) <= _TAIL_TOL
         if held[-1]:
             return p[: int(np.argmax(held)) + 1]
-        trial *= 2
+        log_b0, trial = log_b[0], trial * 2
 
 
 def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) -> np.ndarray:

@@ -209,31 +209,42 @@ def mean_phonon_hitemp(C: float, n_th: float) -> float:
     """Closed-form mean occupation -1/(2C) + sqrt(n_th/(pi C))/erfcx(z).
 
     z = sqrt(1/(4 C n_th)). Equals M_1/M_0 identically (integration by
-    parts); evaluated via erfcx so neither factor under- or overflows. For
-    q = C*n_th < 1e-8 the two terms cancel to relative O(q), so the expansion
-    n_th (1 - 4q + 40 q^2) + O(q^3) is used instead.
+    parts); evaluated via erfcx so neither factor under- or overflows. It is
+    n_th times a function of q = C*n_th alone,
+
+        n_ss/n_th = 1/(sqrt(pi q) erfcx(z)) - 1/(2q),
+
+    which is how it is evaluated, so that n_th/C never appears and cannot
+    overflow. Where q itself overflows, n_ss is its q -> inf limit
+    sqrt(n_th/(pi C)), exact to double precision there. For q < 1e-8 the two
+    terms cancel to relative O(q), so the expansion 1 - 4q + 40 q^2 + O(q^3)
+    is used instead.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     q = C * n_th
     if q < 1e-8:
         return n_th * (1.0 - 4.0 * q + 40.0 * q * q)
-    z = 0.5 / math.sqrt(q)
-    return -0.5 / C + math.sqrt(n_th / (math.pi * C)) / erfcx(z)
+    if q == math.inf:
+        return math.sqrt(n_th / C / math.pi)
+    return n_th * (1.0 / (math.sqrt(math.pi * q) * erfcx(0.5 / math.sqrt(q))) - 0.5 / q)
 
 
 def g2_hitemp(C: float, n_th: float) -> float:
     """Second-order correlation M_2 M_0 / M_1^2 of the thermal-diffusion state.
 
     Depends on (C, n_th) only through q = C*n_th, interpolating monotonically
-    between the thermal value 2 (q -> 0) and pi/2 (q -> inf). Below q = 1e-5
-    the asymptotic expansion 2 - 4q + 72 q^2 + O(q^3) replaces the moment
-    ratio, which loses ~eps/q^2 relative accuracy to cancellation there.
+    between the thermal value 2 (q -> 0) and pi/2 (q -> inf). The ratio is
+    taken from the moments of exp(-s/sqrt(q) - s^2), the weight rescaled by
+    s -> s sqrt(n_th/C), so that no moment parameter under- or overflows.
+    Below q = 1e-5 the asymptotic expansion 2 - 4q + 72 q^2 + O(q^3) replaces
+    the moment ratio, which loses ~eps/q^2 relative accuracy to cancellation
+    there.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     q = C * n_th
     if q < 1e-5:
         return 2.0 - 4.0 * q + 72.0 * q * q
-    t = gaussian_quartic_moments(1.0 / n_th, C / n_th, 2)
+    t = gaussian_quartic_moments(1.0 / math.sqrt(q), 1.0, 2)
     return float(math.exp(t.log_m[2] + t.log_m[0] - 2.0 * t.log_m[1]))
 
 

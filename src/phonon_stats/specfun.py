@@ -64,17 +64,28 @@ def recip_gamma_series(nu: float, x: float) -> SeriesSums:
     -------
     SeriesSums
     """
+    nu, x = _check_args(nu, x)
+    log_f, m1, m2, terms, ok = next(zip(*_kernels.series_logsums(nu, x)))
+    if not ok:
+        raise _not_converged(nu, x, terms)
+    return SeriesSums(log_f, m1, m2, terms)
+
+
+def _check_args(nu, x) -> tuple[float, float]:
+    """(nu, x) as floats, or the :class:`DomainError` of :func:`recip_gamma_series`."""
     nu = float(nu)
     x = float(x)
     if not math.isfinite(nu) or nu <= 0.0:
         raise DomainError(f"recip_gamma_series requires nu > 0, got {nu!r}")
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"recip_gamma_series requires x >= 0, got {x!r}")
-    log_f, m1, m2, terms, ok = _kernels.series_logsums(nu, x)
-    if not ok:
-        raise NotConverged(
-            f"series at nu={nu:g}, x={x:g} did not converge within the "
-            f"{_kernels._MAX_TERMS}-term budget (use the high-temperature route instead)",
-            terms_used=int(terms),
-        )
-    return SeriesSums(log_f, m1, m2, int(terms))
+    return nu, x
+
+
+def _not_converged(nu, x, terms) -> NotConverged:
+    """The error of a series at (nu, x) that ran out of its term budget."""
+    return NotConverged(
+        f"series at nu={nu:g}, x={x:g} did not converge within the "
+        f"{_kernels._MAX_TERMS}-term budget (use the high-temperature route instead)",
+        terms_used=int(terms),
+    )

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import phonon_stats
-from phonon_stats import _kernels, cli, hitemp
+from phonon_stats import _kernels, cli, exact, hitemp
 from phonon_stats.cli import main
 from phonon_stats.errors import DomainError
 
@@ -184,6 +184,26 @@ def test_stats_hitemp_overflowing_point_is_typed(capsys, argv):
         assert errors == [err.strip()]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "hitemp", "--c-set", "1e-200", "--nth-set", "1e200"),
+    ("--model", "hitemp", "--c-set", "1e-160", "--nth-set", "1e160"),
+    ("--c-set", "1e-200,1", "--nth-set", "1e200"),  # auto: both points hitemp
+])
+def test_sweep_hitemp_at_extreme_ratio(capsys, argv):
+    # n_th/C overflows while q = C n_th = 1 stays in range: the first row's
+    # n_ss/n_th and g2 are those of (C, n_th) = (1, 1)
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    rows = _read_csv(out)
+    first = rows[0]
+    n_th = float(first["n_th"])
+    assert float(first["n_ss"]) / n_th == pytest.approx(
+        hitemp.mean_phonon_hitemp(1.0, 1.0), rel=1e-13, abs=0
+    )
+    assert float(first["g2"]) == pytest.approx(hitemp.g2_hitemp(1.0, 1.0), rel=1e-13, abs=0)
+    assert all(math.isfinite(float(row["n_ss"])) for row in rows)
+
+
 def test_stats_hot_exact_point_window_fits(capsys):
     # auto keeps this point on the series; its window ends where the
     # flux-balance tail bound holds, a few thousand levels, well inside
@@ -350,6 +370,62 @@ def test_sweep_keeps_converged_rows_past_a_failed_point(capsys, jobs):
     assert len(lines) == 1
     assert lines[0].startswith("error: C=0.001 n_th=1000000000: series at")
     assert isinstance(cli._point_worker((1e-3, 1e9, "exact", {})), str)
+
+
+# exact, hitemp (n_th/C > 1e6) and vacuum points; at n_th = 100, C = 1e-3
+# (x = 2e5) the series needs 5,426 terms, which the lowered budget refuses
+_MIXED_C, _MIXED_NTH = "1e-7,1e-3,0.5,3", "0,1,100"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_batch_matches_points_alone(capsys, monkeypatch, jobs):
+    """A sweep that sums its exact points in one kernel call writes what
+    sweeping each point on its own writes: the same rows, error lines and
+    exit code, in grid order."""
+    monkeypatch.setattr(_kernels, "_MAX_TERMS", 3000)
+    rows, errors, worst = [], [], 0
+    for n_th in _MIXED_NTH.split(","):
+        for C in _MIXED_C.split(","):
+            code, out, err = run(capsys, "sweep", "--model", "auto", "--c-set", C,
+                                 "--nth-set", n_th)
+            rows += out.splitlines()[1:]
+            errors += err.splitlines()
+            worst = max(worst, code)
+    assert worst == 2 and len(errors) == 1 and len(rows) == 11
+    assert {line.split(",")[2] for line in rows} == {"exact", "hitemp"}
+    code, out, err = run(capsys, "sweep", "--model", "auto", "--c-set", _MIXED_C,
+                         "--nth-set", _MIXED_NTH, "--jobs", jobs)
+    assert (code, out.splitlines()[1:], err.splitlines()) == (worst, rows, errors)
+
+
+@pytest.mark.parametrize("c_set", ["1,-1", "-1,1"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_first_aborting_point_chooses_the_error(capsys, c_set, jobs):
+    """Points that abort the command (exit 1), one on the batched exact
+    route (C = -1) and one evaluated alone on the hitemp route
+    (n_th = inf): the first in grid order names the error, as when the
+    points run one by one."""
+    first = None
+    for n_th in ("inf", "1"):
+        for C in c_set.split(","):
+            code, _, err = run(capsys, "sweep", f"--c-set={C}", "--nth-set", n_th)
+            if code and first is None:
+                first = err
+    code, out, err = run(capsys, "sweep", f"--c-set={c_set}", "--nth-set", "inf,1",
+                         "--jobs", jobs)
+    assert (code, out, err) == (1, "", first)
+
+
+def test_figure5_batch_matches_observables_exact(tmp_path, capsys):
+    """figure 5 over its default 40 x 40 grid writes observables_exact of
+    each point, formatted as %.17g (g2 empty where undefined)."""
+    code, _, _ = run(capsys, "figure", "5", "--out", str(tmp_path))
+    assert code == 0
+    rows = _read_csv((tmp_path / "figure5.csv").read_text())
+    assert len(rows) == 1600
+    for row in rows:
+        n_ss, g2 = exact.observables_exact(float(row["C"]), float(row["n_th"]))
+        assert (row["n_ss"], row["g2"]) == ("%.17g" % n_ss, "" if g2 is None else "%.17g" % g2)
 
 
 def test_sweep_jobs_capped_by_grid(monkeypatch, capsys):
@@ -621,10 +697,12 @@ def test_validate_empty_grid_exit_1(capsys):
     assert "empty" in err
 
 
-def test_perfbench_spans_trace_the_cli(capsys):
+def test_perfbench_spans_trace_the_cli(capsys, tmp_path):
     """perfbench's tracer wraps its span targets and reads fields of their
     results and arguments; a renamed target or field fails here, not only
-    under ``perfbench/run.py --self-check``."""
+    under ``perfbench/run.py --self-check``. The grid commands, whose exact
+    points bypass the wrapped series front end, write the same output traced
+    as untraced."""
     path = Path(SRC).parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -632,15 +710,28 @@ def test_perfbench_spans_trace_the_cli(capsys):
     originals = {
         (mod, attr): getattr(getattr(phonon_stats, mod), attr) for mod, attr, _ in spans.TARGETS
     }
+    sweep = ["sweep", "--c-set", "1e-7,0.5,3", "--nth-set", "0,1,20"]
+
+    def figure4(out):
+        return ["figure", "4", "--c-range", "0.1:1e3:12:log", "--out", str(tmp_path / out)]
+
+    assert main(sweep) == 0 and main(figure4("plain")) == 0
+    plain = capsys.readouterr().out.splitlines()[:-2]  # less the figure's paths
     tracer = spans.Tracer()
     tracer.install(phonon_stats)
     try:
         traced_main = tracer.wrap("cli.main", main)
         assert traced_main(["stats", "--C", "100", "--n-th", "1e4", "--model", "hitemp"]) == 0
         assert traced_main(["validate", "--c-set", "3", "--nth-set", "0.5"]) == 0
+        capsys.readouterr()
+        assert traced_main(sweep) == 0 and traced_main(figure4("traced")) == 0
+        traced = capsys.readouterr().out.splitlines()[:-2]
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    assert traced == plain and len(plain) == 10
+    csvs = [(tmp_path / out / "figure4.csv").read_bytes() for out in ("plain", "traced")]
+    assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 49
     for (mod, attr), fn in originals.items():
         assert getattr(getattr(phonon_stats, mod), attr) is fn, (mod, attr)
     counts, times = spans.layer_metrics(tracer, levels_used=0)

@@ -93,6 +93,51 @@ def test_observables_reference_values():
     )
 
 
+def _moment_ratios(C, n_th):
+    """n_ss and g2 of the thermal-diffusion state at 80 digits: the moment
+    ratios of exp(-r t - t^2), r = 1/sqrt(C n_th), from the closed form of
+    m_0 and integration by parts, with C and n_th taken as given."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        q = mpmath.mpf(C) * mpmath.mpf(n_th)
+        r = 1 / mpmath.sqrt(q)
+        m0 = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(r * r / 4) * mpmath.erfc(r / 2)
+        m1 = (1 - r * m0) / 2
+        m2 = (m0 - r * m1) / 2
+        return float(n_th * m1 / (m0 * mpmath.sqrt(q))), float(m2 * m0 / (m1 * m1))
+
+
+@pytest.mark.parametrize("n_th", [1e2, 3e4, 1e7])
+def test_observables_match_moment_ratios(n_th):
+    """Over q = C n_th in [1e-5, 1e6] both closed forms stay within 1e-10 of
+    the 80-digit moment ratios (measured: 3.4e-12 for n_ss, 4.8e-11 for g2,
+    the latter where the upward moment recursion amplifies roundoff)."""
+    for q in np.logspace(-5, 6, 23):
+        C = float(q) / n_th
+        n_ref, g_ref = _moment_ratios(C, n_th)
+        assert hitemp.mean_phonon_hitemp(C, n_th) == pytest.approx(n_ref, rel=1e-10, abs=0)
+        assert hitemp.g2_hitemp(C, n_th) == pytest.approx(g_ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("C, n_th", [(1e-200, 1e200), (1e-160, 1e160)])
+def test_observables_depend_on_q_alone(C, n_th):
+    """At q = 1 with n_th/C past the float range, n_ss/n_th and g2 are those
+    of (C, n_th) = (1, 1): no moment parameter underflows and n_ss is finite."""
+    assert hitemp.mean_phonon_hitemp(C, n_th) / n_th == pytest.approx(
+        hitemp.mean_phonon_hitemp(1.0, 1.0), rel=1e-13, abs=0
+    )
+    assert hitemp.g2_hitemp(C, n_th) == pytest.approx(hitemp.g2_hitemp(1.0, 1.0), rel=1e-13, abs=0)
+
+
+def test_observables_past_overflowing_q():
+    # q = C n_th overflows: n_ss is its q -> inf limit sqrt(n_th/(pi C)) and
+    # g2 the strong-damping value pi/2
+    assert hitemp.mean_phonon_hitemp(1e200, 1e200) == pytest.approx(
+        1.0 / math.sqrt(math.pi), rel=1e-15
+    )
+    assert hitemp.g2_hitemp(1e200, 1e200) == pytest.approx(math.pi / 2.0, rel=1e-15)
+
+
 def test_g2_limits():
     # q -> 0: thermal bunching; q -> inf: pi/2
     assert hitemp.g2_hitemp(1e-10, 1e4) == pytest.approx(2.0, rel=1e-3)

@@ -169,6 +169,73 @@ def test_series_chunks_join_exactly(nu, x, monkeypatch):
     np.testing.assert_allclose(chunked[:3], whole[:3], rtol=1e-14)
 
 
+def _rows(nu, x):
+    """series_logsums as one (log_f0, m1, m2, terms_used, converged) per row."""
+    return list(zip(*_kernels.series_logsums(nu, x)))
+
+
+def _same(a, b):
+    """Equal bit for bit, a NaN equal to a NaN."""
+    return all(u == v or (u != u and v != v) for u, v in zip(a, b))
+
+
+def _first_range(nu, x):
+    """Terms in a row's first range, peak included (the kernel's own rule)."""
+    k_peak = max(0, math.floor(x - nu) + 1)
+    width = 12.0 * math.sqrt(x + 10.0)
+    if nu > x:
+        width = min(width, 45.0 * nu / (nu - x))
+    return k_peak, math.ceil(k_peak + width + 60.0) + 1
+
+
+# x = 0; peaks past k = 0; the points of the chunking test; underflowing
+# ratios; seeded log-uniform rows on both sides of nu = x
+_FIXED = [(1.0, 0.0), (3.0, 2.0), (1e-3, 50.0), (0.5, 3e3), (2001.0, 2e3), (10.0, 1e4),
+          (810.0, 800.0), (20001.0, 2e4), (1.0, 5e-324), (5.0, 1e-300), (2.0, 1e-3)]
+
+
+def _parity_grid():
+    rng = np.random.default_rng(2017)
+    nu = np.concatenate([[p[0] for p in _FIXED], 10.0 ** rng.uniform(-3, 4, 60)])
+    x = np.concatenate([[p[1] for p in _FIXED], 10.0 ** rng.uniform(-4, 4, 60)])
+    return nu, x
+
+
+@pytest.mark.parametrize("patch", [
+    {},
+    {"_CHUNK": 50},  # every row split into chunks of 50 terms
+    {"_SERIES_TOL": 1e-250},  # every row extends its range by doubling
+    {"_MAX_TERMS": 400},  # rows past the budget, at or after their peak
+])
+def test_series_rows_equal_one_row_calls(patch, monkeypatch):
+    """Each row of one batched kernel call equals the kernel called on that
+    row alone, bit for bit, whatever else the call holds."""
+    nu, x = _parity_grid()
+    free = _rows(nu, x)
+    for name, value in patch.items():
+        monkeypatch.setattr(_kernels, name, value)
+    batched = _rows(nu, x)
+    assert len(batched) == len(nu)
+    for row, a, b in zip(batched, nu, x):
+        assert _same(row, _rows(a, b)[0]), (a, b)
+    # the grid exercises what the patch is there for
+    starts = [_first_range(a, b) for a, b in zip(nu, x)]
+    assert any(k_peak > 0 for k_peak, _ in starts)
+    terms = [row[3] for row in batched]
+    if "_CHUNK" in patch:
+        assert sum(t > 2 * 50 for t in terms) >= 20
+    if "_SERIES_TOL" in patch:
+        assert sum(t > n for t, (_, n) in zip(terms, starts) if t > 1) >= 20
+    if "_MAX_TERMS" in patch:
+        # refused rows hold NaN sums; a row whose range fits the budget is
+        # as without it
+        refused = [row for row in batched if not row[4]]
+        assert any(k_peak >= 400 for k_peak, _ in starts) and len(refused) >= 5
+        assert all(math.isnan(v) for row in refused for v in row[:3])
+        fits = [(row, ref) for row, ref in zip(batched, free) if ref[3] <= 400]
+        assert len(fits) >= 20 and all(row == ref for row, ref in fits)
+
+
 @pytest.mark.parametrize("nu,y,m_max", [(3.0, 1.0, 12), (110.0, 50.0, 40), (2001.0, 1e3, 30)])
 def test_population_logsums_match_double_series(nu, y, m_max):
     """The backward recurrence reproduces the defining sums
