@@ -19,11 +19,11 @@ so the observables never meet the scale log Gamma(nu) ~ nu log nu.
 The kernel takes its points as rows and evaluates them together: each round
 takes every pending row's next chunk of at most ``_CHUNK`` terms, sorts the
 chunks by length and stacks chunks of similar length into 2-D blocks of at
-most ``_BLOCK`` elements, whose log ratios, row-wise cumulative sums,
+most ``_CHUNK`` elements, whose log ratios, row-wise cumulative sums,
 exponentials and weights are single numpy calls. Each row sums its chunk
 over its own length and keeps its own chunk boundaries and doubling rounds,
 so every row of a batched call equals the call with that row alone, bit for
-bit. The one-point callers pass one row.
+bit. The one-point callers pass one row, through the same block code.
 
 The per-level population sums B_m(nu, y) = sum_{k>=m} C(k, m) t_k come from
 the anchor B_0 = f_0(nu, y) and a backward continued fraction for the ratios
@@ -45,12 +45,10 @@ import numpy as np
 
 from .errors import DomainError, NotConverged
 
-_CHUNK = 1 << 18
-
-# rows stacked into one 2-D block hold at most this many elements: a larger
-# block's temporaries outgrow what the allocator keeps mapped between blocks,
-# and the page faults on fresh memory cost more than the stacking saves
-_BLOCK = 1 << 12
+# terms in one chunk of a row, and elements in one 2-D block of stacked
+# chunks; at 2^18 a long row ran three times slower, its temporaries faulted
+# in afresh for every chunk
+_CHUNK = 1 << 14
 
 # the series stops once its last term is below this, relative to each sum
 _SERIES_TOL = 1e-18
@@ -69,7 +67,7 @@ def _log_ratios(nu, x, d, i):
     """log(t_{i+1}/t_i) = log(x/(nu + i)) at the indices ``i``, d = x - nu.
 
     ``i`` holds one chunk of consecutive indices (either direction) per row;
-    ``nu``, ``x`` and ``d`` are columns, one value per row (scalars for one).
+    ``nu``, ``x`` and ``d`` are columns, one value per row.
 
     log1p(a), a = (d - i)/(nu + i), keeps the small logs near the peak
     accurate; where the ratio 1 + a is below 1/2, a is near -1 and 1 + a has
@@ -80,10 +78,9 @@ def _log_ratios(nu, x, d, i):
     a = (d - i) / den
     lr = np.log1p(np.maximum(a, -0.5))
     low = a < -0.5
-    if low.any():
+    if np.count_nonzero(low):
         ratio = (x / den)[low]
-        # the smallest ratio of a row is at one end of it
-        if ratio[0] and ratio[-1] and (i.ndim == 1 or ratio.all()):
+        if np.count_nonzero(ratio) == ratio.size:
             lr[low] = np.log(ratio)
         else:
             log_x = np.vectorize(math.log, otypes=[np.float64])(x)
@@ -115,16 +112,10 @@ def _chunks(rows, sizes, down=False):
     the other rows.
     """
     width = sizes[0]
-    if len(rows) == 1:  # a lone row's values broadcast as scalars
-        nu, x, d, lo, ell0 = rows[0].nu, rows[0].x, rows[0].d, rows[0].lo, rows[0].ell
-        if down:
-            i = np.arange(lo - 1.0, lo - 1.0 - width, -1.0)
-        else:
-            i = np.arange(lo, lo + width, dtype=np.float64)
-    else:
-        nu, x, d, lo, ell0 = np.array([(r.nu, r.x, r.d, r.lo, r.ell) for r in rows]).T[:, :, None]
-        i = lo + np.arange(width, dtype=np.float64)
-    ell = _log_ratios(nu, x, d, i).cumsum(-1)
+    lo, nu, x, d, ell0 = np.array([(r.lo, r.nu, r.x, r.d, r.ell) for r in rows]).T[:, :, None]
+    step = np.arange(width, dtype=np.float64)
+    i = lo - 1.0 - step if down else lo + step
+    ell = _log_ratios(nu, x, d, i).cumsum(1)
     if down:
         ell, k, km1 = ell0 - ell, i, i - 1.0
     else:  # the chunk's log ratios lead to the terms k = i + 1
@@ -134,8 +125,7 @@ def _chunks(rows, sizes, down=False):
     e = np.exp(ell, w[0])
     np.multiply(k, e, w[1])
     np.multiply(k * km1, e, w[2])
-    if len(rows) > 1:  # one row's weights are already one row each
-        w = w.reshape(3, -1)
+    w = w.reshape(3, -1)
     for start, row, n in zip(range(0, ell.size, width), rows, sizes):
         row.parts.append(np.add.reduce(w[:, start : start + n], 1).tolist())
         row.lo += -n if down else n
@@ -145,13 +135,11 @@ def _chunks(rows, sizes, down=False):
 def _blocks(rows):
     """(rows, sizes) per block: the rows' next chunks, longest first, cut
     into blocks of chunks at least half as long as the block's first and of
-    at most ``_BLOCK`` elements."""
-    if len(rows) == 1:  # the one-point call: nothing to sort or stack
-        return [(rows, [min(_CHUNK, rows[0].n_hi - rows[0].lo)])]
+    at most ``_CHUNK`` elements."""
     todo = sorted(((min(_CHUNK, r.n_hi - r.lo), r) for r in rows), key=itemgetter(0), reverse=True)
     blocks = []
     for n, row in todo:
-        if blocks and 2 * n >= width and (len(sizes) + 1) * width <= _BLOCK:
+        if blocks and 2 * n >= width and (len(sizes) + 1) * width <= _CHUNK:
             block.append(row)
             sizes.append(n)
         else:
@@ -170,16 +158,13 @@ def series_logsums(nu, x):
     ``converged`` False.
 
     All rows run together (see the module docstring): each round stacks the
-    rows' next chunks into blocks of at most ``_BLOCK`` elements
+    rows' next chunks into blocks of at most ``_CHUNK`` elements
     (:func:`_blocks`), and every row equals the call with that row alone,
     bit for bit. A float ``nu`` and ``x`` are one row. Rows whose peak lies
     past k = 0 sum the terms below it first, row by row.
     """
-    if isinstance(nu, float):  # one row, as the one-point callers pass it
-        nu, x = [nu], [x]
-    else:
-        nu = np.array(nu, dtype=np.float64, ndmin=1).tolist()
-        x = np.array(x, dtype=np.float64, ndmin=1).tolist()
+    nu = np.array(nu, dtype=np.float64, ndmin=1).tolist()
+    x = np.array(x, dtype=np.float64, ndmin=1).tolist()
     cap, nan = _MAX_TERMS, math.nan
     out = [(0.0, 0.0, 0.0, 1, True)] * len(nu)  # the row at x = 0
     rows = []
@@ -299,8 +284,8 @@ def backward_ratios(p, q, s, n_ratios):
     return out, levels + top, converged, width
 
 
-def population_logsums(nu, y, m_max, log_b0=None):
-    """Return (log_B[0..m_max], terms_used, converged) for the population sums.
+def population_logsums(nu, y, m_max, log_b0):
+    """Return (log_B[0..m_max], levels_run, converged) for the population sums.
 
     With T_m = m! B_m / Gamma(nu), the sums obey
     y(n+1) T_n = (nu - y + n) T_{n+1} + T_{n+2}  (the birth-death flux
@@ -311,19 +296,14 @@ def population_logsums(nu, y, m_max, log_b0=None):
         rho_n = y(n+1) / (nu - y + n + rho_{n+1}),
 
     in which every term is positive when nu > y (in the application
-    nu - y = (1 + n_th)/C). B_0 = f_0(nu, y) anchors the chain;
-    ``terms_used`` counts its terms plus the backward levels run, and
-    ``_MAX_TERMS`` caps each of the two. A caller that widens its window at
-    the same (nu, y) passes the log_B[0] of its first call as ``log_b0``:
-    the series is then not summed again, and ``terms_used`` counts the
-    backward levels alone.
+    nu - y = (1 + n_th)/C). The caller's ``log_b0`` = log f_0(nu, y) (the
+    ``log_f0`` of :func:`series_logsums`) anchors the chain, so a caller that
+    widens its window sums that series once; ``levels_run`` counts the
+    backward levels, which ``_MAX_TERMS`` caps.
     """
     nu, y, m_max = float(nu), float(y), int(m_max)
     log_b = np.empty(m_max + 1)
-    terms, ok = 0, True
-    if log_b0 is None:
-        log_b0, _, _, terms, ok = next(zip(*series_logsums(nu, y)))
     log_b[0] = log_b0
-    rho, levels, ok_rho, _ = backward_ratios(y, nu - y, 1.0, m_max)
-    log_b[1:] = log_b[0] + np.cumsum(np.log(rho / np.arange(1.0, m_max + 1.0)))
-    return log_b, terms + levels, ok and ok_rho
+    rho, levels, ok, _ = backward_ratios(y, nu - y, 1.0, m_max)
+    log_b[1:] = log_b0 + np.cumsum(np.log(rho / np.arange(1.0, m_max + 1.0)))
+    return log_b, levels, ok

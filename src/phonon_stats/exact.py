@@ -163,28 +163,31 @@ def g2_exact(C: float, n_th: float) -> float | None:
     return _observables(C, n_th)[1]
 
 
-def _window(C: float, n_th: float, m_max: int, log_b0: float | None = None) -> np.ndarray:
-    """log B(0..m_max) from the backward recurrence; ``log_b0`` is the
-    log B_0 of an earlier window at the same point, which saves its series."""
+def _budget_error(C: float, n_th: float, terms: int) -> NotConverged:
+    return NotConverged(
+        f"population recurrence at C={C:g}, n_th={n_th:g} hit the "
+        f"{_kernels._MAX_TERMS}-term budget",
+        terms_used=int(terms),
+    )
+
+
+def _window(C: float, n_th: float, m_max: int, log_b0: float, log_f2: float) -> np.ndarray:
+    """P(0..m_max) from the backward recurrence anchored at log B_0,
+    normalized by the given log f_0(nu, 2y) (the ``log_f`` of
+    :func:`_observables`)."""
     m_max = _kernels.check_window(m_max, "populations at C=%g, n_th=%g", C, n_th)
-    log_b, terms, ok = _kernels.population_logsums(
+    log_b, levels, ok = _kernels.population_logsums(
         (1.0 + 2.0 * n_th) / C, n_th / C, m_max, log_b0
     )
     if not ok:
-        raise NotConverged(
-            f"population recurrence at C={C:g}, n_th={n_th:g} hit the "
-            f"{_kernels._MAX_TERMS}-term budget",
-            terms_used=int(terms),
-        )
-    return log_b
+        raise _budget_error(C, n_th, levels)
+    return np.exp(log_b - log_f2)
 
 
 def _populations(
     C: float, n_th: float, m_max: int | None, n_ss: float, g2: float | None, log_f2: float
 ) -> np.ndarray:
-    """P(0..m_max), normalized by the given log f_0(nu, 2y) (the ``log_f`` of
-    :func:`_observables`); with ``m_max=None`` the window ends where its tail
-    is bounded.
+    """P(0..m_max); with ``m_max=None`` the window ends where its tail is bounded.
 
     The flux balance gives P_{n+1} <= q_n P_n with q_n = n_th/(n_th + 1 + C n)
     falling in n, so the mass past level m is below P_m q_m/(1 - q_m) =
@@ -192,20 +195,23 @@ def _populations(
     at the first level where that bound is at most ``_TAIL_TOL``; the trial
     window that must hold it starts at n_ss + 10 sd, with
     sd^2 = n_ss + n_ss^2 (g2 - 1) (n_ss where g2 is undefined), and doubles.
-    The trials share the series for B_0 = f_0(nu, y), summed once.
+    The series for B_0 = f_0(nu, y) is summed once, for every trial.
     """
+    log_b0, _, _, terms, ok = next(
+        zip(*_kernels.series_logsums((1.0 + 2.0 * n_th) / C, n_th / C))
+    )
+    if not ok:
+        raise _budget_error(C, n_th, terms)
     if m_max is not None:
-        return np.exp(_window(C, n_th, m_max) - log_f2)
+        return _window(C, n_th, m_max, log_b0, log_f2)
     var = n_ss if g2 is None else n_ss + n_ss * n_ss * (g2 - 1.0)
     trial = math.ceil(n_ss + 10.0 * math.sqrt(var))
-    log_b0 = None
     while True:
-        log_b = _window(C, n_th, trial, log_b0)
-        p = np.exp(log_b - log_f2)
+        p = _window(C, n_th, trial, log_b0, log_f2)
         held = p * n_th / (1.0 + C * np.arange(trial + 1.0)) <= _TAIL_TOL
         if held[-1]:
             return p[: int(np.argmax(held)) + 1]
-        log_b0, trial = log_b[0], trial * 2
+        trial *= 2
 
 
 def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) -> np.ndarray:

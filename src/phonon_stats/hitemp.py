@@ -32,6 +32,7 @@ shrinks, quantified against the exact series by the validation tooling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,42 +210,49 @@ def mean_phonon_hitemp(C: float, n_th: float) -> float:
     """Closed-form mean occupation -1/(2C) + sqrt(n_th/(pi C))/erfcx(z).
 
     z = sqrt(1/(4 C n_th)). Equals M_1/M_0 identically (integration by
-    parts); evaluated via erfcx so neither factor under- or overflows. It is
-    n_th times a function of q = C*n_th alone,
+    parts); evaluated via erfcx so neither factor under- or overflows. For
+    q = C*n_th < 1e-8 the two terms cancel to relative O(q), so the expansion
+    n_th (1 - 4q + 40 q^2) + O(q^3) is used instead. Where n_th/(pi C) leaves
+    the normal floats, n_ss is taken as n_th times its function of q alone,
 
-        n_ss/n_th = 1/(sqrt(pi q) erfcx(z)) - 1/(2q),
+        n_ss/n_th = 1/(sqrt(pi) sqrt(q) erfcx(z)) - 1/(2q),
 
-    which is how it is evaluated, so that n_th/C never appears and cannot
-    overflow. Where q itself overflows, n_ss is its q -> inf limit
-    sqrt(n_th/(pi C)), exact to double precision there. For q < 1e-8 the two
-    terms cancel to relative O(q), so the expansion 1 - 4q + 40 q^2 + O(q^3)
-    is used instead.
+    in which nothing overflows until q does; past that, n_ss is its
+    q -> inf limit sqrt(n_th/(pi C)), exact to double precision there.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     q = C * n_th
     if q < 1e-8:
         return n_th * (1.0 - 4.0 * q + 40.0 * q * q)
+    z = 0.5 / math.sqrt(q)
+    ratio = n_th / (math.pi * C)
+    if sys.float_info.min <= ratio < math.inf:
+        return -0.5 / C + math.sqrt(ratio) / erfcx(z)
     if q == math.inf:
         return math.sqrt(n_th / C / math.pi)
-    return n_th * (1.0 / (math.sqrt(math.pi * q) * erfcx(0.5 / math.sqrt(q))) - 0.5 / q)
+    return n_th * (1.0 / (math.sqrt(math.pi) * math.sqrt(q) * erfcx(z)) - 0.5 / q)
 
 
 def g2_hitemp(C: float, n_th: float) -> float:
     """Second-order correlation M_2 M_0 / M_1^2 of the thermal-diffusion state.
 
     Depends on (C, n_th) only through q = C*n_th, interpolating monotonically
-    between the thermal value 2 (q -> 0) and pi/2 (q -> inf). The ratio is
-    taken from the moments of exp(-s/sqrt(q) - s^2), the weight rescaled by
-    s -> s sqrt(n_th/C), so that no moment parameter under- or overflows.
-    Below q = 1e-5 the asymptotic expansion 2 - 4q + 72 q^2 + O(q^3) replaces
-    the moment ratio, which loses ~eps/q^2 relative accuracy to cancellation
-    there.
+    between the thermal value 2 (q -> 0) and pi/2 (q -> inf). Where a = 1/n_th
+    or b = C/n_th leaves the normal floats (n_th/C past about 1e308, or C/n_th
+    overflowing), the ratio is taken from the moments of exp(-t/sqrt(q) - t^2)
+    instead, the weight rescaled by s -> t sqrt(n_th/C), whose parameters
+    cannot. Below q = 1e-5 the asymptotic expansion 2 - 4q + 72 q^2 + O(q^3)
+    replaces the moment ratio, which loses ~eps/q^2 relative accuracy to
+    cancellation there.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
     q = C * n_th
     if q < 1e-5:
         return 2.0 - 4.0 * q + 72.0 * q * q
-    t = gaussian_quartic_moments(1.0 / math.sqrt(q), 1.0, 2)
+    a, b = 1.0 / n_th, C / n_th
+    if not (sys.float_info.min <= min(a, b) and max(a, b) < math.inf):
+        a, b = 1.0 / math.sqrt(q), 1.0
+    t = gaussian_quartic_moments(a, b, 2)
     return float(math.exp(t.log_m[2] + t.log_m[0] - 2.0 * t.log_m[1]))
 
 

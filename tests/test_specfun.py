@@ -242,8 +242,9 @@ def test_population_logsums_match_double_series(nu, y, m_max):
     B_m = sum_{k>=m} C(k, m) Gamma(nu) y^k / Gamma(nu + k), summed directly
     at 30 digits (nu > y, so the terms decay geometrically past k = m)."""
     mpmath = pytest.importorskip("mpmath")
-    log_t, _, ok = population_logsums(nu, y, m_max)
-    assert ok
+    log_b0, _, _, _, ok_b0 = _rows(nu, y)[0]
+    log_t, _, ok = population_logsums(nu, y, m_max, log_b0)
+    assert ok and ok_b0
     ref = []
     with mpmath.workdps(30):
         for m in range(m_max + 1):
