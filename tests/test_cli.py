@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phonon_stats
@@ -500,6 +501,66 @@ def test_sweep_json_format(capsys):
     assert len(rows) == 1
     assert rows[0]["g2"] is None
     assert rows[0]["regime"] == "Vacuum"
+
+
+def _indented_json(payload) -> str:
+    """The reference bytes of every JSON output: the pure-Python indenting encoder."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emitted_json(monkeypatch, capsys, argv):
+    """stdout of ``main(argv)`` and the one payload it gave ``cli._json_dumps``."""
+    payloads = []
+    encode = cli._json_dumps
+    monkeypatch.setattr(cli, "_json_dumps", lambda p: payloads.append(p) or encode(p))
+    main(argv)
+    (payload,) = payloads
+    return capsys.readouterr().out, payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--C", "0.1", "--n-th", "40", "--model", "exact"],
+    ["stats", "--C", "1e2", "--n-th", "1e4", "--model", "hitemp"],
+    ["stats", "--C", "10", "--n-th", "1"],  # auto: exact
+    ["stats", "--C", "1e-3", "--n-th", "1e4"],  # auto: hitemp
+    ["stats", "--C", "10", "--n-th", "1", "--model", "oracle-reduced"],
+    ["stats", "--C", "3", "--n-th", "0", "--model", "exact"],  # g2 null
+    ["sweep", "--format", "json", "--c-range", "1e-3:1e4:15:log",
+     "--nth-set", "0,0.1,1,100,1e5"],
+])
+def test_json_output_is_indented_json_dumps(monkeypatch, capsys, argv):
+    out, payload = _emitted_json(monkeypatch, capsys, argv)
+    assert out == _indented_json(payload)
+
+
+def test_validate_json_with_a_skipped_row_is_indented_json_dumps(monkeypatch, capsys):
+    from phonon_stats import lindblad
+
+    monkeypatch.setattr(lindblad, "_DIM_CAP", 32)  # the hot point's ladder runs out
+    out, payload = _emitted_json(
+        monkeypatch, capsys,
+        ["validate", "--model", "exact", "--c-set", "3", "--nth-set", "0,30"],
+    )
+    skipped = [p for p in payload["points"] if p["skipped"]]
+    assert len(skipped) == 1 and "dim_cap=32" in skipped[0]["reason"]
+    assert out == _indented_json(payload)
+
+
+def test_json_dumps_edge_cases():
+    payload = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1],
+        "np": np.float64(1.0 / 3.0),
+        "lone": np.float64(2.5),
+        "ints": [0, -7, 10**30],
+        "flags": [True, False, None],
+        "text": ['quote " backslash \\ newline \n tab \t \x01', "ñ € 𝄞"],
+        "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]], [{}]]},
+        "mixed": [1.5, [2.0, {"b": None, "a": "x"}], {}, "s", (3, 4.0)],
+        "": {"z": {"y": [{"x": [1, [2, [3]]]}]}},
+    }
+    assert cli._json_dumps(payload) == _indented_json(payload)
+    for other in ({1: "int key", 2: [1.0]}, {2.5: 0, True: 1}, [], {}, 1.0, "s", None, [[]]):
+        assert cli._json_dumps(other) == _indented_json(other)
 
 
 def test_sweep_bad_range_exit_1(capsys):

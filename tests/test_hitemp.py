@@ -155,14 +155,45 @@ def test_mean_strong_damping_asymptote():
     )
 
 
+@pytest.mark.parametrize("q", [
+    1.5e-8, 3e-8, 5e-7, 3e-6, 8e-6, 1e-5 * (1.0 - 1e-9), 1e-5, 1e-5 * (1.0 + 1e-9), 2e-5,
+])
+def test_mean_near_the_series_switch_matches_moment_ratio(q):
+    """Below q = 1e-5 the series n_th (1 - 4q + 40q^2 - 592q^3) is within
+    1e-15 of the 80-digit ratio, where the closed form's cancelling terms
+    lost up to 5e-9 (q = 1.5e-8); above it the closed form keeps its own
+    error of about 1e-16/q (8.4e-12 measured at q = 1e-5)."""
+    n_th = 1e4
+    C = q / n_th
+    n_ref, _ = _moment_ratios(C, n_th)
+    rel = 1e-15 if C * n_th < 1e-5 else 2e-11
+    assert hitemp.mean_phonon_hitemp(C, n_th) == pytest.approx(n_ref, rel=rel, abs=0)
+
+
+def test_logsumexp_equals_scipy():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(7)
+    vectors = [np.array([3.5]), np.array([-700.0]), np.array([2.0, 2.0]), np.zeros(5)]
+    for _ in range(250):
+        n = int(rng.integers(1, 4000))
+        a = rng.normal(0.0, rng.uniform(0.1, 300.0), n) + rng.uniform(-700.0, 700.0)
+        tied = a.copy()
+        tied[rng.integers(0, n, 3)] = a.max() + 0.25
+        holes = np.where(rng.random(n) < 0.1, -np.inf, a)
+        holes[a.argmax()] = a.max()
+        vectors += [a, tied, np.round(a), holes]
+    for a in vectors:
+        assert hitemp._logsumexp(a) == float(logsumexp(a))
+
+
 def test_branch_continuity():
-    """The asymptotic expansions must hand over to the moment route without
-    a visible seam (the switchovers sit at q = 1e-5 for g2, 1e-8 for the
-    mean)."""
+    """The asymptotic expansions must hand over to the closed forms without
+    a visible seam (both switchovers sit at q = 1e-5)."""
     n_th = 1.0
     for q0, fn, tol in [
         (1e-5, hitemp.g2_hitemp, 1e-9),
-        (1e-8, hitemp.mean_phonon_hitemp, 1e-7),
+        (1e-5, hitemp.mean_phonon_hitemp, 1e-10),
     ]:
         below = fn(q0 * (1.0 - 1e-9) / n_th, n_th)
         above = fn(q0 * (1.0 + 1e-9) / n_th, n_th)
