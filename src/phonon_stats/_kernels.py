@@ -5,16 +5,18 @@ The series kernel evaluates the Kummer sums
     f_j(nu, x) = sum_{k>=0} w_j(k) t_k,   t_0 = 1,   t_{k+1}/t_k = x/(nu + k),
 
 with w_0 = 1, w_1 = k, w_2 = k(k-1); f_0 = 1F1(1; nu; x) = Gamma(nu) S_0(nu, x)
-(DLMF 13.2.2). No gamma function enters: log t_k is a cumulative sum of the
-exact log ratios log1p((x - nu - k)/(nu + k)), anchored at the peak index
-k* = max(0, floor(x - nu) + 1) that the ratio gives. The terms are positive,
-so each chunk is summed pairwise and the chunk partials with ``math.fsum``.
-The range first ends min(12 sqrt(x + 10), 45 nu/(nu - x)) + 60 terms past
-the peak, the second bound where nu > x: every ratio is then at most x/nu,
-and 45 nu/(nu - x) >= 45/log(nu/x) terms fall below 1e-19. It doubles until
-its last term falls below ``_SERIES_TOL`` relative to each sum, or until
-``_MAX_TERMS``. The kernel returns log f_0 and the ratios f_1/f_0 and f_2/f_0,
-so the observables never meet the scale log Gamma(nu) ~ nu log nu.
+(DLMF 13.2.2), for 0 <= x <= nu. No gamma function enters: log t_k is a
+cumulative sum of the exact log ratios log1p((x - nu - k)/(nu + k)) from
+t_0 = 1. In the application nu - x = 1/C (and nu - y = (1 + n_th)/C for the
+population anchor f_0(nu, y)), so every ratio is at most 1 and the first
+term is the largest. The terms are positive, so each chunk is summed
+pairwise and the chunk partials with ``math.fsum``. The range first ends
+min(12 sqrt(x + 10), 45 nu/(nu - x)) + 60 terms in, the second bound where
+nu > x: every ratio is then at most x/nu, and 45 nu/(nu - x) >= 45/log(nu/x)
+terms fall below 1e-19. It doubles until its last term falls below
+``_SERIES_TOL`` relative to each sum, or until ``_MAX_TERMS``. The kernel
+returns log f_0 and the ratios f_1/f_0 and f_2/f_0, so the observables never
+meet the scale log Gamma(nu) ~ nu log nu.
 
 The kernel takes its points as rows and evaluates them together: each round
 takes every pending row's next chunk of at most ``_CHUNK`` terms, sorts the
@@ -66,10 +68,10 @@ _MAX_TERMS = 10_000_000
 def _log_ratios(nu, x, d, i):
     """log(t_{i+1}/t_i) = log(x/(nu + i)) at the indices ``i``, d = x - nu.
 
-    ``i`` holds one chunk of consecutive indices (either direction) per row;
-    ``nu``, ``x`` and ``d`` are columns, one value per row.
+    ``i`` holds one chunk of consecutive indices per row; ``nu``, ``x`` and
+    ``d`` are columns, one value per row.
 
-    log1p(a), a = (d - i)/(nu + i), keeps the small logs near the peak
+    log1p(a), a = (d - i)/(nu + i), keeps the small logs of ratios near 1
     accurate; where the ratio 1 + a is below 1/2, a is near -1 and 1 + a has
     lost digits, so the log of the ratio itself is taken there, or
     log x - log(nu + i) where the ratio underflows to 0.
@@ -90,45 +92,40 @@ def _log_ratios(nu, x, d, i):
 
 
 class _Row:
-    """One row's state: the next index ``lo`` (one past it below the peak),
-    the end ``n_hi`` of its current range, the log ``ell`` of its last term
-    relative to the peak term, and the partials of its three sums, one
-    triple per chunk."""
+    """One row's state: the next index ``lo``, the end ``n_hi`` of its
+    current range, the log ``ell`` of its last term, and the partials of its
+    three sums, one triple per chunk."""
 
-    __slots__ = ("index", "nu", "x", "d", "lo", "n_hi", "ell", "log_peak", "parts")
+    __slots__ = ("index", "nu", "x", "d", "lo", "n_hi", "ell", "parts")
 
-    def __init__(self, index, nu, x, d, k_peak, n_hi):
-        self.index, self.nu, self.x, self.d = index, nu, x, d
-        self.lo, self.n_hi, self.ell, self.log_peak = k_peak, n_hi, 0.0, 0.0
-        self.parts = [(1.0, float(k_peak), k_peak * (k_peak - 1.0))]  # the peak term
+    def __init__(self, index, nu, x, n_hi):
+        self.index, self.nu, self.x, self.d = index, nu, x, x - nu
+        self.lo, self.n_hi, self.ell = 0, n_hi, 0.0
+        self.parts = [(1.0, 0.0, -0.0)]  # the term t_0 = 1
 
 
-def _chunks(rows, sizes, down=False):
+def _chunks(rows, sizes):
     """Sum the next ``sizes[r]`` terms of each row in one 2-D block.
 
-    Above the peak a chunk runs upward from ``lo``, below it (``down``, one
-    row at a time) downward from ``lo - 1``. Each row appends the pairwise
-    sums of its chunk over its own length, so its partials do not depend on
-    the other rows.
+    A chunk runs upward from ``lo``. Each row appends the pairwise sums of
+    its chunk over its own length, so its partials do not depend on the
+    other rows.
     """
     width = sizes[0]
     lo, nu, x, d, ell0 = np.array([(r.lo, r.nu, r.x, r.d, r.ell) for r in rows]).T[:, :, None]
-    step = np.arange(width, dtype=np.float64)
-    i = lo - 1.0 - step if down else lo + step
+    i = lo + np.arange(width, dtype=np.float64)
+    # the chunk's log ratios lead to the terms k = i + 1
     ell = _log_ratios(nu, x, d, i).cumsum(1)
-    if down:
-        ell, k, km1 = ell0 - ell, i, i - 1.0
-    else:  # the chunk's log ratios lead to the terms k = i + 1
-        ell += ell0
-        k, km1 = i + 1.0, i
-    w = np.empty((3,) + ell.shape)  # e, k e, k(k-1) e with e = t_k/t_peak
+    ell += ell0
+    k = i + 1.0
+    w = np.empty((3,) + ell.shape)  # t_k, k t_k, k(k-1) t_k
     e = np.exp(ell, w[0])
     np.multiply(k, e, w[1])
-    np.multiply(k * km1, e, w[2])
+    np.multiply(k * i, e, w[2])
     w = w.reshape(3, -1)
     for start, row, n in zip(range(0, ell.size, width), rows, sizes):
         row.parts.append(np.add.reduce(w[:, start : start + n], 1).tolist())
-        row.lo += -n if down else n
+        row.lo += n
         row.ell = ell.item(start + n - 1)
 
 
@@ -151,17 +148,15 @@ def _blocks(rows):
 def series_logsums(nu, x):
     """Return (log_f0, m1, m2, terms_used, converged) for the Kummer sums.
 
-    ``nu`` and ``x`` are 1-D arrays with one row per point; each returned
-    item is a tuple with one entry per row: m1 = f_1/f_0 and m2 = f_2/f_0.
-    A row that does not converge within the budget (or whose budget falls at
-    or before its peak, where nothing is summed) has NaN sums and
-    ``converged`` False.
+    ``nu`` and ``x`` are 1-D arrays with one row per point, each with
+    0 <= x <= nu (the callers check it); each returned item is a tuple with
+    one entry per row: m1 = f_1/f_0 and m2 = f_2/f_0. A row that does not
+    converge within the budget has NaN sums and ``converged`` False.
 
     All rows run together (see the module docstring): each round stacks the
     rows' next chunks into blocks of at most ``_CHUNK`` elements
     (:func:`_blocks`), and every row equals the call with that row alone,
-    bit for bit. A float ``nu`` and ``x`` are one row. Rows whose peak lies
-    past k = 0 sum the terms below it first, row by row.
+    bit for bit. A float ``nu`` and ``x`` are one row.
     """
     nu = np.array(nu, dtype=np.float64, ndmin=1).tolist()
     x = np.array(x, dtype=np.float64, ndmin=1).tolist()
@@ -171,22 +166,12 @@ def series_logsums(nu, x):
     for index, (nu_r, x_r) in enumerate(zip(nu, x)):
         if x_r == 0.0:
             continue
-        d = x_r - nu_r
-        k_peak = max(0, math.floor(d) + 1)
         width = 12.0 * math.sqrt(x_r + 10.0)
         if nu_r > x_r:  # every ratio x/(nu + k) is at most x/nu
             width = min(width, 45.0 * nu_r / (nu_r - x_r))
-        n_hi = int(min(cap, math.ceil(k_peak + width + 60.0)))
-        if n_hi <= k_peak:
-            out[index] = (nan, nan, nan, n_hi + 1, False)
-            continue
-        row = _Row(index, nu_r, x_r, d, k_peak, n_hi)
-        if k_peak:
-            while row.lo:  # below the peak, downward from it
-                _chunks([row], [min(_CHUNK, row.lo)], down=True)
-            row.log_peak, row.ell, row.lo = -row.ell, 0.0, k_peak
-        rows.append(row)
-    while rows:  # above the peak, each range extended until the stop rule holds
+        n_hi = int(min(cap, math.ceil(width + 60.0)))
+        rows.append(_Row(index, nu_r, x_r, n_hi))
+    while rows:  # each range extended until the stop rule holds
         for block, sizes in _blocks(rows):
             _chunks(block, sizes)
         pending = []
@@ -203,7 +188,7 @@ def series_logsums(nu, x):
                 and n_hi * (n_hi - 1.0) * t_last <= _SERIES_TOL * s2
             )
             if ok:
-                out[row.index] = (row.log_peak + math.log(s0), s1 / s0, s2 / s0, n_hi + 1, True)
+                out[row.index] = (math.log(s0), s1 / s0, s2 / s0, n_hi + 1, True)
             elif n_hi >= cap:
                 out[row.index] = (nan, nan, nan, n_hi + 1, False)
             else:

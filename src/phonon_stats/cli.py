@@ -1,9 +1,10 @@
 """Command-line surface: stats, sweeps, figure datasets, validation reports.
 
 Exit codes: 0 success; 1 configuration/validation problems (bad flags, bad
-ranges, a validate run outside tolerance, an empty grid); 2 when a
-computation cannot converge (the analytic routes' term budget, the truncation
-budget, unstable recursion, singular or unphysical solve).
+ranges, a ``DomainError``, a validate run outside tolerance, an empty grid);
+2 for every other package error, i.e. a computation that cannot converge
+(the analytic routes' term budget, the truncation budget, unstable
+recursion, singular or unphysical solve).
 
 Model names: ``exact`` (series), ``hitemp`` (high-temperature closed forms),
 ``oracle-reduced`` / ``oracle-rwa`` / ``oracle-prerwa`` (truncated Lindblad
@@ -61,15 +62,7 @@ import numpy as np
 import phonon_stats as _pkg
 
 from . import exact
-from .errors import (
-    BudgetExceeded,
-    DomainError,
-    FixedPointDiverged,
-    NotConverged,
-    RecursionUnstable,
-    SingularSystem,
-    UnphysicalState,
-)
+from .errors import BudgetExceeded, DomainError, PhononStatsError
 from .params import ReducedParams
 from .report import Regime, SteadyStateReport
 
@@ -87,14 +80,11 @@ _ANALYTIC = ("exact", "hitemp", "auto")
 _ORACLES = ("oracle-reduced", "oracle-rwa", "oracle-prerwa")
 _MODELS = _ANALYTIC + _ORACLES
 
-_NONCONV = (
-    NotConverged,
-    FixedPointDiverged,
-    RecursionUnstable,
-    SingularSystem,
-    UnphysicalState,
-    BudgetExceeded,
-)
+
+def _drops_point(exc) -> bool:
+    """Whether ``exc`` is a failure to converge, which drops its grid point
+    and means exit 2: every package error but a DomainError (exit 1)."""
+    return isinstance(exc, PhononStatsError) and not isinstance(exc, DomainError)
 
 
 class _UsageError(Exception):
@@ -309,7 +299,9 @@ def _point_worker(task, point=_point_observables):
     C, n_th, model, cfg = task
     try:
         return point(model, C, n_th, cfg)
-    except _NONCONV as exc:
+    except PhononStatsError as exc:
+        if not _drops_point(exc):
+            raise
         return str(exc)
 
 
@@ -338,7 +330,7 @@ def _slice_worker(tasks, point=_point_observables):
     values = exact._observables_grid([tasks[j][:2] for j in batch])
     for j, value in zip(batch, values):
         C, n_th = tasks[j][:2]
-        if isinstance(value, _NONCONV):
+        if _drops_point(value):
             value = str(value)
         elif not isinstance(value, Exception):
             value = ("exact", *value, exact.classify_regime(C, n_th))
@@ -728,11 +720,14 @@ def cmd_validate(cfg) -> int:
         cfg, "validate", c_default="0.1,1,3,11,50", nth_default="0,0.5,1,3,5"
     )
     model = _get(cfg, "model", "auto")
-    tolerances = {
-        "n_ss": float(_get(cfg, "tol_nss", 1e-6)),
-        "g2": float(_get(cfg, "tol_g2", 1e-6)),
-        "pop_l1": float(_get(cfg, "tol_pop", 1e-5)),
-    }
+    tolerances = {}
+    for key, dest, default in (("n_ss", "tol_nss", 1e-6), ("g2", "tol_g2", 1e-6),
+                               ("pop_l1", "tol_pop", 1e-5)):
+        tol = float(_get(cfg, dest, default))
+        # a nan or negative one fails every grid, and a nan is no JSON value
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise DomainError(f"{_flag(dest)} must be finite and >= 0, got {tol!r}")
+        tolerances[key] = tol
     results, failed = _run_grid(cfg, model, c_values, nth_values, point=_validate_point)
     points = [{"C": C, "n_th": n_th, **row} for C, n_th, row in results]
     live = [p for p in points if not p["skipped"]]
@@ -853,7 +848,7 @@ def main(argv=None) -> int:
     except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NONCONV as exc:
+    except PhononStatsError as exc:  # not a DomainError, caught above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
 

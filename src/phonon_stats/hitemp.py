@@ -100,10 +100,11 @@ def _recursion_amplification_log(r: float, n_max: int) -> float:
 
     Each step forms n*m~_{n-1} - r*m~_n, two nearly equal quantities for
     r >> 1 (the difference is the quartic correction ~ 2(n+1)/r relative to
-    r), so a unit roundoff is magnified by ~ r^2/(2k) at step k. The
-    cumulative factor prod_k r^2/(2k) peaks at k ~ r^2/2 and relative error
-    freezes once the recurrence's growing solution dominates, so the peak
-    partial product is the right stability measure.
+    r), so a unit roundoff is magnified by ~ r^2/(2k) at step k. Returns
+    the log of the peak partial product of those factors, reached at
+    k ~ r^2/2; it is 0 where r^2/2 <= 1. It measures only this per-step
+    cancellation, not how the error then grows with the order n, so it
+    does not bound the moments' error (ROADMAP K10).
     """
     t = 0.5 * r * r
     if t <= 1.0 or n_max == 0:  # no step is amplified (0 * log(inf) is nan)
@@ -114,9 +115,11 @@ def _recursion_amplification_log(r: float, n_max: int) -> float:
     return k * math.log(t) - math.lgamma(k + 1.0)
 
 
-# refuse the recursion once roundoff can be magnified past ~1e5 (keeps the
-# recursion's absolute moment accuracy near 1e-11; the backward fraction
-# takes over)
+# refuse the recursion, and let the backward fraction take over, once the
+# per-step cancellation can magnify a unit roundoff past ~1e5. It bounds
+# that cancellation only, not the moments' error: (a, b, n) = (0.7, 1, 1000)
+# passes with no amplification at all, yet its log M_1000 is off by 2.9e-3
+# against mpmath (ROADMAP K10)
 _AMP_LOG_MAX = math.log(1e5)
 
 

@@ -11,8 +11,10 @@ of interest ``x`` reaches 1e6 and beyond, where a ULP of log S_j ~ -nu log nu
 is 1e-9 or worse. So the kernel (:mod:`phonon_stats._kernels`) sums the Kummer
 sums f_j = Gamma(nu) S_j from their exact term ratio x/(nu + k) and returns
 S_1/S_0 and S_2/S_0; no absolute scale, and no gamma function, is formed.
-All three sums are nonnegative for ``nu > 0, x >= 0``, so no sign
-bookkeeping is needed. The module imports no scipy.
+The domain is 0 <= x <= nu: in the application nu - x = 1/C, so every term
+ratio is below 1 and the kernel sums from the first, largest term. All three
+sums are nonnegative there, so no sign bookkeeping is needed. The module
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class SeriesSums:
     Form ratios of the sums from ``m1``/``m2`` and differences of log S_0 at
     one nu from ``log_f``. ``terms_used`` counts evaluated terms and is
     diagnostics, not a contract (the kernel evaluates a small overshoot past
-    the term peak).
+    the terms the stop rule needs).
     """
 
     log_f: float
@@ -46,9 +48,10 @@ class SeriesSums:
 def recip_gamma_series(nu: float, x: float) -> SeriesSums:
     """Evaluate S_0, S_1, S_2 at (nu, x) as Kummer sums of their term ratios.
 
-    Summation stops once a term past the (unique) peak contributes less than
-    1e-18 relative to each sum (``_kernels._SERIES_TOL``). An ``x`` that needs
-    more than ``_kernels._MAX_TERMS`` terms raises :class:`NotConverged`; the
+    Summation runs from the first term, the largest for x <= nu, and stops
+    once a term contributes less than 1e-18 relative to each sum
+    (``_kernels._SERIES_TOL``). An ``x`` that needs more than
+    ``_kernels._MAX_TERMS`` terms raises :class:`NotConverged`; the
     high-temperature closed forms are the intended route there.
 
     Parameters
@@ -57,8 +60,9 @@ def recip_gamma_series(nu: float, x: float) -> SeriesSums:
         Shift of the gamma argument; must be positive. In the steady-state
         application nu = (1 + 2 n_th) / C.
     x : float
-        Series argument; must be nonnegative. In the application
-        x = 2 n_th / C, which can be enormous in the high-temperature regime.
+        Series argument; must satisfy 0 <= x <= nu. In the application
+        x = 2 n_th / C = nu - 1/C, which can be enormous in the
+        high-temperature regime.
 
     Returns
     -------
@@ -79,6 +83,8 @@ def _check_args(nu, x) -> tuple[float, float]:
         raise DomainError(f"recip_gamma_series requires nu > 0, got {nu!r}")
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"recip_gamma_series requires x >= 0, got {x!r}")
+    if x > nu:
+        raise DomainError(f"recip_gamma_series requires x <= nu, got nu={nu!r}, x={x!r}")
     return nu, x
 
 

@@ -15,7 +15,7 @@ import pytest
 import phonon_stats
 from phonon_stats import _kernels, cli, exact, hitemp
 from phonon_stats.cli import main
-from phonon_stats.errors import DomainError
+from phonon_stats.errors import DomainError, PhononStatsError
 
 SRC = str(Path(phonon_stats.__file__).resolve().parents[1])
 
@@ -151,6 +151,38 @@ def test_stats_nonconvergence_exit_2(capsys):
     assert "error:" in err
 
 
+# every package error but a DomainError means exit 2 (errors.py); read from
+# the hierarchy, so a type added there is covered too
+_NONDOMAIN = [cls for cls in PhononStatsError.__subclasses__() if cls is not DomainError]
+
+
+def _failing_at_c3(real, error):
+    def route(C, n_th, *args):
+        if C == 3.0:
+            raise error("injected")
+        return real(C, n_th, *args)
+    return route
+
+
+@pytest.mark.parametrize("error", _NONDOMAIN, ids=lambda cls: cls.__name__)
+def test_nondomain_package_errors_exit_2(capsys, monkeypatch, error):
+    """``stats`` exits 2 with the error's line; ``sweep`` drops the point,
+    prints one line naming it and exits 2, and writes every other row."""
+    assert len(_NONDOMAIN) >= 6
+    sweep = ("sweep", "--model", "hitemp", "--c-set", "1,3,10", "--nth-set", "1")
+    code, clean, _ = run(capsys, *sweep)
+    assert code == 0
+    monkeypatch.setattr(hitemp, "steady_state_hitemp",
+                        _failing_at_c3(hitemp.steady_state_hitemp, error))
+    monkeypatch.setattr(hitemp, "g2_hitemp", _failing_at_c3(hitemp.g2_hitemp, error))
+    code, out, err = run(capsys, "stats", "--model", "hitemp", "--C", "3", "--n-th", "1")
+    assert (code, out, err) == (2, "", "error: injected\n")
+    code, out, err = run(capsys, *sweep)
+    assert (code, err) == (2, "error: C=3 n_th=1: injected\n")
+    header, row_1, _, row_10 = clean.splitlines()
+    assert out.splitlines() == [header, row_1, row_10]
+
+
 def test_stats_hitemp_window_budget_exit_2():
     # auto sends this point to hitemp, whose default window of 2e7 levels
     # cannot fit the term budget: refused before the moment table is built
@@ -227,6 +259,85 @@ def test_stats_exact_series_ends_with_its_geometric_decay(capsys, C, n_th, max_t
     code, out, _ = run(capsys, "stats", "--model", "exact", "--C", C, "--n-th", n_th)
     assert code == 0
     assert json.loads(out)["diagnostics"]["series_terms"] <= max_terms
+
+
+# the input contract (ROADMAP D14): on every analytic route, every (C, n_th)
+# of this grid gives finite values or one typed error line
+_FUZZ = ["0", "5e-324", "1e-300", "1e-12", "1e-3", "1", "1e3", "1e8", "1e12", "1e300",
+         "inf", "nan", "-1"]
+# full reports of 1,615,745 (exact) and 571,702 (hitemp) levels: these points
+# go through `sweep` and a library report with an explicit window instead
+_FUZZ_SLOW = {("exact", "1e-3", "1e8"), ("hitemp", "1", "1e12"), ("auto", "1", "1e12")}
+_FUZZ_WINDOW = 1000
+
+
+def _series_term_bound(n_th):
+    """Series terms an exact point may take: its term ratio x/(nu + k) is at
+    most x/nu = 2 n_th/(1 + 2 n_th), so its first range ends within
+    45 nu/(nu - x) + 61 = 45 (1 + 2 n_th) + 61 terms; one doubling is allowed."""
+    return 2.0 * (45.0 * (1.0 + 2.0 * n_th) + 61.0)
+
+
+def _assert_one_error_line(code, out, err):
+    assert code in (1, 2)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_th", _FUZZ)
+@pytest.mark.parametrize("C", _FUZZ)
+@pytest.mark.parametrize("model", ["exact", "hitemp", "auto"])
+def test_stats_input_contract(capsys, model, C, n_th):
+    """Exit 0 with finite values, or exit 1 or 2 with one error line; an
+    exception escaping ``main`` fails the test. Work is bounded by counts:
+    the exact series by :func:`_series_term_bound`, the slow points' windows
+    by ``_FUZZ_WINDOW``."""
+    if (model, C, n_th) in _FUZZ_SLOW:
+        code, out, err = run(capsys, "sweep", "--model", model, "--c-set", C, "--nth-set", n_th)
+        assert (code, err) == (0, "")
+        (row,) = _read_csv(out)
+        if row["model"] == "exact":
+            rep = exact.steady_state_exact(float(C), float(n_th), m_max=_FUZZ_WINDOW)
+        else:
+            rep = hitemp.steady_state_hitemp(float(C), float(n_th), n_max=_FUZZ_WINDOW)
+        assert (float(row["n_ss"]), float(row["g2"])) == (rep.n_ss, rep.g2)
+        payload = {"params": {"model": row["model"]}, **rep.to_json_dict()}
+    else:
+        code, out, err = run(capsys, "stats", "--model", model, "--C", C, "--n-th", n_th)
+        assert code in (0, 1, 2)
+        if code:
+            _assert_one_error_line(code, out, err)
+            return
+        assert err == ""
+        payload = json.loads(out)
+    populations, diag = payload["populations"], payload["diagnostics"]
+    assert math.isfinite(payload["n_ss"])
+    assert payload["g2"] is None or math.isfinite(payload["g2"])
+    assert all(math.isfinite(p) for p in populations)
+    if payload["params"]["model"] == "exact":
+        tail = diag["population_tail"]
+        assert math.fsum(populations) + tail == pytest.approx(1.0, rel=0, abs=1e-12)
+        if float(n_th) > 0.0:
+            assert diag["series_terms"] <= _series_term_bound(float(n_th))
+
+
+@pytest.mark.parametrize("model", ["exact", "hitemp", "auto"])
+def test_sweep_input_contract(capsys, model):
+    """One sweep over the whole grid: finite rows and one error line per
+    dropped point (exit 0 or 2), or one error line and no rows (exit 1)."""
+    grid = ",".join(_FUZZ)
+    code, out, err = run(capsys, "sweep", "--model", model, "--c-set", grid, "--nth-set", grid)
+    assert code in (0, 1, 2)
+    if code == 1:
+        _assert_one_error_line(code, out, err)
+        return
+    rows = _read_csv(out)
+    assert all(math.isfinite(float(row["n_ss"])) for row in rows)
+    assert all(row["g2"] == "" or math.isfinite(float(row["g2"])) for row in rows)
+    errors = err.splitlines()
+    assert all(line.startswith("error: C=") for line in errors)
+    assert len(rows) + len(errors) == len(_FUZZ) ** 2
+    assert (code == 2) == bool(errors)
 
 
 def test_config_file(tmp_path, capsys):
@@ -750,6 +861,24 @@ def test_validate_small_grid(capsys):
     # vacuum rows have no defined g2 on either side
     vac = [p for p in payload["points"] if p["n_th"] == 0.0]
     assert vac and all(p["dev_g2"] is None for p in vac)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_validate_refuses_tolerances_outside_0_inf(capsys, monkeypatch, tmp_path, value):
+    """A tolerance that is not finite and >= 0 is refused before any point
+    runs, as a flag and from a config file: exit 1, one error line naming
+    the flag and no output."""
+    def no_point(*args):
+        raise AssertionError("a point ran")
+    monkeypatch.setattr(cli, "_point_report", no_point)
+    for dest in ("tol_nss", "tol_g2", "tol_pop"):
+        flag = cli._flag(dest)
+        line = f"error: {flag} must be finite and >= 0, got {float(value)!r}\n"
+        grid = ("validate", "--c-set", "3", "--nth-set", "0.5")
+        assert run(capsys, *grid, f"{flag}={value}") == (1, "", line)
+        cfg = tmp_path / f"{dest}.json"
+        cfg.write_text(json.dumps({dest: float(value)}))
+        assert run(capsys, *grid, "--config", str(cfg)) == (1, "", line)
 
 
 def test_validate_empty_grid_exit_1(capsys):

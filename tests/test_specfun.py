@@ -50,11 +50,11 @@ def test_series_sums_reference_point():
 
 def test_series_sums_nu_one_closed_form():
     # at nu = 1 the sums collapse: S0 = e^x, S1 = x e^x, S2 = x^2 e^x
-    x = 2.0
-    s0, s1, s2 = _sums(1.0, x)
-    assert s0 == pytest.approx(math.exp(x), rel=1e-12)
-    assert s1 == pytest.approx(x * math.exp(x), rel=1e-12)
-    assert s2 == pytest.approx(x * x * math.exp(x), rel=1e-12)
+    for x in (0.75, 1.0):
+        s0, s1, s2 = _sums(1.0, x)
+        assert s0 == pytest.approx(math.exp(x), rel=1e-12)
+        assert s1 == pytest.approx(x * math.exp(x), rel=1e-12)
+        assert s2 == pytest.approx(x * x * math.exp(x), rel=1e-12)
 
 
 def test_series_sums_x_zero():
@@ -63,10 +63,10 @@ def test_series_sums_x_zero():
     assert s1 == 0.0 and s2 == 0.0
 
 
-@pytest.mark.parametrize("nu", [0.3, 1.7, 12.0])
+@pytest.mark.parametrize("gap", [0.3, 1.7, 12.0])  # nu - x, which is 1/C in the application
 @pytest.mark.parametrize("x", [0.05, 1.0, 7.5, 50.0])
-def test_series_contiguity_identities(nu, x):
-    """Shift identities tying the weighted sums together.
+def test_series_contiguity_identities(gap, x):
+    """Shift identities tying the weighted sums together, at nu = x + gap.
 
     S1(nu, x) = x * (S0(nu+1, x) + S1(nu+1, x))
     S1(nu, x) = (x - nu + 1) S0(nu, x) + (nu - 1)/Gamma(nu)
@@ -76,6 +76,7 @@ def test_series_contiguity_identities(nu, x):
     (nu+k) Gamma(nu+k); they catch sign/offset mistakes the reference
     values alone would miss.)
     """
+    nu = x + gap
     s0, s1, s2 = _sums(nu, x)
     up0, up1, _ = _sums(nu + 1.0, x)
     assert s1 == pytest.approx(x * (up0 + up1), rel=1e-11)
@@ -84,14 +85,14 @@ def test_series_contiguity_identities(nu, x):
     assert s2 == pytest.approx((x - nu) * s1 + x * s0, rel=1e-10, abs=1e-13 * s0)
 
 
-@pytest.mark.parametrize("nu", [0.2, 1.0, 5.0, 300.0, 2000010.0])
+@pytest.mark.parametrize("gap", [0.2, 1.0, 5.0, 300.0, 2000010.0])  # nu - x
 @pytest.mark.parametrize("x", [0.0, 0.3, 4.0, 200.0, 2e4, 2e6])
-def test_series_cauchy_schwarz(nu, x):
+def test_series_cauchy_schwarz(gap, x):
     # sum k w(k) with weights w(k) = x^k/Gamma(nu+k): first moment squared
     # is bounded by second moment times mass, S_1^2 <= S_0 (S_2 + S_1), i.e.
     # m1^2 <= m1 + m2 on the ratio fields (no absolute scale log Gamma(nu)
-    # enters). Measured margin: at least 4.9e-7 relative on this grid.
-    s = specfun.recip_gamma_series(nu, x)
+    # enters). Measured margin: at least 0.57 relative on this grid.
+    s = specfun.recip_gamma_series(x + gap, x)
     if x == 0.0:
         assert s.m1 == 0.0 and s.m2 == 0.0
         return
@@ -99,10 +100,11 @@ def test_series_cauchy_schwarz(nu, x):
 
 
 def test_series_not_converged_carries_term_count(monkeypatch):
-    # a budget at or before the term peak (k ~ 1e5) sums nothing
+    # at nu - x = 0.5 and x = 1e5 the terms fall below 1e-18 only after
+    # some 2,900, far past this budget
     monkeypatch.setattr(_kernels, "_MAX_TERMS", 100)
     with pytest.raises(NotConverged) as exc:
-        specfun.recip_gamma_series(0.5, 1e5)
+        specfun.recip_gamma_series(1e5 + 0.5, 1e5)
     assert exc.value.terms_used is not None
     assert exc.value.terms_used >= 100
 
@@ -114,6 +116,9 @@ def test_series_domain_errors():
         specfun.recip_gamma_series(-2.0, 1.0)
     with pytest.raises(DomainError):
         specfun.recip_gamma_series(1.0, -0.5)
+    # past nu the terms grow: outside the domain 0 <= x <= nu
+    with pytest.raises(DomainError, match="nu=1.0, x=2.0"):
+        specfun.recip_gamma_series(1.0, 2.0)
 
 
 def _application(C, n_th):
@@ -121,34 +126,34 @@ def _application(C, n_th):
 
 
 @pytest.mark.parametrize("nu,x", [
-    (0.5, 3.0), (2.0, 40.0), (21.0, 20.0), (1e3, 1e3), (2001.0, 2e3), (2e4, 2e4),
+    (3.5, 3.0), (42.0, 40.0), (21.0, 20.0), (1e3, 1e3), (2001.0, 2e3), (2e4, 2e4),
     # (C, n_th) = (0.01, 1e3), (1e-3, 1e3), (0.1, 1e5), (1, 1e6): x up to 2e6
     _application(0.01, 1e3), _application(1e-3, 1e3),
     _application(0.1, 1e5), _application(1.0, 1e6),
-    # x > nu: the terms peak at k ~ 1e5
-    (0.5, 1e5),
+    # nu - x = 0.5 at x = 1e5: the terms fall below 1e-18 only after some 2,900
+    (1e5 + 0.5, 1e5),
     # x/nu = 2e-9: every term ratio is far below 1
     _application(1.0, 1e-9),
 ])
 def test_series_observables_match_mpmath(nu, x):
     """n_ss = S_1/(2 S_0) and g2 = S_2 S_0/S_1^2 against a 40-digit direct sum.
 
-    Only ratios of the sums enter, so the reference starts at 1 some 40 peak
-    widths below the peak (lower terms are below 1e-300 of it), steps the
-    terms by their ratio x/(nu + k) at 40 digits, and stops once a term past
-    the peak falls below 1e-45 of the sum. Worst measured error 6.7e-16.
+    Only ratios of the sums enter, so the reference starts at t_0 = 1, steps
+    the terms by their ratio x/(nu + k) <= 1 at 40 digits, and stops once a
+    term falls below 1e-45 of the sum. Worst measured error 1.6e-15 (at
+    x/nu = 2e-9).
     """
     mpmath = pytest.importorskip("mpmath")
     s = specfun.recip_gamma_series(nu, x)
     with mpmath.workdps(40):
-        k = max(0, int(x - nu - 40.0 * math.sqrt(x + 10.0)))
+        k = 0
         t = mpmath.mpf(1)
         s0 = s1 = s2 = mpmath.mpf(0)
         while True:
             s0 += t
             s1 += k * t
             s2 += k * (k - 1) * t
-            if k > x - nu and t < s0 * mpmath.mpf(10) ** -45:
+            if t < s0 * mpmath.mpf(10) ** -45:
                 break
             t = t * x / (nu + k)
             k += 1
@@ -158,10 +163,11 @@ def test_series_observables_match_mpmath(nu, x):
     assert s.m2 / (s.m1 * s.m1) == pytest.approx(g2_ref, rel=1e-14)
 
 
-@pytest.mark.parametrize("nu,x", [(0.5, 3e3), (2001.0, 2e3), (10.0, 1e4)])
-def test_series_chunks_join_exactly(nu, x, monkeypatch):
-    """Chunks of 50 terms on both sides of the peak (and across the doublings
-    of the range) give the sums of one chunk per side."""
+@pytest.mark.parametrize("gap,x", [(0.5, 3e3), (2001.0, 2e3), (10.0, 1e4)])
+def test_series_chunks_join_exactly(gap, x, monkeypatch):
+    """Chunks of 50 terms (and across the doublings of the range) give the
+    sums of one chunk, at nu = x + gap."""
+    nu = x + gap
     whole = _kernels.series_logsums(nu, x)
     monkeypatch.setattr(_kernels, "_CHUNK", 50)
     chunked = _kernels.series_logsums(nu, x)
@@ -180,24 +186,26 @@ def _same(a, b):
 
 
 def _first_range(nu, x):
-    """Terms in a row's first range, peak included (the kernel's own rule)."""
-    k_peak = max(0, math.floor(x - nu) + 1)
+    """Terms in a row's first range, t_0 included (the kernel's own rule)."""
     width = 12.0 * math.sqrt(x + 10.0)
     if nu > x:
         width = min(width, 45.0 * nu / (nu - x))
-    return k_peak, math.ceil(k_peak + width + 60.0) + 1
+    return math.ceil(width + 60.0) + 1
 
 
-# x = 0; peaks past k = 0; the points of the chunking test; underflowing
-# ratios; seeded log-uniform rows on both sides of nu = x
-_FIXED = [(1.0, 0.0), (3.0, 2.0), (1e-3, 50.0), (0.5, 3e3), (2001.0, 2e3), (10.0, 1e4),
-          (810.0, 800.0), (20001.0, 2e4), (1.0, 5e-324), (5.0, 1e-300), (2.0, 1e-3)]
+# x = 0; x = nu; the points of the chunking test; underflowing ratios; seeded
+# log-uniform rows with log-uniform gaps nu - x
+_FIXED = [(1.0, 0.0), (3.0, 2.0), (2.0, 2.0), (1e3, 1e3), (3000.5, 3e3), (2001.0, 2e3),
+          (10010.0, 1e4), (810.0, 800.0), (20001.0, 2e4), (1.0, 5e-324), (5.0, 1e-300),
+          (2.0, 1e-3)]
 
 
 def _parity_grid():
     rng = np.random.default_rng(2017)
-    nu = np.concatenate([[p[0] for p in _FIXED], 10.0 ** rng.uniform(-3, 4, 60)])
-    x = np.concatenate([[p[1] for p in _FIXED], 10.0 ** rng.uniform(-4, 4, 60)])
+    gap = 10.0 ** rng.uniform(-3, 4, 60)
+    x = 10.0 ** rng.uniform(-4, 4, 60)
+    nu = np.concatenate([[p[0] for p in _FIXED], x + gap])
+    x = np.concatenate([[p[1] for p in _FIXED], x])
     return nu, x
 
 
@@ -205,7 +213,7 @@ def _parity_grid():
     {},
     {"_CHUNK": 50},  # every row split into chunks of 50 terms
     {"_SERIES_TOL": 1e-250},  # every row extends its range by doubling
-    {"_MAX_TERMS": 400},  # rows past the budget, at or after their peak
+    {"_MAX_TERMS": 400},  # rows past the budget
 ])
 def test_series_rows_equal_one_row_calls(patch, monkeypatch):
     """Each row of one batched kernel call equals the kernel called on that
@@ -219,18 +227,18 @@ def test_series_rows_equal_one_row_calls(patch, monkeypatch):
     for row, a, b in zip(batched, nu, x):
         assert _same(row, _rows(a, b)[0]), (a, b)
     # the grid exercises what the patch is there for
+    assert all(b <= a for a, b in zip(nu, x))
     starts = [_first_range(a, b) for a, b in zip(nu, x)]
-    assert any(k_peak > 0 for k_peak, _ in starts)
     terms = [row[3] for row in batched]
     if "_CHUNK" in patch:
         assert sum(t > 2 * 50 for t in terms) >= 20
     if "_SERIES_TOL" in patch:
-        assert sum(t > n for t, (_, n) in zip(terms, starts) if t > 1) >= 20
+        assert sum(t > n for t, n in zip(terms, starts) if t > 1) >= 20
     if "_MAX_TERMS" in patch:
         # refused rows hold NaN sums; a row whose range fits the budget is
         # as without it
         refused = [row for row in batched if not row[4]]
-        assert any(k_peak >= 400 for k_peak, _ in starts) and len(refused) >= 5
+        assert len(refused) >= 5
         assert all(math.isnan(v) for row in refused for v in row[:3])
         fits = [(row, ref) for row, ref in zip(batched, free) if ref[3] <= 400]
         assert len(fits) >= 20 and all(row == ref for row, ref in fits)
