@@ -22,7 +22,9 @@ Importing the package loads only :mod:`phonon_stats.errors`. Every other
 public name is looked up in ``_LAZY`` and its module is imported on first
 access (a PEP 562 module ``__getattr__``), and so are the submodules
 themselves, e.g. ``phonon_stats.lindblad``. The exact route needs only numpy
-and ``math``; ``hitemp`` (with :func:`erfcx`) and ``lindblad`` load scipy.
+and ``math``, and so do the ``hitemp`` observables (:func:`erfcx` included);
+``hitemp``'s Fock populations load ``scipy.special`` for log n! (until
+ROADMAP D10), and ``lindblad`` loads ``scipy.sparse``.
 """
 
 import importlib

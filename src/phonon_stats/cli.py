@@ -30,10 +30,13 @@ compute the Fock populations. An oracle model always solves for the full
 state.
 
 What each command imports: this module loads only the exact route (numpy and
-``math``). The ``hitemp`` and ``lindblad`` modules, and with them scipy, are
-reached as attributes of the package (``_pkg.hitemp``, ``_pkg.lindblad``) in
-the branches that evaluate those routes, so the package imports them on first
-use; an exact-route ``stats``, ``sweep`` or ``figure`` never loads scipy.
+``math``). The ``hitemp`` and ``lindblad`` modules are reached as attributes
+of the package (``_pkg.hitemp``, ``_pkg.lindblad``) in the branches that
+evaluate those routes, so the package imports them on first use. ``hitemp``
+itself needs only ``math`` and numpy, so ``sweep`` (any analytic model) and
+figures 1, 2, 4 and 5 never load scipy; the hitemp populations (``stats
+--model hitemp``, figure 3) load ``scipy.special`` for log n!, and the
+oracles, and so ``validate``, load ``scipy.sparse``.
 Every call goes through the module attribute, so a wrapper set on e.g.
 ``hitemp.g2_hitemp`` sees it.
 
@@ -308,31 +311,32 @@ def _point_worker(task, point=_point_observables):
 def _slice_worker(tasks, point=_point_observables):
     """Evaluate a slice of grid tasks: per task its result, its failure
     message (a string) or the exception that aborts the command. The slice
-    stops at the first point evaluated alone that raises such an exception.
+    stops at the first point that raises such an exception.
 
-    On an observables grid the exact-route points of the slice go to one
-    :func:`exact._observables_grid` call, so their series share one kernel
-    call; every other point is evaluated alone. Module-level so it pickles,
-    and shares nothing.
+    On an observables grid the exact-route points of the slice are checked
+    in grid order, as every other point is evaluated, and go to one
+    :func:`exact._observables_grid` call once the whole slice has passed,
+    so their series share one kernel call and an aborting slice sums none.
+    Module-level so it pickles, and shares nothing.
     """
     results, batch = [], []
     for task in tasks:
         C, n_th, model, _ = task
-        if point is _point_observables and _resolve_model(model, C, n_th) == "exact":
-            batch.append(len(results))
-            results.append(None)
-            continue
         try:
-            results.append(_point_worker(task, point))
+            if point is _point_observables and _resolve_model(model, C, n_th) == "exact":
+                batch.append((len(results), exact._series_args(C, n_th)))
+                results.append(None)
+            else:
+                results.append(_point_worker(task, point))
         except Exception as exc:  # aborts the command: no later point comes first
             results.append(exc)
-            break
-    values = exact._observables_grid([tasks[j][:2] for j in batch])
-    for j, value in zip(batch, values):
+            return results
+    values = exact._observables_grid([args for _, args in batch])
+    for (j, _), value in zip(batch, values):
         C, n_th = tasks[j][:2]
         if _drops_point(value):
             value = str(value)
-        elif not isinstance(value, Exception):
+        else:
             value = ("exact", *value, exact.classify_regime(C, n_th))
         results[j] = value
     return results

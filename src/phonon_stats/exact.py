@@ -78,6 +78,16 @@ def _check_cn(C: float, n_th: float, *, positive_nth: bool = False) -> tuple[flo
     return C, n_th
 
 
+def _series_args(C: float, n_th: float) -> tuple[float, float] | None:
+    """The point's checked series arguments (nu, x), or ``None`` at
+    ``n_th = 0``, where the state is the ground state and no series is
+    summed. Raises the point's :class:`~phonon_stats.errors.DomainError`."""
+    C, n_th = _check_cn(C, n_th)
+    if n_th == 0.0:
+        return None
+    return specfun._check_args((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
+
+
 def _observables(C: float, n_th: float) -> tuple[float, float | None, SeriesSums | None]:
     """(n_ss, g2, series sums) from one series evaluation.
 
@@ -89,10 +99,10 @@ def _observables(C: float, n_th: float) -> tuple[float, float | None, SeriesSums
     sees every one-point call (a grid's points go to the kernel together,
     through :func:`_observables_grid`).
     """
-    C, n_th = _check_cn(C, n_th)
-    if n_th == 0.0:
+    args = _series_args(C, n_th)
+    if args is None:
         return 0.0, None, None
-    sums = recip_gamma_series((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
+    sums = recip_gamma_series(*args)
     return (*_ratios(sums.m1, sums.m2), sums)
 
 
@@ -104,31 +114,21 @@ def _ratios(m1: float, m2: float) -> tuple[float, float | None]:
     return n_ss, g2
 
 
-def _observables_grid(points) -> list:
-    """:func:`observables_exact` at each (C, n_th) of ``points``, with the
-    series of all of them summed in one kernel call.
+def _observables_grid(args) -> list:
+    """:func:`observables_exact` at points given by their
+    :func:`_series_args`, with the series of all of them summed in one
+    kernel call.
 
     Returns one entry per point: its (n_ss, g2), or the
-    :class:`~phonon_stats.errors.PhononStatsError` that the point raises
-    alone. Each value and each message equals the one-point call's, since
-    every kernel row equals the kernel called with that row alone.
+    :class:`~phonon_stats.errors.NotConverged` that the point raises alone.
+    Each value and each message equals the one-point call's, since every
+    kernel row equals the kernel called with that row alone.
     """
-    out, rows = [], []
-    for C, n_th in points:
-        try:
-            C, n_th = _check_cn(C, n_th)
-            if n_th == 0.0:
-                out.append((0.0, None))
-                continue
-            nu_x = specfun._check_args((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
-        except DomainError as exc:
-            out.append(exc)
-            continue
-        rows.append((len(out), *nu_x))
-        out.append(None)
+    out = [(0.0, None)] * len(args)
+    rows = [(j, *nu_x) for j, nu_x in enumerate(args) if nu_x is not None]
     if rows:
-        _, nu, x = zip(*rows)
-        for (j, nu_j, x_j), row in zip(rows, zip(*_kernels.series_logsums(nu, x))):
+        index, nu, x = zip(*rows)
+        for j, nu_j, x_j, row in zip(index, nu, x, zip(*_kernels.series_logsums(nu, x))):
             _, m1, m2, terms, ok = row
             out[j] = _ratios(m1, m2) if ok else specfun._not_converged(nu_j, x_j, terms)
     return out

@@ -217,6 +217,23 @@ def test_stats_hitemp_overflowing_point_is_typed(capsys, argv):
         assert errors == [err.strip()]
 
 
+@pytest.mark.parametrize("C,n_th", [
+    ("1e3", "1e-306"),  # b = C/n_th overflows
+    ("1e300", "1e-300"),  # b overflows
+    ("5e-324", "1e-300"),  # a/sqrt(b) overflows
+    ("1", "5e-324"),  # a = 1 + 1/n_th overflows
+])
+def test_stats_hitemp_unrepresentable_populations_name_the_point(capsys, C, n_th):
+    """The sweep gives this point's n_ss and g2; its populations' moment
+    weight leaves the floats, and the report says so in the user's terms."""
+    code, out, err = run(capsys, "sweep", "--model", "hitemp", "--c-set", C, "--nth-set", n_th)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "stats", "--model", "hitemp", "--C", C, "--n-th", n_th)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: populations at C={float(C):g}, n_th={float(n_th):g}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("--model", "hitemp", "--c-set", "1e-200", "--nth-set", "1e200"),
     ("--model", "hitemp", "--c-set", "1e-160", "--nth-set", "1e160"),
@@ -338,6 +355,24 @@ def test_sweep_input_contract(capsys, model):
     assert all(line.startswith("error: C=") for line in errors)
     assert len(rows) + len(errors) == len(_FUZZ) ** 2
     assert (code == 2) == bool(errors)
+
+
+@pytest.mark.parametrize("model", ["exact", "auto"])
+def test_aborting_sweep_sums_no_series(capsys, monkeypatch, model):
+    """The grid's first point (C = 0) aborts the sweep, so the series of its
+    other exact points, which would never be written, are not summed."""
+    rows = []
+    kernel = _kernels.series_logsums
+
+    def counting(nu, x):
+        rows.extend(nu)
+        return kernel(nu, x)
+
+    monkeypatch.setattr(_kernels, "series_logsums", counting)
+    grid = ",".join(_FUZZ)
+    code, out, err = run(capsys, "sweep", "--model", model, "--c-set", grid, "--nth-set", grid)
+    assert (code, out, err) == (1, "", "error: C must be finite and positive, got 0.0\n")
+    assert rows == []
 
 
 def test_config_file(tmp_path, capsys):

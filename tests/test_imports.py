@@ -1,4 +1,4 @@
-"""What each command imports: the exact route runs without scipy.
+"""What each command imports: the analytic routes' observables run without scipy.
 
 The checks run in fresh interpreters, because this test session has long
 since imported every module.
@@ -45,6 +45,23 @@ with contextlib.redirect_stdout(io.StringIO()):
     # n_th/C stays below the 1e6 hand-off, so auto picks exact at every point
     assert main(["sweep", "--model", "auto", "--c-set", "0.1,1,10", "--nth-set", "0,1,1e3"]) == 0
     assert main(["figure", "4", "--out", {str(tmp_path)!r}]) == 0
+{_LOADED_SCIPY}
+"""
+    assert _python(code, tmp_path).strip().splitlines()[-1] == "[]"
+
+
+def test_hitemp_observables_load_no_scipy(tmp_path):
+    """The hitemp closed forms need only ``math``: the curve figures on
+    the hitemp route and sweeps past the hand-off import no scipy."""
+    code = f"""
+import contextlib, io
+from phonon_stats.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["figure", "1", "--out", {str(tmp_path)!r}]) == 0
+    assert main(["figure", "2", "--out", {str(tmp_path)!r}]) == 0
+    assert main(["sweep", "--model", "hitemp", "--c-set", "1e-3,1,1e3", "--nth-set", "1e-3,1,1e4"]) == 0
+    # n_th/C > 1e6 at every point, so auto picks hitemp
+    assert main(["sweep", "--model", "auto", "--c-set", "1e-9,1e-7", "--nth-set", "1e3,1e5"]) == 0
 {_LOADED_SCIPY}
 """
     assert _python(code, tmp_path).strip().splitlines()[-1] == "[]"

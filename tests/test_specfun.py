@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,49 @@ def test_erfcx_domain():
         hitemp.erfcx(float("nan"))
     with pytest.raises(DomainError):
         hitemp.erfcx(float("inf"))
+
+
+def _erfcx_mpmath(x: float):
+    """exp(x^2) erfc(x) to 40 digits. From x = 30 up the asymptotic series is
+    summed at 40 digits until its terms fall below 1e-45 (its smallest term,
+    near k = x^2, is about exp(-x^2)): mpmath's own erfc loses digits there,
+    2e-17 relative at x = 1e150, and fails past about 1e154."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if x < 30:
+            return mpmath.erfc(x) * mpmath.exp(x * x)
+        t, term, total, k = 1 / (2 * x * x), mpmath.mpf(1), mpmath.mpf(0), 0
+        while abs(term) > mpmath.mpf(10) ** -45:
+            total += term
+            k += 1
+            term *= -(2 * k - 1) * t
+        return total / (x * mpmath.sqrt(mpmath.pi))
+
+
+def test_erfcx_matches_mpmath():
+    """Both sides of the switch to the asymptotic series at x = 26, and x
+    past 1e154, where x^2 overflows: 6,214 points in all."""
+    rng = np.random.default_rng(7)
+    points = np.concatenate([
+        [0.0, 5e-324, 1e-300, 26.0 - 1e-9, 26.0, 26.0 + 1e-9,
+         1e154, 1.4e154, 1e200, 1e300, 2e307],
+        np.linspace(0.0, 30.0, 3001),
+        np.logspace(-8.0, 8.0, 2001),
+        26.0 + np.linspace(-1e-6, 1e-6, 201),
+        rng.uniform(0.0, 40.0, 500),
+        rng.uniform(0.0, 1e8, 500),
+    ])
+    assert len(points) >= 6000
+    worst = 0.0
+    for x in map(float, points):
+        ref = _erfcx_mpmath(x)
+        worst = max(worst, float(abs(hitemp.erfcx(x) - ref) / ref))
+    assert worst <= 1e-15
+
+
+def test_erfcx_is_monotone_across_the_switch():
+    values = [hitemp.erfcx(26.0 + k * 1e-9) for k in range(-100, 101)]
+    assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def _sums(nu, x):
@@ -341,15 +385,26 @@ def test_check_window_bounds_the_first_depth():
     assert exc.value.terms_used == cap
 
 
-@pytest.mark.parametrize("module", ["_kernels.py", "exact.py", "specfun.py"])
+def _imported(node, *, into_functions: bool):
+    """Absolute module names imported under ``node``, skipping function
+    bodies unless ``into_functions``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not into_functions:
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module
+        yield from _imported(child, into_functions=into_functions)
+
+
+@pytest.mark.parametrize("module", ["_kernels.py", "exact.py", "specfun.py", "hitemp.py"])
 def test_exact_route_modules_import_no_scipy(module):
-    """The series kernel and the exact route need only numpy and math:
-    no import anywhere in these files, function bodies included, names scipy."""
+    """The series kernel and the exact route need only numpy and math: no
+    import anywhere in these files, function bodies included, names scipy.
+    The hitemp route imports none at module level, so its observables load
+    no scipy; ``_fock_projection`` imports ``gammaln`` in its body until
+    its populations need no log n! (ROADMAP D10)."""
     tree = ast.parse(Path(specfun.__file__).with_name(module).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module)
+    imported = set(_imported(tree, into_functions=module != "hitemp.py"))
     assert not any(name.split(".")[0] == "scipy" for name in imported)
