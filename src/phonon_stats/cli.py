@@ -27,7 +27,10 @@ n_ss, g2 and regime only (on the exact route one series kernel call sums the
 series of every point of a grid slice; the hitemp route evaluates the two
 closed forms per point); ``stats``, ``validate`` and figures 3 and 6 also
 compute the Fock populations. An oracle model always solves for the full
-state.
+state; the oracle points of a grid slice (``validate``, ``sweep --model
+oracle-*``, with or without ``--trunc``) are solved together, their
+truncation ladders one sparse factorization per rung level, with the same
+output as point by point.
 
 What each command imports: this module loads only the exact route (numpy and
 ``math``). The ``hitemp`` and ``lindblad`` modules are reached as attributes
@@ -59,6 +62,7 @@ import math
 import os
 import sys
 from multiprocessing import Pool
+from types import GeneratorType
 
 import numpy as np
 
@@ -67,7 +71,7 @@ import phonon_stats as _pkg
 from . import exact
 from .errors import BudgetExceeded, DomainError, PhononStatsError
 from .params import ReducedParams
-from .report import Regime, SteadyStateReport
+from .report import SteadyStateReport
 
 __all__ = ["main"]
 
@@ -257,31 +261,45 @@ def _oracle_model(name, C, n_th, cfg):
     return build, lindblad.TruncationSpec(8, 3)
 
 
-def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
-    """Evaluate one (C, n_th) point under the named model."""
+def _reports(name, C, n_th, cfg):
+    """Evaluate one (C, n_th) point under the named model: a generator that
+    returns ``(name, report)``.
+
+    An oracle point yields its solve, ``(build, spec, climb)``: the
+    builder, the truncation and whether a ladder climbs from it (fixed under
+    ``--trunc``). It is sent the report, or thrown the package error that
+    ends the solve, so that :func:`_slice_worker` can solve the oracle
+    points of a grid slice together; :func:`_point_report` solves it alone.
+    """
     name = _resolve_model(name, C, n_th)
     if name == "exact":
         return name, exact.steady_state_exact(C, n_th)
     if name == "hitemp":
         return name, _pkg.hitemp.steady_state_hitemp(C, n_th)
-    lindblad = _pkg.lindblad
     build, initial = _oracle_model(name, C, n_th, cfg)
     trunc = getattr(cfg, "trunc", None)
-    if trunc is not None:
-        dim_cav = _get(cfg, "trunc_cav", 4 if initial.dim_cav > 1 else 1)
-        spec = lindblad.TruncationSpec(int(trunc), int(dim_cav))
-        report = lindblad.observables(lindblad.steady_state(build(spec)))
+    if trunc is None:
+        report = yield build, initial, True
     else:
-        _, report = lindblad.converge_truncation(build, initial)
+        dim_cav = _get(cfg, "trunc_cav", 4 if initial.dim_cav > 1 else 1)
+        spec = _pkg.lindblad.TruncationSpec(int(trunc), int(dim_cav))
+        report = yield build, spec, False
     return name, report
 
 
-def _point_observables(name, C, n_th, cfg) -> tuple[str, float, float | None, Regime]:
+def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
+    """Evaluate one (C, n_th) point under the named model."""
+    return _resume(_reports(name, C, n_th, cfg))
+
+
+def _point_observables(name, C, n_th, cfg):
     """n_ss, g2 and regime of one point, without Fock populations.
 
     The analytic routes evaluate their observables alone (one series call on
     the exact route, the two closed forms on the hitemp route); an oracle's
-    Lindblad solve yields everything at once, so it goes through the report.
+    Lindblad solve yields everything at once, so an oracle point goes
+    through the report: it returns the generator of
+    :func:`_oracle_observables`.
     """
     name = _resolve_model(name, C, n_th)
     if name == "exact":
@@ -290,22 +308,74 @@ def _point_observables(name, C, n_th, cfg) -> tuple[str, float, float | None, Re
         hitemp = _pkg.hitemp
         n_ss, g2 = hitemp.mean_phonon_hitemp(C, n_th), hitemp.g2_hitemp(C, n_th)
     else:
-        name, rep = _point_report(name, C, n_th, cfg)
-        return name, rep.n_ss, rep.g2, rep.regime
+        return _oracle_observables(name, C, n_th, cfg)
     return name, n_ss, g2, exact.classify_regime(C, n_th)
 
 
-def _point_worker(task, point=_point_observables):
-    """Evaluate the grid task ``(C, n_th, model, cfg)`` as ``point(model, C,
-    n_th, cfg)``. A point that fails to converge returns its message as a
-    string, so the rest of the grid survives it."""
-    C, n_th, model, cfg = task
+def _oracle_observables(name, C, n_th, cfg):
+    """:func:`_point_observables` of an oracle point: a generator like
+    :func:`_reports`."""
+    name, rep = yield from _reports(name, C, n_th, cfg)
+    return name, rep.n_ss, rep.g2, rep.regime
+
+
+def _oracle_solves(jobs) -> list:
+    """Per oracle solve ``(build, spec, climb)`` its report, or the package
+    error that ends it.
+
+    The ladders climb together (``lindblad._climb``), one factorization per
+    rung level; a lone ladder goes through ``converge_truncation``, their
+    batch of one, so that a wrapper set on it sees it. The fixed
+    truncations are solved together (``lindblad._solve_batch``), and each
+    takes its state through ``steady_state``.
+    """
+    if not jobs:  # no oracle: lindblad and scipy stay unloaded
+        return []
+    lindblad = _pkg.lindblad
+    out = [None] * len(jobs)
+    ladders = [i for i, (_, _, climb) in enumerate(jobs) if climb]
+    if len(ladders) == 1:
+        try:
+            results = [lindblad.converge_truncation(*jobs[ladders[0]][:2])]
+        except PhononStatsError as exc:
+            results = [exc]
+    else:
+        results = lindblad._climb([jobs[i][:2] for i in ladders])
+    for i, result in zip(ladders, results):
+        out[i] = result if isinstance(result, Exception) else result[1]
+    sups = {}
+    for i, (build, spec, climb) in enumerate(jobs):
+        if not climb:
+            try:
+                sups[i] = build(spec)
+            except PhononStatsError as exc:
+                out[i] = exc
+    lindblad._solve_batch(list(sups.values()))
+    for i, sup in sups.items():
+        try:
+            out[i] = lindblad.observables(lindblad.steady_state(sup))
+        except PhononStatsError as exc:
+            out[i] = exc
+    return out
+
+
+def _resume(gen, outcome=None):
+    """Run the point generator ``gen`` to its end from the oracle outcome
+    it waits for (None to start it), solving each later oracle alone;
+    returns its value."""
     try:
-        return point(model, C, n_th, cfg)
-    except PhononStatsError as exc:
-        if not _drops_point(exc):
-            raise
-        return str(exc)
+        while True:
+            job = gen.throw(outcome) if isinstance(outcome, Exception) else gen.send(outcome)
+            (outcome,) = _oracle_solves([job])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _failure(exc):
+    """What a failed point leaves: its message (a string) for a failure to
+    converge, so the rest of the grid survives it; the exception, which
+    aborts the command, for any other."""
+    return str(exc) if _drops_point(exc) else exc
 
 
 def _slice_worker(tasks, point=_point_observables):
@@ -313,24 +383,50 @@ def _slice_worker(tasks, point=_point_observables):
     message (a string) or the exception that aborts the command. The slice
     stops at the first point that raises such an exception.
 
-    On an observables grid the exact-route points of the slice are checked
-    in grid order, as every other point is evaluated, and go to one
-    :func:`exact._observables_grid` call once the whole slice has passed,
-    so their series share one kernel call and an aborting slice sums none.
+    Every point is first checked and evaluated in grid order up to its
+    oracle solve. On an observables grid the exact-route points then go to
+    one :func:`exact._observables_grid` call once the whole slice has
+    passed, so their series share one kernel call and an aborting slice
+    sums none. The oracle points before any aborting point go to
+    :func:`_oracle_solves` together, so their ladders share one
+    factorization per rung level, and are finished in grid order: an
+    oracle error that aborts comes before every later point, and the
+    skipped-row warnings come in grid order.
     Module-level so it pickles, and shares nothing.
     """
-    results, batch = [], []
+    results, batch, waiting = [], [], []
     for task in tasks:
-        C, n_th, model, _ = task
+        C, n_th, model, cfg = task
         try:
             if point is _point_observables and _resolve_model(model, C, n_th) == "exact":
                 batch.append((len(results), exact._series_args(C, n_th)))
-                results.append(None)
+                result = None
             else:
-                results.append(_point_worker(task, point))
-        except Exception as exc:  # aborts the command: no later point comes first
-            results.append(exc)
-            return results
+                result = point(model, C, n_th, cfg)
+                if isinstance(result, GeneratorType):  # it waits for its oracle
+                    try:
+                        waiting.append((len(results), result, next(result)))
+                        result = None
+                    except StopIteration as stop:
+                        result = stop.value
+        except Exception as exc:
+            result = _failure(exc)
+        results.append(result)
+        if isinstance(result, Exception):  # aborts the command: no later point comes first
+            break
+    try:
+        solved = _oracle_solves([job for _, _, job in waiting])
+    except Exception as exc:  # no point's own error: it aborts the batch
+        solved = [exc] * len(waiting)
+    for (j, gen, _), outcome in zip(waiting, solved):
+        try:
+            results[j] = _resume(gen, outcome)
+        except Exception as exc:
+            results[j] = _failure(exc)
+            if isinstance(results[j], Exception):
+                return results[: j + 1]
+    if results and isinstance(results[-1], Exception):
+        return results
     values = exact._observables_grid([args for _, args in batch])
     for (j, _), value in zip(batch, values):
         C, n_th = tasks[j][:2]
@@ -698,12 +794,13 @@ def _pop_l1(pa, pb) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _validate_point(model, C, n_th, cfg) -> dict:
-    """The analytic report against the oracle's at one point. An oracle
-    whose truncation ladder runs out of budget leaves a skipped row."""
-    a_name, a_rep = _point_report(model, C, n_th, cfg)
+def _validate_point(model, C, n_th, cfg):
+    """The analytic report against the oracle's at one point, as a dict: a
+    generator like :func:`_reports`. An oracle whose truncation ladder runs
+    out of budget leaves a skipped row."""
+    a_name, a_rep = yield from _reports(model, C, n_th, cfg)
     try:
-        _, o_rep = _point_report(_get(cfg, "oracle", "oracle-reduced"), C, n_th, cfg)
+        _, o_rep = yield from _reports(_get(cfg, "oracle", "oracle-reduced"), C, n_th, cfg)
     except BudgetExceeded as exc:
         _LOG.warning("skipping C=%g n_th=%g: %s", C, n_th, exc)
         return {"model": a_name, "skipped": True, "reason": str(exc)}

@@ -28,8 +28,8 @@ builders assemble only the sector block the solve reads (below). A
 builder's generator is linear in its rates and couplings, sum_k c_k G_k,
 so each unit part G_k (one unit-rate jump or one unit Hamiltonian term)
 is formed once per model and truncation, restricted to the sector, from
-the nonzeros of its Kronecker factors; a bounded cache keeps them, and
-each build only weighs them with its c_k.
+the nonzeros of its Kronecker factors; a bounded cache keeps them, and a
+build only keeps its c_k, which weigh them where the block is assembled.
 
 Each builder also declares a weak symmetry (Buca & Prosen, NJP 14, 073007
 (2012); Albert & Jiang, PRA 89, 022118 (2014)) as an integer charge per
@@ -46,7 +46,14 @@ share that block:
   (W. J. Stewart, *Introduction to the Numerical Solution of Markov
   Chains*, 1994), so the system keeps the block's sparsity. It runs where
   the sector is small next to d^2: the reduced model (n = d) and the
-  two-mode RWA model (n of about 4 d at 4x32).
+  two-mode RWA model (n of about 4 d at 4x32). The pinned system's CSC
+  pattern is cached with the unit parts, so a rung's system is one gather
+  from its block's data. A batched rung (below) stacks the systems of its
+  points as one block-diagonal system and factors it once. SuperLU orders
+  its columns by minimum degree on A^T A, which orders each block of a
+  block-diagonal system as it orders the block alone, so each point's
+  solution equals its lone solve bit for bit; COLAMD, SuperLU's default,
+  moves them by up to 2e-15.
 * GMRES preconditioned by the generator's non-jump part, inverted in its
   eigenbasis (Nation, arXiv:1504.06768, reviews such solvers). It runs
   where the sector holds more than d^1.5 entries and the generator
@@ -70,6 +77,19 @@ reported. That residual equals the whole generator's because the charge
 is checked to close its sector (L[S^c, S] = 0) once, where the block is
 formed: in the builders' cache, or when a hand-built generator's block is
 sliced from its matrix.
+
+The ladders of many points climb together (:func:`_climb`, behind a grid
+command's oracle points). At each rung level the points still climbing are
+solved as one batch (:func:`_solve_batch`): the blocks of points that share
+a model and a truncation are assembled in one product, their coefficient
+rows times the cached weights, factored as one block-diagonal system (of
+at most ``_BATCH_UNKNOWNS`` unknowns; GMRES rungs one at a time), and
+taken through the tail as one (P, n) array, whose sums are taken row by
+row. A point leaves the batch when it accepts a rung or raises its own
+error. :func:`steady_state` and :func:`converge_truncation` are the batch
+of one, so a point's result does not depend on the points beside it. The
+default ``validate`` grid (25 points, 65 rungs) factors 5 systems, one per
+rung level, where it factored 65.
 """
 
 from __future__ import annotations
@@ -86,6 +106,7 @@ from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, spsolv
 from .errors import (
     BudgetExceeded,
     DomainError,
+    PhononStatsError,
     SingularSystem,
     UnphysicalState,
 )
@@ -111,6 +132,11 @@ _POPULATION_TAIL_TOL = 1e-9
 # accepted, and the largest Hilbert dimension it may try; read at call time
 _LADDER_REL_TOL = 1e-6
 _DIM_CAP = 4096
+# the most unknowns one batched factorization holds: past a few thousand
+# unknowns per system the factorization, not the per-system overhead, sets
+# the time, while the factors of a block-diagonal system take the memory of
+# all its blocks at once
+_BATCH_UNKNOWNS = 2**15
 # GMRES on the preconditioned system: relative residual, Krylov basis size
 # (restart + 1 vectors of the sector's length are held, 12.5 MB at 5x32)
 # and restart cycles. Pre-RWA took 11 to 40 iterations at most points tried
@@ -153,9 +179,12 @@ class Superoperator:
     the (o_k, rate_k) pairs that :func:`_liouvillian` turns into
     ``matrix``; :func:`steady_state` uses them for its Krylov solve. A
     generator without jumps carries no factors. The builders pass
-    ``matrix=None``: they assemble only the block L[S, S] that the solve
-    reads, and ``matrix`` is formed from the factors when first read. Their
-    jump operators are shared with their cache and are read-only.
+    ``matrix=None``: they keep only their coefficients, and the block
+    L[S, S] that the solve reads is assembled from the cached unit parts
+    when first needed (for a whole rung of a ladder batch at once, see
+    :func:`_solve_batch`); ``matrix`` is formed from the factors when first
+    read. Their jump operators are shared with their cache and are
+    read-only.
     """
 
     dims: tuple[int, int]
@@ -163,8 +192,12 @@ class Superoperator:
     charge: np.ndarray | None = None
     h: sp.csr_matrix | None = None
     jumps: tuple = ()
-    # (layout, L[S, S]); see _sector_block
+    # (pattern, data) of L[S, S]; see _sector_data
     _block: tuple | None = field(default=None, init=False, repr=False)
+    # a builder's (unit parts, coefficients), from which _block is assembled
+    _parts: tuple | None = field(default=None, init=False, repr=False)
+    # the solved state, or the error of its solve, until steady_state takes it
+    _state: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.charge is not None and np.shape(self.charge) != (self.dim,):
@@ -201,15 +234,17 @@ class Superoperator:
         defect = trace_row @ block
         return float(np.max(np.abs(defect)))
 
-    def _sector_block(self) -> tuple[_Layout, sp.csr_matrix]:
-        """The :class:`_Layout` of the charge and the block L[S, S].
+    def _sector_data(self) -> tuple[_Pattern, np.ndarray]:
+        """The :class:`_Pattern` of the block L[S, S] and its data.
 
-        The builders set both from their cache. A hand-built generator's
-        block is sliced from ``matrix`` here, once, after the check that L
-        maps no entry of S outside it (L[S^c, S] = 0): a charge that fails
-        it raises :class:`DomainError`.
+        A builder's block is assembled from its cache (:func:`_fill`). A
+        hand-built generator's block is sliced from ``matrix`` here, once,
+        after the check that L maps no entry of S outside it
+        (L[S^c, S] = 0): a charge that fails it raises :class:`DomainError`.
         """
-        if self._block is None:
+        if self._block is None and self._parts is not None:
+            _fill([self])
+        elif self._block is None:
             d = self.dim
             sector = self.sector()
             L = self.matrix.tocsr()
@@ -222,8 +257,17 @@ class Superoperator:
                 )
             block = L[sector][:, sector]
             block.sum_duplicates()
-            self._block = (_layout(self.charge, d, sector), block)
+            lay = _layout(self.charge, d, sector)
+            self._block = (_pattern(lay, block.indices, block.indptr), block.data)
         return self._block
+
+    def _sector_block(self) -> tuple[_Layout, sp.csr_matrix]:
+        """The :class:`_Layout` of the charge and the block L[S, S], in
+        arrays of its own (the cache stays untouched)."""
+        pattern, data = self._sector_data()
+        n = pattern.layout.sector.size
+        arrays = (data.copy(), pattern.indices.copy(), pattern.indptr.copy())
+        return pattern.layout, sp.csr_matrix(arrays, shape=(n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +286,70 @@ class _Layout:
     diag: np.ndarray
     mirror: np.ndarray
     block_pos: list
+
+
+@dataclass(frozen=True, eq=False)
+class _Pattern:
+    """The sparsity of a sector block L[S, S] and the plan of its pinned LU.
+
+    ``indices`` and ``indptr`` are the block's CSR pattern, ``starts`` the
+    first entry of each nonempty row (for ||L[S, S]||_inf). The builders
+    keep one per (model, dims); its arrays are read-only.
+    """
+
+    layout: _Layout
+    indices: np.ndarray
+    indptr: np.ndarray
+    starts: np.ndarray
+
+    @functools.cached_property
+    def pinned(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, indptr, src) of the system that :func:`_sector_lu`
+        factors, the block with the row of rho[0, 0] replaced by e_0^T: its
+        CSC pattern, and per entry its position in the block's data, or nnz
+        for the pin's 1. So a rung's pinned system is one gather from its
+        data. The system is formed once with each entry's position as its
+        value and converted to CSC, so its pattern and entry order are
+        those of the pinned block's own ``tocsc``. Formed on first use, as
+        the Krylov solve needs none."""
+        indices, indptr = self.indices, self.indptr
+        n, nnz, cut = indptr.size - 1, indices.size, indptr[1]
+        where = sp.csr_matrix(
+            (np.insert(np.arange(cut + 1.0, nnz + 1.0), 0, 0.0), np.insert(indices[cut:], 0, 0),
+             np.insert(indptr[1:] - cut + 1, 0, 0)),
+            shape=(n, n),
+        ).tocsc()
+        src = where.data.astype(np.intc) - 1
+        src[src < 0] = nnz
+        plan = (where.indices.astype(np.intc), where.indptr.astype(np.intc), src)
+        for arr in plan:
+            arr.flags.writeable = False
+        return plan
+
+
+def _pattern(lay: _Layout, indices: np.ndarray, indptr: np.ndarray) -> _Pattern:
+    """The :class:`_Pattern` of the block with CSR pattern (indices, indptr)
+    on the sector of ``lay``."""
+    pattern = _Pattern(lay, indices.astype(np.intc), indptr.astype(np.intc),
+                       indptr[:-1][np.diff(indptr) > 0].astype(np.intc))
+    for arr in (pattern.indices, pattern.indptr, pattern.starts):
+        arr.flags.writeable = False
+    return pattern
+
+
+def _stacked(indices, indptr, data: np.ndarray, form):
+    """The block-diagonal sparse matrix (``form``, csr_matrix or
+    csc_matrix) of one block per row of ``data`` (P, nnz), every block of
+    the compressed pattern (indices, indptr)."""
+    count, (nnz, n) = data.shape[0], (indices.size, indptr.size - 1)
+    if count == 1:  # the pattern itself, shared: the sparse solves only read it
+        return form((data[0], indices, indptr), shape=(n, n))
+    shift = np.arange(count, dtype=np.intc)[:, None]
+    stacked_indptr = np.append((indptr[:-1] + nnz * shift).ravel(), np.intc(count * nnz))
+    return form(
+        (data.ravel(), (indices + n * shift).ravel(), stacked_indptr),
+        shape=(count * n, count * n),
+    )
 
 
 @dataclass(eq=False)
@@ -364,14 +472,15 @@ def _kron_factors(jumps, terms, d: int):
     """(k, m1, m2) for each Kronecker product kron(m1, m2) of the unit
     generator G_k, in the form of the module docstring: a unit-rate jump o
     gives I kron A + conj(A) kron I + conj(o) kron o with A = -(1/2) o^dag
-    o, a unit Hamiltonian term t the first two with A = -i t."""
+    o, a unit Hamiltonian term t the first two with A = -i t. Every
+    operator is real, so a jump's products are real and a term's
+    imaginary; a term yields the imaginary parts, I kron (-t) and t kron I."""
     eye = sp.identity(d, format="csr")
     for k, op in enumerate(jumps):
         a = -0.5 * (op.conj().T @ op)
         yield from ((k, eye, a), (k, a.conj(), eye), (k, op.conj(), op))
     for k, t in enumerate(terms, len(jumps)):
-        a = -1j * t
-        yield from ((k, eye, a), (k, a.conj(), eye))
+        yield from ((k, eye, -t), (k, t, eye))
 
 
 def _unit_ops(model: str, dims: tuple[int, int]):
@@ -406,12 +515,14 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     Each G_k is a sum of Kronecker products (see the module docstring), and
     each product enters through :func:`_sector_kron`, so nothing of size
     d^2 x d^2 is formed and a charge that does not close its sector is
-    refused here, once. Returns (jumps, terms, layout, indices, indptr,
-    weights): the unit operators, the :class:`_Layout`, the CSR pattern of
-    L[S, S] (these read-only and shared by every build), and a sparse
-    (nnz, K) matrix whose product with the coefficients c gives the data of
-    sum_k c_k G_k[S, S] in that pattern. Per (model, dims), so a build is
-    that product and one matrix.
+    refused here, once. Returns (jumps, terms, pattern, jump_weights,
+    term_weights): the unit operators and the :class:`_Pattern` of L[S, S]
+    (these read-only and shared by every build), and two sparse float64
+    matrices, (nnz, J) and (nnz, K - J) (None without terms). With the
+    coefficients c, jump_weights @ c[:J] gives the real part of the data
+    of sum_k c_k G_k[S, S] in that pattern and term_weights @ c[J:] its
+    imaginary part. Per (model, dims), so a rung of any number of builds
+    is those products.
     """
     jumps, terms, charge = _unit_ops(model, dims)
     for op in jumps + terms:
@@ -425,32 +536,50 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     ))
     union, slot = np.unique(np.concatenate(keys), return_inverse=True)
     part = np.repeat(part, [key.size for key in keys])
-    weights = sp.csr_matrix(
-        (np.concatenate(vals), (slot, part)), shape=(union.size, len(jumps) + len(terms))
-    )
-    # a part whose products cancel at an entry leaves no entry there
-    weights.eliminate_zeros()
-    live = np.diff(weights.indptr) > 0
+    vals = np.concatenate(vals)
+    weights = []
+    for take, first, count in ((part < len(jumps), 0, len(jumps)),
+                               (part >= len(jumps), len(jumps), len(terms))):
+        w = sp.csr_matrix((vals[take], (slot[take], part[take] - first)),
+                          shape=(union.size, count))
+        # a part whose products cancel at an entry leaves no entry there
+        w.eliminate_zeros()
+        weights.append(w)
+    live = (np.diff(weights[0].indptr) > 0) | (np.diff(weights[1].indptr) > 0)
     keys, n = union[live], sector.size  # row * n + col, ascending
-    indices = (keys % n).astype(np.int32)
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
-    indices.flags.writeable = indptr.flags.writeable = False
-    return jumps, terms, _layout(charge, d, sector), indices, indptr, weights[live]
+    indices = keys % n
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    pattern = _pattern(_layout(charge, d, sector), indices, indptr)
+    jump_w, term_w = (w[live] for w in weights)
+    return jumps, terms, pattern, jump_w, term_w if terms else None
 
 
 def _assemble(model: str, dims: tuple[int, int], coefs) -> Superoperator:
-    """sum_k coefs[k] G_k[S, S], in arrays of its own (the cache stays
-    untouched), with its factors: the leading coefs are the jump rates, the
-    rest weigh the Hamiltonian terms."""
-    jumps, terms, lay, indices, indptr, weights = _unit_parts(model, dims)
-    data = weights @ np.asarray(coefs, dtype=np.float64)
-    n = lay.sector.size
-    block = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    """sum_k coefs[k] G_k[S, S] with its factors: the leading coefs are the
+    jump rates, the rest weigh the Hamiltonian terms. Only the coefficients
+    are kept; :func:`_fill` assembles the block from them."""
+    parts = _unit_parts(model, dims)
+    jumps, terms, pattern = parts[:3]
     rates = [float(c) for c in coefs[: len(jumps)]]
     h = sum(c * t for c, t in zip(coefs[len(jumps) :], terms)) if terms else None
-    sup = Superoperator(dims, None, lay.charge, h=h, jumps=tuple(zip(jumps, rates)))
-    sup._block = (lay, block)
+    sup = Superoperator(dims, None, pattern.layout.charge, h=h, jumps=tuple(zip(jumps, rates)))
+    sup._parts = (parts, np.asarray(coefs, dtype=np.float64))
     return sup
+
+
+def _fill(sups) -> None:
+    """Assemble the blocks L[S, S] of builder generators of one model and
+    truncation, in arrays of their own (the cache stays untouched): their
+    coefficient rows times the cached weights, in one product."""
+    _, _, pattern, jump_w, term_w = sups[0]._parts[0]
+    coefs = np.array([sup._parts[1] for sup in sups])
+    count = jump_w.shape[1]
+    data = np.ascontiguousarray((jump_w @ coefs[:, :count].T).T)
+    if term_w is not None:
+        real, data = data, np.empty(data.shape, dtype=complex)
+        data.real, data.imag = real, (term_w @ coefs[:, count:].T).T
+    for sup, row in zip(sups, data):
+        sup._block = (pattern, row)
 
 
 def _check_finite(**params: float) -> None:
@@ -549,27 +678,37 @@ def _krylov_pays(n: int, d: int) -> bool:
     return n > d**1.5
 
 
-def _sector_lu(block: sp.csr_matrix) -> np.ndarray:
-    """Solve L[S, S] x = 0 by sparse LU, the row of rho[0, 0] (sector entry
+def _sector_lu(pattern: _Pattern, data: np.ndarray) -> np.ndarray:
+    """Solve L[S, S] x = 0 for each row of ``data`` (P, nnz), the blocks'
+    data in ``pattern``, by sparse LU, the row of rho[0, 0] (sector entry
     0) replaced by the unit row e_0^T and the right-hand side e_0, so x is
     the steady state scaled to rho[0, 0] = 1 (W. J. Stewart, *Introduction
     to the Numerical Solution of Markov Chains*, 1994). The row dropped is
     implied by the others, as the trace is a left null vector of L, and the
-    pinned system keeps the block's sparsity. SuperLU gets it as CSC:
-    handed CSR, it factors the transpose, which cost the RWA model's g2 up
-    to 8e-8 relative at n_th = 1e-6."""
-    cut = block.indptr[1]
-    pinned = sp.csr_matrix(
-        (np.insert(block.data[cut:], 0, 1.0), np.insert(block.indices[cut:], 0, 0),
-         np.insert(block.indptr[1:] - cut + 1, 0, 0)),
-        shape=block.shape,
-    )
-    rhs = np.zeros(block.shape[0], dtype=block.dtype)
-    rhs[0] = 1.0
+    pinned system keeps the block's sparsity. Returns x as (P, n) rows.
+
+    The P pinned systems are gathered by the pattern's plan into one
+    block-diagonal CSC system and factored by one ``spsolve``. SuperLU gets
+    CSC: handed CSR, it factors the transpose, which cost the RWA model's
+    g2 up to 8e-8 relative at n_th = 1e-6. Its column ordering is minimum
+    degree on A^T A: that of a block-diagonal system orders each block as
+    it orders the block alone, so every row of x equals the solve of its
+    system alone bit for bit (COLAMD, SuperLU's default, moves them by up
+    to 2e-15). Raises :class:`SingularSystem` when the factorization
+    fails, for any of the P systems.
+    """
+    count = data.shape[0]
+    n = pattern.layout.sector.size
+    ones = np.ones((count, 1), dtype=data.dtype)
+    indices, indptr, src = pattern.pinned
+    system = _stacked(indices, indptr, np.concatenate([data, ones], axis=1)[:, src],
+                      sp.csc_matrix)
+    rhs = np.zeros((count, n), dtype=data.dtype)
+    rhs[:, 0] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            return spsolve(pinned.tocsc(), rhs)
+            return spsolve(system, rhs.ravel(), permc_spec="MMD_ATA").reshape(count, n)
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystem(f"sparse solve failed: {exc}") from exc
 
@@ -641,41 +780,172 @@ def _krylov(sup: Superoperator, block: sp.csr_matrix, lay: _Layout) -> tuple[np.
     return sol, iterations
 
 
-def _positive_part(values: np.ndarray, block_pos) -> float:
-    """Clip the negative eigenvalues of the state's charge blocks to 0, in
-    place in its sector entries ``values``, and return its smallest
-    eigenvalue before that.
+def _positive_part(values: np.ndarray, block_pos):
+    """Clip the negative eigenvalues of the states' charge blocks to 0, in
+    place in their sector entries ``values`` (a C-contiguous (P, n) array,
+    one state per row, or one state of n entries), and return each state's
+    smallest eigenvalue before that: a (P,) array, or a scalar for one
+    state.
 
-    The state is Hermitian and block-diagonal in the charge, so its spectrum
-    is the union of the blocks' spectra. ``values[pos]`` stacks the blocks of
-    one size (``block_pos``, see :class:`_Layout`), which go through one
-    ``eigvalsh`` (a 1 x 1 block is its own eigenvalue), and only a block
-    with a negative eigenvalue is decomposed again and rebuilt. Raises
-    :class:`UnphysicalState` below the floor, before any repair.
+    A state is Hermitian and block-diagonal in the charge, so its spectrum
+    is the union of the blocks' spectra. The blocks of one size of every
+    state (``block_pos``, see :class:`_Layout`) go through one ``eigvalsh``
+    (a 1 x 1 block is its own eigenvalue), and only a block with a negative
+    eigenvalue is decomposed again and rebuilt.
     """
+    states = values.reshape(-1, values.shape[-1])  # a view: repairs land in values
     spectra = []
     for pos in block_pos:
-        sub = values[pos]
-        w = sub[:, :, 0].real if pos.shape[1] == 1 else np.linalg.eigvalsh(sub)
+        m = pos.shape[1]
+        sub = states[:, pos].reshape(-1, m, m)  # every state's blocks of size m
+        w = sub[:, :, 0].real if m == 1 else np.linalg.eigvalsh(sub)
         spectra.append((pos, sub, w))
-    min_eig = float(min(w.min() for _, _, w in spectra))
-    if min_eig < _EIG_FLOOR:
-        raise UnphysicalState(
-            f"steady state has eigenvalue {min_eig:.3e} below {_EIG_FLOOR:g}; "
-            "truncation is too tight for this parameter set"
-        )
+    count = states.shape[0]
+    min_eig = np.min([w.reshape(count, -1).min(axis=1) for _, _, w in spectra], axis=0)
     for pos, sub, w in spectra:
         bad = w.min(axis=1) < 0.0
         if not bad.any():
             continue
-        pos, sub = pos[bad], sub[bad]
+        sub = sub[bad]
         if pos.shape[1] == 1:
             sub = np.zeros_like(sub)
         else:
             w, v = np.linalg.eigh(sub)
             sub = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(1, 2)
-        values[pos] = sub
-    return min_eig
+        state, block = np.divmod(np.flatnonzero(bad), pos.shape[0])
+        states[state[:, None, None], pos[block]] = sub
+    return min_eig.reshape(values.shape[:-1])
+
+
+def _reject(out: list, rows: np.ndarray, ok: np.ndarray, error, *arrays) -> tuple:
+    """Give each state ``rows[i]`` whose ``ok[i]`` fails the error
+    ``error(i)`` in ``out``; return the rows kept and the rows of
+    ``arrays`` (one row per state) kept."""
+    if ok.all():
+        return (rows, *arrays)
+    for i in np.flatnonzero(~ok):
+        out[rows[i]] = error(i)
+    return (rows[ok], *(array[ok] for array in arrays))
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``x``, taken row by row: numpy may sum a
+    short axis of a 2-D array in another order than the row alone, and a
+    state's digits must not depend on the states solved beside it."""
+    return np.array([row.sum() for row in x])
+
+
+def _solve_group(pattern: _Pattern, group: list) -> list:
+    """The steady states of the generators in ``group``, whose blocks share
+    ``pattern``: per generator its :class:`DensityMatrix` or the package
+    error of its own solve (see :func:`steady_state` for the checks)."""
+    lay = pattern.layout
+    count, n = len(group), lay.sector.size
+    data = np.stack([sup._block[1] for sup in group]) if count > 1 else group[0]._block[1][None]
+    out: list = [None] * count
+    iterations = [None] * count
+    if group[0].jumps and _krylov_pays(n, group[0].dim):
+        sol = np.zeros((count, n), dtype=complex)
+        for p, sup in enumerate(group):
+            block = _stacked(pattern.indices, pattern.indptr, data[p : p + 1], sp.csr_matrix)
+            try:
+                sol[p], iterations[p] = _krylov(sup, block, lay)
+            except SingularSystem as exc:
+                out[p] = exc
+    else:
+        try:
+            sol = _sector_lu(pattern, data)
+        except SingularSystem as exc:
+            sol, out = np.zeros((count, n), dtype=data.dtype), [exc] * count
+            if count > 1:  # factored alone, only a failing system keeps its error
+                for p in range(count):
+                    try:
+                        sol[p], out[p] = _sector_lu(pattern, data[p : p + 1])[0], None
+                    except SingularSystem as alone:
+                        out[p] = alone
+
+    rows = np.flatnonzero([error is None for error in out])
+    if rows.size < count:
+        sol = sol[rows]
+    rows, sol = _reject(out, rows, np.isfinite(sol).all(axis=1), lambda i: SingularSystem(
+        "steady-state solve returned non-finite entries"), sol)
+    rho = 0.5 * (sol + sol[:, lay.mirror].conj())
+    tr = np.real(_row_sums(rho[:, lay.diag]))
+    rows, rho, tr = _reject(out, rows, np.abs(tr) >= 1e-300, lambda i: SingularSystem(
+        "solved state has vanishing trace"), rho, tr)
+    if not rows.size:
+        return out
+    rho /= tr[:, None]
+
+    min_eig = _positive_part(rho, lay.block_pos)
+    repaired = min_eig < 0.0
+    if repaired.any():
+        rho[repaired] /= np.real(_row_sums(rho[repaired][:, lay.diag]))[:, None]
+    rows, rho, min_eig = _reject(out, rows, min_eig >= _EIG_FLOOR, lambda i: UnphysicalState(
+        f"steady state has eigenvalue {min_eig[i]:.3e} below {_EIG_FLOOR:g}; "
+        "truncation is too tight for this parameter set"), rho, min_eig)
+    if not rows.size:
+        return out
+
+    if rows.size < count:
+        data = data[rows]
+    block = _stacked(pattern.indices, pattern.indptr, data, sp.csr_matrix)
+    r = (block @ rho.ravel()).reshape(rho.shape)
+    # summed by numpy, not by a BLAS dot, which may hand a vector this long
+    # to threads and wait milliseconds for them on a loaded machine
+    residual = np.sqrt(_row_sums(r.real**2) + _row_sums(r.imag**2))
+    scale = np.array([np.add.reduceat(np.abs(row), pattern.starts).max(initial=0.0) or 1.0
+                      for row in data])
+    rows, rho, min_eig, residual, scale = _reject(
+        out, rows, ~(residual > _RESIDUAL_TOL * scale), lambda i: SingularSystem(
+            f"steady state residual {residual[i]:.3e} exceeds "
+            f"{_RESIDUAL_TOL:g} * ||L[S, S]||_inf = {_RESIDUAL_TOL * scale[i]:.3e}; "
+            "the generator's kernel is likely degenerate"),
+        rho, min_eig, residual, scale)
+    for i, p in enumerate(rows):
+        out[p] = DensityMatrix(
+            rho[i], lay, group[p].dims, float(residual[i] / scale[i]), float(min_eig[i]),
+            "sector-lu" if iterations[p] is None else "krylov", iterations[p],
+        )
+    return out
+
+
+def _solve_batch(sups) -> None:
+    """Solve the steady states of ``sups`` together, and leave each
+    generator its :class:`DensityMatrix`, or the package error of its own
+    solve, for :func:`steady_state` to take.
+
+    Generators whose blocks share a :class:`_Pattern` (a builder's model
+    and dims; a hand-built generator has its own) form one group, solved
+    by :func:`_solve_group` in parts: its LU systems as block-diagonal
+    systems of up to ``_BATCH_UNKNOWNS`` unknowns (:func:`_sector_lu`),
+    factored again one by one where that fails, so that only a failing
+    system carries its :class:`SingularSystem`; its Krylov systems one at
+    a time. A part's builder blocks are assembled in one product
+    (:func:`_fill`) and dropped once it is solved (they are assembled
+    again if read), so a rung level holds the blocks of one part at a time.
+    """
+    groups: dict[int, tuple] = {}
+    for sup in sups:
+        try:
+            pattern = sup._parts[0][2] if sup._parts is not None else sup._sector_data()[0]
+        except DomainError as exc:
+            sup._state = exc
+            continue
+        groups.setdefault(id(pattern), (pattern, []))[1].append(sup)
+    for pattern, group in groups.values():
+        n = pattern.layout.sector.size
+        krylov = bool(group[0].jumps) and _krylov_pays(n, group[0].dim)
+        size = 1 if krylov else max(1, _BATCH_UNKNOWNS // n)
+        for start in range(0, len(group), size):
+            part = group[start : start + size]
+            built = [sup for sup in part if sup._parts is not None]
+            if built:
+                _fill(built)
+            for sup, state in zip(part, _solve_group(pattern, part)):
+                sup._state = state
+            for sup in built:
+                sup._block = None
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:
@@ -717,43 +987,17 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
     when an eigenvalue falls below -1e-8. A second steady state outside
     the sector goes unseen, so only generators whose symmetry is known
     declare a charge.
+
+    This is the batch of one of :func:`_solve_batch`, which solves a whole
+    rung of generators together and leaves each its state: a generator
+    solved there hands that state (or its error) over here, once.
     """
-    d = sup.dim
-    lay, block = sup._sector_block()
-    n = lay.sector.size
-    starts = block.indptr[:-1][np.diff(block.indptr) > 0]  # of the nonempty rows
-    scale = float(np.add.reduceat(np.abs(block.data), starts).max(initial=0.0)) or 1.0
-
-    iterations = None
-    if sup.jumps and _krylov_pays(n, d):
-        sol, iterations = _krylov(sup, block, lay)
-    else:
-        sol = _sector_lu(block)
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("steady-state solve returned non-finite entries")
-
-    rho = 0.5 * (sol + sol[lay.mirror].conj())
-    tr = float(np.real(rho[lay.diag].sum()))
-    if abs(tr) < 1e-300:
-        raise SingularSystem("solved state has vanishing trace")
-    rho /= tr
-
-    min_eig = _positive_part(rho, lay.block_pos)
-    if min_eig < 0.0:
-        rho /= np.real(rho[lay.diag].sum())
-
-    r = block @ rho
-    # summed by numpy, not by a BLAS dot, which may hand a vector this long
-    # to threads and wait milliseconds for them on a loaded machine
-    residual = math.sqrt(float(np.sum(r.real**2) + np.sum(r.imag**2)))
-    if residual > _RESIDUAL_TOL * scale:
-        raise SingularSystem(
-            f"steady state residual {residual:.3e} exceeds "
-            f"{_RESIDUAL_TOL:g} * ||L[S, S]||_inf = {_RESIDUAL_TOL * scale:.3e}; "
-            "the generator's kernel is likely degenerate"
-        )
-    solver = "sector-lu" if iterations is None else "krylov"
-    return DensityMatrix(rho, lay, sup.dims, residual / scale, min_eig, solver, iterations)
+    if sup._state is None:
+        _solve_batch([sup])
+    state, sup._state = sup._state, None
+    if isinstance(state, Exception):
+        raise state
+    return state
 
 
 def observables(state: DensityMatrix, mode: str = "mech") -> SteadyStateReport:
@@ -796,6 +1040,63 @@ def _grow(trunc: TruncationSpec) -> TruncationSpec:
     )
 
 
+def _settled(prev: SteadyStateReport | None, report: SteadyStateReport) -> bool:
+    """Whether a ladder accepts ``report`` after ``prev`` (see
+    :func:`converge_truncation`)."""
+    if prev is None or report.diagnostics["top_two_population"] >= _POPULATION_TAIL_TOL:
+        return False
+    tol = _LADDER_REL_TOL
+    dn = math.isclose(report.n_ss, prev.n_ss, rel_tol=tol, abs_tol=1e-12)
+    if report.g2 is None or prev.g2 is None:
+        return dn and report.g2 is None and prev.g2 is None
+    return dn and math.isclose(report.g2, prev.g2, rel_tol=tol, abs_tol=1e-12)
+
+
+def _climb(jobs) -> list:
+    """The truncation ladders of ``jobs``, (build, initial) pairs, climbed
+    together; per job the (TruncationSpec, SteadyStateReport) it accepts,
+    or the package error that ends its ladder (see
+    :func:`converge_truncation`).
+
+    At each rung level the points still climbing are built and go to one
+    :func:`_solve_batch`, so points that share a model and a truncation
+    share one assembly product and one factorization, and each then takes
+    its state through :func:`steady_state`. A point leaves when it accepts
+    a rung or raises its own error, and its result equals that of its
+    ladder climbed alone, bit for bit.
+    """
+    out: list = [None] * len(jobs)
+    climbing = [(i, build, initial, None) for i, (build, initial) in enumerate(jobs)]
+    while climbing:
+        rung = []
+        for i, build, trunc, prev in climbing:
+            try:
+                rung.append((i, build, trunc, prev, build(trunc)))
+            except PhononStatsError as exc:
+                out[i] = exc
+        _solve_batch([sup for *_, sup in rung])
+        climbing = []
+        for i, build, trunc, prev, sup in rung:
+            try:
+                report = observables(steady_state(sup), mode="mech")
+                if _settled(prev, report):
+                    out[i] = (trunc, report)
+                    continue
+                nxt = _grow(trunc)
+                if nxt.dim > _DIM_CAP:
+                    raise BudgetExceeded(
+                        f"next truncation {nxt.dim_cav}x{nxt.dim_mech} exceeds "
+                        f"dim_cap={_DIM_CAP} before convergence",
+                        last_spec=trunc,
+                        last_report=report,
+                    )
+            except PhononStatsError as exc:
+                out[i] = exc
+                continue
+            climbing.append((i, build, nxt, report))
+    return out
+
+
 def converge_truncation(
     build, initial: TruncationSpec
 ) -> tuple[TruncationSpec, SteadyStateReport]:
@@ -810,29 +1111,11 @@ def converge_truncation(
     sum below 1e-9. Raises :class:`BudgetExceeded` carrying the last
     attempted spec and report when the next step would pass ``_DIM_CAP``
     Hilbert-space dimensions.
-    """
-    trunc = initial
-    prev: SteadyStateReport | None = None
-    while True:
-        report = observables(steady_state(build(trunc)), mode="mech")
-        tail_ok = report.diagnostics["top_two_population"] < _POPULATION_TAIL_TOL
-        if prev is not None and tail_ok:
-            tol = _LADDER_REL_TOL
-            dn = math.isclose(report.n_ss, prev.n_ss, rel_tol=tol, abs_tol=1e-12)
-            if report.g2 is None or prev.g2 is None:
-                dg = report.g2 is None and prev.g2 is None
-            else:
-                dg = math.isclose(report.g2, prev.g2, rel_tol=tol, abs_tol=1e-12)
-            if dn and dg:
-                return trunc, report
-        nxt = _grow(trunc)
-        if nxt.dim > _DIM_CAP:
-            raise BudgetExceeded(
-                f"next truncation {nxt.dim_cav}x{nxt.dim_mech} exceeds "
-                f"dim_cap={_DIM_CAP} before convergence",
-                last_spec=trunc,
-                last_report=report,
-            )
-        prev = report
-        trunc = nxt
 
+    This is the batch of one of :func:`_climb`, which climbs the ladders of
+    a grid's points together, one factorization per rung level.
+    """
+    (result,) = _climb([(build, initial)])
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -516,7 +516,7 @@ def test_sweep_keeps_converged_rows_past_a_failed_point(capsys, jobs):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: C=0.001 n_th=1000000000: series at")
-    assert isinstance(cli._point_worker((1e-3, 1e9, "exact", {})), str)
+    assert isinstance(cli._slice_worker([(1e-3, 1e9, "exact", {})])[0], str)
 
 
 # exact, hitemp (n_th/C > 1e6) and vacuum points; at n_th = 100, C = 1e-3
@@ -524,25 +524,58 @@ def test_sweep_keeps_converged_rows_past_a_failed_point(capsys, jobs):
 _MIXED_C, _MIXED_NTH = "1e-7,1e-3,0.5,3", "0,1,100"
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sweep_batch_matches_points_alone(capsys, monkeypatch, jobs):
-    """A sweep that sums its exact points in one kernel call writes what
-    sweeping each point on its own writes: the same rows, error lines and
-    exit code, in grid order."""
+# per case: the command, its grid, --jobs and what evaluating the points
+# one by one gives, as (exit code, error lines, rows, warnings)
+_SWEEP, _ORACLE_SWEEP = ("sweep", "--model", "auto"), ("sweep", "--model", "oracle-reduced")
+_VALIDATE = ("validate", "--model", "exact")
+_BATCH_CASES = [
+    pytest.param(_SWEEP, _MIXED_C, _MIXED_NTH, "1", (2, 1, 11, 0), id="1"),
+    pytest.param(_SWEEP, _MIXED_C, _MIXED_NTH, "2", (2, 1, 11, 0), id="2"),
+    # budget points among converged ones, at n_th = 0 too
+    pytest.param(_ORACLE_SWEEP, "0.5,3,50", "0,1,30", "1", (2, 2, 7, 0), id="oracle-1"),
+    pytest.param(_ORACLE_SWEEP, "0.5,3,50", "0,1,30", "2", (2, 2, 7, 0), id="oracle-2"),
+    # two skipped rows, then a point that aborts before a third
+    pytest.param(_VALIDATE, "3,0.5,-1,1", "30", None, (1, 1, 0, 2), id="validate"),
+]
+
+
+@pytest.mark.parametrize("argv, c_set, nth_set, jobs, shape", _BATCH_CASES)
+def test_sweep_batch_matches_points_alone(capsys, caplog, monkeypatch, argv, c_set, nth_set,
+                                          jobs, shape):
+    """A grid command that evaluates its points together (the exact series
+    in one kernel call, the oracle ladders one factorization per rung
+    level) writes what evaluating each point on its own writes: the same
+    rows, warnings, error lines and exit code, in grid order. A point that
+    aborts the command ends it as it ends the points run one by one: after
+    the warnings of the points before it, with its error line alone."""
+    from phonon_stats import lindblad
+
     monkeypatch.setattr(_kernels, "_MAX_TERMS", 3000)
-    rows, errors, worst = [], [], 0
-    for n_th in _MIXED_NTH.split(","):
-        for C in _MIXED_C.split(","):
-            code, out, err = run(capsys, "sweep", "--model", "auto", "--c-set", C,
-                                 "--nth-set", n_th)
-            rows += out.splitlines()[1:]
-            errors += err.splitlines()
-            worst = max(worst, code)
-    assert worst == 2 and len(errors) == 1 and len(rows) == 11
-    assert {line.split(",")[2] for line in rows} == {"exact", "hitemp"}
-    code, out, err = run(capsys, "sweep", "--model", "auto", "--c-set", _MIXED_C,
-                         "--nth-set", _MIXED_NTH, "--jobs", jobs)
-    assert (code, out.splitlines()[1:], err.splitlines()) == (worst, rows, errors)
+    monkeypatch.setattr(lindblad, "_DIM_CAP", 32)  # hot ladders run out
+
+    def command(c, n_th):
+        code, out, err = run(capsys, *argv, "--c-set", c, "--nth-set", n_th,
+                             *([] if jobs is None else ["--jobs", jobs]))
+        warned = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+        if argv[0] == "sweep":
+            rows = out.splitlines()[1:]
+        else:
+            rows = json.loads(out)["points"] if out else []
+        return code, err.splitlines(), rows, warned, out == ""
+
+    want = [0, [], [], []]
+    for C, n_th in [(C, n_th) for n_th in nth_set.split(",") for C in c_set.split(",")]:
+        code, errors, rows, warned, aborted = command(C, n_th)
+        want[3] += warned
+        if aborted:  # the command ends here, with this point's error line alone
+            want[:3] = [code, errors, []]
+            break
+        want[:3] = [max(want[0], code), want[1] + errors, want[2] + rows]
+    assert (want[0], len(want[1]), len(want[2]), len(want[3])) == shape
+    if argv is _SWEEP:
+        assert {line.split(",")[2] for line in want[2]} == {"exact", "hitemp"}
+    assert command(c_set, nth_set)[:4] == tuple(want)
 
 
 @pytest.mark.parametrize("c_set", ["1,-1", "-1,1"])
@@ -877,6 +910,27 @@ def test_validate_keeps_converged_points_past_a_failed_point(capsys):
     assert lines[0].startswith("error: C=0.001 n_th=1000000000:")
 
 
+def test_default_validate_factors_once_per_rung_level(capsys):
+    """The default validate climbs its 25 ladders together: one sparse
+    factorization per rung level (8, 16, 32, 64 and 128 levels), each of
+    the points still climbing, not one per point and rung."""
+    from phonon_stats import lindblad
+
+    sizes = []
+    solve = lindblad.spsolve
+
+    def captured(a, b, **kwargs):
+        sizes.append(a.shape[0])
+        return solve(a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "spsolve", captured)
+        code, out, _ = run(capsys, "validate")
+    assert code == 0 and len(json.loads(out)["points"]) == 25
+    assert len(sizes) == 5
+    assert sizes[:2] == [25 * 8, 25 * 16]
+
+
 def test_validate_small_grid(capsys):
     code, out, _ = run(
         capsys,
@@ -905,7 +959,7 @@ def test_validate_refuses_tolerances_outside_0_inf(capsys, monkeypatch, tmp_path
     the flag and no output."""
     def no_point(*args):
         raise AssertionError("a point ran")
-    monkeypatch.setattr(cli, "_point_report", no_point)
+    monkeypatch.setattr(cli, "_reports", no_point)
     for dest in ("tol_nss", "tol_g2", "tol_pop"):
         flag = cli._flag(dest)
         line = f"error: {flag} must be finite and >= 0, got {float(value)!r}\n"

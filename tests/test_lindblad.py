@@ -587,6 +587,92 @@ def test_converge_truncation_budget(monkeypatch):
     assert exc.value.last_report.n_ss > 0.0
 
 
+def _ladder_jobs(model):
+    """(build, initial) per point of a grid whose ladders stop after two to
+    five rungs, at n_th = 0 too, and whose last point runs out of budget
+    (at the cap the test sets)."""
+    if model == "reduced":
+        points = [(50.0, 0.0), (3.0, 0.5), (1.0, 3.0), (0.1, 1.0), (0.1, 5.0), (0.1, 1e3)]
+        return [(partial(build_reduced_liouvillian, C, n_th), TruncationSpec(8))
+                for C, n_th in points]
+    kappa = 400.0
+    points = [(4.0, 0.0), (4.0, 0.2), (1.0, 2.0), (4.0, 6.0), (1.0, 30.0)]
+    return [
+        (partial(build_two_mode_rwa_liouvillian, math.sqrt(C * kappa / 4.0), kappa, 1.0, n_th),
+         TruncationSpec(8, 2))
+        for C, n_th in points
+    ]
+
+
+@pytest.mark.parametrize("model, cap, bound", [("reduced", 128, 100), ("rwa", 768, 600)])
+def test_batched_ladders_match_lone_ladders(monkeypatch, model, cap, bound):
+    """Ladders climbed together accept what each accepts climbed alone, bit
+    for bit: the truncation, n_ss, g2, populations and diagnostics. The
+    point that runs out of budget raises the same error with the same last
+    report. The batch bound splits the larger rung levels into several
+    factorizations."""
+    monkeypatch.setattr(lindblad, "_DIM_CAP", cap)
+    monkeypatch.setattr(lindblad, "_BATCH_UNKNOWNS", bound)
+    jobs = _ladder_jobs(model)
+    rungs = [0] * len(jobs)
+
+    def counted(i, build):
+        def rung(trunc):
+            rungs[i] += 1
+            return build(trunc)
+        return rung
+
+    sizes = []
+    solve = lindblad.spsolve
+
+    def captured(a, b, **kwargs):
+        sizes.append(a.shape[0])
+        return solve(a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "spsolve", captured)
+        together = lindblad._climb([(counted(i, build), initial)
+                                    for i, (build, initial) in enumerate(jobs)])
+    assert max(rungs) < len(sizes) < sum(rungs)
+    assert set(rungs[:-1]) == {2, 3, 4, 5}
+    assert [type(got) for got in together].count(BudgetExceeded) == 1
+    assert isinstance(together[-1], BudgetExceeded)
+    for (build, initial), got in zip(jobs, together):
+        try:
+            alone = converge_truncation(build, initial)
+        except BudgetExceeded as exc:
+            assert str(got) == str(exc)
+            got, alone = (got.last_spec, got.last_report), (exc.last_spec, exc.last_report)
+        (spec, rep), (spec_alone, rep_alone) = got, alone
+        assert spec == spec_alone
+        assert (rep.n_ss, rep.g2, rep.regime) == (rep_alone.n_ss, rep_alone.g2, rep_alone.regime)
+        assert np.array_equal(rep.populations, rep_alone.populations)
+        assert rep.diagnostics == rep_alone.diagnostics
+
+
+def test_failed_batch_factorization_is_refactored_system_by_system():
+    # a pure pump (no loss) empties the vacuum, so its pinned system is
+    # singular; factored together with a sound system of the same pattern,
+    # the block-diagonal LU fails, and only the pump keeps the error
+    pump = lindblad._assemble("reduced", (1, 6), (0.0, 1.0, 0.0))
+    sound = lindblad._assemble("reduced", (1, 6), (1.0, 0.5, 1.5))
+    sizes = []
+    solve = lindblad.spsolve
+
+    def captured(a, b, **kwargs):
+        sizes.append(a.shape[0])
+        return solve(a, b, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lindblad, "spsolve", captured)
+        lindblad._solve_batch([sound, pump])
+    assert sizes == [12, 6, 6]
+    with pytest.raises(SingularSystem, match="exactly singular"):
+        steady_state(pump)
+    alone = steady_state(lindblad._assemble("reduced", (1, 6), (1.0, 0.5, 1.5)))
+    assert np.array_equal(steady_state(sound).values, alone.values)
+
+
 def test_prerwa_validation():
     red = ReducedParams(
         C=3.0,
