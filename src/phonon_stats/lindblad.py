@@ -47,17 +47,18 @@ share that block:
   Chains*, 1994), so the system keeps the block's sparsity. It runs where
   the sector is small next to d^2: the reduced model (n = d) and the
   two-mode RWA model (n of about 4 d at 4x32). The pinned system's CSC
-  pattern is cached with the unit parts, so a rung's system is one gather
-  from its block's data. A batched rung (below) stacks the systems of its
-  points as one block-diagonal system and factors it once. SuperLU orders
-  its columns by minimum degree on A^T A, which orders each block of a
-  block-diagonal system as it orders the block alone, so each point's
-  solution equals its lone solve bit for bit; COLAMD, SuperLU's default,
-  moves them by up to 2e-15.
+  pattern is cached with the unit parts, its columns in the order SuperLU
+  takes by minimum degree on A^T A, computed once per pattern, so a
+  rung's system is one gather from its block's data and its factorization
+  orders nothing. A batched rung (below) stacks the systems of its points
+  as one block-diagonal system, each block in that order, and factors it
+  once, so each point's solution equals its lone solve bit for bit;
+  COLAMD, SuperLU's default, moves them by up to 2e-15.
 * GMRES preconditioned by the generator's non-jump part, inverted in its
-  eigenbasis (Nation, arXiv:1504.06768, reviews such solvers). It runs
-  where the sector holds more than d^1.5 entries and the generator
-  carries its factors: the pre-RWA parity sector (n = d^2/2), whose 4-D
+  eigenbasis (Nation, arXiv:1504.06768, reviews such solvers), whose
+  entries on the sector are weighed from the cache like the block. It
+  runs where the sector holds more than d^1.5 entries and the generator
+  is a builder's: the pre-RWA parity sector (n = d^2/2), whose 4-D
   lattice sparse LU fills almost densely. Measured on 2 vCPUs at C = 4,
   n_th = 0.2, GMRES against LU: 6 against 8 ms at 3x8, 10-11 against
   218-246 ms at 4x16, 22 against 551-604 ms at 5x16, and 0.14 s against
@@ -101,7 +102,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, spsolve
+from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, splu, spsolve
 
 from .errors import (
     BudgetExceeded,
@@ -177,20 +178,23 @@ class Superoperator:
 
     ``h`` and ``jumps`` are the generator's factors, the Hamiltonian and
     the (o_k, rate_k) pairs that :func:`_liouvillian` turns into
-    ``matrix``; :func:`steady_state` uses them for its Krylov solve. A
-    generator without jumps carries no factors. The builders pass
-    ``matrix=None``: they keep only their coefficients, and the block
+    ``matrix``. A generator without jumps carries no factors. The builders
+    pass ``matrix=None``: they keep only their coefficients, and the block
     L[S, S] that the solve reads is assembled from the cached unit parts
     when first needed (for a whole rung of a ladder batch at once, see
-    :func:`_solve_batch`); ``matrix`` is formed from the factors when first
-    read. Their jump operators are shared with their cache and are
+    :func:`_solve_batch`), as is the Krylov solve's preconditioner. A
+    build's ``h`` = sum_k c_k t_k is formed from its coefficients when
+    first read, and ``matrix`` from the factors when first read; no solve
+    reads either. Their jump operators are shared with their cache and are
     read-only.
     """
 
     dims: tuple[int, int]
     matrix: sp.csr_matrix | None = field(repr=False)
     charge: np.ndarray | None = None
-    h: sp.csr_matrix | None = None
+    # a factory, not a default, so that the class holds no ``h`` and a
+    # build's is formed by __getattr__ when first read
+    h: sp.csr_matrix | None = field(default_factory=lambda: None)
     jumps: tuple = ()
     # (pattern, data) of L[S, S]; see _sector_data
     _block: tuple | None = field(default=None, init=False, repr=False)
@@ -208,11 +212,16 @@ class Superoperator:
             del self.matrix  # formed by __getattr__ when first read
 
     def __getattr__(self, name: str):
-        # reached only for attributes not set, and only ``matrix`` may be
-        if name != "matrix":
+        # reached only for attributes not set: ``matrix``, and a build's ``h``
+        if name == "matrix":
+            self.matrix = _liouvillian(self.h, self.jumps)
+            return self.matrix
+        if name != "h" or self._parts is None:
             raise AttributeError(name)
-        self.matrix = _liouvillian(self.h, self.jumps)
-        return self.matrix
+        parts, coefs = self._parts
+        count = len(parts.jumps)
+        self.h = sum(c * t for c, t in zip(coefs[count:], parts.terms)) if parts.terms else None
+        return self.h
 
     @property
     def dim(self) -> int:
@@ -303,25 +312,46 @@ class _Pattern:
     starts: np.ndarray
 
     @functools.cached_property
-    def pinned(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indices, indptr, src) of the system that :func:`_sector_lu`
-        factors, the block with the row of rho[0, 0] replaced by e_0^T: its
-        CSC pattern, and per entry its position in the block's data, or nnz
-        for the pin's 1. So a rung's pinned system is one gather from its
-        data. The system is formed once with each entry's position as its
-        value and converted to CSC, so its pattern and entry order are
-        those of the pinned block's own ``tocsc``. Formed on first use, as
-        the Krylov solve needs none."""
+    def pinned(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, indptr, src, order) of the system that
+        :func:`_sector_lu` factors, the block with the row of rho[0, 0]
+        replaced by e_0^T, with its columns in SuperLU's order: its CSC
+        pattern, per entry its position in the block's data (nnz for the
+        pin's 1), and ``order``, the block column at each position. So a
+        rung's pinned system is one gather from its data.
+
+        The system is formed once with each entry's source as its value and
+        converted to CSC, so its pattern and entry order are those of the
+        pinned block's own ``tocsc``. ``order`` is the column order SuperLU
+        takes for it under ``permc_spec="MMD_ATA"``, minimum degree on A^T A
+        followed by its elimination tree's postorder (``splu(...).perm_c``,
+        inverted). It depends on the pattern alone, so it is computed once,
+        by factoring a stand-in with the pattern and entries drawn from
+        [1, 2) with a fixed seed. Such generic entries leave the stand-in
+        singular, barring a chance of measure zero, only where every matrix
+        of the pattern is, and then :class:`SingularSystem` is raised as
+        the solve would; every builder's pinned pattern holds its whole
+        diagonal, so no builder's is. Formed on first use, as the Krylov
+        solve needs none.
+        """
         indices, indptr = self.indices, self.indptr
         n, nnz, cut = indptr.size - 1, indices.size, indptr[1]
         where = sp.csr_matrix(
-            (np.insert(np.arange(cut + 1.0, nnz + 1.0), 0, 0.0), np.insert(indices[cut:], 0, 0),
-             np.insert(indptr[1:] - cut + 1, 0, 0)),
+            (np.insert(np.arange(cut + 1.0, nnz + 1.0), 0, nnz + 1.0),
+             np.insert(indices[cut:], 0, 0), np.insert(indptr[1:] - cut + 1, 0, 0)),
             shape=(n, n),
         ).tocsc()
-        src = where.data.astype(np.intc) - 1
-        src[src < 0] = nnz
-        plan = (where.indices.astype(np.intc), where.indptr.astype(np.intc), src)
+        stand_in = sp.csc_matrix(
+            (np.random.default_rng(0).uniform(1.0, 2.0, where.nnz), where.indices, where.indptr),
+            shape=(n, n),
+        )
+        try:
+            order = np.argsort(splu(stand_in, permc_spec="MMD_ATA").perm_c).astype(np.intc)
+        except RuntimeError as exc:
+            raise SingularSystem(f"sparse solve failed: {exc}") from exc
+        where = where[:, order]
+        plan = (where.indices.astype(np.intc), where.indptr.astype(np.intc),
+                where.data.astype(np.intc) - 1, order)
         for arr in plan:
             arr.flags.writeable = False
         return plan
@@ -507,6 +537,54 @@ def _unit_ops(model: str, dims: tuple[int, int]):
     return [op.tocsr() for op in jumps], terms, charge
 
 
+def _on_sector(ops, lay: _Layout) -> sp.csr_matrix | None:
+    """The (n, len(ops)) float64 matrix whose column k holds the entries of
+    the d x d operator ops[k] at their positions in the sector of ``lay``
+    (rows i, columns j with equal charge, the only entries an operator
+    that keeps the charge has); None for no operators."""
+    if not ops:
+        return None
+    d = lay.diag.size
+    coos = [op.tocoo() for op in ops]
+    keys = np.concatenate([c.col.astype(np.int64) * d + c.row for c in coos])
+    col = np.repeat(np.arange(len(ops)), [c.nnz for c in coos])
+    vals = np.concatenate([c.data for c in coos])
+    return sp.csr_matrix((vals, (np.searchsorted(lay.sector, keys), col)),
+                         shape=(lay.sector.size, len(ops)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Parts:
+    """The cache entry of one (model, dims), shared by every build there.
+
+    ``jumps`` and ``terms`` are the unit-rate jump operators and the
+    unit-coupling Hamiltonian terms, ``pattern`` the :class:`_Pattern` of
+    L[S, S] (these read-only), and ``jump_w`` and ``term_w`` sparse float64
+    matrices, (nnz, J) and (nnz, K - J) (None without terms): with the
+    coefficients c, jump_w @ c[:J] gives the real part of the data of
+    sum_k c_k G_k[S, S] in that pattern and term_w @ c[J:] its imaginary
+    part (:func:`_weigh`).
+    """
+
+    jumps: list
+    terms: list
+    pattern: _Pattern
+    jump_w: sp.csr_matrix
+    term_w: sp.csr_matrix | None
+
+    @functools.cached_property
+    def a_weights(self) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
+        """(jump_a, term_a), the same split for the non-jump part
+        A = -i h - (1/2) sum_k r_k o_k^dag o_k of a build's generator, on
+        the sector (:func:`_on_sector`): (n, J) with the entries of
+        -(1/2) o_k^dag o_k and (n, K - J) with those of -t_k, the imaginary
+        parts of -i t_k. The Krylov solve's preconditioner is inverted in
+        A's eigenbasis; formed on its first use, as the LU needs none."""
+        lay = self.pattern.layout
+        return (_on_sector([-0.5 * (op.conj().T @ op) for op in self.jumps], lay),
+                _on_sector([-t for t in self.terms], lay))
+
+
 @functools.lru_cache(maxsize=16)
 def _unit_parts(model: str, dims: tuple[int, int]):
     """The unit generators G_k of ``model`` at ``dims`` restricted to the
@@ -515,14 +593,9 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     Each G_k is a sum of Kronecker products (see the module docstring), and
     each product enters through :func:`_sector_kron`, so nothing of size
     d^2 x d^2 is formed and a charge that does not close its sector is
-    refused here, once. Returns (jumps, terms, pattern, jump_weights,
-    term_weights): the unit operators and the :class:`_Pattern` of L[S, S]
-    (these read-only and shared by every build), and two sparse float64
-    matrices, (nnz, J) and (nnz, K - J) (None without terms). With the
-    coefficients c, jump_weights @ c[:J] gives the real part of the data
-    of sum_k c_k G_k[S, S] in that pattern and term_weights @ c[J:] its
-    imaginary part. Per (model, dims), so a rung of any number of builds
-    is those products.
+    refused here, once. Returns the :class:`_Parts` of ``model`` at
+    ``dims``. Per (model, dims), so a rung of any number of builds is one
+    product with its weights.
     """
     jumps, terms, charge = _unit_ops(model, dims)
     for op in jumps + terms:
@@ -551,35 +624,43 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     pattern = _pattern(_layout(charge, d, sector), indices, indptr)
     jump_w, term_w = (w[live] for w in weights)
-    return jumps, terms, pattern, jump_w, term_w if terms else None
+    return _Parts(jumps, terms, pattern, jump_w, term_w if terms else None)
 
 
 def _assemble(model: str, dims: tuple[int, int], coefs) -> Superoperator:
     """sum_k coefs[k] G_k[S, S] with its factors: the leading coefs are the
     jump rates, the rest weigh the Hamiltonian terms. Only the coefficients
-    are kept; :func:`_fill` assembles the block from them."""
+    are kept; :func:`_fill` assembles the block from them, and ``h`` is
+    formed from them when first read."""
     parts = _unit_parts(model, dims)
-    jumps, terms, pattern = parts[:3]
-    rates = [float(c) for c in coefs[: len(jumps)]]
-    h = sum(c * t for c, t in zip(coefs[len(jumps) :], terms)) if terms else None
-    sup = Superoperator(dims, None, pattern.layout.charge, h=h, jumps=tuple(zip(jumps, rates)))
+    rates = [float(c) for c in coefs[: len(parts.jumps)]]
+    sup = Superoperator(dims, None, parts.pattern.layout.charge,
+                        jumps=tuple(zip(parts.jumps, rates)))
     sup._parts = (parts, np.asarray(coefs, dtype=np.float64))
+    del sup.h  # formed by __getattr__ when first read
     return sup
+
+
+def _weigh(jump_w, term_w, coefs: np.ndarray) -> np.ndarray:
+    """jump_w @ c[:J] + 1j term_w @ c[J:] for each row c of ``coefs``
+    (P, K), as a C-contiguous (P, rows) array: real without terms, else
+    complex with the two products as its real and imaginary parts."""
+    count = jump_w.shape[1]
+    data = np.ascontiguousarray((jump_w @ coefs[:, :count].T).T)
+    if term_w is not None:
+        real, data = data, np.empty(data.shape, dtype=complex)
+        data.real, data.imag = real, (term_w @ coefs[:, count:].T).T
+    return data
 
 
 def _fill(sups) -> None:
     """Assemble the blocks L[S, S] of builder generators of one model and
     truncation, in arrays of their own (the cache stays untouched): their
     coefficient rows times the cached weights, in one product."""
-    _, _, pattern, jump_w, term_w = sups[0]._parts[0]
-    coefs = np.array([sup._parts[1] for sup in sups])
-    count = jump_w.shape[1]
-    data = np.ascontiguousarray((jump_w @ coefs[:, :count].T).T)
-    if term_w is not None:
-        real, data = data, np.empty(data.shape, dtype=complex)
-        data.real, data.imag = real, (term_w @ coefs[:, count:].T).T
+    parts = sups[0]._parts[0]
+    data = _weigh(parts.jump_w, parts.term_w, np.array([sup._parts[1] for sup in sups]))
     for sup, row in zip(sups, data):
-        sup._block = (pattern, row)
+        sup._block = (parts.pattern, row)
 
 
 def _check_finite(**params: float) -> None:
@@ -687,20 +768,24 @@ def _sector_lu(pattern: _Pattern, data: np.ndarray) -> np.ndarray:
     implied by the others, as the trace is a left null vector of L, and the
     pinned system keeps the block's sparsity. Returns x as (P, n) rows.
 
-    The P pinned systems are gathered by the pattern's plan into one
-    block-diagonal CSC system and factored by one ``spsolve``. SuperLU gets
-    CSC: handed CSR, it factors the transpose, which cost the RWA model's
-    g2 up to 8e-8 relative at n_th = 1e-6. Its column ordering is minimum
-    degree on A^T A: that of a block-diagonal system orders each block as
-    it orders the block alone, so every row of x equals the solve of its
-    system alone bit for bit (COLAMD, SuperLU's default, moves them by up
-    to 2e-15). Raises :class:`SingularSystem` when the factorization
-    fails, for any of the P systems.
+    The P pinned systems are gathered by the pattern's plan
+    (:attr:`_Pattern.pinned`) into one block-diagonal CSC system, each
+    block's columns in SuperLU's ``MMD_ATA`` order, cached with the
+    pattern, and factored by one ``spsolve`` in that order
+    (``permc_spec="NATURAL"``); each block's solution is scattered back to
+    the block's own columns. SuperLU gets CSC: handed CSR, it factors the
+    transpose, which cost the RWA model's g2 up to 8e-8 relative at
+    n_th = 1e-6. Postordering an already postordered elimination tree
+    leaves it as it is, so every row of x equals
+    ``spsolve(system, e_0, permc_spec="MMD_ATA")`` of its system alone bit
+    for bit (COLAMD, SuperLU's default, moves them by up to 2e-15), without
+    ordering anything per solve. Raises :class:`SingularSystem` when the
+    factorization fails, for any of the P systems.
     """
     count = data.shape[0]
     n = pattern.layout.sector.size
     ones = np.ones((count, 1), dtype=data.dtype)
-    indices, indptr, src = pattern.pinned
+    indices, indptr, src, order = pattern.pinned
     system = _stacked(indices, indptr, np.concatenate([data, ones], axis=1)[:, src],
                       sp.csc_matrix)
     rhs = np.zeros((count, n), dtype=data.dtype)
@@ -708,12 +793,15 @@ def _sector_lu(pattern: _Pattern, data: np.ndarray) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            return spsolve(system, rhs.ravel(), permc_spec="MMD_ATA").reshape(count, n)
+            y = spsolve(system, rhs.ravel(), permc_spec="NATURAL")
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystem(f"sparse solve failed: {exc}") from exc
+    x = np.empty((count, n), dtype=y.dtype)
+    x[:, order] = y.reshape(count, n)
+    return x
 
 
-def _krylov(sup: Superoperator, block: sp.csr_matrix, lay: _Layout) -> tuple[np.ndarray, int]:
+def _krylov(sup: Superoperator, block: sp.csr_matrix) -> tuple[np.ndarray, int]:
     """GMRES on X + S^-1 (J(X) + sigma X) + E tr X = E over the sector S.
 
     With A = -i h - (1/2) sum_k r_k o_k^dag o_k the generator is
@@ -727,26 +815,28 @@ def _krylov(sup: Superoperator, block: sp.csr_matrix, lay: _Layout) -> tuple[np.
     alone. The shift sigma, the median jump rate, keeps every denominator's
     real part at or below -sigma, also where A has the eigenvalue 0 (the
     vacuum at n_th = 0); a two-mode builder's median rate is positive,
-    since two of its three rates, kappa and gamma (n_th + 1), are. E = I/d makes the system nonsingular:
-    tr S(E) = (2 Re tr A - sigma)/d is nonzero, so S(E) is not in the range
-    of L. ``lay`` gives the sector, its diagonal positions and the positions
-    of the charge blocks, which gather A's blocks from its entries on S.
+    since two of its three rates, kappa and gamma (n_th + 1), are. E = I/d
+    makes the system nonsingular: tr S(E) = (2 Re tr A - sigma)/d is
+    nonzero, so S(E) is not in the range of L.
+
+    ``sup`` is a build: A's entries on S are its coefficients times the
+    weights its cache entry holds (:attr:`_Parts.a_weights`), one product,
+    and the layout of its pattern gives the sector's diagonal positions and
+    those of the charge blocks, which gather A's blocks from those entries.
     Returns the sector entries of the solution and the iteration count.
     """
+    parts, coefs = sup._parts
+    lay = parts.pattern.layout
     d, diag = sup.dim, lay.diag
-    sigma = float(np.median([rate for _, rate in sup.jumps]))
-    a = sum((-0.5 * rate) * (op.conj().T @ op) for op, rate in sup.jumps)
-    if sup.h is not None:
-        a = a - 1j * sup.h
-    cols, rows = np.divmod(lay.sector, d)
-    a = np.asarray(a.tocsr()[rows, cols]).ravel()  # on S, which holds its blocks
-    parts = []  # per block size: sector positions, eigenvectors, inverses, denominators
+    sigma = float(np.median(coefs[: len(parts.jumps)]))
+    a = _weigh(*parts.a_weights, coefs[None])[0]  # on S, which holds its blocks
+    blocks = []  # per block size: sector positions, eigenvectors, inverses, denominators
     try:
         for pos in lay.block_pos:
             lam, vecs = np.linalg.eig(a[pos])
             inv = np.linalg.inv(vecs)
             denom = lam[:, :, None] + lam.conj()[:, None, :] - sigma
-            parts.append((pos, vecs, inv, denom))
+            blocks.append((pos, vecs, inv, denom))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"preconditioner eigenbasis failed: {exc}") from exc
     n = lay.sector.size
@@ -756,7 +846,7 @@ def _krylov(sup: Superoperator, block: sp.csr_matrix, lay: _Layout) -> tuple[np.
     def matvec(x):
         y = block @ x
         out = np.empty(n, dtype=complex)
-        for pos, vecs, inv, denom in parts:
+        for pos, vecs, inv, denom in blocks:
             z = (inv @ y[pos] @ inv.conj().swapaxes(1, 2)) / denom
             out[pos] = vecs @ z @ vecs.conj().swapaxes(1, 2)
         out[diag] += x[diag].sum() / d
@@ -844,12 +934,12 @@ def _solve_group(pattern: _Pattern, group: list) -> list:
     data = np.stack([sup._block[1] for sup in group]) if count > 1 else group[0]._block[1][None]
     out: list = [None] * count
     iterations = [None] * count
-    if group[0].jumps and _krylov_pays(n, group[0].dim):
+    if group[0]._parts is not None and _krylov_pays(n, group[0].dim):
         sol = np.zeros((count, n), dtype=complex)
         for p, sup in enumerate(group):
             block = _stacked(pattern.indices, pattern.indptr, data[p : p + 1], sp.csr_matrix)
             try:
-                sol[p], iterations[p] = _krylov(sup, block, lay)
+                sol[p], iterations[p] = _krylov(sup, block)
             except SingularSystem as exc:
                 out[p] = exc
     else:
@@ -928,14 +1018,14 @@ def _solve_batch(sups) -> None:
     groups: dict[int, tuple] = {}
     for sup in sups:
         try:
-            pattern = sup._parts[0][2] if sup._parts is not None else sup._sector_data()[0]
+            pattern = sup._parts[0].pattern if sup._parts is not None else sup._sector_data()[0]
         except DomainError as exc:
             sup._state = exc
             continue
         groups.setdefault(id(pattern), (pattern, []))[1].append(sup)
     for pattern, group in groups.values():
         n = pattern.layout.sector.size
-        krylov = bool(group[0].jumps) and _krylov_pays(n, group[0].dim)
+        krylov = group[0]._parts is not None and _krylov_pays(n, group[0].dim)
         size = 1 if krylov else max(1, _BATCH_UNKNOWNS // n)
         for start in range(0, len(group), size):
             part = group[start : start + size]
@@ -959,9 +1049,9 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
     * sparse LU of L[S, S] in the generator's own dtype (so a real
       generator takes a real factorization), pinned by rho[0, 0] = 1
       (:func:`_sector_lu`);
-    * where :func:`_krylov_pays` and the generator carries its factors,
-      GMRES preconditioned by the generator's own non-jump part
-      (:func:`_krylov`). Hand-built generators carry no factors and always
+    * where :func:`_krylov_pays` and the generator is a builder's, GMRES
+      preconditioned by the generator's own non-jump part, weighed from
+      the builder's cache (:func:`_krylov`). Hand-built generators always
       take the LU.
 
     The LU's pin assumes the steady state populates the vacuum, rho[0, 0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 from phonon_stats import exact, lindblad
 from phonon_stats.errors import BudgetExceeded, DomainError, SingularSystem
@@ -459,6 +459,28 @@ def test_krylov_nonconvergence_raises(monkeypatch):
         steady_state(_prerwa(4.0, 0.2, TruncationSpec(dim_mech=8, dim_cav=3)))
 
 
+def test_krylov_preconditioner_weights_match_the_sparse_sum():
+    # A = sum_k (-1/2) r_k o_k^dag o_k - i h on the sector, from the cached
+    # weights, against the sparse sum it replaced, on every pre-RWA case
+    prerwa = [sup for sup in _sector_cases() if len(sup._parts[0].terms) == 5]
+    assert len(prerwa) == 4
+    for sup in prerwa:
+        a = sum((-0.5 * rate) * (op.conj().T @ op) for op, rate in sup.jumps) - 1j * sup.h
+        cols, rows = np.divmod(sup.sector(), sup.dim)
+        want = np.asarray(a.tocsr()[rows, cols]).ravel()
+        parts, coefs = sup._parts
+        got = lindblad._weigh(*parts.a_weights, coefs[None])[0]
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_build_forms_its_hamiltonian_when_first_read():
+    for sup, h, _ in _textbook_cases():
+        assert "h" not in vars(sup)
+        got = np.zeros_like(h) if sup.h is None else sup.h.toarray()
+        assert "h" in vars(sup)
+        assert np.max(np.abs(got - h)) <= 1e-15 * max(np.max(np.abs(h)), 1.0)
+
+
 def test_block_min_eigenvalue_matches_dense():
     for sup in _sector_cases():
         state = steady_state(sup)
@@ -671,6 +693,91 @@ def test_failed_batch_factorization_is_refactored_system_by_system():
         steady_state(pump)
     alone = steady_state(lindblad._assemble("reduced", (1, 6), (1.0, 0.5, 1.5)))
     assert np.array_equal(steady_state(sound).values, alone.values)
+
+
+def _mmd_ata_solve(sup):
+    """The pinned system of ``sup`` formed from its block (the row of
+    rho[0, 0] replaced by e_0^T, in CSC) and solved alone by SuperLU's
+    minimum-degree order on A^T A."""
+    block = _block(sup)
+    n = block.shape[0]
+    pin = sp.csr_matrix((np.ones(1, dtype=block.dtype), ([0], [0])), shape=(1, n))
+    system = sp.vstack([pin, block[1:]], format="csc")
+    rhs = np.zeros(n, dtype=block.dtype)
+    rhs[0] = 1.0
+    return system, spsolve(system, rhs, permc_spec="MMD_ATA")
+
+
+def test_cached_order_solve_equals_the_mmd_ata_solve():
+    """The pinned LU in the column order cached with its pattern equals
+    SuperLU's own MMD_ATA solve bit for bit: real (reduced) and complex
+    (RWA) builds, and hand-built generators with and without a charge."""
+    b = lindblad._destroy(12)
+    matrix = lindblad._liouvillian(None, [(b @ b, 2.0), (b.T, 0.5), (b, 1.5)])
+    cases = [
+        build_reduced_liouvillian(1.0, 3.0, TruncationSpec(64)),
+        build_reduced_liouvillian(3.0, 0.0, TruncationSpec(16)),
+        build_two_mode_rwa_liouvillian(math.sqrt(400.0), 400.0, 1.0, 0.2, TruncationSpec(32, 4)),
+        build_two_mode_rwa_liouvillian(math.sqrt(7.5), 10.0, 1.0, 0.0, TruncationSpec(10, 3)),
+        Superoperator((1, 12), matrix),
+        Superoperator((1, 12), matrix, charge=np.arange(12)),
+    ]
+    for sup in cases:
+        pattern, data = sup._sector_data()
+        got = lindblad._sector_lu(pattern, data[None])[0]
+        system, want = _mmd_ata_solve(sup)
+        assert got.dtype == want.dtype == data.dtype
+        assert np.array_equal(got, want)
+        if sup._parts is not None:  # a builder's pinned pattern holds its diagonal
+            assert (abs(system).diagonal() > 0).all()
+
+
+def test_rung_solves_reuse_the_order_of_their_pattern(monkeypatch):
+    """Rung solves ask SuperLU for no ordering of their own, the order is
+    computed once per pattern, and a block-diagonal batch split by a
+    lowered _BATCH_UNKNOWNS still equals each system's MMD_ATA solve."""
+    solves, orders = [], []
+    solve, factor = lindblad.spsolve, lindblad.splu
+
+    def captured(a, b, **kwargs):
+        x = solve(a, b, **kwargs)
+        solves.append((a.shape[0], kwargs["permc_spec"], x))
+        return x
+
+    def counted(a, **kwargs):
+        orders.append(a.shape[0])
+        return factor(a, **kwargs)
+
+    monkeypatch.setattr(lindblad, "spsolve", captured)
+    monkeypatch.setattr(lindblad, "splu", counted)
+    lindblad._unit_parts.cache_clear()
+    points = [(4.0, 0.0), (4.0, 0.2), (1.0, 2.0), (2.0, 0.5), (8.0, 1.0)]
+    trunc = TruncationSpec(16, 3)
+    sups = [build_two_mode_rwa_liouvillian(math.sqrt(C * 100.0), 400.0, 1.0, n_th, trunc)
+            for C, n_th in points]
+    n = sups[0].sector().size
+    monkeypatch.setattr(lindblad, "_BATCH_UNKNOWNS", 2 * n)
+    lindblad._solve_batch(sups)
+    assert [(size, spec) for size, spec, _ in solves] == [
+        (2 * n, "NATURAL"), (2 * n, "NATURAL"), (n, "NATURAL")]
+    assert orders == [n]
+    order = sups[0]._parts[0].pattern.pinned[3]
+    x = np.concatenate([y.reshape(-1, n) for *_, y in solves])
+    got = np.empty_like(x)
+    got[:, order] = x
+    for sup, row in zip(sups, got):
+        assert np.array_equal(row, _mmd_ata_solve(sup)[1])
+    # a ladder orders each rung's pattern once; a second ladder over the
+    # same rungs orders none
+    solves.clear()
+    orders.clear()
+    build = partial(build_reduced_liouvillian, 10.0, 1.0)
+    converge_truncation(build, TruncationSpec(8))
+    rungs = len(solves)
+    assert rungs >= 2 and orders == [8 * 2**k for k in range(rungs)]
+    converge_truncation(build, TruncationSpec(8))
+    assert len(solves) == 2 * rungs and len(orders) == rungs
+    assert {spec for _, spec, _ in solves} == {"NATURAL"}
 
 
 def test_prerwa_validation():
