@@ -23,14 +23,14 @@ writes the converged rest, prints one ``error: C=… n_th=…: <message>`` line
 per failed point and exits 2, whatever its exit code would have been.
 
 What each command computes: ``sweep`` and figures 1, 2, 4 and 5 compute
-n_ss, g2 and regime only (on the exact route one series kernel call sums the
-series of every point of a grid slice; the hitemp route evaluates the two
-closed forms per point); ``stats``, ``validate`` and figures 3 and 6 also
-compute the Fock populations. An oracle model always solves for the full
-state; the oracle points of a grid slice (``validate``, ``sweep --model
-oracle-*``, with or without ``--trunc``) are solved together, their
-truncation ladders one sparse factorization per rung level, with the same
-output as point by point.
+n_ss, g2 and regime only; ``stats``, ``validate`` and figures 3 and 6 also
+compute the Fock populations, and an oracle model always solves for the
+full state. A grid slice evaluates the hitemp closed forms point by point
+and batches the rest (:func:`_slice_worker`), with the same output as
+point by point: one series kernel call sums the series of its exact
+points, and its oracle points (``validate``, ``sweep --model oracle-*``)
+climb their truncation ladders together, one sparse factorization per rung
+level; a fixed ``--trunc`` truncation is a ladder that accepts its first rung.
 
 What each command imports: this module loads only the exact route (numpy and
 ``math``). The ``hitemp`` and ``lindblad`` modules are reached as attributes
@@ -62,7 +62,6 @@ import math
 import os
 import sys
 from multiprocessing import Pool
-from types import GeneratorType
 
 import numpy as np
 
@@ -220,153 +219,133 @@ def _resolve_model(name: str, C: float, n_th: float) -> str:
     return "exact"
 
 
-def _oracle_model(name, C, n_th, cfg):
-    """The Lindblad builder of one point, a callable from a truncation to
-    its generator, plus the truncation ladder's start. The builder is looked
-    up on the module here, at call time, so a wrapper set on it is seen."""
+def _oracle_job(name, C, n_th, cfg):
+    """The oracle solve of one point, ``(build, truncation, climb)``: the
+    Lindblad builder, a callable from a truncation to its generator; the
+    ladder's start, or the ``--trunc``/``--trunc-cav`` truncation, from
+    which no ladder climbs. The flags the model reads are checked first: a
+    value outside its domain is a DomainError that names the flag. The
+    builder is looked up on the module here, at call time, so a wrapper set
+    on it is seen."""
+    reads = {"oracle-reduced": (), "oracle-rwa": ("kappa", "gamma")}
+    for dest in reads.get(name, ("kappa", "gamma", "omega_m_eff", "n_c")):
+        val = getattr(cfg, dest, None)
+        if val is None or math.isfinite(val) and (val > 0.0 or dest == "n_c" and val == 0.0):
+            continue
+        least = ">= 0" if dest == "n_c" else "> 0"
+        raise DomainError(f"{_flag(dest)} must be finite and {least}, got {val!r}")
     lindblad = _pkg.lindblad
-    gamma = float(_get(cfg, "gamma", 1.0))
     if name == "oracle-reduced":
         build = functools.partial(lindblad.build_reduced_liouvillian, C, n_th)
-        return build, lindblad.TruncationSpec(8, 1)
-    kappa = float(_get(cfg, "kappa", 400.0 if name == "oracle-rwa" else 2000.0))
-    # Coupling chosen so that eliminating the cavity leaves two-phonon
-    # damping with cooperativity C: the second-order elimination of
-    # (kappa/2) D[a] against H = g (a^dag b^2 + h.c.) gives Gamma = 4 g^2/kappa.
-    g = math.sqrt(C * gamma * kappa / 4.0)
+        initial = lindblad.TruncationSpec(8, 1)
+    else:
+        gamma = float(_get(cfg, "gamma", 1.0))
+        kappa = float(_get(cfg, "kappa", 400.0 if name == "oracle-rwa" else 2000.0))
+        # Coupling chosen so that eliminating the cavity leaves two-phonon
+        # damping with cooperativity C: the second-order elimination of
+        # (kappa/2) D[a] against H = g (a^dag b^2 + h.c.) gives Gamma = 4 g^2/kappa.
+        g = math.sqrt(C * gamma * kappa / 4.0)
     if name == "oracle-rwa":
         build = functools.partial(
             lindblad.build_two_mode_rwa_liouvillian, g, kappa, gamma, n_th
         )
-        return build, lindblad.TruncationSpec(8, 2)
-    omega = float(_get(cfg, "omega_m_eff", 50.0 * kappa))
-    # Default drive strength saturates g0*n_c/omega' = 1e-3 (with g0 = g/sqrt(n_c)),
-    # the deep-sideband hierarchy under which the pre-RWA terms were ordered.
-    n_c_default = (1e-3 * omega / g) ** 2 if g > 0.0 else 1.0
-    n_c = float(_get(cfg, "n_c", n_c_default))
-    reduced = ReducedParams(
-        C=C,
-        n_th=n_th,
-        n_c=n_c,
-        g=g,
-        omega_m_eff=omega,
-        Gamma_opt=C * gamma,
-        Delta_c=-2.0 * omega,
-    )
-    quad = bool(_get(cfg, "include_quad_fluct", False))
-    build = functools.partial(
-        lindblad.build_prerwa_liouvillian, reduced, kappa, gamma, n_th,
-        include_quadratic_fluctuation=quad,
-    )
-    return build, lindblad.TruncationSpec(8, 3)
+        initial = lindblad.TruncationSpec(8, 2)
+    elif name == "oracle-prerwa":
+        omega = float(_get(cfg, "omega_m_eff", 50.0 * kappa))
+        # Default drive strength saturates g0*n_c/omega' = 1e-3 (with g0 = g/sqrt(n_c)),
+        # the deep-sideband hierarchy under which the pre-RWA terms were ordered.
+        n_c_default = (1e-3 * omega / g) ** 2 if g > 0.0 else 1.0
+        n_c = float(_get(cfg, "n_c", n_c_default))
+        reduced = ReducedParams(
+            C=C,
+            n_th=n_th,
+            n_c=n_c,
+            g=g,
+            omega_m_eff=omega,
+            Gamma_opt=C * gamma,
+            Delta_c=-2.0 * omega,
+        )
+        quad = bool(_get(cfg, "include_quad_fluct", False))
+        build = functools.partial(
+            lindblad.build_prerwa_liouvillian, reduced, kappa, gamma, n_th,
+            include_quadratic_fluctuation=quad,
+        )
+        initial = lindblad.TruncationSpec(8, 3)
+    if getattr(cfg, "trunc", None) is None:
+        return build, initial, True
+    dim_cav = _get(cfg, "trunc_cav", 4 if initial.dim_cav > 1 else 1)
+    return build, lindblad.TruncationSpec(int(cfg.trunc), int(dim_cav)), False
 
 
 def _reports(name, C, n_th, cfg):
-    """Evaluate one (C, n_th) point under the named model: a generator that
-    returns ``(name, report)``.
-
-    An oracle point yields its solve, ``(build, spec, climb)``: the
-    builder, the truncation and whether a ladder climbs from it (fixed under
-    ``--trunc``). It is sent the report, or thrown the package error that
-    ends the solve, so that :func:`_slice_worker` can solve the oracle
-    points of a grid slice together; :func:`_point_report` solves it alone.
-    """
+    """Evaluate one (C, n_th) point under the named model: a point
+    generator (see :func:`_slice_worker`) that returns ``(name, report)``.
+    An oracle point yields its solve, ``(_oracle_solves, job)`` with the
+    job of :func:`_oracle_job`; the analytic routes yield nothing."""
     name = _resolve_model(name, C, n_th)
     if name == "exact":
         return name, exact.steady_state_exact(C, n_th)
     if name == "hitemp":
         return name, _pkg.hitemp.steady_state_hitemp(C, n_th)
-    build, initial = _oracle_model(name, C, n_th, cfg)
-    trunc = getattr(cfg, "trunc", None)
-    if trunc is None:
-        report = yield build, initial, True
-    else:
-        dim_cav = _get(cfg, "trunc_cav", 4 if initial.dim_cav > 1 else 1)
-        spec = _pkg.lindblad.TruncationSpec(int(trunc), int(dim_cav))
-        report = yield build, spec, False
+    report = yield _oracle_solves, _oracle_job(name, C, n_th, cfg)
     return name, report
 
 
 def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
-    """Evaluate one (C, n_th) point under the named model."""
-    return _resume(_reports(name, C, n_th, cfg))
+    """Evaluate one (C, n_th) point under the named model, its batch alone."""
+    gen = _reports(name, C, n_th, cfg)
+    try:
+        batch, arg = next(gen)
+    except StopIteration as stop:
+        return stop.value
+    return _finish(gen, *batch([arg]))
 
 
 def _point_observables(name, C, n_th, cfg):
-    """n_ss, g2 and regime of one point, without Fock populations.
+    """n_ss, g2 and regime of one point, without Fock populations: a point
+    generator like :func:`_reports`.
 
-    The analytic routes evaluate their observables alone (one series call on
-    the exact route, the two closed forms on the hitemp route); an oracle's
-    Lindblad solve yields everything at once, so an oracle point goes
-    through the report: it returns the generator of
-    :func:`_oracle_observables`.
+    An exact point yields its series, ``(exact._observables_grid, its
+    series arguments)``, so that a grid slice sums the series of all its
+    exact points in one kernel call; the hitemp route evaluates the two
+    closed forms; an oracle's Lindblad solve yields everything at once, so
+    an oracle point goes through :func:`_reports`.
     """
     name = _resolve_model(name, C, n_th)
     if name == "exact":
-        n_ss, g2 = exact.observables_exact(C, n_th)
+        n_ss, g2 = yield exact._observables_grid, exact._series_args(C, n_th)
     elif name == "hitemp":
         hitemp = _pkg.hitemp
         n_ss, g2 = hitemp.mean_phonon_hitemp(C, n_th), hitemp.g2_hitemp(C, n_th)
     else:
-        return _oracle_observables(name, C, n_th, cfg)
+        name, rep = yield from _reports(name, C, n_th, cfg)
+        return name, rep.n_ss, rep.g2, rep.regime
     return name, n_ss, g2, exact.classify_regime(C, n_th)
 
 
-def _oracle_observables(name, C, n_th, cfg):
-    """:func:`_point_observables` of an oracle point: a generator like
-    :func:`_reports`."""
-    name, rep = yield from _reports(name, C, n_th, cfg)
-    return name, rep.n_ss, rep.g2, rep.regime
-
-
 def _oracle_solves(jobs) -> list:
-    """Per oracle solve ``(build, spec, climb)`` its report, or the package
-    error that ends it.
-
-    The ladders climb together (``lindblad._climb``), one factorization per
-    rung level; a lone ladder goes through ``converge_truncation``, their
-    batch of one, so that a wrapper set on it sees it. The fixed
-    truncations are solved together (``lindblad._solve_batch``), and each
-    takes its state through ``steady_state``.
-    """
-    if not jobs:  # no oracle: lindblad and scipy stay unloaded
-        return []
+    """Per oracle solve, a job of :func:`_oracle_job`, its report or the
+    package error that ends it. The solves climb together
+    (``lindblad._climb``), one factorization per rung level, and a fixed
+    truncation accepts its first rung."""
     lindblad = _pkg.lindblad
-    out = [None] * len(jobs)
-    ladders = [i for i, (_, _, climb) in enumerate(jobs) if climb]
-    if len(ladders) == 1:
+    if len(jobs) == 1 and jobs[0][2]:
+        # a lone ladder stays on converge_truncation, which perfbench's ladder
+        # span wraps and test_perfbench_spans_trace_the_cli counts (until D17)
         try:
-            results = [lindblad.converge_truncation(*jobs[ladders[0]][:2])]
+            results = [lindblad.converge_truncation(*jobs[0][:2])]
         except PhononStatsError as exc:
             results = [exc]
     else:
-        results = lindblad._climb([jobs[i][:2] for i in ladders])
-    for i, result in zip(ladders, results):
-        out[i] = result if isinstance(result, Exception) else result[1]
-    sups = {}
-    for i, (build, spec, climb) in enumerate(jobs):
-        if not climb:
-            try:
-                sups[i] = build(spec)
-            except PhononStatsError as exc:
-                out[i] = exc
-    lindblad._solve_batch(list(sups.values()))
-    for i, sup in sups.items():
-        try:
-            out[i] = lindblad.observables(lindblad.steady_state(sup))
-        except PhononStatsError as exc:
-            out[i] = exc
-    return out
+        results = lindblad._climb(jobs)
+    return [result if isinstance(result, Exception) else result[1] for result in results]
 
 
-def _resume(gen, outcome=None):
-    """Run the point generator ``gen`` to its end from the oracle outcome
-    it waits for (None to start it), solving each later oracle alone;
-    returns its value."""
+def _finish(gen, outcome):
+    """Resume the point generator ``gen`` from its batch's ``outcome``,
+    thrown in if it is an error; returns the point's value."""
     try:
-        while True:
-            job = gen.throw(outcome) if isinstance(outcome, Exception) else gen.send(outcome)
-            (outcome,) = _oracle_solves([job])
+        gen.throw(outcome) if isinstance(outcome, Exception) else gen.send(outcome)
     except StopIteration as stop:
         return stop.value
 
@@ -383,58 +362,43 @@ def _slice_worker(tasks, point=_point_observables):
     message (a string) or the exception that aborts the command. The slice
     stops at the first point that raises such an exception.
 
-    Every point is first checked and evaluated in grid order up to its
-    oracle solve. On an observables grid the exact-route points then go to
-    one :func:`exact._observables_grid` call once the whole slice has
-    passed, so their series share one kernel call and an aborting slice
-    sums none. The oracle points before any aborting point go to
-    :func:`_oracle_solves` together, so their ladders share one
-    factorization per rung level, and are finished in grid order: an
-    oracle error that aborts comes before every later point, and the
-    skipped-row warnings come in grid order.
-    Module-level so it pickles, and shares nothing.
+    ``point(model, C, n_th, cfg)`` is a generator that yields at most once,
+    ``(batch, input)``, and is sent its outcome (thrown it, if it is an
+    error): ``batch`` maps a list of inputs to their outcomes. The points
+    run in grid order up to their yields, each batch runs once on its
+    inputs, and the points resume in grid order, so an error that aborts
+    comes before every later point and skipped-row warnings keep grid
+    order. An aborting slice drops its series batch (its rows are never
+    written and warn of nothing) but solves its oracle points before the
+    abort. Module-level so it pickles, and shares nothing.
     """
-    results, batch, waiting = [], [], []
-    for task in tasks:
-        C, n_th, model, cfg = task
+    results, waiting = [], []
+    for C, n_th, model, cfg in tasks:
+        gen = point(model, C, n_th, cfg)
         try:
-            if point is _point_observables and _resolve_model(model, C, n_th) == "exact":
-                batch.append((len(results), exact._series_args(C, n_th)))
-                result = None
-            else:
-                result = point(model, C, n_th, cfg)
-                if isinstance(result, GeneratorType):  # it waits for its oracle
-                    try:
-                        waiting.append((len(results), result, next(result)))
-                        result = None
-                    except StopIteration as stop:
-                        result = stop.value
+            waiting.append((len(results), gen, *next(gen)))
+            result = None
+        except StopIteration as stop:
+            result = stop.value
         except Exception as exc:
             result = _failure(exc)
         results.append(result)
         if isinstance(result, Exception):  # aborts the command: no later point comes first
+            waiting = [w for w in waiting if w[2] is not exact._observables_grid]
             break
-    try:
-        solved = _oracle_solves([job for _, _, job in waiting])
-    except Exception as exc:  # no point's own error: it aborts the batch
-        solved = [exc] * len(waiting)
-    for (j, gen, _), outcome in zip(waiting, solved):
+    outcomes = {}
+    for batch in dict.fromkeys(b for _, _, b, _ in waiting):
         try:
-            results[j] = _resume(gen, outcome)
+            outcomes[batch] = iter(batch([arg for _, _, b, arg in waiting if b is batch]))
+        except Exception as exc:  # no point's own error: it aborts the batch
+            outcomes[batch] = itertools.repeat(exc)
+    for j, gen, batch, _ in waiting:
+        try:
+            results[j] = _finish(gen, next(outcomes[batch]))
         except Exception as exc:
             results[j] = _failure(exc)
             if isinstance(results[j], Exception):
                 return results[: j + 1]
-    if results and isinstance(results[-1], Exception):
-        return results
-    values = exact._observables_grid([args for _, args in batch])
-    for (j, _), value in zip(batch, values):
-        C, n_th = tasks[j][:2]
-        if _drops_point(value):
-            value = str(value)
-        else:
-            value = ("exact", *value, exact.classify_regime(C, n_th))
-        results[j] = value
     return results
 
 

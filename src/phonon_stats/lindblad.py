@@ -80,7 +80,8 @@ formed: in the builders' cache, or when a hand-built generator's block is
 sliced from its matrix.
 
 The ladders of many points climb together (:func:`_climb`, behind a grid
-command's oracle points). At each rung level the points still climbing are
+command's oracle points; a fixed truncation is a ladder that accepts its
+first rung). At each rung level the points still climbing are
 solved as one batch (:func:`_solve_batch`): the blocks of points that share
 a model and a truncation are assembled in one product, their coefficient
 rows times the cached weights, factored as one block-diagonal system (of
@@ -1143,10 +1144,11 @@ def _settled(prev: SteadyStateReport | None, report: SteadyStateReport) -> bool:
 
 
 def _climb(jobs) -> list:
-    """The truncation ladders of ``jobs``, (build, initial) pairs, climbed
-    together; per job the (TruncationSpec, SteadyStateReport) it accepts,
-    or the package error that ends its ladder (see
-    :func:`converge_truncation`).
+    """The truncation ladders of ``jobs``, (build, truncation, climb)
+    triples, climbed together; per job the (TruncationSpec,
+    SteadyStateReport) it accepts, or the package error that ends its
+    ladder (see :func:`converge_truncation`). A job whose ``climb`` is false
+    accepts its first rung, so a fixed truncation never meets ``_DIM_CAP``.
 
     At each rung level the points still climbing are built and go to one
     :func:`_solve_batch`, so points that share a model and a truncation
@@ -1156,20 +1158,20 @@ def _climb(jobs) -> list:
     ladder climbed alone, bit for bit.
     """
     out: list = [None] * len(jobs)
-    climbing = [(i, build, initial, None) for i, (build, initial) in enumerate(jobs)]
+    climbing = [(i, trunc, None) for i, (_, trunc, _) in enumerate(jobs)]
     while climbing:
         rung = []
-        for i, build, trunc, prev in climbing:
+        for i, trunc, prev in climbing:
             try:
-                rung.append((i, build, trunc, prev, build(trunc)))
+                rung.append((i, trunc, prev, jobs[i][0](trunc)))
             except PhononStatsError as exc:
                 out[i] = exc
         _solve_batch([sup for *_, sup in rung])
         climbing = []
-        for i, build, trunc, prev, sup in rung:
+        for i, trunc, prev, sup in rung:
             try:
                 report = observables(steady_state(sup), mode="mech")
-                if _settled(prev, report):
+                if not jobs[i][2] or _settled(prev, report):
                     out[i] = (trunc, report)
                     continue
                 nxt = _grow(trunc)
@@ -1183,7 +1185,7 @@ def _climb(jobs) -> list:
             except PhononStatsError as exc:
                 out[i] = exc
                 continue
-            climbing.append((i, build, nxt, report))
+            climbing.append((i, nxt, report))
     return out
 
 
@@ -1205,7 +1207,7 @@ def converge_truncation(
     This is the batch of one of :func:`_climb`, which climbs the ladders of
     a grid's points together, one factorization per rung level.
     """
-    (result,) = _climb([(build, initial)])
+    (result,) = _climb([(build, initial, True)])
     if isinstance(result, Exception):
         raise result
     return result

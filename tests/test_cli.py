@@ -109,6 +109,41 @@ def test_stats_oracle_nonfinite_input_exit_1(capsys, C, n_th, model):
     assert "must be finite" in err
 
 
+# per two-mode oracle, the flags it reads, each with the values it refuses
+_TWO_MODE_FLAGS = [
+    pytest.param(model, dest, value, id=f"{model}-{dest}={value}")
+    for model, dests in (("oracle-rwa", ("kappa", "gamma")),
+                         ("oracle-prerwa", ("kappa", "gamma", "omega_m_eff", "n_c")))
+    for dest in dests
+    for value in ("0", "-1", "inf", "nan")
+    if (dest, value) != ("n_c", "0")
+]
+
+
+@pytest.mark.parametrize("model, dest, value", _TWO_MODE_FLAGS)
+def test_two_mode_flags_outside_their_domain_exit_1(capsys, monkeypatch, tmp_path, model, dest,
+                                                     value):
+    """A two-mode oracle flag outside its domain is refused before any
+    solve, on every command and from a config file: exit 1, no output and
+    one error line naming the flag, not a traceback."""
+    from phonon_stats import lindblad
+
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(lindblad, "_solve_batch", no_solve)
+    flag = cli._flag(dest)
+    least = ">= 0" if dest == "n_c" else "> 0"
+    line = f"error: {flag} must be finite and {least}, got {float(value)!r}\n"
+    cfg = tmp_path / "flag.json"
+    cfg.write_text(json.dumps({dest: float(value)}))
+    for argv in (["stats", "--model", model, "--C", "1", "--n-th", "1"],
+                 ["sweep", "--model", model, "--c-set", "1,3", "--nth-set", "1"],
+                 ["validate", "--oracle", model, "--c-set", "1,3", "--nth-set", "1"]):
+        assert run(capsys, *argv, f"{flag}={value}") == (1, "", line)
+        assert run(capsys, *argv, "--config", str(cfg)) == (1, "", line)
+
+
 def test_stats_missing_point_exit_1(capsys):
     code, _, err = run(capsys, "stats")
     assert code == 1
@@ -375,6 +410,17 @@ def test_aborting_sweep_sums_no_series(capsys, monkeypatch, model):
     assert rows == []
 
 
+def test_sweep_aborting_after_exact_points_sums_no_series(capsys, monkeypatch):
+    """Exact points come before the point that aborts the sweep (C = -1);
+    their rows are never written, so their series are not summed."""
+    def no_series(nu, x):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(_kernels, "series_logsums", no_series)
+    code, out, err = run(capsys, "sweep", "--model", "exact", "--c-set", "1,3,-1", "--nth-set", "1")
+    assert (code, out, err) == (1, "", "error: C must be finite and positive, got -1.0\n")
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({"C": 3.0, "n_th": 1.0, "model": "exact"}))
@@ -536,6 +582,15 @@ _BATCH_CASES = [
     pytest.param(_ORACLE_SWEEP, "0.5,3,50", "0,1,30", "2", (2, 2, 7, 0), id="oracle-2"),
     # two skipped rows, then a point that aborts before a third
     pytest.param(_VALIDATE, "3,0.5,-1,1", "30", None, (1, 1, 0, 2), id="validate"),
+    # fixed truncations: beyond the lowered cap, which only a ladder meets
+    pytest.param(("sweep", "--model", "oracle-rwa", "--trunc", "16"), "0.5,3", "0,1", "1",
+                 (0, 0, 4, 0), id="trunc"),
+    # a dropped point (the series budget), then a point that aborts before a third
+    pytest.param((*_VALIDATE, "--trunc", "8"), "3,1e-3,-1,1", "100", None, (1, 1, 0, 0),
+                 id="validate-trunc"),
+    # the builder refuses a two-mode model one cavity level at the first point
+    pytest.param(("sweep", "--model", "oracle-rwa", "--trunc", "8", "--trunc-cav", "1"),
+                 "0.5,3", "1", "1", (1, 1, 0, 0), id="trunc-cav-1"),
 ]
 
 
@@ -576,6 +631,26 @@ def test_sweep_batch_matches_points_alone(capsys, caplog, monkeypatch, argv, c_s
     if argv is _SWEEP:
         assert {line.split(",")[2] for line in want[2]} == {"exact", "hitemp"}
     assert command(c_set, nth_set)[:4] == tuple(want)
+
+
+def test_failing_oracle_batch_aborts_the_sweep(capsys, monkeypatch, tmp_path):
+    """An error of the oracle batch itself, not of one point's solve, ends
+    a multi-point sweep: it leaves main unchanged and nothing is written."""
+    from phonon_stats import lindblad
+
+    error = RuntimeError("batch failed")
+
+    def failing(jobs):
+        raise error
+
+    monkeypatch.setattr(lindblad, "_climb", failing)
+    rows = tmp_path / "rows.csv"
+    with pytest.raises(RuntimeError) as raised:
+        main(["sweep", "--model", "oracle-reduced", "--c-set", "1,3", "--nth-set", "0,0.5",
+              "--out", str(rows)])
+    assert raised.value is error
+    assert capsys.readouterr() == ("", "")
+    assert not rows.exists()
 
 
 @pytest.mark.parametrize("c_set", ["1,-1", "-1,1"])

@@ -653,7 +653,7 @@ def test_batched_ladders_match_lone_ladders(monkeypatch, model, cap, bound):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lindblad, "spsolve", captured)
-        together = lindblad._climb([(counted(i, build), initial)
+        together = lindblad._climb([(counted(i, build), initial, True)
                                     for i, (build, initial) in enumerate(jobs)])
     assert max(rungs) < len(sizes) < sum(rungs)
     assert set(rungs[:-1]) == {2, 3, 4, 5}
