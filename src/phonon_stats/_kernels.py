@@ -48,9 +48,11 @@ import numpy as np
 from .errors import DomainError, NotConverged
 
 # terms in one chunk of a row, and elements in one 2-D block of stacked
-# chunks; at 2^18 a long row ran three times slower, its temporaries faulted
-# in afresh for every chunk
-_CHUNK = 1 << 14
+# chunks. Larger blocks' temporaries reach glibc's 128 KiB mmap threshold
+# and fault in afresh for every chunk: at 2^18 a long row ran three times
+# slower, and at 2^14 a perfbench `curves` pass (seed 0, in process) took
+# 754 minor faults, against 0-5 at 2^13
+_CHUNK = 1 << 13
 
 # the series stops once its last term is below this, relative to each sum
 _SERIES_TOL = 1e-18

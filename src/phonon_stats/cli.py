@@ -223,10 +223,10 @@ def _oracle_job(name, C, n_th, cfg):
     """The oracle solve of one point, ``(build, truncation, climb)``: the
     Lindblad builder, a callable from a truncation to its generator; the
     ladder's start, or the ``--trunc``/``--trunc-cav`` truncation, from
-    which no ladder climbs. The flags the model reads are checked first: a
-    value outside its domain is a DomainError that names the flag. The
-    builder is looked up on the module here, at call time, so a wrapper set
-    on it is seen."""
+    which no ladder climbs. The flags the model reads, and C on the two-mode
+    models, are checked first: a value outside its domain is a DomainError
+    that names it. The builder is looked up on the module here, at call
+    time, so a wrapper set on it is seen."""
     reads = {"oracle-reduced": (), "oracle-rwa": ("kappa", "gamma")}
     for dest in reads.get(name, ("kappa", "gamma", "omega_m_eff", "n_c")):
         val = getattr(cfg, dest, None)
@@ -239,6 +239,8 @@ def _oracle_job(name, C, n_th, cfg):
         build = functools.partial(lindblad.build_reduced_liouvillian, C, n_th)
         initial = lindblad.TruncationSpec(8, 1)
     else:
+        if not (math.isfinite(C) and C >= 0.0):  # before sqrt(C ...) below
+            raise DomainError(f"C must be finite and >= 0, got {C!r}")
         gamma = float(_get(cfg, "gamma", 1.0))
         kappa = float(_get(cfg, "kappa", 400.0 if name == "oracle-rwa" else 2000.0))
         # Coupling chosen so that eliminating the cavity leaves two-phonon

@@ -8,9 +8,11 @@ weight on the half line,
     M_n(a, b) = ∫_0^∞ s^n exp(-a s - b s^2) ds,
     a = 1/n_th,  b = C/n_th,
 
-so that  n_ss = M_1/M_0  and  g2(0) = M_2 M_0 / M_1^2.  M_0 has the stable
-closed form (sqrt(pi)/(2 sqrt(b))) * erfcx(a/(2 sqrt(b))), integration by
-parts gives a M_0 + 2 b M_1 = 1, and deeper moments follow from
+so that  n_ss = M_1/M_0  and  g2(0) = M_2 M_0 / M_1^2.  Both depend on q = C*n_th
+alone and come from one continued fraction, Laplace's for erfcx (see
+:func:`_fraction`), with no moment table. For the populations, M_0 has the
+stable closed form (sqrt(pi)/(2 sqrt(b))) * erfcx(a/(2 sqrt(b))), integration
+by parts gives a M_0 + 2 b M_1 = 1, and deeper moments follow from
 
     M_{n+1} = (n M_{n-1} - a M_n) / (2 b).
 
@@ -25,9 +27,9 @@ Fock-level statistics come from projecting the same measure onto number
 states: P(n) ∝ M_n(a', b)/n! with a' = 1 + 1/n_th, whose exact normalizer is
 sum_n M_n(a', b)/n! = M_0(a, b) (the e^s factor shifts a' back to a).
 
-The observables need only ``math`` and numpy (:func:`erfcx` is evaluated
-here), so the module imports no scipy; the populations import
-``scipy.special.gammaln`` for log n! when they first run.
+The observables need only ``math`` (:func:`erfcx` is evaluated here), so the
+module imports no scipy; the populations import ``scipy.special.gammaln`` for
+log n! when they first run.
 
 This module labels itself an approximation: its validity degrades as n_th/C
 shrinks, quantified against the exact series by the validation tooling.
@@ -36,7 +38,6 @@ shrinks, quantified against the exact series by the validation tooling.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,57 +238,51 @@ def gaussian_quartic_moments(a: float, b: float, n_max: int) -> MomentTable:
         return MomentTable(a, b, _moments_backward(a, b, n_max), "backward")
 
 
-def mean_phonon_hitemp(C: float, n_th: float) -> float:
-    """Closed-form mean occupation -1/(2C) + sqrt(n_th/(pi C))/erfcx(z).
+def _fraction(C: float, n_th: float) -> tuple[float, float]:
+    """(n_ss/n_th, g2) from the tail R of Laplace's continued fraction.
 
-    z = sqrt(1/(4 C n_th)). Equals M_1/M_0 identically (integration by
-    parts); evaluated via erfcx so neither factor under- or overflows. The
-    two terms are of size n_th/q and cancel to n_th, losing about 1e-16/q
-    relative, so for q = C*n_th < 1e-5 (the switch of :func:`g2_hitemp`) the
-    expansion n_th (1 - 4q + 40 q^2 - 592 q^3) + O(q^4) is used instead: the
-    ratio of sum_j (-q)^j (2j+1)!/j! to sum_j (-q)^j (2j)!/j!, within 2.5e-16
-    of the exact ratio there. Where n_th/(pi C) leaves the normal floats,
-    n_ss is taken as n_th times its function of q alone,
-
-        n_ss/n_th = 1/(sqrt(pi) sqrt(q) erfcx(z)) - 1/(2q),
-
-    in which nothing overflows until q does; past that, n_ss is its
-    q -> inf limit sqrt(n_th/(pi C)), exact to double precision there.
+    With z = 1/(2 sqrt(q)), sqrt(pi) erfcx(z) = 1/(z + (1/2)/(z + R)), where
+    R = t_2 and t_k = (k/2)/(z + t_{k+1}) (DLMF 7.9.2). Put into the closed
+    forms, n_ss = n_th z/(z + R) and g2 = 2R(z + R) exactly, with nothing to
+    cancel or overflow. For z >= 1/2 (q <= 1) R is summed bottom-up over
+    n = 30 + ceil(100/z^2) levels from the tail's large-k expansion, at
+    k = n + 1: t_k ~ sqrt(k/2) - z/2 + (z^2 - 1)/(4 sqrt(2k)) + z/(8k).
+    Below, R = 1/(2K) - z with K = 1/(sqrt(pi) erfcx(z)) - z, whose
+    subtractions magnify erfcx's roundoff 4-fold at z = 1/2 and 29-fold at
+    z = 1.5. z = 0.5/(sqrt(C) sqrt(n_th)) overflows only where q is
+    subnormal, and there the q -> 0 limits (1, 2) are returned.
     """
+    z = 0.5 / (math.sqrt(C) * math.sqrt(n_th))
+    if z == math.inf:
+        return 1.0, 2.0
+    if z >= 0.5:
+        n = 30 + math.ceil(100.0 / (z * z))
+        k = n + 1.0
+        r = math.sqrt(0.5 * k) - 0.5 * z + (z * z - 1.0) / (4.0 * math.sqrt(2.0 * k)) + z / (8.0 * k)
+        for k in range(n, 1, -1):
+            r = 0.5 * k / (z + r)
+    else:
+        r = 0.5 / (1.0 / (math.sqrt(math.pi) * erfcx(z)) - z) - z
+    return z / (z + r), 2.0 * r * (z + r)
+
+
+def mean_phonon_hitemp(C: float, n_th: float) -> float:
+    """Mean occupation M_1/M_0 = -1/(2C) + sqrt(n_th/(pi C))/erfcx(z),
+    z = 1/(2 sqrt(C n_th)), as n_th z/(z + R) (:func:`_fraction`); it tends
+    to sqrt(n_th/(pi C)) as q = C*n_th grows."""
     C, n_th = _check_cn(C, n_th, positive_nth=True)
-    q = C * n_th
-    if q < 1e-5:
-        return n_th * (1.0 - q * (4.0 - q * (40.0 - 592.0 * q)))
-    z = 0.5 / math.sqrt(q)
-    ratio = n_th / (math.pi * C)
-    if sys.float_info.min <= ratio < math.inf:
-        return -0.5 / C + math.sqrt(ratio) / erfcx(z)
-    if q == math.inf:
-        return math.sqrt(n_th / C / math.pi)
-    return n_th * (1.0 / (math.sqrt(math.pi) * math.sqrt(q) * erfcx(z)) - 0.5 / q)
+    return n_th * _fraction(C, n_th)[0]
 
 
 def g2_hitemp(C: float, n_th: float) -> float:
     """Second-order correlation M_2 M_0 / M_1^2 of the thermal-diffusion state.
 
     Depends on (C, n_th) only through q = C*n_th, interpolating monotonically
-    between the thermal value 2 (q -> 0) and pi/2 (q -> inf). Where a = 1/n_th
-    or b = C/n_th leaves the normal floats (n_th/C past about 1e308, or C/n_th
-    overflowing), the ratio is taken from the moments of exp(-t/sqrt(q) - t^2)
-    instead, the weight rescaled by s -> t sqrt(n_th/C), whose parameters
-    cannot. Below q = 1e-5 the asymptotic expansion 2 - 4q + 72 q^2 + O(q^3)
-    replaces the moment ratio, which loses ~eps/q^2 relative accuracy to
-    cancellation there.
+    between the thermal value 2 (q -> 0) and pi/2 (q -> inf); evaluated as
+    2R(z + R) (:func:`_fraction`), with no moment table.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
-    q = C * n_th
-    if q < 1e-5:
-        return 2.0 - 4.0 * q + 72.0 * q * q
-    a, b = 1.0 / n_th, C / n_th
-    if not (sys.float_info.min <= min(a, b) and max(a, b) < math.inf):
-        a, b = 1.0 / math.sqrt(q), 1.0
-    t = gaussian_quartic_moments(a, b, 2)
-    return float(math.exp(t.log_m[2] + t.log_m[0] - 2.0 * t.log_m[1]))
+    return _fraction(C, n_th)[1]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -314,7 +309,7 @@ def _fock_projection(C: float, n_th: float, n_max: int) -> tuple[np.ndarray, flo
     The moments run on a = 1 + 1/n_th, b = C/n_th and r = a/sqrt(b). Where
     one of them leaves the floats (b overflows or underflows, or a or r
     overflows) the point is refused with a DomainError that names C and
-    n_th, although its n_ss and g2 have rescaled forms that stay finite.
+    n_th, although its n_ss and g2 stay finite.
     """
     # the one scipy call left on this route; D10's cumulative log ratios need
     # no log n! and delete it

@@ -144,6 +144,23 @@ def test_two_mode_flags_outside_their_domain_exit_1(capsys, monkeypatch, tmp_pat
         assert run(capsys, *argv, "--config", str(cfg)) == (1, "", line)
 
 
+@pytest.mark.parametrize("model", ["oracle-rwa", "oracle-prerwa"])
+@pytest.mark.parametrize("argv", [
+    ("stats", "--C", "-1", "--n-th", "1"),
+    ("stats", "--C", "nan", "--n-th", "1"),
+    ("stats", "--C", "inf", "--n-th", "1"),
+    ("sweep", "--c-set", "1,-1", "--nth-set", "1"),
+], ids=["stats-C=-1", "stats-C=nan", "stats-C=inf", "sweep-C=1,-1"])
+def test_two_mode_c_outside_its_domain_exit_1(capsys, model, argv):
+    """A two-mode oracle derives its coupling g = sqrt(C gamma kappa/4)
+    from C, so a C that is not finite and >= 0 is refused first, naming C:
+    exit 1, no output and one error line, not a traceback or a message
+    about g or n_c."""
+    C = float(argv[2].split(",")[-1])
+    line = f"error: C must be finite and >= 0, got {C!r}\n"
+    assert run(capsys, *argv, "--model", model) == (1, "", line)
+
+
 def test_stats_missing_point_exit_1(capsys):
     code, _, err = run(capsys, "stats")
     assert code == 1
@@ -390,6 +407,41 @@ def test_sweep_input_contract(capsys, model):
     assert all(line.startswith("error: C=") for line in errors)
     assert len(rows) + len(errors) == len(_FUZZ) ** 2
     assert (code == 2) == bool(errors)
+
+
+def _balance_defect(C, n_th, n_ss, g2):
+    """|n_th - n_ss - 2C n_ss^2 g2|/n_th, formed as 1 - s - 2(C n_ss) s g2
+    with s = n_ss/n_th, so that n_ss^2 cannot overflow."""
+    s = n_ss / n_th
+    return abs(1.0 - s - 2.0 * (C * n_ss) * s * g2)
+
+
+# every finite point of the contract grid (hitemp), and C, n_th in
+# {1e-6, ..., 1e4} (exact)
+_BALANCE_GRIDS = {
+    "hitemp": [v for v in _FUZZ if 0.0 < float(v) < math.inf],
+    "exact": [f"1e{k}" for k in range(-6, 5)],
+}
+
+
+@pytest.mark.parametrize("model", ["hitemp", "exact"])
+def test_first_moment_balance(capsys, model):
+    """The reduced master equation gives d<n>/dt = n_th - <n> - 2C<n(n-1)>,
+    so every steady state satisfies n_th - n_ss = 2C n_ss^2 g2, and each
+    route's own n_ss and g2 meet it to roundoff (measured: hitemp 4.4e-16
+    on its grid, exact 2.6e-15 on its 11 x 11 grid).
+
+    The check sees a relative error d in g2 only as d (n_th - n_ss)/n_th,
+    which is about 4 q d at small q = C n_th: it cannot see g2 errors where
+    q << 1e-3. An error in n_ss shows at every q."""
+    grid = ",".join(_BALANCE_GRIDS[model])
+    code, out, err = run(capsys, "sweep", "--model", model, "--c-set", grid, "--nth-set", grid)
+    assert (code, err) == (0, "")
+    rows = _read_csv(out)
+    assert len(rows) == len(_BALANCE_GRIDS[model]) ** 2
+    for row in rows:
+        C, n_th, n_ss, g2 = (float(row[key]) for key in ("C", "n_th", "n_ss", "g2"))
+        assert _balance_defect(C, n_th, n_ss, g2) <= 1e-14, (C, n_th)
 
 
 @pytest.mark.parametrize("model", ["exact", "auto"])

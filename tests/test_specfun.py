@@ -288,6 +288,20 @@ def test_series_rows_equal_one_row_calls(patch, monkeypatch):
         assert len(fits) >= 20 and all(row == ref for row, ref in fits)
 
 
+def test_long_rows_at_the_kernel_chunk_equal_one_row_calls():
+    """At the unpatched ``_CHUNK`` (2^13 terms), the row of (C, n_th) =
+    (0.01, 1e4), x = 2e6, takes 17,032 terms, so three chunks; a second long
+    row's last chunk stacks with its last one in a block. Mixed with short
+    rows in one call, each row equals its one-row call bit for bit."""
+    nu = [2e6 + 100.0, 1.95e6 + 50.0, 3.0, 810.0, 20001.0, 1e3 + 0.5]
+    x = [2e6, 1.95e6, 2.0, 800.0, 2e4, 1e3]
+    batched = _rows(nu, x)
+    assert batched[0][3] == 17032 and _kernels._CHUNK == 8192
+    assert all(row[3] > 2 * _kernels._CHUNK for row in batched[:2])
+    for row, a, b in zip(batched, nu, x):
+        assert _same(row, _rows(a, b)[0]), (a, b)
+
+
 @pytest.mark.parametrize("nu,y,m_max", [(3.0, 1.0, 12), (110.0, 50.0, 40), (2001.0, 1e3, 30)])
 def test_population_logsums_match_double_series(nu, y, m_max):
     """The backward recurrence reproduces the defining sums
