@@ -21,10 +21,9 @@ not keywords: ``_kernels._MAX_TERMS``, ``lindblad._LADDER_REL_TOL`` and
 Importing the package loads only :mod:`phonon_stats.errors`. Every other
 public name is looked up in ``_LAZY`` and its module is imported on first
 access (a PEP 562 module ``__getattr__``), and so are the submodules
-themselves, e.g. ``phonon_stats.lindblad``. The exact route needs only numpy
-and ``math``, and so do the ``hitemp`` observables (:func:`erfcx` included);
-``hitemp``'s Fock populations load ``scipy.special`` for log n! (until
-ROADMAP D10), and ``lindblad`` loads ``scipy.sparse``.
+themselves, e.g. ``phonon_stats.lindblad``. Neither analytic route imports
+scipy: ``exact`` and ``hitemp`` (:func:`erfcx` and the Fock populations
+included) need only numpy and ``math``; ``lindblad`` loads ``scipy.sparse``.
 """
 
 import importlib
@@ -58,6 +57,7 @@ _EXPORTS = {
         "steady_state_exact",
     ),
     "hitemp": (
+        "observables_hitemp",
         "mean_phonon_hitemp",
         "g2_hitemp",
         "gaussian_quartic_moments",

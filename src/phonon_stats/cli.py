@@ -3,8 +3,8 @@
 Exit codes: 0 success; 1 configuration/validation problems (bad flags, bad
 ranges, a ``DomainError``, a validate run outside tolerance, an empty grid);
 2 for every other package error, i.e. a computation that cannot converge
-(the analytic routes' term budget, the truncation budget, unstable
-recursion, singular or unphysical solve).
+(the analytic routes' term budget, the truncation budget, a singular or
+unphysical solve).
 
 Model names: ``exact`` (series), ``hitemp`` (high-temperature closed forms),
 ``oracle-reduced`` / ``oracle-rwa`` / ``oracle-prerwa`` (truncated Lindblad
@@ -36,12 +36,11 @@ What each command imports: this module loads only the exact route (numpy and
 ``math``). The ``hitemp`` and ``lindblad`` modules are reached as attributes
 of the package (``_pkg.hitemp``, ``_pkg.lindblad``) in the branches that
 evaluate those routes, so the package imports them on first use. ``hitemp``
-itself needs only ``math`` and numpy, so ``sweep`` (any analytic model) and
-figures 1, 2, 4 and 5 never load scipy; the hitemp populations (``stats
---model hitemp``, figure 3) load ``scipy.special`` for log n!, and the
-oracles, and so ``validate``, load ``scipy.sparse``.
+itself needs only ``math`` and numpy, populations included, so neither
+analytic route loads scipy: not ``stats`` or ``sweep`` on them, nor any
+figure. The oracles, and so ``validate``, load ``scipy.sparse``.
 Every call goes through the module attribute, so a wrapper set on e.g.
-``hitemp.g2_hitemp`` sees it.
+``hitemp.observables_hitemp`` sees it.
 
 Sweeps and figure datasets are CSV (headered, RFC-4180 quoting via the csv
 module); single reports and validation summaries are JSON. Floats are
@@ -309,16 +308,15 @@ def _point_observables(name, C, n_th, cfg):
 
     An exact point yields its series, ``(exact._observables_grid, its
     series arguments)``, so that a grid slice sums the series of all its
-    exact points in one kernel call; the hitemp route evaluates the two
-    closed forms; an oracle's Lindblad solve yields everything at once, so
+    exact points in one kernel call; the hitemp route evaluates its one
+    continued fraction; an oracle's Lindblad solve yields everything at once, so
     an oracle point goes through :func:`_reports`.
     """
     name = _resolve_model(name, C, n_th)
     if name == "exact":
         n_ss, g2 = yield exact._observables_grid, exact._series_args(C, n_th)
     elif name == "hitemp":
-        hitemp = _pkg.hitemp
-        n_ss, g2 = hitemp.mean_phonon_hitemp(C, n_th), hitemp.g2_hitemp(C, n_th)
+        n_ss, g2 = _pkg.hitemp.observables_hitemp(C, n_th)
     else:
         name, rep = yield from _reports(name, C, n_th, cfg)
         return name, rep.n_ss, rep.g2, rep.regime

@@ -33,7 +33,11 @@ class FixedPointDiverged(PhononStatsError):
 
 
 class RecursionUnstable(PhononStatsError):
-    """Moment recursion lost positivity (catastrophic cancellation)."""
+    """Moment recursion lost positivity (catastrophic cancellation).
+
+    Kept for callers that catch it; nothing raises it since the upward
+    moment recursion runs only where its error bound admits it.
+    """
 
 
 class SingularSystem(PhononStatsError):

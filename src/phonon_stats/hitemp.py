@@ -16,20 +16,22 @@ by parts gives a M_0 + 2 b M_1 = 1, and deeper moments follow from
 
     M_{n+1} = (n M_{n-1} - a M_n) / (2 b).
 
-The recursion subtracts nearly equal quantities when a/sqrt(b) is large; it
-is run upward in a scale-invariant log form only where an a-priori roundoff
-amplification gate admits it. Elsewhere the same recursion runs backward as
-the positive continued fraction  M_n/M_{n-1} = n / (a + 2b M_{n+1}/M_n)
-(Miller's algorithm for its minimal solution), anchored at the closed form
-of M_0. No quadrature is involved.
+M_n is the recursion's minimal solution: the dominant solution outgrows it
+by about exp(r sqrt(2n)), r = a/sqrt(b), so the ratios M_n/M_{n-1} are run
+upward only while r sqrt(2 n_max) stays below a bound that keeps that
+growth under 1e-13. Elsewhere the same recursion runs backward as the
+positive continued fraction  M_n/M_{n-1} = n / (a + 2b M_{n+1}/M_n)
+(Miller's algorithm; Gautschi, SIAM Rev. 9, 24 (1967)). Either way the
+table is the closed-form log M_0 and the log ratios. No quadrature is
+involved.
 
 Fock-level statistics come from projecting the same measure onto number
 states: P(n) ∝ M_n(a', b)/n! with a' = 1 + 1/n_th, whose exact normalizer is
-sum_n M_n(a', b)/n! = M_0(a, b) (the e^s factor shifts a' back to a).
+sum_n M_n(a', b)/n! = M_0(a, b) (the e^s factor shifts a' back to a). log P
+is a cumulative sum of log(M_n/M_{n-1}) - log n, so no log n! is formed.
 
-The observables need only ``math`` (:func:`erfcx` is evaluated here), so the
-module imports no scipy; the populations import ``scipy.special.gammaln`` for
-log n! when they first run.
+The module needs only ``math`` and numpy (:func:`erfcx` is evaluated here):
+neither the observables nor the populations import scipy.
 
 This module labels itself an approximation: its validity degrades as n_th/C
 shrinks, quantified against the exact series by the validation tooling.
@@ -38,12 +40,13 @@ shrinks, quantified against the exact series by the validation tooling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NotConverged, RecursionUnstable
+from .errors import DomainError, NotConverged
 from .report import SteadyStateReport
 from .exact import _check_cn, classify_regime
 
@@ -51,6 +54,7 @@ __all__ = [
     "MomentTable",
     "erfcx",
     "gaussian_quartic_moments",
+    "observables_hitemp",
     "mean_phonon_hitemp",
     "g2_hitemp",
     "steady_state_hitemp",
@@ -98,20 +102,34 @@ def erfcx(x: float) -> float:
 
 @dataclass(eq=False)
 class MomentTable:
-    """Moments M_n(a, b) in log form, n = 0..n_max.
+    """Moments M_n(a, b), n = 0..n_max, as log M_0 and the log ratios
+    log(M_n/M_{n-1}), n = 1..n_max; ``log_m`` is formed when it is read.
 
-    ``method`` records which direction produced the table: "recursion"
+    ``method`` records which direction produced the ratios: "recursion"
     (upward) or "backward" (continued fraction).
     """
 
     a: float
     b: float
-    log_m: np.ndarray
+    log_m0: float
+    log_ratios: np.ndarray
     method: str
 
     @property
     def n_max(self) -> int:
-        return len(self.log_m) - 1
+        return len(self.log_ratios)
+
+    @property
+    def log_m(self) -> np.ndarray:
+        """Prefix sums of log M_0 and the ratios, each corrected by the
+        accumulated rounding errors of the sums before it (TwoSum), which
+        would otherwise reach 6 ulp of log M_1000."""
+        x = np.concatenate(([self.log_m0], self.log_ratios))
+        s = np.cumsum(x)
+        prev, total = s[:-1], s[1:]
+        term = total - prev
+        s[1:] += np.cumsum((prev - (total - term)) + (x[1:] - term))
+        return s
 
 
 def _check_ab(a: float, b: float) -> tuple[float, float]:
@@ -124,93 +142,49 @@ def _check_ab(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def _recursion_amplification_log(r: float, n_max: int) -> float:
-    """Worst-case log roundoff amplification of the upward recursion.
+# run the recursion upward only while r sqrt(2 n_max) <= this, r = a/sqrt(b).
+# M_n is its minimal solution and the dominant one outgrows it by about
+# exp(r sqrt(2n)), so one ulp of M_0 grows to about eps exp(r sqrt(2n))
+# relative by order n (ROADMAP K10); ln(1e-13/eps) = 6.11 keeps that below
+# 1e-13. On the gate, against 60-digit mpmath, the upward log(M_n/M_0) errs
+# by at most 6.7e-14 for r >= 0.1 and by 6.6e-13 at r = 0.02 (n = 46,665),
+# where the steps' own roundoff adds up
+_UPWARD_MAX = math.log(1e-13 / sys.float_info.epsilon)
 
-    Each step forms n*m~_{n-1} - r*m~_n, two nearly equal quantities for
-    r >> 1 (the difference is the quartic correction ~ 2(n+1)/r relative to
-    r), so a unit roundoff is magnified by ~ r^2/(2k) at step k. Returns
-    the log of the peak partial product of those factors, reached at
-    k ~ r^2/2; it is 0 where r^2/2 <= 1. It measures only this per-step
-    cancellation, not how the error then grows with the order n, so it
-    does not bound the moments' error (ROADMAP K10).
+
+def _moments_recursion(r: float, m0: float, n_max: int) -> np.ndarray:
+    """Log ratios log(m~_n/m~_{n-1}), n = 1..n_max, of the scaled moments
+    m~_n of exp(-r t - t^2), by the upward recursion
+    m~_{n+1} = (n m~_{n-1} - r m~_n)/2 as t_{n+1} = (n/t_n - r)/2 on the
+    ratios t_n = m~_n/m~_{n-1}, from m~_0 = ``m0`` and m~_1 = (1 - r m~_0)/2."""
+    t = np.empty(n_max)
+    if n_max:
+        t[0] = x = 0.5 * (1.0 / m0 - r)
+        for n in range(1, n_max):
+            x = 0.5 * (n / x - r)
+            t[n] = x
+    return np.log(t)
+
+
+def _moments_backward(r: float, n_max: int) -> np.ndarray:
+    """The same log ratios by Miller's backward fraction, where the gate
+    refuses the upward recursion.
+
+    M_n is the recursion's minimal solution, so the ratios t_n follow from
+    t_n = n / (r + 2 t_{n+1}), in which every term is positive. Its bracket
+    closes within a few dozen levels of the window when r is large; for
+    r <= 1 it takes about 4,300/r^2 levels, which the gate keeps below about
+    230 times the window.
     """
-    t = 0.5 * r * r
-    if t <= 1.0 or n_max == 0:  # no step is amplified (0 * log(inf) is nan)
-        return 0.0
-    # compared as floats first: t overflows to inf once r^2 does (b near the
-    # smallest float), and an infinite amplification refuses the recursion
-    k = n_max if t >= n_max else int(t)
-    return k * math.log(t) - math.lgamma(k + 1.0)
-
-
-# refuse the recursion, and let the backward fraction take over, once the
-# per-step cancellation can magnify a unit roundoff past ~1e5. It bounds
-# that cancellation only, not the moments' error: (a, b, n) = (0.7, 1, 1000)
-# passes with no amplification at all, yet its log M_1000 is off by 2.9e-3
-# against mpmath (ROADMAP K10)
-_AMP_LOG_MAX = math.log(1e5)
-
-
-def _moments_recursion(a: float, b: float, n_max: int) -> np.ndarray:
-    """Scaled log-space recursion. Raises RecursionUnstable on cancellation."""
-    rb = math.sqrt(b)
-    r = a / rb  # moments of exp(-r t - t^2) after s = t/sqrt(b)
-    if _recursion_amplification_log(r, n_max) > _AMP_LOG_MAX:
-        raise RecursionUnstable(
-            f"moment recursion would amplify roundoff beyond tolerance at "
-            f"a={a:g}, b={b:g} (a/sqrt(b)={r:g}, orders={n_max})"
-        )
-    log_m = np.empty(n_max + 1)
-    half_log_b = 0.5 * math.log(b)
-    l_pp = math.log(0.5 * math.sqrt(math.pi) * erfcx(0.5 * r))  # log m~_0
-    log_m[0] = l_pp - half_log_b
-    if n_max == 0:
-        return log_m
-    m1 = 0.5 * (1.0 - r * math.exp(l_pp))
-    if m1 <= 0.0:
-        raise RecursionUnstable(
-            f"first-moment cancellation at a={a:g}, b={b:g} (a/sqrt(b)={r:g})"
-        )
-    l_p = math.log(m1)
-    log_m[1] = l_p - 2.0 * half_log_b
-    for n in range(1, n_max):
-        # m~_{n+1} = (n m~_{n-1} - r m~_n)/2, evaluated relative to m~_n
-        coef = n * math.exp(l_pp - l_p) - r
-        if coef <= 0.0:
-            raise RecursionUnstable(
-                f"moment recursion lost positivity at order {n + 1} "
-                f"(a={a:g}, b={b:g}, a/sqrt(b)={r:g})"
-            )
-        l_new = l_p + math.log(0.5 * coef)
-        log_m[n + 1] = l_new - (n + 2) * half_log_b
-        l_pp, l_p = l_p, l_new
-    return log_m
-
-
-def _moments_backward(a: float, b: float, n_max: int) -> np.ndarray:
-    """Miller's backward fraction for the moments the recursion refuses.
-
-    M_n is the minimal solution of the recursion, so the scaled ratios
-    tau_n = m~_n/m~_{n-1} follow from  tau_n = n / (r + 2 tau_{n+1}),  in
-    which every term is positive, anchored at the erfcx closed form of m~_0.
-    Its bracket closes within a few dozen levels of the window when
-    r = a/sqrt(b) is large, which is where the recursion is refused; at small
-    r it would need millions of levels, so it never replaces the recursion.
-    """
-    r = a / math.sqrt(b)
-    # sigma_k = 2 tau_{k+1} = 2(k+1) / (r + sigma_{k+1})
+    # sigma_k = 2 t_{k+1} = 2(k+1) / (r + sigma_{k+1})
     sigma, levels, ok, _ = _kernels.backward_ratios(2.0, r, 0.0, n_max)
     if not ok:
         raise NotConverged(
-            f"backward moment fraction at a={a:g}, b={b:g} (a/sqrt(b)={r:g}) "
-            f"did not settle within {levels} levels",
+            f"backward moment fraction at a/sqrt(b)={r:g} did not settle "
+            f"within {levels} levels",
             terms_used=levels,
         )
-    log_m = np.empty(n_max + 1)
-    log_m[0] = math.log(0.5 * math.sqrt(math.pi) * erfcx(0.5 * r))
-    log_m[1:] = log_m[0] + np.cumsum(np.log(0.5 * sigma))
-    return log_m - 0.5 * math.log(b) * np.arange(1.0, n_max + 2.0)
+    return np.log(0.5 * sigma)
 
 
 def gaussian_quartic_moments(a: float, b: float, n_max: int) -> MomentTable:
@@ -223,19 +197,25 @@ def gaussian_quartic_moments(a: float, b: float, n_max: int) -> MomentTable:
     n_max : int
         Highest moment order.
 
-    The integration-by-parts recursion runs upward where its roundoff
-    amplification stays small (``method == "recursion"``); elsewhere the same
-    recursion runs backward as a positive continued fraction
-    (``method == "backward"``). The direction follows from a/sqrt(b) alone.
-    An ``n_max`` too large for the term budget raises :class:`NotConverged`
-    before either direction runs.
+    log M_0 comes from the closed form (sqrt(pi)/(2 sqrt(b))) erfcx(r/2),
+    r = a/sqrt(b), the ratios M_n/M_{n-1} from the integration-by-parts
+    recursion, run upward while
+    r sqrt(2 n_max) <= ``_UPWARD_MAX``, which bounds its
+    roundoff growth (``method == "recursion"``), and backward as a positive
+    continued fraction beyond (``method == "backward"``). An ``n_max`` too
+    large for the term budget raises :class:`NotConverged` before either
+    direction runs.
     """
     a, b = _check_ab(a, b)
     n_max = _kernels.check_window(n_max, "moment table at a=%g, b=%g", a, b)
-    try:
-        return MomentTable(a, b, _moments_recursion(a, b, n_max), "recursion")
-    except RecursionUnstable:
-        return MomentTable(a, b, _moments_backward(a, b, n_max), "backward")
+    r = a / math.sqrt(b)
+    m0 = 0.5 * math.sqrt(math.pi) * erfcx(0.5 * r)  # M_0 of exp(-r t - t^2)
+    if r * math.sqrt(2.0 * n_max) <= _UPWARD_MAX:
+        method, log_t = "recursion", _moments_recursion(r, m0, n_max)
+    else:
+        method, log_t = "backward", _moments_backward(r, n_max)
+    half_log_b = 0.5 * math.log(b)
+    return MomentTable(a, b, math.log(m0) - half_log_b, log_t - half_log_b, method)
 
 
 def _fraction(C: float, n_th: float) -> tuple[float, float]:
@@ -266,12 +246,22 @@ def _fraction(C: float, n_th: float) -> tuple[float, float]:
     return z / (z + r), 2.0 * r * (z + r)
 
 
+def observables_hitemp(C: float, n_th: float) -> tuple[float, float]:
+    """(n_ss, g2) from one continued fraction (:func:`_fraction`).
+
+    Each value equals what :func:`mean_phonon_hitemp` and :func:`g2_hitemp`
+    return separately, at half their combined cost.
+    """
+    C, n_th = _check_cn(C, n_th, positive_nth=True)
+    ratio, g2 = _fraction(C, n_th)
+    return n_th * ratio, g2
+
+
 def mean_phonon_hitemp(C: float, n_th: float) -> float:
     """Mean occupation M_1/M_0 = -1/(2C) + sqrt(n_th/(pi C))/erfcx(z),
     z = 1/(2 sqrt(C n_th)), as n_th z/(z + R) (:func:`_fraction`); it tends
     to sqrt(n_th/(pi C)) as q = C*n_th grows."""
-    C, n_th = _check_cn(C, n_th, positive_nth=True)
-    return n_th * _fraction(C, n_th)[0]
+    return observables_hitemp(C, n_th)[0]
 
 
 def g2_hitemp(C: float, n_th: float) -> float:
@@ -281,40 +271,18 @@ def g2_hitemp(C: float, n_th: float) -> float:
     between the thermal value 2 (q -> 0) and pi/2 (q -> inf); evaluated as
     2R(z + R) (:func:`_fraction`), with no moment table.
     """
-    C, n_th = _check_cn(C, n_th, positive_nth=True)
-    return _fraction(C, n_th)[1]
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) for a 1-D array with a finite maximum.
-
-    The operations of ``scipy.special.logsumexp`` without its array-API
-    dispatch, which cost it 90-130 us a call where these take 7-25 us: the
-    entries equal to the maximum are counted (m) and left out of the shifted
-    sum s, so the result log1p(s/m) + log(m) + max equals scipy's bit for bit.
-    Normalizing by M_0 instead (ROADMAP D10) will delete it.
-    """
-    a_max = a.max()
-    tied = a == a_max
-    m = np.float64(np.count_nonzero(tied))
-    s = np.exp(np.where(tied, -np.inf, a) - a_max).sum()
-    if s != 0:
-        s = s / m
-    return float(np.log1p(s) + np.log(m) + a_max)
+    return observables_hitemp(C, n_th)[1]
 
 
 def _fock_projection(C: float, n_th: float, n_max: int) -> tuple[np.ndarray, float, str]:
     """Window populations, log of their unnormalized window sum, moment method.
 
-    The moments run on a = 1 + 1/n_th, b = C/n_th and r = a/sqrt(b). Where
-    one of them leaves the floats (b overflows or underflows, or a or r
-    overflows) the point is refused with a DomainError that names C and
-    n_th, although its n_ss and g2 stay finite.
+    log(M_n/n!) is log M_0 plus the cumulative sum of log(M_k/M_{k-1}) - log k,
+    so no log n! is formed. The moments run on a = 1 + 1/n_th, b = C/n_th
+    and r = a/sqrt(b). Where one of them leaves the floats (b overflows or
+    underflows, or a or r overflows) the point is refused with a DomainError
+    that names C and n_th, although its n_ss and g2 stay finite.
     """
-    # the one scipy call left on this route; D10's cumulative log ratios need
-    # no log n! and delete it
-    from scipy.special import gammaln
-
     a, b = 1.0 + 1.0 / n_th, C / n_th
     r = a / math.sqrt(b) if b > 0.0 else math.inf
     if not (b < math.inf and r < math.inf):
@@ -324,9 +292,12 @@ def _fock_projection(C: float, n_th: float, n_max: int) -> tuple[np.ndarray, flo
         )
     n_max = _kernels.check_window(n_max, "populations at C=%g, n_th=%g", C, n_th)
     table = gaussian_quartic_moments(a, b, n_max)
-    log_raw = table.log_m - gammaln(np.arange(table.n_max + 1, dtype=np.float64) + 1.0)
-    log_z = _logsumexp(log_raw)
-    return np.exp(log_raw - log_z), log_z, table.method
+    log_p = np.zeros(n_max + 1)
+    np.cumsum(table.log_ratios - np.log(np.arange(1.0, n_max + 1.0)), out=log_p[1:])
+    shift = log_p.max()
+    p = np.exp(log_p - shift)
+    s = p.sum()
+    return p / s, table.log_m0 + shift + math.log(s), table.method
 
 
 def steady_state_hitemp(
@@ -335,21 +306,19 @@ def steady_state_hitemp(
     """Full high-temperature report with tail accounting.
 
     ``population_tail`` in the diagnostics is the mass beyond ``n_max``
-    relative to the exact normalizer, i.e. what the explicit-sum
-    normalization of the population vector absorbed.
+    relative to the exact normalizer M_0(1/n_th, C/n_th), i.e. what the
+    explicit-sum normalization of the population vector absorbed.
     """
     C, n_th = _check_cn(C, n_th, positive_nth=True)
-    n_ss = mean_phonon_hitemp(C, n_th)
+    n_ss, g2 = observables_hitemp(C, n_th)
     if n_max is None:  # a Poisson width: it can hide a super-Poissonian tail (K2)
         width = n_ss + 10.0 * math.sqrt(n_ss + 1.0)
         # an infinite n_ss (n_th/C overflows) is refused here, before ceil()
         _kernels.check_window(width, "populations at C=%g, n_th=%g", C, n_th)
         n_max = max(30, math.ceil(width))
-    # the populations go first, so their window check precedes any moment table
     populations, log_z, method = _fock_projection(C, n_th, n_max)
-    g2 = g2_hitemp(C, n_th)
     norm = gaussian_quartic_moments(1.0 / n_th, C / n_th, 0)
-    tail = max(0.0, 1.0 - math.exp(log_z - norm.log_m[0]))
+    tail = max(0.0, -math.expm1(log_z - norm.log_m0))
     return SteadyStateReport(
         n_ss=n_ss,
         g2=g2,

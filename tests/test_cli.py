@@ -226,7 +226,8 @@ def test_nondomain_package_errors_exit_2(capsys, monkeypatch, error):
     assert code == 0
     monkeypatch.setattr(hitemp, "steady_state_hitemp",
                         _failing_at_c3(hitemp.steady_state_hitemp, error))
-    monkeypatch.setattr(hitemp, "g2_hitemp", _failing_at_c3(hitemp.g2_hitemp, error))
+    monkeypatch.setattr(hitemp, "observables_hitemp",
+                        _failing_at_c3(hitemp.observables_hitemp, error))
     code, out, err = run(capsys, "stats", "--model", "hitemp", "--C", "3", "--n-th", "1")
     assert (code, out, err) == (2, "", "error: injected\n")
     code, out, err = run(capsys, *sweep)

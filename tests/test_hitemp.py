@@ -26,8 +26,9 @@ def test_moments_reference_values():
     assert m[2] == pytest.approx(0.15923102057378528, rel=1e-12)
 
 
-def _pcfd_log_moments(a, b, n_max):
-    """log M_n from the parabolic-cylinder closed form (30-digit mpmath):
+def _pcfd_log_moments(a, b, orders):
+    """log M_n at the given orders n from the parabolic-cylinder closed form
+    (30-digit mpmath):
     M_n = b^{-(n+1)/2} n! e^{r^2/8} 2^{-(n+1)/2} D_{-(n+1)}(r/sqrt(2)),
     r = a/sqrt(b)."""
     mpmath = pytest.importorskip("mpmath")
@@ -41,27 +42,44 @@ def _pcfd_log_moments(a, b, n_max):
                 + r * r / 8
                 + mpmath.log(mpmath.pcfd(-(n + 1), r / mpmath.sqrt(2)))
             )
-            for n in range(n_max + 1)
+            for n in orders
         ])
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 4.0, 10.0, 100.0, 1e4])
 @pytest.mark.parametrize("b", [1e-6, 1.0, 1e4])
 def test_recursion_agrees_with_quadrature(r, b):
-    # the reference is the closed form of the defining integral; r <= 4 runs
-    # the upward recursion, r >= 10 the backward fraction
+    # the reference is the closed form of the defining integral; the upward
+    # recursion runs while r sqrt(20) <= 6.11, so for r <= 1, and the
+    # backward fraction from r = 2 up
     a = r * math.sqrt(b)
     t = hitemp.gaussian_quartic_moments(a, b, 10)
-    assert t.method == ("recursion" if r <= 4.0 else "backward")
-    assert np.max(np.abs(t.log_m - _pcfd_log_moments(a, b, 10))) <= 1e-8
+    assert t.method == ("recursion" if r <= 1.0 else "backward")
+    assert np.max(np.abs(t.log_m - _pcfd_log_moments(a, b, range(11)))) <= 1e-8
 
 
 def test_recursion_refuses_cancellation_regime():
-    # a/sqrt(b) = 1e4: the upward recursion would amplify roundoff by >> 1e5,
-    # so the table comes from the backward fraction
+    # a/sqrt(b) = 1e4: the dominant solution would outgrow the moments by
+    # about exp(r sqrt(2n)) = exp(44721), so the table comes from the
+    # backward fraction
     t = hitemp.gaussian_quartic_moments(1.0, 1e-8, 10)
     assert t.method == "backward"
-    assert np.max(np.abs(t.log_m - _pcfd_log_moments(1.0, 1e-8, 10))) <= 1e-8
+    assert np.max(np.abs(t.log_m - _pcfd_log_moments(1.0, 1e-8, range(11)))) <= 1e-8
+
+
+@pytest.mark.parametrize("r, n_max", [
+    (0.3, 1000), (0.5, 1000), (0.7, 1000), (1.0, 300), (2.0, 100), (3.0, 30), (4.76, 30),
+])
+def test_moments_past_the_upward_gate(r, n_max):
+    """Where r sqrt(2 n_max) > 6.11 the dominant solution would magnify one
+    ulp of M_0 by about exp(r sqrt(2n)), so the ratios run backward: log M_n
+    is within 2e-12 of mpmath at 41 orders up to n_max (measured: 4.6e-13,
+    one ulp of log M_1000; the upward recursion erred by 5.0e-4 at
+    (0.7, 1000) and 1.9e-3 at (4.76, 30))."""
+    t = hitemp.gaussian_quartic_moments(r, 1.0, n_max)
+    assert t.method == "backward"
+    orders = np.unique(np.linspace(0, n_max, 41).astype(int))
+    assert np.max(np.abs(t.log_m[orders] - _pcfd_log_moments(r, 1.0, orders))) <= 2e-12
 
 
 def test_moments_log_convex():
@@ -107,19 +125,6 @@ def _moment_ratios(C, n_th):
         return float(n_th * m1 / (m0 * mpmath.sqrt(q))), float(m2 * m0 / (m1 * m1))
 
 
-@pytest.mark.parametrize("n_th", [1e2, 3e4, 1e7])
-def test_observables_match_moment_ratios(n_th):
-    """Over q = C n_th in [1e-5, 1e6] both closed forms stay within 1e-10 of
-    the 80-digit moment ratios (measured on this grid: 8.0e-12 for n_ss and
-    1.7e-12 for g2; up to 3e-11 for g2 between the grid points, where the
-    upward moment recursion amplifies roundoff)."""
-    for q in np.logspace(-5, 6, 23):
-        C = float(q) / n_th
-        n_ref, g_ref = _moment_ratios(C, n_th)
-        assert hitemp.mean_phonon_hitemp(C, n_th) == pytest.approx(n_ref, rel=1e-10, abs=0)
-        assert hitemp.g2_hitemp(C, n_th) == pytest.approx(g_ref, rel=1e-10, abs=0)
-
-
 @pytest.mark.parametrize("C, n_th", [(1e-200, 1e200), (1e-160, 1e160)])
 def test_observables_depend_on_q_alone(C, n_th):
     """At q = 1 with n_th/C past the float range, n_ss/n_th and g2 are those
@@ -154,6 +159,14 @@ def _accuracy_points():
     return points + [(1e200, 1e200), (1e154, 1e154), (1e308, 1.0), (1.7e308, 2.0)]
 
 
+def _assert_observables_match_mpmath(C, n_th):
+    """n_ss within 2e-15 and g2 within 4e-15 relative of the 80-digit
+    moment ratios."""
+    n_ref, g_ref = _moment_ratios(C, n_th)
+    assert hitemp.mean_phonon_hitemp(C, n_th) == pytest.approx(n_ref, rel=2e-15, abs=0)
+    assert hitemp.g2_hitemp(C, n_th) == pytest.approx(g_ref, rel=4e-15, abs=0)
+
+
 def test_observables_match_mpmath():
     """Against the 80-digit moment ratios, n_ss is within 2e-15 and g2 within
     4e-15 relative on 594 points (measured: 6.7e-16 and 1.2e-15, where the
@@ -161,9 +174,16 @@ def test_observables_match_mpmath():
     points = _accuracy_points()
     assert len(points) >= 400
     for C, n_th in points:
-        n_ref, g_ref = _moment_ratios(C, n_th)
-        assert hitemp.mean_phonon_hitemp(C, n_th) == pytest.approx(n_ref, rel=2e-15, abs=0)
-        assert hitemp.g2_hitemp(C, n_th) == pytest.approx(g_ref, rel=4e-15, abs=0)
+        _assert_observables_match_mpmath(C, n_th)
+
+
+@pytest.mark.parametrize("n_th", [1e2, 3e4, 1e7])
+def test_observables_match_moment_ratios(n_th):
+    """Over q = C n_th in [1e-5, 1e6], where g2 once came from an upward
+    moment recursion, both observables keep the bounds of
+    :func:`test_observables_match_mpmath`."""
+    for q in np.logspace(-5, 6, 23):
+        _assert_observables_match_mpmath(float(q) / n_th, n_th)
 
 
 @pytest.mark.parametrize("n_th", [1e-3, 1.0, 1e4, 1e6])
@@ -208,45 +228,24 @@ def test_mean_strong_damping_asymptote():
     1.5e-8, 3e-8, 5e-7, 3e-6, 8e-6, 1e-5 * (1.0 - 1e-9), 1e-5, 1e-5 * (1.0 + 1e-9), 2e-5,
 ])
 def test_mean_near_the_series_switch_matches_moment_ratio(q):
-    """Below q = 1e-5 the series n_th (1 - 4q + 40q^2 - 592q^3) is within
-    1e-15 of the 80-digit ratio, where the closed form's cancelling terms
-    lost up to 5e-9 (q = 1.5e-8); above it the closed form keeps its own
-    error of about 1e-16/q (8.4e-12 measured at q = 1e-5)."""
+    """Around q = 1e-5, where a series n_th (1 - 4q + 40q^2 - 592q^3) once
+    took over from a closed form whose cancelling terms lost up to 5e-9,
+    both observables keep the bounds of :func:`test_observables_match_mpmath`."""
     n_th = 1e4
-    C = q / n_th
-    n_ref, _ = _moment_ratios(C, n_th)
-    rel = 1e-15 if C * n_th < 1e-5 else 2e-11
-    assert hitemp.mean_phonon_hitemp(C, n_th) == pytest.approx(n_ref, rel=rel, abs=0)
-
-
-def test_logsumexp_equals_scipy():
-    from scipy.special import logsumexp
-
-    rng = np.random.default_rng(7)
-    vectors = [np.array([3.5]), np.array([-700.0]), np.array([2.0, 2.0]), np.zeros(5)]
-    for _ in range(250):
-        n = int(rng.integers(1, 4000))
-        a = rng.normal(0.0, rng.uniform(0.1, 300.0), n) + rng.uniform(-700.0, 700.0)
-        tied = a.copy()
-        tied[rng.integers(0, n, 3)] = a.max() + 0.25
-        holes = np.where(rng.random(n) < 0.1, -np.inf, a)
-        holes[a.argmax()] = a.max()
-        vectors += [a, tied, np.round(a), holes]
-    for a in vectors:
-        assert hitemp._logsumexp(a) == float(logsumexp(a))
+    _assert_observables_match_mpmath(q / n_th, n_th)
 
 
 def test_branch_continuity():
-    """The asymptotic expansions must hand over to the closed forms without
-    a visible seam (both switchovers sit at q = 1e-5)."""
+    """No seam at q = 1e-5, where series expansions once handed over to the
+    closed forms: both sides keep the mpmath bounds, and the values one
+    part in 1e9 apart in q differ by no more than that."""
     n_th = 1.0
-    for q0, fn, tol in [
-        (1e-5, hitemp.g2_hitemp, 1e-9),
-        (1e-5, hitemp.mean_phonon_hitemp, 1e-10),
-    ]:
-        below = fn(q0 * (1.0 - 1e-9) / n_th, n_th)
-        above = fn(q0 * (1.0 + 1e-9) / n_th, n_th)
-        assert abs(above - below) / abs(below) <= tol
+    for q in (1e-5 * (1.0 - 1e-9), 1e-5 * (1.0 + 1e-9)):
+        _assert_observables_match_mpmath(q / n_th, n_th)
+    for fn in (hitemp.g2_hitemp, hitemp.mean_phonon_hitemp):
+        below = fn(1e-5 * (1.0 - 1e-9) / n_th, n_th)
+        above = fn(1e-5 * (1.0 + 1e-9) / n_th, n_th)
+        assert abs(above - below) / abs(below) <= 1e-10
 
 
 def test_distribution_moments():
@@ -259,6 +258,40 @@ def test_distribution_moments():
     var = (n - n_ss) ** 2 @ p
     # 1 < g2 < 2 here: super-Poissonian but narrower than thermal
     assert n_ss < var < n_ss * (n_ss + 1.0)
+
+
+def _populations_reference(C, n_th, n_max):
+    """Window-normalized P_n = M_n(a', b)/n!, a' = 1 + 1/n_th, b = C/n_th,
+    from the upward moment recursion at 80 digits, which leaves more than 40
+    where r sqrt(2 n_max) <= 80."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        b = mpmath.mpf(C) / n_th
+        r = (1 + 1 / mpmath.mpf(n_th)) / mpmath.sqrt(b)
+        m = [mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(r * r / 4) * mpmath.erfc(r / 2)]
+        m.append((1 - r * m[0]) / 2)
+        for n in range(1, n_max):
+            m.append((n * m[n - 1] - r * m[n]) / 2)
+        w = [m[n] / (mpmath.factorial(n) * mpmath.sqrt(b) ** n) for n in range(n_max + 1)]
+        z = mpmath.fsum(w)
+        return np.array([float(x / z) for x in w])
+
+
+@pytest.mark.parametrize("C, n_th", [(55.36464, 1251.893), (220.34, 2973.95), (1e2, 1e4), (10.0, 1.0)])
+def test_populations_match_mpmath(C, n_th):
+    """The populations are within 1e-13 relative of an 80-digit reference
+    (measured: at most 1.2e-14; 6.6e-15 at (55.36464, 1251.893), where the
+    upward recursion that the old gate admitted erred by up to 2.9e-3)."""
+    p = hitemp.steady_state_hitemp(C, n_th).populations
+    ref = _populations_reference(C, n_th, p.size - 1)
+    assert np.max(np.abs(p - ref) / ref) <= 1e-13
+
+
+def test_population_tail_has_no_floor():
+    """At 41,440 levels the window holds all the mass to roundoff, and the
+    tail says so: 0.0 (log n! from gammaln left a floor of 4.0e-12 here)."""
+    rep = hitemp.steady_state_hitemp(2.22278e-3, 34053.2, 41440)
+    assert rep.diagnostics["population_tail"] <= 1e-13
 
 
 def test_steady_state_report():

@@ -1,4 +1,4 @@
-"""What each command imports: the analytic routes' observables run without scipy.
+"""What each command imports: the analytic routes run without scipy.
 
 The checks run in fresh interpreters, because this test session has long
 since imported every module.
@@ -67,6 +67,20 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert _python(code, tmp_path).strip().splitlines()[-1] == "[]"
 
 
+def test_hitemp_populations_load_no_scipy(tmp_path):
+    """The hitemp populations are cumulative moment ratios, with no log n!:
+    ``stats --model hitemp`` and figure 3 import no scipy."""
+    code = f"""
+import contextlib, io
+from phonon_stats.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["stats", "--C", "1", "--n-th", "1e4", "--model", "hitemp"]) == 0
+    assert main(["figure", "3", "--out", {str(tmp_path)!r}]) == 0
+{_LOADED_SCIPY}
+"""
+    assert _python(code, tmp_path).strip().splitlines()[-1] == "[]"
+
+
 def test_hitemp_and_oracle_stats_load_their_modules(tmp_path):
     code = """
 import contextlib, io, json, sys
@@ -86,8 +100,8 @@ print(json.dumps(out))
     assert hot["rc"] == 0 and oracle["rc"] == 0
     assert hot["report"]["params"]["model"] == "hitemp"
     assert oracle["report"]["params"]["model"] == "oracle-reduced"
-    assert hot["loaded"] == ["scipy.special"]
-    assert oracle["loaded"] == ["scipy.sparse.linalg", "scipy.special"]
+    assert hot["loaded"] == []
+    assert oracle["loaded"] == ["scipy.sparse.linalg"]
     assert 0.0 < hot["report"]["n_ss"] and 0.0 < oracle["report"]["n_ss"]
 
 

@@ -179,6 +179,32 @@ def test_reduced_matches_analytic():
     assert rep.g2 == pytest.approx(0.58227906174382116, rel=1e-9)
 
 
+@pytest.mark.parametrize("C, n_th, d, flux", [
+    (0.1, 5.0, 16, 8.062837e-2),
+    (0.1, 5.0, 32, 5.835054e-6),
+    (0.1, 5.0, 64, None),
+    (0.1, 1e2, 128, 1.471496e-4),
+    (0.1, 1e2, 256, None),
+    (1.0, 1.0, 16, 1.0525e-13),
+    (10.0, 0.5, 8, 9.4376e-12),
+])
+def test_reduced_rungs_break_the_balance_by_their_top_flux(C, n_th, d, flux):
+    """At every rung, n_th - n_ss - 2C n_ss^2 g2 = n_th d P_{d-1}: the
+    first-moment balance misses exactly the upward flux out of the top
+    level. Both sides are roundoff at converged rungs (flux None), so the
+    identity is checked in absolute form, to 3e-14 n_th (measured: at most
+    1.7e-14 n_th, at (0.1, 1e2), d = 256); elsewhere the flux is pinned
+    to its measured value."""
+    rep = observables(steady_state(build_reduced_liouvillian(C, n_th, TruncationSpec(d))))
+    defect = n_th - rep.n_ss - 2.0 * C * rep.n_ss**2 * rep.g2
+    top_flux = n_th * d * rep.populations[d - 1]
+    assert abs(defect - top_flux) <= 3e-14 * n_th
+    if flux is None:
+        assert top_flux <= 1e-17 * n_th
+    else:
+        assert top_flux == pytest.approx(flux, rel=1e-4)
+
+
 def test_coherent_point_statistics():
     # C = 2 n_th + 1 = 41: Poissonian steady state, Fano factor 1
     sup = build_reduced_liouvillian(41.0, 20.0, TruncationSpec(dim_mech=80))
