@@ -57,9 +57,9 @@ share that block:
 * GMRES preconditioned by the generator's non-jump part, inverted in its
   eigenbasis (Nation, arXiv:1504.06768, reviews such solvers), whose
   entries on the sector are weighed from the cache like the block. It
-  runs where the sector holds more than d^1.5 entries and the generator
-  is a builder's: the pre-RWA parity sector (n = d^2/2), whose 4-D
-  lattice sparse LU fills almost densely. Measured on 2 vCPUs at C = 4,
+  runs where the sector holds more than d^1.5 entries: the pre-RWA
+  parity sector (n = d^2/2), whose 4-D lattice sparse LU fills almost
+  densely. Measured on 2 vCPUs at C = 4,
   n_th = 0.2, GMRES against LU: 6 against 8 ms at 3x8, 10-11 against
   218-246 ms at 4x16, 22 against 551-604 ms at 5x16, and 0.14 s against
   7.3 s (504 MiB peak) at 5x32; 15 to 33 iterations for C in [0.1, 50]
@@ -75,9 +75,8 @@ model's blocks are its diagonal entries) up to a small floor and kept as
 ``min_eigenvalue``, only blocks with a negative eigenvalue are repaired,
 and the residual against the sector block is checked before anything is
 reported. That residual equals the whole generator's because the charge
-is checked to close its sector (L[S^c, S] = 0) once, where the block is
-formed: in the builders' cache, or when a hand-built generator's block is
-sliced from its matrix.
+is checked to close its sector (L[S^c, S] = 0) once, where the builders'
+cache forms the unit parts (:func:`_unit_parts`).
 
 The ladders of many points climb together (:func:`_climb`, behind a grid
 command's oracle points; a fixed truncation is a ladder that accepts its
@@ -98,6 +97,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -152,16 +152,23 @@ _KRYLOV_CYCLES = 5
 @dataclass(frozen=True)
 class TruncationSpec:
     """Hilbert-space cutoffs: ``dim_mech`` Fock levels, ``dim_cav`` for the
-    cavity (1 = no cavity slot)."""
+    cavity (1 = no cavity slot). Each is an integer, as ``operator.index``
+    takes it (a float, even an integral one, is refused), and kept as an
+    ``int``."""
 
     dim_mech: int
     dim_cav: int = 1
 
     def __post_init__(self) -> None:
-        if self.dim_mech < 2:
-            raise DomainError(f"dim_mech must be >= 2, got {self.dim_mech}")
-        if self.dim_cav < 1:
-            raise DomainError(f"dim_cav must be >= 1, got {self.dim_cav}")
+        for name, least in (("dim_mech", 2), ("dim_cav", 1)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError as exc:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -170,68 +177,57 @@ class TruncationSpec:
 
 @dataclass(eq=False)
 class Superoperator:
-    """Sparse Liouvillian acting on vec(rho), dims = (dim_cav, dim_mech).
+    """Sparse Liouvillian acting on vec(rho), dims = (dim_cav, dim_mech), as
+    a builder makes it (:func:`_assemble`).
 
     ``charge`` declares a weak symmetry: one integer label per basis state
     such that the sector S = {(i, j) : charge_i == charge_j} of vec(rho) is
     closed under L, and so is its complement. S holds the diagonal, so the
-    steady state lies in it. ``charge=None`` makes S every entry.
+    steady state lies in it.
 
-    ``h`` and ``jumps`` are the generator's factors, the Hamiltonian and
-    the (o_k, rate_k) pairs that :func:`_liouvillian` turns into
-    ``matrix``. A generator without jumps carries no factors. The builders
-    pass ``matrix=None``: they keep only their coefficients, and the block
-    L[S, S] that the solve reads is assembled from the cached unit parts
-    when first needed (for a whole rung of a ladder batch at once, see
-    :func:`_solve_batch`), as is the Krylov solve's preconditioner. A
-    build's ``h`` = sum_k c_k t_k is formed from its coefficients when
-    first read, and ``matrix`` from the factors when first read; no solve
-    reads either. Their jump operators are shared with their cache and are
-    read-only.
+    A build keeps only its model's cached unit parts and its coefficients.
+    The block L[S, S] that the solve reads is assembled from them when
+    first needed (for a whole rung of a ladder batch at once, see
+    :func:`_solve_batch`), as is the Krylov solve's preconditioner. The
+    read-only views ``charge`` (its layout's), ``jumps`` (the (o_k, rate_k)
+    pairs), ``h`` (the Hamiltonian sum_k c_k t_k, None without terms) and
+    ``matrix`` (the whole d^2 x d^2 generator, the reference the solve
+    never forms) are formed from them when first read; no solve reads
+    them. Their operators are shared with the cache and are read-only.
     """
 
     dims: tuple[int, int]
-    matrix: sp.csr_matrix | None = field(repr=False)
-    charge: np.ndarray | None = None
-    # a factory, not a default, so that the class holds no ``h`` and a
-    # build's is formed by __getattr__ when first read
-    h: sp.csr_matrix | None = field(default_factory=lambda: None)
-    jumps: tuple = ()
-    # (pattern, data) of L[S, S]; see _sector_data
-    _block: tuple | None = field(default=None, init=False, repr=False)
-    # a builder's (unit parts, coefficients), from which _block is assembled
-    _parts: tuple | None = field(default=None, init=False, repr=False)
+    # the builder's (unit parts, coefficients), from which L[S, S] is assembled
+    _parts: tuple = field(repr=False)
     # the solved state, or the error of its solve, until steady_state takes it
     _state: object = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.charge is not None and np.shape(self.charge) != (self.dim,):
-            raise DomainError(f"charge needs one integer per basis state, {self.dim} in all")
-        if self.matrix is None:
-            if not self.jumps:
-                raise DomainError("a generator needs its matrix or its jump operators")
-            del self.matrix  # formed by __getattr__ when first read
+    @property
+    def charge(self) -> np.ndarray:
+        return self._parts[0].pattern.layout.charge
 
-    def __getattr__(self, name: str):
-        # reached only for attributes not set: ``matrix``, and a build's ``h``
-        if name == "matrix":
-            self.matrix = _liouvillian(self.h, self.jumps)
-            return self.matrix
-        if name != "h" or self._parts is None:
-            raise AttributeError(name)
+    @functools.cached_property
+    def jumps(self) -> tuple:
         parts, coefs = self._parts
-        count = len(parts.jumps)
-        self.h = sum(c * t for c, t in zip(coefs[count:], parts.terms)) if parts.terms else None
-        return self.h
+        return tuple(zip(parts.jumps, (float(c) for c in coefs[: len(parts.jumps)])))
+
+    @functools.cached_property
+    def h(self) -> sp.csr_matrix | None:
+        parts, coefs = self._parts
+        terms = zip(coefs[len(parts.jumps) :], parts.terms)
+        return sum(c * t for c, t in terms) if parts.terms else None
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return _liouvillian(self.h, self.jumps)
 
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
 
     def sector(self) -> np.ndarray:
-        """Ascending vec(rho) indices (column stacking) of the sector S;
-        every index when no charge is declared."""
-        return _sector(self.charge, self.dim)
+        """Ascending vec(rho) indices (column stacking) of the sector S."""
+        return self._parts[0].pattern.layout.sector
 
     def trace_defect(self) -> float:
         """max_j |sum_i <i| L applied to basis unit |j>| traced, over the
@@ -245,38 +241,17 @@ class Superoperator:
         return float(np.max(np.abs(defect)))
 
     def _sector_data(self) -> tuple[_Pattern, np.ndarray]:
-        """The :class:`_Pattern` of the block L[S, S] and its data.
-
-        A builder's block is assembled from its cache (:func:`_fill`). A
-        hand-built generator's block is sliced from ``matrix`` here, once,
-        after the check that L maps no entry of S outside it
-        (L[S^c, S] = 0): a charge that fails it raises :class:`DomainError`.
-        """
-        if self._block is None and self._parts is not None:
-            _fill([self])
-        elif self._block is None:
-            d = self.dim
-            sector = self.sector()
-            L = self.matrix.tocsr()
-            outside = np.ones(d * d, dtype=bool)
-            outside[sector] = False
-            if L[outside][:, sector].count_nonzero():
-                raise DomainError(
-                    "the declared charge does not close its sector: "
-                    "L maps entries of S outside it"
-                )
-            block = L[sector][:, sector]
-            block.sum_duplicates()
-            lay = _layout(self.charge, d, sector)
-            self._block = (_pattern(lay, block.indices, block.indptr), block.data)
-        return self._block
+        """The :class:`_Pattern` of the block L[S, S] and its data, assembled
+        from the cache (:func:`_weigh`) in an array of its own."""
+        parts, coefs = self._parts
+        return parts.pattern, _weigh(parts.jump_w, parts.term_w, coefs[None])[0]
 
     def _sector_block(self) -> tuple[_Layout, sp.csr_matrix]:
         """The :class:`_Layout` of the charge and the block L[S, S], in
         arrays of its own (the cache stays untouched)."""
         pattern, data = self._sector_data()
         n = pattern.layout.sector.size
-        arrays = (data.copy(), pattern.indices.copy(), pattern.indptr.copy())
+        arrays = (data, pattern.indices.copy(), pattern.indptr.copy())
         return pattern.layout, sp.csr_matrix(arrays, shape=(n, n))
 
 
@@ -291,7 +266,7 @@ class _Layout:
     one per (model, dims); its arrays are read-only.
     """
 
-    charge: np.ndarray | None
+    charge: np.ndarray
     sector: np.ndarray
     diag: np.ndarray
     mirror: np.ndarray
@@ -429,28 +404,22 @@ def _liouvillian(h: sp.spmatrix | None, jumps) -> sp.csr_matrix:
     return out.tocsr()
 
 
-def _sector(charge, d: int) -> np.ndarray:
-    """Ascending vec(rho) indices of S = {(i, j) : charge_i == charge_j};
-    every index for ``charge=None``."""
-    if charge is None:
-        return np.arange(d * d)
+def _sector(charge: np.ndarray, d: int) -> np.ndarray:
+    """Ascending vec(rho) indices of S = {(i, j) : charge_i == charge_j}."""
     # pairs within each charge block, so nothing of size d^2 is formed
     keys = [(idx[:, None, :] * d + idx[:, :, None]).ravel() for idx in _blocks(charge, d)]
     return np.sort(np.concatenate(keys))
 
 
-def _blocks(charge, d: int) -> list[np.ndarray]:
+def _blocks(charge: np.ndarray, d: int) -> list[np.ndarray]:
     """Basis indices of the charge blocks, grouped by block size: one (k, m)
-    array per size m, one row per block. With no charge the whole basis is
-    one block."""
-    if charge is None:
-        return [np.arange(d)[None, :]]
+    array per size m, one row per block."""
     order = np.argsort(charge, kind="stable")
     _, starts, sizes = np.unique(charge[order], return_index=True, return_counts=True)
     return [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
 
 
-def _layout(charge, d: int, sector: np.ndarray) -> _Layout:
+def _layout(charge: np.ndarray, d: int, sector: np.ndarray) -> _Layout:
     """The :class:`_Layout` of ``charge`` at dimension ``d``, given its
     ``sector``."""
     diag = np.searchsorted(sector, np.arange(d) * (d + 1))
@@ -629,17 +598,11 @@ def _unit_parts(model: str, dims: tuple[int, int]):
 
 
 def _assemble(model: str, dims: tuple[int, int], coefs) -> Superoperator:
-    """sum_k coefs[k] G_k[S, S] with its factors: the leading coefs are the
-    jump rates, the rest weigh the Hamiltonian terms. Only the coefficients
-    are kept; :func:`_fill` assembles the block from them, and ``h`` is
-    formed from them when first read."""
-    parts = _unit_parts(model, dims)
-    rates = [float(c) for c in coefs[: len(parts.jumps)]]
-    sup = Superoperator(dims, None, parts.pattern.layout.charge,
-                        jumps=tuple(zip(parts.jumps, rates)))
-    sup._parts = (parts, np.asarray(coefs, dtype=np.float64))
-    del sup.h  # formed by __getattr__ when first read
-    return sup
+    """sum_k coefs[k] G_k[S, S]: the leading coefs are the jump rates, the
+    rest weigh the Hamiltonian terms. Only the coefficients are kept; the
+    solve assembles the block from them (:func:`_weigh`), and the views of
+    :class:`Superoperator` are formed from them when first read."""
+    return Superoperator(dims, (_unit_parts(model, dims), np.asarray(coefs, dtype=np.float64)))
 
 
 def _weigh(jump_w, term_w, coefs: np.ndarray) -> np.ndarray:
@@ -652,16 +615,6 @@ def _weigh(jump_w, term_w, coefs: np.ndarray) -> np.ndarray:
         real, data = data, np.empty(data.shape, dtype=complex)
         data.real, data.imag = real, (term_w @ coefs[:, count:].T).T
     return data
-
-
-def _fill(sups) -> None:
-    """Assemble the blocks L[S, S] of builder generators of one model and
-    truncation, in arrays of their own (the cache stays untouched): their
-    coefficient rows times the cached weights, in one product."""
-    parts = sups[0]._parts[0]
-    data = _weigh(parts.jump_w, parts.term_w, np.array([sup._parts[1] for sup in sups]))
-    for sup, row in zip(sups, data):
-        sup._block = (parts.pattern, row)
 
 
 def _check_finite(**params: float) -> None:
@@ -926,16 +879,20 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.array([row.sum() for row in x])
 
 
-def _solve_group(pattern: _Pattern, group: list) -> list:
-    """The steady states of the generators in ``group``, whose blocks share
-    ``pattern``: per generator its :class:`DensityMatrix` or the package
-    error of its own solve (see :func:`steady_state` for the checks)."""
+def _solve_group(parts: _Parts, group: list) -> list:
+    """The steady states of the generators in ``group``, builds on the unit
+    parts ``parts``: per generator its :class:`DensityMatrix` or the package
+    error of its own solve (see :func:`steady_state` for the checks). Their
+    blocks L[S, S] are assembled in one product, their coefficient rows
+    times the cached weights, in arrays of their own (the cache stays
+    untouched)."""
+    pattern = parts.pattern
     lay = pattern.layout
     count, n = len(group), lay.sector.size
-    data = np.stack([sup._block[1] for sup in group]) if count > 1 else group[0]._block[1][None]
+    data = _weigh(parts.jump_w, parts.term_w, np.array([sup._parts[1] for sup in group]))
     out: list = [None] * count
     iterations = [None] * count
-    if group[0]._parts is not None and _krylov_pays(n, group[0].dim):
+    if _krylov_pays(n, group[0].dim):
         sol = np.zeros((count, n), dtype=complex)
         for p, sup in enumerate(group):
             block = _stacked(pattern.indices, pattern.indptr, data[p : p + 1], sp.csr_matrix)
@@ -1006,54 +963,41 @@ def _solve_batch(sups) -> None:
     generator its :class:`DensityMatrix`, or the package error of its own
     solve, for :func:`steady_state` to take.
 
-    Generators whose blocks share a :class:`_Pattern` (a builder's model
-    and dims; a hand-built generator has its own) form one group, solved
-    by :func:`_solve_group` in parts: its LU systems as block-diagonal
-    systems of up to ``_BATCH_UNKNOWNS`` unknowns (:func:`_sector_lu`),
-    factored again one by one where that fails, so that only a failing
-    system carries its :class:`SingularSystem`; its Krylov systems one at
-    a time. A part's builder blocks are assembled in one product
-    (:func:`_fill`) and dropped once it is solved (they are assembled
-    again if read), so a rung level holds the blocks of one part at a time.
+    Generators of one model and dims share their cached unit parts and
+    the :class:`_Pattern` of their blocks, and form one group, solved by
+    :func:`_solve_group` in parts: its LU systems as block-diagonal systems
+    of up to ``_BATCH_UNKNOWNS`` unknowns (:func:`_sector_lu`), factored
+    again one by one where that fails, so that only a failing system
+    carries its :class:`SingularSystem`; its Krylov systems one at a time.
+    A part's blocks are assembled when it is solved and dropped after, so
+    a rung level holds the blocks of one part at a time.
     """
-    groups: dict[int, tuple] = {}
+    groups: dict[int, list] = {}
     for sup in sups:
-        try:
-            pattern = sup._parts[0].pattern if sup._parts is not None else sup._sector_data()[0]
-        except DomainError as exc:
-            sup._state = exc
-            continue
-        groups.setdefault(id(pattern), (pattern, []))[1].append(sup)
-    for pattern, group in groups.values():
-        n = pattern.layout.sector.size
-        krylov = group[0]._parts is not None and _krylov_pays(n, group[0].dim)
-        size = 1 if krylov else max(1, _BATCH_UNKNOWNS // n)
+        groups.setdefault(id(sup._parts[0]), []).append(sup)
+    for group in groups.values():
+        parts = group[0]._parts[0]
+        n = parts.pattern.layout.sector.size
+        size = 1 if _krylov_pays(n, group[0].dim) else max(1, _BATCH_UNKNOWNS // n)
         for start in range(0, len(group), size):
             part = group[start : start + size]
-            built = [sup for sup in part if sup._parts is not None]
-            if built:
-                _fill(built)
-            for sup, state in zip(part, _solve_group(pattern, part)):
+            for sup, state in zip(part, _solve_group(parts, part)):
                 sup._state = state
-            for sup in built:
-                sup._block = None
 
 
 def steady_state(sup: Superoperator) -> DensityMatrix:
-    """Null vector of the generator in its declared sector, normalized to
-    unit trace.
+    """Null vector of a builder's generator in its declared sector,
+    normalized to unit trace.
 
     Only the block L[S, S] of the sector S (see :class:`Superoperator`) is
-    read, built and hand-built generators alike, and it is solved in one of
-    two ways chosen by its size n against the Hilbert dimension d:
+    read, and it is solved in one of two ways chosen by its size n against
+    the Hilbert dimension d:
 
     * sparse LU of L[S, S] in the generator's own dtype (so a real
       generator takes a real factorization), pinned by rho[0, 0] = 1
       (:func:`_sector_lu`);
-    * where :func:`_krylov_pays` and the generator is a builder's, GMRES
-      preconditioned by the generator's own non-jump part, weighed from
-      the builder's cache (:func:`_krylov`). Hand-built generators always
-      take the LU.
+    * where :func:`_krylov_pays`, GMRES preconditioned by the generator's
+      own non-jump part, weighed from the builder's cache (:func:`_krylov`).
 
     The LU's pin assumes the steady state populates the vacuum, rho[0, 0]
     > 0; where it does not, the pinned system is singular and
@@ -1065,19 +1009,18 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
     The solution stays its sector entries, hermitized, normalized and
     checked for positivity per charge block (:func:`_positive_part`), which
     sets ``min_eigenvalue``; the residual is L[S, S] times them. The
-    declared charge is checked once, where the block is formed (the
-    builders' cache, or the slice of a hand-built ``matrix``): L maps no
-    entry of S outside it, so that residual is the whole generator's.
-    ||L[S, S]||_inf takes the rows of S only; their sums are the whole
-    generator's (L[S, S^c] = 0), so the norm is at most the whole one and
-    can only tighten the gate. Raises
-    :class:`DomainError` for a charge that does not close its sector,
+    declared charge is checked once, where the builders' cache forms the
+    unit parts: L maps no entry of S outside it, so that residual is the
+    whole generator's. ||L[S, S]||_inf takes the rows of S only; their
+    sums are the whole generator's (L[S, S^c] = 0), so the norm is at most
+    the whole one and can only tighten the gate. Raises
     :class:`SingularSystem` when the factorization degenerates, GMRES does
-    not converge or the residual exceeds ``1e-10 ||L[S, S]||_inf`` (e.g. a
-    generator with multiple steady states), and :class:`UnphysicalState`
-    when an eigenvalue falls below -1e-8. A second steady state outside
-    the sector goes unseen, so only generators whose symmetry is known
-    declare a charge.
+    not converge, the solution is not finite or has vanishing trace, or
+    the residual exceeds ``1e-10 ||L[S, S]||_inf`` (e.g. a generator with
+    multiple steady states), and :class:`UnphysicalState` when an
+    eigenvalue falls below -1e-8. A second steady state outside the sector
+    goes unseen, so each builder declares only a charge whose symmetry it
+    knows.
 
     This is the batch of one of :func:`_solve_batch`, which solves a whole
     rung of generators together and leaves each its state: a generator

@@ -10,9 +10,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
 
 from phonon_stats import exact, lindblad
-from phonon_stats.errors import BudgetExceeded, DomainError, SingularSystem
+from phonon_stats.errors import BudgetExceeded, DomainError, SingularSystem, UnphysicalState
 from phonon_stats.lindblad import (
-    Superoperator,
     TruncationSpec,
     build_prerwa_liouvillian,
     build_reduced_liouvillian,
@@ -48,6 +47,16 @@ def test_truncation_spec():
         TruncationSpec(dim_mech=1)
     with pytest.raises(DomainError):
         TruncationSpec(dim_mech=8, dim_cav=0)
+    assert TruncationSpec(np.int64(8), np.int64(2)) == TruncationSpec(8, 2)
+    assert type(TruncationSpec(np.int64(8)).dim_mech) is int
+
+
+@pytest.mark.parametrize("field", ["dim_mech", "dim_cav"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 8.5, 8.0, "8", None])
+def test_truncation_spec_refuses_a_non_integral_dimension(field, bad):
+    # what operator.index refuses; nan and inf once reached np.arange
+    with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+        TruncationSpec(**{"dim_mech": 8, "dim_cav": 2, field: bad})
 
 
 def _inf_norm(sup):
@@ -241,23 +250,11 @@ def test_cavity_empties_with_faster_decay():
 
 
 def test_degenerate_kernel_raises():
-    # a bare two-phonon drain leaves span{|0>, |1>} dark: the stationary
-    # state is not unique and the solver must refuse rather than pick one,
-    # also when the degeneracy lies inside the declared sector
-    b = lindblad._destroy(6)
-    matrix = lindblad._liouvillian(None, [(b @ b, 1.0)])
-    for charge in (None, np.arange(6)):
-        with pytest.raises(SingularSystem):
-            steady_state(Superoperator((1, 6), matrix, charge=charge))
-
-
-def test_sigma_x_dephasing_without_charge_raises():
-    # D[sigma_x] keeps I/2 and the traceless sigma_x: with no charge the
-    # whole space is solved and the second steady state is seen
-    sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    sup = Superoperator((1, 2), lindblad._liouvillian(None, [(sx, 1.0)]))
-    with pytest.raises(SingularSystem):
-        steady_state(sup)
+    # a bare two-phonon drain leaves span{|0>, |1>} dark, inside the
+    # declared sector: the stationary state is not unique and the solver
+    # must refuse rather than pick one
+    with pytest.raises(SingularSystem, match="exactly singular"):
+        steady_state(lindblad._assemble("reduced", (1, 6), (1.0, 0.0, 0.0)))
 
 
 def _sector_cases():
@@ -278,7 +275,6 @@ def _sector_cases():
 def test_builders_declare_a_closed_sector():
     # L never couples the steady state's sector S to its complement
     for sup in _sector_cases():
-        assert sup.charge is not None
         inside = np.zeros(sup.dim**2, dtype=bool)
         inside[sup.sector()] = True
         L = sup.matrix.tocsr()
@@ -378,40 +374,40 @@ def test_sector_lu_matches_refined_solution():
 def test_empty_vacuum_raises():
     # pure pumping drives every state to |3><3|: rho[0, 0] = 0 leaves the
     # LU's pin rho[0, 0] = 1 without a solution
-    b = lindblad._destroy(4)
-    matrix = lindblad._liouvillian(None, [(b.T.tocsr(), 1.0)])
-    for charge in (None, np.arange(4)):
-        with pytest.raises(SingularSystem):
-            steady_state(Superoperator((1, 4), matrix, charge=charge))
+    with pytest.raises(SingularSystem, match="exactly singular"):
+        steady_state(lindblad._assemble("reduced", (1, 4), (0.0, 1.0, 0.0)))
 
 
 def test_charge_that_does_not_close_its_sector_raises():
     # -i[sigma_x, rho] moves populations into coherences: charge [0, 1]
-    # declares a sector (the diagonal) that L leaves
+    # declares a sector (the diagonal) that L leaves, and the builders'
+    # cache refuses that pair of factors when it pairs them
     sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     charge = np.array([0, 1])
-    sup = Superoperator((1, 2), lindblad._liouvillian(sx, []), charge=charge)
-    with pytest.raises(DomainError, match="does not close"):
-        steady_state(sup)
-    # the builders' cache refuses the same pair of factors when it pairs them
     eye = sp.identity(2, format="csr")
     with pytest.raises(DomainError, match="does not close"):
-        lindblad._sector_kron(eye, -1j * sx, charge, sup.sector())
+        lindblad._sector_kron(eye, -1j * sx, charge, lindblad._sector(charge, 2))
 
 
-def _plain(sup, **changes):
-    """``sup`` without its factors, so it always takes the LU."""
-    return dataclasses.replace(sup, h=None, jumps=(), **changes)
+def _full_solve(sup):
+    """The steady state of the whole d^2 x d^2 generator ``sup.matrix`` as a
+    d x d array: row 0 (the equation of rho[0, 0]) replaced by the pin
+    rho[0, 0] = 1, solved by SuperLU, hermitized and normalized. It shares
+    no code with the sector solve."""
+    d = sup.dim
+    pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, d * d))
+    system = sp.vstack([pin, sup.matrix[1:]], format="csc")
+    rhs = np.zeros(d * d, dtype=system.dtype)
+    rhs[0] = 1.0
+    rho = spsolve(system, rhs).reshape(d, d, order="F")  # column stacking
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 def _gap(state, full):
-    """max |state - full| over every entry of rho, where ``full`` was solved
-    with no charge (its entries are all of vec(rho)) and ``state`` is zero
-    outside its sector."""
-    gap = np.abs(full.values)
-    sector = state.layout.sector
-    gap[sector] = np.abs(full.values[sector] - state.values)
-    return gap.max()
+    """max |state - full| over every entry of rho, where ``full`` is a
+    :func:`_full_solve` and ``state`` is zero outside its sector."""
+    return np.abs(_dense(state) - full).max()
 
 
 def _dense(state):
@@ -428,11 +424,13 @@ def test_sector_solve_matches_full_solve():
     krylov = 0
     for sup in _sector_cases():
         n, d = sup.sector().size, sup.dim
-        full = steady_state(_plain(sup, charge=None))
-        sector = steady_state(_plain(sup))
+        full = _full_solve(sup)
         chosen = steady_state(sup)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lindblad, "_krylov_pays", lambda n, d: False)
+            sector = steady_state(sup)
         assert n < d**2
-        assert sector.solver == full.solver == "sector-lu"
+        assert sector.solver == "sector-lu"
         assert chosen.solver == ("krylov" if n > d**1.5 else "sector-lu")
         krylov += chosen.solver == "krylov"
         assert _gap(sector, full) <= 1e-12
@@ -456,8 +454,8 @@ def test_krylov_solve_matches_full_lu_at_4x16():
     for sup in (_prerwa(4.0, 0.2, trunc), _prerwa(4.0, 0.2, trunc, flag=True),
                 _prerwa(0.1, 0.0, trunc)):
         state = steady_state(sup)
-        full = steady_state(_plain(sup, charge=None))
-        assert state.solver == "krylov" and full.solver == "sector-lu"
+        full = _full_solve(sup)
+        assert state.solver == "krylov"
         assert 0 < state.iterations <= 40
         assert state.residual <= 1e-14
         assert _gap(state, full) <= 1e-9
@@ -473,7 +471,7 @@ def test_krylov_solve_at_zero_temperature(monkeypatch):
         _prerwa(3.0, 0.0, two_mode),
     ):
         state = steady_state(sup)
-        full = steady_state(_plain(sup, charge=None))
+        full = _full_solve(sup)
         assert state.solver == "krylov"
         assert _gap(state, full) <= 1e-9
 
@@ -533,10 +531,6 @@ def test_block_min_eigenvalue_matches_dense():
 def test_reduced_sector_is_the_diagonal_and_stays_real():
     sup = build_reduced_liouvillian(3.0, 1.0, TruncationSpec(dim_mech=12))
     assert np.array_equal(sup.sector(), np.arange(12) * 13)
-    with pytest.raises(DomainError):
-        Superoperator(sup.dims, sup.matrix, charge=np.arange(11))
-    with pytest.raises(DomainError):
-        Superoperator(sup.dims, None)  # neither a matrix nor factors to form it
     state = steady_state(sup)
     assert state.values.dtype == np.float64
     assert np.array_equal(state.layout.sector, sup.sector())
@@ -721,6 +715,42 @@ def test_failed_batch_factorization_is_refactored_system_by_system():
     assert np.array_equal(steady_state(sound).values, alone.values)
 
 
+@pytest.mark.parametrize("corrupt, error, match", [
+    (lambda x: np.where(np.arange(x.size) == 5, np.nan, x),
+     SingularSystem, "non-finite entries"),
+    (np.zeros_like, SingularSystem, "vanishing trace"),
+    (lambda x: np.where(np.arange(x.size) == 5, -0.1 * x.sum(), x),
+     UnphysicalState, r"eigenvalue -1\.\d+e-01 below -1e-08"),
+    (lambda x: x * (1.0 + 1e-3 * np.random.default_rng(0).random(x.size)),
+     SingularSystem, r"residual .* exceeds 1e-10 \* \|\|L\[S, S\]\|\|_inf"),
+], ids=["nan", "zero", "negative", "residual"])
+def test_solve_gates_refuse_only_their_own_point(monkeypatch, corrupt, error, match):
+    """Each per-point gate of the solve's tail (finite entries, nonvanishing
+    trace, the eigenvalue floor, the residual) refuses the middle system of
+    a batch of three whose LU solution is corrupted, with its own error;
+    the outer two equal their lone solves bit for bit."""
+    points = [(1.0, 1.0), (3.0, 0.5), (10.0, 2.0)]
+    alone = [steady_state(build_reduced_liouvillian(C, n_th, TruncationSpec(32)))
+             for C, n_th in points]
+    solve = lindblad._sector_lu
+
+    def corrupted(pattern, data):
+        x = solve(pattern, data)
+        assert x.shape[0] == 3
+        x[1] = corrupt(x[1])
+        return x
+
+    monkeypatch.setattr(lindblad, "_sector_lu", corrupted)
+    sups = [build_reduced_liouvillian(C, n_th, TruncationSpec(32)) for C, n_th in points]
+    lindblad._solve_batch(sups)
+    with pytest.raises(error, match=match):
+        steady_state(sups[1])
+    for sup, want in zip(sups[::2], alone[::2]):
+        got = steady_state(sup)
+        assert np.array_equal(got.values, want.values)
+        assert (got.residual, got.min_eigenvalue) == (want.residual, want.min_eigenvalue)
+
+
 def _mmd_ata_solve(sup):
     """The pinned system of ``sup`` formed from its block (the row of
     rho[0, 0] replaced by e_0^T, in CSC) and solved alone by SuperLU's
@@ -737,16 +767,12 @@ def _mmd_ata_solve(sup):
 def test_cached_order_solve_equals_the_mmd_ata_solve():
     """The pinned LU in the column order cached with its pattern equals
     SuperLU's own MMD_ATA solve bit for bit: real (reduced) and complex
-    (RWA) builds, and hand-built generators with and without a charge."""
-    b = lindblad._destroy(12)
-    matrix = lindblad._liouvillian(None, [(b @ b, 2.0), (b.T, 0.5), (b, 1.5)])
+    (RWA) builds, whose pinned patterns hold their whole diagonal."""
     cases = [
         build_reduced_liouvillian(1.0, 3.0, TruncationSpec(64)),
         build_reduced_liouvillian(3.0, 0.0, TruncationSpec(16)),
         build_two_mode_rwa_liouvillian(math.sqrt(400.0), 400.0, 1.0, 0.2, TruncationSpec(32, 4)),
         build_two_mode_rwa_liouvillian(math.sqrt(7.5), 10.0, 1.0, 0.0, TruncationSpec(10, 3)),
-        Superoperator((1, 12), matrix),
-        Superoperator((1, 12), matrix, charge=np.arange(12)),
     ]
     for sup in cases:
         pattern, data = sup._sector_data()
@@ -754,8 +780,7 @@ def test_cached_order_solve_equals_the_mmd_ata_solve():
         system, want = _mmd_ata_solve(sup)
         assert got.dtype == want.dtype == data.dtype
         assert np.array_equal(got, want)
-        if sup._parts is not None:  # a builder's pinned pattern holds its diagonal
-            assert (abs(system).diagonal() > 0).all()
+        assert (abs(system).diagonal() > 0).all()
 
 
 def test_rung_solves_reuse_the_order_of_their_pattern(monkeypatch):
