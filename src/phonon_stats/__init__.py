@@ -34,7 +34,6 @@ from .errors import (
     FixedPointDiverged,
     NotConverged,
     PhononStatsError,
-    RecursionUnstable,
     SingularSystem,
     UnphysicalState,
 )

@@ -66,7 +66,7 @@ import numpy as np
 
 import phonon_stats as _pkg
 
-from . import exact
+from . import _kernels, exact
 from .errors import BudgetExceeded, DomainError, PhononStatsError
 from .params import ReducedParams
 from .report import SteadyStateReport
@@ -104,8 +104,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_range(text: str) -> list[float]:
-    """The values of a range ``lo:hi:steps:log|lin``, endpoints included."""
+def _parse_range(text: str, flag: str = "range") -> list[float]:
+    """The values of a range ``lo:hi:steps:log|lin``, endpoints included;
+    ``flag`` names it in errors. More steps than the package's term budget
+    are refused before anything is allocated."""
     parts = str(text).split(":")
     if len(parts) != 4:
         raise DomainError(f"range {text!r} is not of the form lo:hi:steps:log|lin")
@@ -118,6 +120,9 @@ def _parse_range(text: str) -> list[float]:
         raise DomainError(f"range spacing must be 'log' or 'lin', got {spacing!r}")
     if steps < 1:
         raise DomainError(f"range needs at least one step, got {steps}")
+    if steps > _kernels._MAX_TERMS:
+        raise DomainError(f"{flag} {text!r}: {steps} steps exceed the "
+                          f"{_kernels._MAX_TERMS}-point budget")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"range {text!r} has non-finite endpoints")
     if spacing == "log":
@@ -420,9 +425,10 @@ def _grid(cfg, what, *, c_default=None, nth_default=None) -> tuple[list[float], 
     (``--c-set``), the range (``--c-range``), the single point (``--C``).
     Failing those it takes the default, a value list or a range in the
     flags' syntax. An axis with neither, or with no values, is a DomainError
-    that names the flags.
+    that names the flags, and so is a grid of more points than the package's
+    term budget.
     """
-    axes = []
+    axes, used = [], []
     for dests, default in zip(_AXES, (c_default, nth_default)):
         set_dest, range_dest, point_dest = dests
         dest = next((d for d in dests if getattr(cfg, d, None) is not None), None)
@@ -430,15 +436,22 @@ def _grid(cfg, what, *, c_default=None, nth_default=None) -> tuple[list[float], 
             flags = ", ".join(_flag(d) for d in dests if hasattr(cfg, d))
             raise DomainError(f"{what} needs one of {flags}")
         text = default if dest is None else getattr(cfg, dest)
+        if dest is None:  # the default, in the syntax of a range or a value list
+            dest = range_dest if ":" in text else set_dest
         if dest == point_dest:
             values = [float(text)]
-        elif dest == range_dest or (dest is None and ":" in text):
-            values = _parse_range(text)
+        elif dest == range_dest:
+            values = _parse_range(text, _flag(dest))
         else:
             values = _parse_set(text)
         if not values:  # only a value list given by its flag can be empty
             raise DomainError(f"{what} grid is empty: {_flag(set_dest)} gives no values")
         axes.append(values)
+        used.append(_flag(dest))
+    if len(axes[0]) * len(axes[1]) > _kernels._MAX_TERMS:
+        raise DomainError(
+            f"{what} grid of {len(axes[0])} x {len(axes[1])} points ({' x '.join(used)}) "
+            f"exceeds the {_kernels._MAX_TERMS}-point budget")
     return axes[0], axes[1]
 
 
@@ -455,8 +468,11 @@ def _run_grid(cfg, model, c_values, nth_values, point=_point_observables):
     four per worker of an N-process pool. On an observables grid the
     exact-route points of a slice share one series kernel call.
     """
+    jobs = int(_get(cfg, "jobs", 1))
+    if jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {jobs}")
     tasks = [(C, n_th, model, cfg) for n_th in nth_values for C in c_values]
-    workers = min(int(_get(cfg, "jobs", 1)), len(tasks))
+    workers = min(jobs, len(tasks))
     if workers > 1:
         # four slices per worker, as pool.map cuts a task list by default, so
         # that points of uneven cost still spread over the workers

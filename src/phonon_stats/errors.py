@@ -32,14 +32,6 @@ class FixedPointDiverged(PhononStatsError):
     """The self-consistent photon-number iteration failed to converge."""
 
 
-class RecursionUnstable(PhononStatsError):
-    """Moment recursion lost positivity (catastrophic cancellation).
-
-    Kept for callers that catch it; nothing raises it since the upward
-    moment recursion runs only where its error bound admits it.
-    """
-
-
 class SingularSystem(PhononStatsError):
     """The steady-state linear system is singular or numerically degenerate.
 

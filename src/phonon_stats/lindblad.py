@@ -28,8 +28,11 @@ builders assemble only the sector block the solve reads (below). A
 builder's generator is linear in its rates and couplings, sum_k c_k G_k,
 so each unit part G_k (one unit-rate jump or one unit Hamiltonian term)
 is formed once per model and truncation, restricted to the sector, from
-the nonzeros of its Kronecker factors; a bounded cache keeps them, and a
-build only keeps its c_k, which weigh them where the block is assembled.
+the nonzeros of its Kronecker factors. A bounded cache keeps them in one
+read-only record per model and truncation (:class:`_Parts`), with all
+else a solve reads there; a build holds that record and its c_k, which
+weigh the parts where the block is assembled, and a solved state holds
+the record too.
 
 Each builder also declares a weak symmetry (Buca & Prosen, NJP 14, 073007
 (2012); Albert & Jiang, PRA 89, 022118 (2014)) as an integer charge per
@@ -185,36 +188,40 @@ class Superoperator:
     closed under L, and so is its complement. S holds the diagonal, so the
     steady state lies in it.
 
-    A build keeps only its model's cached unit parts and its coefficients.
-    The block L[S, S] that the solve reads is assembled from them when
-    first needed (for a whole rung of a ladder batch at once, see
-    :func:`_solve_batch`), as is the Krylov solve's preconditioner. The
-    read-only views ``charge`` (its layout's), ``jumps`` (the (o_k, rate_k)
-    pairs), ``h`` (the Hamiltonian sum_k c_k t_k, None without terms) and
-    ``matrix`` (the whole d^2 x d^2 generator, the reference the solve
-    never forms) are formed from them when first read; no solve reads
-    them. Their operators are shared with the cache and are read-only.
+    A build holds its model's cache record at its truncation (``parts``,
+    a :class:`_Parts`) and its coefficients ``coefs``. The block L[S, S]
+    that the solve reads is assembled from them when first needed (for a
+    whole rung of a ladder batch at once, see :func:`_solve_batch`), as is
+    the Krylov solve's preconditioner. The read-only views ``charge`` (the
+    record's), ``jumps`` (the (o_k, rate_k) pairs), ``h`` (the Hamiltonian
+    sum_k c_k t_k, None without terms) and ``matrix`` (the whole d^2 x d^2
+    generator, the reference the solve never forms) are formed from them
+    when first read; no solve reads them. Their operators are shared with
+    the cache and are read-only.
     """
 
-    dims: tuple[int, int]
-    # the builder's (unit parts, coefficients), from which L[S, S] is assembled
-    _parts: tuple = field(repr=False)
+    parts: _Parts = field(repr=False)
+    coefs: np.ndarray
     # the solved state, or the error of its solve, until steady_state takes it
     _state: object = field(default=None, init=False, repr=False)
 
     @property
+    def dims(self) -> tuple[int, int]:
+        return self.parts.dims
+
+    @property
     def charge(self) -> np.ndarray:
-        return self._parts[0].pattern.layout.charge
+        return self.parts.charge
 
     @functools.cached_property
     def jumps(self) -> tuple:
-        parts, coefs = self._parts
-        return tuple(zip(parts.jumps, (float(c) for c in coefs[: len(parts.jumps)])))
+        count = len(self.parts.jumps)
+        return tuple(zip(self.parts.jumps, (float(c) for c in self.coefs[:count])))
 
     @functools.cached_property
     def h(self) -> sp.csr_matrix | None:
-        parts, coefs = self._parts
-        terms = zip(coefs[len(parts.jumps) :], parts.terms)
+        parts = self.parts
+        terms = zip(self.coefs[len(parts.jumps) :], parts.terms)
         return sum(c * t for c, t in terms) if parts.terms else None
 
     @functools.cached_property
@@ -227,65 +234,79 @@ class Superoperator:
 
     def sector(self) -> np.ndarray:
         """Ascending vec(rho) indices (column stacking) of the sector S."""
-        return self._parts[0].pattern.layout.sector
+        return self.parts.sector
 
     def trace_defect(self) -> float:
         """max_j |sum_i <i| L applied to basis unit |j>| traced, over the
         sector block the solve reads (L maps the complement into itself,
         which holds no diagonal entry) — exactly 0 for any Lindblad
         generator, so this measures assembly error."""
-        lay, block = self._sector_block()
+        block = self._sector_block()
         trace_row = np.zeros(block.shape[0])
-        trace_row[lay.diag] = 1.0
+        trace_row[self.parts.diag] = 1.0
         defect = trace_row @ block
         return float(np.max(np.abs(defect)))
 
-    def _sector_data(self) -> tuple[_Pattern, np.ndarray]:
-        """The :class:`_Pattern` of the block L[S, S] and its data, assembled
+    def _sector_data(self) -> np.ndarray:
+        """The data of the block L[S, S] in the record's pattern, assembled
         from the cache (:func:`_weigh`) in an array of its own."""
-        parts, coefs = self._parts
-        return parts.pattern, _weigh(parts.jump_w, parts.term_w, coefs[None])[0]
+        return _weigh(self.parts.jump_w, self.parts.term_w, self.coefs[None])[0]
 
-    def _sector_block(self) -> tuple[_Layout, sp.csr_matrix]:
-        """The :class:`_Layout` of the charge and the block L[S, S], in
-        arrays of its own (the cache stays untouched)."""
-        pattern, data = self._sector_data()
-        n = pattern.layout.sector.size
-        arrays = (data, pattern.indices.copy(), pattern.indptr.copy())
-        return pattern.layout, sp.csr_matrix(arrays, shape=(n, n))
+    def _sector_block(self) -> sp.csr_matrix:
+        """The block L[S, S], in arrays of its own (the cache stays
+        untouched)."""
+        parts = self.parts
+        arrays = (self._sector_data(), parts.indices.copy(), parts.indptr.copy())
+        return sp.csr_matrix(arrays, shape=(parts.sector.size,) * 2)
+
+
+def _read_only(*values) -> tuple:
+    """Make every array in ``values`` refuse writes: ndarrays, the data,
+    indices and indptr of sparse matrices, and those in lists and tuples.
+    Returns ``values``."""
+    for value in values:
+        if isinstance(value, (list, tuple)):
+            _read_only(*value)
+        elif sp.issparse(value):
+            _read_only(value.data, value.indices, value.indptr)
+        elif isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True, eq=False)
-class _Layout:
-    """Where a charge puts the steady state's entries at one dimension d.
+class _Parts:
+    """The cache record of one (model, dims): everything a solve there
+    reads, shared by every build at those dims and every state solved from
+    one. Every array it holds or forms refuses writes.
 
-    ``sector`` holds S's ascending vec(rho) indices, ``diag`` the positions
+    ``jumps`` and ``terms`` are the unit-rate jump operators and the
+    unit-coupling Hamiltonian terms. ``charge`` is the charge per basis
+    state, ``sector`` S's ascending vec(rho) indices, ``diag`` the positions
     in S of rho's diagonal, ``mirror`` the position of each entry's
     transpose, ``block_pos`` those of the charge blocks' entries, one
-    (k, m, m) array per block size m (:func:`_blocks`). The builders keep
-    one per (model, dims); its arrays are read-only.
+    (k, m, m) array per block size m (:func:`_blocks`). ``indices`` and
+    ``indptr`` are the CSR pattern of L[S, S], ``starts`` the first entry of
+    each nonempty row (for ||L[S, S]||_inf). ``jump_w`` and ``term_w`` are
+    sparse float64 matrices, (nnz, J) and (nnz, K - J) (None without
+    terms): with the coefficients c, jump_w @ c[:J] gives the real part of
+    the data of sum_k c_k G_k[S, S] in that pattern and term_w @ c[J:] its
+    imaginary part (:func:`_weigh`).
     """
 
+    dims: tuple[int, int]
+    jumps: list
+    terms: list
     charge: np.ndarray
     sector: np.ndarray
     diag: np.ndarray
     mirror: np.ndarray
     block_pos: list
-
-
-@dataclass(frozen=True, eq=False)
-class _Pattern:
-    """The sparsity of a sector block L[S, S] and the plan of its pinned LU.
-
-    ``indices`` and ``indptr`` are the block's CSR pattern, ``starts`` the
-    first entry of each nonempty row (for ||L[S, S]||_inf). The builders
-    keep one per (model, dims); its arrays are read-only.
-    """
-
-    layout: _Layout
     indices: np.ndarray
     indptr: np.ndarray
     starts: np.ndarray
+    jump_w: sp.csr_matrix
+    term_w: sp.csr_matrix | None
 
     @functools.cached_property
     def pinned(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -326,21 +347,22 @@ class _Pattern:
         except RuntimeError as exc:
             raise SingularSystem(f"sparse solve failed: {exc}") from exc
         where = where[:, order]
-        plan = (where.indices.astype(np.intc), where.indptr.astype(np.intc),
-                where.data.astype(np.intc) - 1, order)
-        for arr in plan:
-            arr.flags.writeable = False
-        return plan
+        return _read_only(where.indices.astype(np.intc), where.indptr.astype(np.intc),
+                          where.data.astype(np.intc) - 1, order)
 
-
-def _pattern(lay: _Layout, indices: np.ndarray, indptr: np.ndarray) -> _Pattern:
-    """The :class:`_Pattern` of the block with CSR pattern (indices, indptr)
-    on the sector of ``lay``."""
-    pattern = _Pattern(lay, indices.astype(np.intc), indptr.astype(np.intc),
-                       indptr[:-1][np.diff(indptr) > 0].astype(np.intc))
-    for arr in (pattern.indices, pattern.indptr, pattern.starts):
-        arr.flags.writeable = False
-    return pattern
+    @functools.cached_property
+    def a_weights(self) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
+        """(jump_a, term_a), the split of ``jump_w`` and ``term_w`` for the
+        non-jump part A = -i h - (1/2) sum_k r_k o_k^dag o_k of a build's
+        generator, on the sector (:func:`_on_sector`): (n, J) with the
+        entries of -(1/2) o_k^dag o_k and (n, K - J) with those of -t_k, the
+        imaginary parts of -i t_k. The Krylov solve's preconditioner is
+        inverted in A's eigenbasis; formed on its first use, as the LU needs
+        none."""
+        d = self.charge.size
+        return _read_only(
+            _on_sector([-0.5 * (op.conj().T @ op) for op in self.jumps], self.sector, d),
+            _on_sector([-t for t in self.terms], self.sector, d))
 
 
 def _stacked(indices, indptr, data: np.ndarray, form):
@@ -361,8 +383,9 @@ def _stacked(indices, indptr, data: np.ndarray, form):
 @dataclass(eq=False)
 class DensityMatrix:
     """Solved steady state: ``values`` holds its sector entries rho_S in the
-    order of ``layout.sector`` (rho is zero outside S; ``layout`` places
-    its diagonal and charge blocks there too), ``residual`` is
+    order of ``parts.sector``, the cache record of the build it was solved
+    from (rho is zero outside S; ``parts`` places its diagonal and charge
+    blocks there too), ``residual`` is
     ||L[S, S] rho_S||_2 / ||L[S, S]||_inf (equal to the whole generator's,
     see :func:`steady_state`), ``min_eigenvalue`` the smallest eigenvalue
     before any positivity repair (the value checked against the floor),
@@ -370,12 +393,15 @@ class DensityMatrix:
     ``iterations`` the Krylov iteration count (None for the LU)."""
 
     values: np.ndarray
-    layout: _Layout
-    dims: tuple[int, int]
+    parts: _Parts = field(repr=False)
     residual: float
     min_eigenvalue: float
     solver: str = "sector-lu"
     iterations: int | None = None
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.parts.dims
 
 
 def _destroy(dim: int) -> sp.csr_matrix:
@@ -417,20 +443,6 @@ def _blocks(charge: np.ndarray, d: int) -> list[np.ndarray]:
     order = np.argsort(charge, kind="stable")
     _, starts, sizes = np.unique(charge[order], return_index=True, return_counts=True)
     return [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
-
-
-def _layout(charge: np.ndarray, d: int, sector: np.ndarray) -> _Layout:
-    """The :class:`_Layout` of ``charge`` at dimension ``d``, given its
-    ``sector``."""
-    diag = np.searchsorted(sector, np.arange(d) * (d + 1))
-    cols, rows = np.divmod(sector, d)  # column stacking
-    mirror = np.searchsorted(sector, rows * d + cols)
-    block_pos = [np.searchsorted(sector, idx[:, :, None] + idx[:, None, :] * d)
-                 for idx in _blocks(charge, d)]
-    lay = _Layout(charge, sector, diag, mirror, block_pos)
-    for arr in (lay.sector, lay.diag, lay.mirror, *lay.block_pos):
-        arr.flags.writeable = False
-    return lay
 
 
 def _equal_pairs(k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -507,52 +519,19 @@ def _unit_ops(model: str, dims: tuple[int, int]):
     return [op.tocsr() for op in jumps], terms, charge
 
 
-def _on_sector(ops, lay: _Layout) -> sp.csr_matrix | None:
+def _on_sector(ops, sector: np.ndarray, d: int) -> sp.csr_matrix | None:
     """The (n, len(ops)) float64 matrix whose column k holds the entries of
-    the d x d operator ops[k] at their positions in the sector of ``lay``
-    (rows i, columns j with equal charge, the only entries an operator
-    that keeps the charge has); None for no operators."""
+    the d x d operator ops[k] at their positions in ``sector`` (rows i,
+    columns j with equal charge, the only entries an operator that keeps
+    the charge has); None for no operators."""
     if not ops:
         return None
-    d = lay.diag.size
     coos = [op.tocoo() for op in ops]
     keys = np.concatenate([c.col.astype(np.int64) * d + c.row for c in coos])
     col = np.repeat(np.arange(len(ops)), [c.nnz for c in coos])
     vals = np.concatenate([c.data for c in coos])
-    return sp.csr_matrix((vals, (np.searchsorted(lay.sector, keys), col)),
-                         shape=(lay.sector.size, len(ops)))
-
-
-@dataclass(frozen=True, eq=False)
-class _Parts:
-    """The cache entry of one (model, dims), shared by every build there.
-
-    ``jumps`` and ``terms`` are the unit-rate jump operators and the
-    unit-coupling Hamiltonian terms, ``pattern`` the :class:`_Pattern` of
-    L[S, S] (these read-only), and ``jump_w`` and ``term_w`` sparse float64
-    matrices, (nnz, J) and (nnz, K - J) (None without terms): with the
-    coefficients c, jump_w @ c[:J] gives the real part of the data of
-    sum_k c_k G_k[S, S] in that pattern and term_w @ c[J:] its imaginary
-    part (:func:`_weigh`).
-    """
-
-    jumps: list
-    terms: list
-    pattern: _Pattern
-    jump_w: sp.csr_matrix
-    term_w: sp.csr_matrix | None
-
-    @functools.cached_property
-    def a_weights(self) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
-        """(jump_a, term_a), the same split for the non-jump part
-        A = -i h - (1/2) sum_k r_k o_k^dag o_k of a build's generator, on
-        the sector (:func:`_on_sector`): (n, J) with the entries of
-        -(1/2) o_k^dag o_k and (n, K - J) with those of -t_k, the imaginary
-        parts of -i t_k. The Krylov solve's preconditioner is inverted in
-        A's eigenbasis; formed on its first use, as the LU needs none."""
-        lay = self.pattern.layout
-        return (_on_sector([-0.5 * (op.conj().T @ op) for op in self.jumps], lay),
-                _on_sector([-t for t in self.terms], lay))
+    return sp.csr_matrix((vals, (np.searchsorted(sector, keys), col)),
+                         shape=(sector.size, len(ops)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -564,13 +543,10 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     each product enters through :func:`_sector_kron`, so nothing of size
     d^2 x d^2 is formed and a charge that does not close its sector is
     refused here, once. Returns the :class:`_Parts` of ``model`` at
-    ``dims``. Per (model, dims), so a rung of any number of builds is one
-    product with its weights.
+    ``dims``, its arrays read-only. Per (model, dims), so a rung of any
+    number of builds is one product with its weights.
     """
     jumps, terms, charge = _unit_ops(model, dims)
-    for op in jumps + terms:
-        for arr in (op.data, op.indices, op.indptr):
-            arr.flags.writeable = False
     d = charge.size
     sector = _sector(charge, d)
     part, keys, vals = zip(*(
@@ -590,11 +566,22 @@ def _unit_parts(model: str, dims: tuple[int, int]):
         weights.append(w)
     live = (np.diff(weights[0].indptr) > 0) | (np.diff(weights[1].indptr) > 0)
     keys, n = union[live], sector.size  # row * n + col, ascending
-    indices = keys % n
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    pattern = _pattern(_layout(charge, d, sector), indices, indptr)
-    jump_w, term_w = (w[live] for w in weights)
-    return _Parts(jumps, terms, pattern, jump_w, term_w if terms else None)
+    cols, rows = np.divmod(sector, d)  # column stacking
+    parts = _Parts(
+        dims, jumps, terms, charge, sector,
+        diag=np.searchsorted(sector, np.arange(d) * (d + 1)),
+        mirror=np.searchsorted(sector, rows * d + cols),
+        block_pos=[np.searchsorted(sector, idx[:, :, None] + idx[:, None, :] * d)
+                   for idx in _blocks(charge, d)],
+        indices=(keys % n).astype(np.intc),
+        indptr=indptr.astype(np.intc),
+        starts=indptr[:-1][np.diff(indptr) > 0].astype(np.intc),
+        jump_w=weights[0][live],
+        term_w=weights[1][live] if terms else None,
+    )
+    _read_only(*vars(parts).values())
+    return parts
 
 
 def _assemble(model: str, dims: tuple[int, int], coefs) -> Superoperator:
@@ -602,7 +589,7 @@ def _assemble(model: str, dims: tuple[int, int], coefs) -> Superoperator:
     rest weigh the Hamiltonian terms. Only the coefficients are kept; the
     solve assembles the block from them (:func:`_weigh`), and the views of
     :class:`Superoperator` are formed from them when first read."""
-    return Superoperator(dims, (_unit_parts(model, dims), np.asarray(coefs, dtype=np.float64)))
+    return Superoperator(_unit_parts(model, dims), np.asarray(coefs, dtype=np.float64))
 
 
 def _weigh(jump_w, term_w, coefs: np.ndarray) -> np.ndarray:
@@ -713,17 +700,18 @@ def _krylov_pays(n: int, d: int) -> bool:
     return n > d**1.5
 
 
-def _sector_lu(pattern: _Pattern, data: np.ndarray) -> np.ndarray:
+def _sector_lu(parts: _Parts, data: np.ndarray) -> np.ndarray:
     """Solve L[S, S] x = 0 for each row of ``data`` (P, nnz), the blocks'
-    data in ``pattern``, by sparse LU, the row of rho[0, 0] (sector entry
-    0) replaced by the unit row e_0^T and the right-hand side e_0, so x is
-    the steady state scaled to rho[0, 0] = 1 (W. J. Stewart, *Introduction
-    to the Numerical Solution of Markov Chains*, 1994). The row dropped is
-    implied by the others, as the trace is a left null vector of L, and the
-    pinned system keeps the block's sparsity. Returns x as (P, n) rows.
+    data in the pattern of ``parts``, by sparse LU, the row of rho[0, 0]
+    (sector entry 0) replaced by the unit row e_0^T and the right-hand side
+    e_0, so x is the steady state scaled to rho[0, 0] = 1 (W. J. Stewart,
+    *Introduction to the Numerical Solution of Markov Chains*, 1994). The
+    row dropped is implied by the others, as the trace is a left null
+    vector of L, and the pinned system keeps the block's sparsity. Returns
+    x as (P, n) rows.
 
     The P pinned systems are gathered by the pattern's plan
-    (:attr:`_Pattern.pinned`) into one block-diagonal CSC system, each
+    (:attr:`_Parts.pinned`) into one block-diagonal CSC system, each
     block's columns in SuperLU's ``MMD_ATA`` order, cached with the
     pattern, and factored by one ``spsolve`` in that order
     (``permc_spec="NATURAL"``); each block's solution is scattered back to
@@ -737,9 +725,9 @@ def _sector_lu(pattern: _Pattern, data: np.ndarray) -> np.ndarray:
     factorization fails, for any of the P systems.
     """
     count = data.shape[0]
-    n = pattern.layout.sector.size
+    n = parts.sector.size
     ones = np.ones((count, 1), dtype=data.dtype)
-    indices, indptr, src, order = pattern.pinned
+    indices, indptr, src, order = parts.pinned
     system = _stacked(indices, indptr, np.concatenate([data, ones], axis=1)[:, src],
                       sp.csc_matrix)
     rhs = np.zeros((count, n), dtype=data.dtype)
@@ -774,26 +762,25 @@ def _krylov(sup: Superoperator, block: sp.csr_matrix) -> tuple[np.ndarray, int]:
     nonzero, so S(E) is not in the range of L.
 
     ``sup`` is a build: A's entries on S are its coefficients times the
-    weights its cache entry holds (:attr:`_Parts.a_weights`), one product,
-    and the layout of its pattern gives the sector's diagonal positions and
-    those of the charge blocks, which gather A's blocks from those entries.
+    weights its cache record holds (:attr:`_Parts.a_weights`), one product,
+    and the record gives the sector's diagonal positions and those of the
+    charge blocks, which gather A's blocks from those entries.
     Returns the sector entries of the solution and the iteration count.
     """
-    parts, coefs = sup._parts
-    lay = parts.pattern.layout
-    d, diag = sup.dim, lay.diag
+    parts, coefs = sup.parts, sup.coefs
+    d, diag = sup.dim, parts.diag
     sigma = float(np.median(coefs[: len(parts.jumps)]))
     a = _weigh(*parts.a_weights, coefs[None])[0]  # on S, which holds its blocks
     blocks = []  # per block size: sector positions, eigenvectors, inverses, denominators
     try:
-        for pos in lay.block_pos:
+        for pos in parts.block_pos:
             lam, vecs = np.linalg.eig(a[pos])
             inv = np.linalg.inv(vecs)
             denom = lam[:, :, None] + lam.conj()[:, None, :] - sigma
             blocks.append((pos, vecs, inv, denom))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"preconditioner eigenbasis failed: {exc}") from exc
-    n = lay.sector.size
+    n = parts.sector.size
     rhs = np.zeros(n, dtype=complex)
     rhs[diag] = 1.0 / d
 
@@ -833,7 +820,7 @@ def _positive_part(values: np.ndarray, block_pos):
 
     A state is Hermitian and block-diagonal in the charge, so its spectrum
     is the union of the blocks' spectra. The blocks of one size of every
-    state (``block_pos``, see :class:`_Layout`) go through one ``eigvalsh``
+    state (``block_pos``, see :class:`_Parts`) go through one ``eigvalsh``
     (a 1 x 1 block is its own eigenvalue), and only a block with a negative
     eigenvalue is decomposed again and rebuilt.
     """
@@ -880,35 +867,33 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _solve_group(parts: _Parts, group: list) -> list:
-    """The steady states of the generators in ``group``, builds on the unit
-    parts ``parts``: per generator its :class:`DensityMatrix` or the package
+    """The steady states of the generators in ``group``, builds that hold
+    the cache record ``parts``: per generator its :class:`DensityMatrix` or the package
     error of its own solve (see :func:`steady_state` for the checks). Their
     blocks L[S, S] are assembled in one product, their coefficient rows
     times the cached weights, in arrays of their own (the cache stays
     untouched)."""
-    pattern = parts.pattern
-    lay = pattern.layout
-    count, n = len(group), lay.sector.size
-    data = _weigh(parts.jump_w, parts.term_w, np.array([sup._parts[1] for sup in group]))
+    count, n = len(group), parts.sector.size
+    data = _weigh(parts.jump_w, parts.term_w, np.array([sup.coefs for sup in group]))
     out: list = [None] * count
     iterations = [None] * count
     if _krylov_pays(n, group[0].dim):
         sol = np.zeros((count, n), dtype=complex)
         for p, sup in enumerate(group):
-            block = _stacked(pattern.indices, pattern.indptr, data[p : p + 1], sp.csr_matrix)
+            block = _stacked(parts.indices, parts.indptr, data[p : p + 1], sp.csr_matrix)
             try:
                 sol[p], iterations[p] = _krylov(sup, block)
             except SingularSystem as exc:
                 out[p] = exc
     else:
         try:
-            sol = _sector_lu(pattern, data)
+            sol = _sector_lu(parts, data)
         except SingularSystem as exc:
             sol, out = np.zeros((count, n), dtype=data.dtype), [exc] * count
             if count > 1:  # factored alone, only a failing system keeps its error
                 for p in range(count):
                     try:
-                        sol[p], out[p] = _sector_lu(pattern, data[p : p + 1])[0], None
+                        sol[p], out[p] = _sector_lu(parts, data[p : p + 1])[0], None
                     except SingularSystem as alone:
                         out[p] = alone
 
@@ -917,18 +902,18 @@ def _solve_group(parts: _Parts, group: list) -> list:
         sol = sol[rows]
     rows, sol = _reject(out, rows, np.isfinite(sol).all(axis=1), lambda i: SingularSystem(
         "steady-state solve returned non-finite entries"), sol)
-    rho = 0.5 * (sol + sol[:, lay.mirror].conj())
-    tr = np.real(_row_sums(rho[:, lay.diag]))
+    rho = 0.5 * (sol + sol[:, parts.mirror].conj())
+    tr = np.real(_row_sums(rho[:, parts.diag]))
     rows, rho, tr = _reject(out, rows, np.abs(tr) >= 1e-300, lambda i: SingularSystem(
         "solved state has vanishing trace"), rho, tr)
     if not rows.size:
         return out
     rho /= tr[:, None]
 
-    min_eig = _positive_part(rho, lay.block_pos)
+    min_eig = _positive_part(rho, parts.block_pos)
     repaired = min_eig < 0.0
     if repaired.any():
-        rho[repaired] /= np.real(_row_sums(rho[repaired][:, lay.diag]))[:, None]
+        rho[repaired] /= np.real(_row_sums(rho[repaired][:, parts.diag]))[:, None]
     rows, rho, min_eig = _reject(out, rows, min_eig >= _EIG_FLOOR, lambda i: UnphysicalState(
         f"steady state has eigenvalue {min_eig[i]:.3e} below {_EIG_FLOOR:g}; "
         "truncation is too tight for this parameter set"), rho, min_eig)
@@ -937,12 +922,12 @@ def _solve_group(parts: _Parts, group: list) -> list:
 
     if rows.size < count:
         data = data[rows]
-    block = _stacked(pattern.indices, pattern.indptr, data, sp.csr_matrix)
+    block = _stacked(parts.indices, parts.indptr, data, sp.csr_matrix)
     r = (block @ rho.ravel()).reshape(rho.shape)
     # summed by numpy, not by a BLAS dot, which may hand a vector this long
     # to threads and wait milliseconds for them on a loaded machine
     residual = np.sqrt(_row_sums(r.real**2) + _row_sums(r.imag**2))
-    scale = np.array([np.add.reduceat(np.abs(row), pattern.starts).max(initial=0.0) or 1.0
+    scale = np.array([np.add.reduceat(np.abs(row), parts.starts).max(initial=0.0) or 1.0
                       for row in data])
     rows, rho, min_eig, residual, scale = _reject(
         out, rows, ~(residual > _RESIDUAL_TOL * scale), lambda i: SingularSystem(
@@ -952,7 +937,7 @@ def _solve_group(parts: _Parts, group: list) -> list:
         rho, min_eig, residual, scale)
     for i, p in enumerate(rows):
         out[p] = DensityMatrix(
-            rho[i], lay, group[p].dims, float(residual[i] / scale[i]), float(min_eig[i]),
+            rho[i], parts, float(residual[i] / scale[i]), float(min_eig[i]),
             "sector-lu" if iterations[p] is None else "krylov", iterations[p],
         )
     return out
@@ -963,8 +948,8 @@ def _solve_batch(sups) -> None:
     generator its :class:`DensityMatrix`, or the package error of its own
     solve, for :func:`steady_state` to take.
 
-    Generators of one model and dims share their cached unit parts and
-    the :class:`_Pattern` of their blocks, and form one group, solved by
+    Generators of one model and dims share their cache record
+    (:class:`_Parts`), and form one group, solved by
     :func:`_solve_group` in parts: its LU systems as block-diagonal systems
     of up to ``_BATCH_UNKNOWNS`` unknowns (:func:`_sector_lu`), factored
     again one by one where that fails, so that only a failing system
@@ -974,10 +959,10 @@ def _solve_batch(sups) -> None:
     """
     groups: dict[int, list] = {}
     for sup in sups:
-        groups.setdefault(id(sup._parts[0]), []).append(sup)
+        groups.setdefault(id(sup.parts), []).append(sup)
     for group in groups.values():
-        parts = group[0]._parts[0]
-        n = parts.pattern.layout.sector.size
+        parts = group[0].parts
+        n = parts.sector.size
         size = 1 if _krylov_pays(n, group[0].dim) else max(1, _BATCH_UNKNOWNS // n)
         for start in range(0, len(group), size):
             part = group[start : start + size]
@@ -1042,7 +1027,7 @@ def observables(state: DensityMatrix, mode: str = "mech") -> SteadyStateReport:
     the other mode."""
     if mode not in ("mech", "cav"):
         raise DomainError(f"mode must be 'mech' or 'cav', got {mode!r}")
-    diag = state.values[state.layout.diag].real.reshape(state.dims)
+    diag = state.values[state.parts.diag].real.reshape(state.dims)
     pops = np.clip(diag.sum(axis=0 if mode == "mech" else 1), 0.0, None)
     n = np.arange(len(pops), dtype=np.float64)
     n_ss = float(n @ pops)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import py_compile
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -220,7 +221,7 @@ def _failing_at_c3(real, error):
 def test_nondomain_package_errors_exit_2(capsys, monkeypatch, error):
     """``stats`` exits 2 with the error's line; ``sweep`` drops the point,
     prints one line naming it and exits 2, and writes every other row."""
-    assert len(_NONDOMAIN) >= 6
+    assert len(_NONDOMAIN) >= 5
     sweep = ("sweep", "--model", "hitemp", "--c-set", "1,3,10", "--nth-set", "1")
     code, clean, _ = run(capsys, *sweep)
     assert code == 0
@@ -408,6 +409,42 @@ def test_sweep_input_contract(capsys, model):
     assert all(line.startswith("error: C=") for line in errors)
     assert len(rows) + len(errors) == len(_FUZZ) ** 2
     assert (code == 2) == bool(errors)
+
+
+def _cap_address_space():
+    # the child's own address space, as ``ulimit -v 2000000`` caps it: an
+    # allocation the input contract forbids fails there instead of filling
+    # the machine's memory
+    limit = 2_000_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["sweep", "--c-range", "1:2:100000000000:lin", "--nth-set", "1"], None, "--c-range"),
+    (["figure", "1", "--c-range", "1e-9:1e3:100000000000:log"], None, "--c-range"),
+    (["sweep", "--c-range", "1:2:20000:lin", "--nth-range", "1:2:20000:lin"], None,
+     "--c-range x --nth-range"),
+    (["sweep", "--c-set", "1", "--nth-set", "1", "--jobs", "0"], None, "--jobs"),
+    (["sweep", "--c-set", "1", "--nth-set", "1", "--jobs", "-3"], None, "--jobs"),
+    (["sweep", "--c-set", "1", "--nth-set", "1"], {"jobs": 0}, "--jobs"),
+])
+def test_oversized_grids_and_worker_counts_exit_1(tmp_path, argv, config, flag):
+    """A range or grid past the term budget, or fewer than one worker, is
+    one error line naming its flag (exit 1), refused before anything large
+    is allocated or any point runs."""
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phonon_stats", *argv], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+    )
+    _assert_one_error_line(proc.returncode, proc.stdout, proc.stderr)
+    assert proc.returncode == 1
+    assert flag in proc.stderr
+    assert list(tmp_path.iterdir()) == ([] if config is None else [tmp_path / "cfg.json"])
 
 
 def _balance_defect(C, n_th, n_ss, g2):

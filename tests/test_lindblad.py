@@ -350,8 +350,7 @@ def test_sector_lu_matches_refined_solution():
         math.sqrt(4.0 * kappa / 4.0), kappa, 1.0, 0.2, TruncationSpec(dim_mech=32, dim_cav=4)
     )
     rep = observables(steady_state(sup))
-    lay, block = sup._sector_block()
-    a = block.toarray()
+    a = sup._sector_block().toarray()
     a[0] = 0.0
     a[0, 0] = 1.0
     rhs = np.zeros(a.shape[0], dtype=a.dtype)
@@ -362,7 +361,7 @@ def test_sector_lu_matches_refined_solution():
     for _ in range(3):
         r = rhs - a_ext @ x
         x += scipy.linalg.lu_solve(lu, r.astype(a.dtype))
-    pops = x[lay.diag].real.reshape(sup.dims).sum(axis=0)
+    pops = x[sup.parts.diag].real.reshape(sup.dims).sum(axis=0)
     pops /= pops.sum()
     n = np.arange(pops.size)
     n_ss = (n * pops).sum()
@@ -414,7 +413,7 @@ def _dense(state):
     """The state as a d x d array, zero outside its sector."""
     d = state.dims[0] * state.dims[1]
     rho = np.zeros(d * d, dtype=state.values.dtype)
-    rho[state.layout.sector] = state.values
+    rho[state.parts.sector] = state.values
     return rho.reshape(d, d, order="F")  # column stacking
 
 
@@ -486,14 +485,13 @@ def test_krylov_nonconvergence_raises(monkeypatch):
 def test_krylov_preconditioner_weights_match_the_sparse_sum():
     # A = sum_k (-1/2) r_k o_k^dag o_k - i h on the sector, from the cached
     # weights, against the sparse sum it replaced, on every pre-RWA case
-    prerwa = [sup for sup in _sector_cases() if len(sup._parts[0].terms) == 5]
+    prerwa = [sup for sup in _sector_cases() if len(sup.parts.terms) == 5]
     assert len(prerwa) == 4
     for sup in prerwa:
         a = sum((-0.5 * rate) * (op.conj().T @ op) for op, rate in sup.jumps) - 1j * sup.h
         cols, rows = np.divmod(sup.sector(), sup.dim)
         want = np.asarray(a.tocsr()[rows, cols]).ravel()
-        parts, coefs = sup._parts
-        got = lindblad._weigh(*parts.a_weights, coefs[None])[0]
+        got = lindblad._weigh(*sup.parts.a_weights, sup.coefs[None])[0]
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -508,16 +506,16 @@ def test_build_forms_its_hamiltonian_when_first_read():
 def test_block_min_eigenvalue_matches_dense():
     for sup in _sector_cases():
         state = steady_state(sup)
-        lay, rho = state.layout, _dense(state)
+        parts, rho = state.parts, _dense(state)
         # the state as solved, and shifted so that blocks need repair (the
         # smallest eigenvalue then is -1e-9, above the floor)
         for shift in (0.0, np.linalg.eigvalsh(rho)[0] + 1e-9):
             m = rho - shift * np.eye(sup.dim)
             want = np.linalg.eigvalsh(m)
             values = state.values.copy()
-            values[lay.diag] -= shift
+            values[parts.diag] -= shift
             fixed = values.copy()
-            got = lindblad._positive_part(fixed, lay.block_pos)
+            got = lindblad._positive_part(fixed, parts.block_pos)
             assert abs(got - want[0]) <= 1e-15
             if got >= 0.0:
                 assert np.array_equal(fixed, values)
@@ -533,7 +531,7 @@ def test_reduced_sector_is_the_diagonal_and_stays_real():
     assert np.array_equal(sup.sector(), np.arange(12) * 13)
     state = steady_state(sup)
     assert state.values.dtype == np.float64
-    assert np.array_equal(state.layout.sector, sup.sector())
+    assert np.array_equal(state.parts.sector, sup.sector())
 
 
 def _fresh_assemblies(C, n_th, g, n_c, flag):
@@ -572,7 +570,7 @@ def _fresh_assemblies(C, n_th, g, n_c, flag):
 
 def _block(sup):
     """The block L[S, S] that steady_state reads."""
-    return sup._sector_block()[1]
+    return sup._sector_block()
 
 
 def test_cached_builds_match_fresh_assembly():
@@ -596,6 +594,36 @@ def test_cached_parts_survive_writes_into_a_build():
     # the jump operators are the cache's own, so they refuse writes
     with pytest.raises(ValueError):
         first.jumps[0][0].data[:] = 0.0
+
+
+def _arrays(value) -> list:
+    """Every ndarray in ``value``: itself, those in lists and tuples, and
+    the data, indices and indptr of a sparse matrix."""
+    if isinstance(value, (list, tuple)):
+        return [arr for item in value for arr in _arrays(item)]
+    if sp.issparse(value):
+        return [value.data, value.indices, value.indptr]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def test_cache_records_refuse_writes():
+    # a build's charge is the cache's own: a write into it would reach every
+    # later build at that truncation, so it refuses, as does every array the
+    # record holds or forms (the weights the solves read included)
+    trunc = TruncationSpec(dim_mech=8, dim_cav=3)
+    builds = (build_reduced_liouvillian(1.0, 1.0, TruncationSpec(8)),
+              build_two_mode_rwa_liouvillian(1.0, 10.0, 1.0, 0.5, trunc),
+              _prerwa(4.0, 0.2, trunc))
+    for sup in builds:
+        with pytest.raises(ValueError):
+            sup.charge[:] = 7
+        parts = sup.parts
+        fields = [getattr(parts, f.name) for f in dataclasses.fields(parts)]
+        arrays = _arrays(fields + [parts.pinned, parts.a_weights])
+        # charge, sector, diag, mirror, indices, indptr, starts, 4 of pinned
+        assert len(arrays) >= 11 + 3 * (len(parts.jumps) + len(parts.terms))
+        assert not [arr for arr in arrays if arr.flags.writeable]
+    assert builds[0].charge.tolist() == list(range(8))
 
 
 def test_converge_truncation_reduced(monkeypatch):
@@ -775,8 +803,8 @@ def test_cached_order_solve_equals_the_mmd_ata_solve():
         build_two_mode_rwa_liouvillian(math.sqrt(7.5), 10.0, 1.0, 0.0, TruncationSpec(10, 3)),
     ]
     for sup in cases:
-        pattern, data = sup._sector_data()
-        got = lindblad._sector_lu(pattern, data[None])[0]
+        data = sup._sector_data()
+        got = lindblad._sector_lu(sup.parts, data[None])[0]
         system, want = _mmd_ata_solve(sup)
         assert got.dtype == want.dtype == data.dtype
         assert np.array_equal(got, want)
@@ -812,7 +840,7 @@ def test_rung_solves_reuse_the_order_of_their_pattern(monkeypatch):
     assert [(size, spec) for size, spec, _ in solves] == [
         (2 * n, "NATURAL"), (2 * n, "NATURAL"), (n, "NATURAL")]
     assert orders == [n]
-    order = sups[0]._parts[0].pattern.pinned[3]
+    order = sups[0].parts.pinned[3]
     x = np.concatenate([y.reshape(-1, n) for *_, y in solves])
     got = np.empty_like(x)
     got[:, order] = x
