@@ -23,14 +23,16 @@ writes the converged rest, prints one ``error: C=… n_th=…: <message>`` line
 per failed point and exits 2, whatever its exit code would have been.
 
 What each command computes: ``sweep`` and figures 1, 2, 4 and 5 compute
-n_ss, g2 and regime only; ``stats``, ``validate`` and figures 3 and 6 also
-compute the Fock populations, and an oracle model always solves for the
-full state. A grid slice evaluates the hitemp closed forms point by point
-and batches the rest (:func:`_slice_worker`), with the same output as
-point by point: one series kernel call sums the series of its exact
-points, and its oracle points (``validate``, ``sweep --model oracle-*``)
-climb their truncation ladders together, one sparse factorization per rung
-level; a fixed ``--trunc`` truncation is a ladder that accepts its first rung.
+n_ss and g2 only, and ``sweep`` the regime as well; ``stats``, ``validate``
+and figures 3 and 6 also compute the Fock populations, and an oracle model
+always solves for the full state. An analytic grid of observables is one
+pass per slice (:func:`_observables_slice`): the hitemp closed forms point
+by point and the series of all the slice's exact points in one kernel call,
+with the same output as point by point. Grids of oracle points
+(``validate``, ``sweep --model oracle-*``) go point by point through
+:func:`_slice_worker`, and their truncation ladders climb together, one
+sparse factorization per rung level; a fixed ``--trunc`` truncation is a
+ladder that accepts its first rung.
 
 What each command imports: this module loads only the exact route (numpy and
 ``math``). The ``hitemp`` and ``lindblad`` modules are reached as attributes
@@ -38,14 +40,16 @@ of the package (``_pkg.hitemp``, ``_pkg.lindblad``) in the branches that
 evaluate those routes, so the package imports them on first use. ``hitemp``
 itself needs only ``math`` and numpy, populations included, so neither
 analytic route loads scipy: not ``stats`` or ``sweep`` on them, nor any
-figure. The oracles, and so ``validate``, load ``scipy.sparse``.
+figure. The oracles, and so ``validate``, load ``scipy.sparse``, and only
+``sweep --jobs N`` with N > 1 loads ``multiprocessing``.
 Every call goes through the module attribute, so a wrapper set on e.g.
 ``hitemp.observables_hitemp`` sees it.
 
-Sweeps and figure datasets are CSV (headered, RFC-4180 quoting via the csv
-module); single reports and validation summaries are JSON. Floats are
-rendered with %.17g so outputs round-trip and runs are byte-reproducible.
-Undefined g2 is an empty CSV field / JSON null, never 0.
+Sweeps and figure datasets are CSV (headered, RFC-4180 quoting and CRLF
+line ends as the csv module writes them; the observables grids format their
+rows directly, to the same bytes); single reports and validation summaries
+are JSON. Floats are rendered with %.17g so outputs round-trip and runs are
+byte-reproducible. Undefined g2 is an empty CSV field / JSON null, never 0.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ import logging
 import math
 import os
 import sys
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -307,27 +310,6 @@ def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
     return _finish(gen, *batch([arg]))
 
 
-def _point_observables(name, C, n_th, cfg):
-    """n_ss, g2 and regime of one point, without Fock populations: a point
-    generator like :func:`_reports`.
-
-    An exact point yields its series, ``(exact._observables_grid, its
-    series arguments)``, so that a grid slice sums the series of all its
-    exact points in one kernel call; the hitemp route evaluates its one
-    continued fraction; an oracle's Lindblad solve yields everything at once, so
-    an oracle point goes through :func:`_reports`.
-    """
-    name = _resolve_model(name, C, n_th)
-    if name == "exact":
-        n_ss, g2 = yield exact._observables_grid, exact._series_args(C, n_th)
-    elif name == "hitemp":
-        n_ss, g2 = _pkg.hitemp.observables_hitemp(C, n_th)
-    else:
-        name, rep = yield from _reports(name, C, n_th, cfg)
-        return name, rep.n_ss, rep.g2, rep.regime
-    return name, n_ss, g2, exact.classify_regime(C, n_th)
-
-
 def _oracle_solves(jobs) -> list:
     """Per oracle solve, a job of :func:`_oracle_job`, its report or the
     package error that ends it. The solves climb together
@@ -362,23 +344,23 @@ def _failure(exc):
     return str(exc) if _drops_point(exc) else exc
 
 
-def _slice_worker(tasks, point=_point_observables):
-    """Evaluate a slice of grid tasks: per task its result, its failure
-    message (a string) or the exception that aborts the command. The slice
-    stops at the first point that raises such an exception.
+def _slice_worker(point, model, cfg, points):
+    """Evaluate a slice of grid points, ``(n_th, C)`` pairs in grid order,
+    under the named model: per point its result, its failure message (a
+    string) or the exception that aborts the command. The slice stops at the
+    first point that raises such an exception.
 
-    ``point(model, C, n_th, cfg)`` is a generator that yields at most once,
-    ``(batch, input)``, and is sent its outcome (thrown it, if it is an
-    error): ``batch`` maps a list of inputs to their outcomes. The points
-    run in grid order up to their yields, each batch runs once on its
-    inputs, and the points resume in grid order, so an error that aborts
-    comes before every later point and skipped-row warnings keep grid
-    order. An aborting slice drops its series batch (its rows are never
-    written and warn of nothing) but solves its oracle points before the
-    abort. Module-level so it pickles, and shares nothing.
+    ``point(model, C, n_th, cfg)`` is a generator like :func:`_reports`
+    that yields at most once, ``(batch, input)``, and is sent its outcome
+    (thrown it, if it is an error): ``batch`` maps a list of inputs to their
+    outcomes. The points run in grid order up to their yields, each batch
+    runs once on its inputs, and the points resume in grid order, so an
+    error that aborts comes before every later point and skipped-row
+    warnings keep grid order. An aborting slice still solves the oracle
+    points before the abort. Module-level so it pickles, and shares nothing.
     """
     results, waiting = [], []
-    for C, n_th, model, cfg in tasks:
+    for n_th, C in points:
         gen = point(model, C, n_th, cfg)
         try:
             waiting.append((len(results), gen, *next(gen)))
@@ -389,7 +371,6 @@ def _slice_worker(tasks, point=_point_observables):
             result = _failure(exc)
         results.append(result)
         if isinstance(result, Exception):  # aborts the command: no later point comes first
-            waiting = [w for w in waiting if w[2] is not exact._observables_grid]
             break
     outcomes = {}
     for batch in dict.fromkeys(b for _, _, b, _ in waiting):
@@ -404,6 +385,61 @@ def _slice_worker(tasks, point=_point_observables):
             results[j] = _failure(exc)
             if isinstance(results[j], Exception):
                 return results[: j + 1]
+    return results
+
+
+def _oracle_observables(name, C, n_th, cfg):
+    """An oracle point's ``(model, n_ss, g2, regime)``: a point generator
+    like :func:`_reports`."""
+    name, rep = yield from _reports(name, C, n_th, cfg)
+    return name, rep.n_ss, rep.g2, rep.regime.value
+
+
+def _observables_slice(model, regimes, points):
+    """n_ss and g2 of analytic grid points, ``(n_th, C)`` pairs in grid
+    order, in one pass: per point ``(route, n_ss, g2, regime)``, with the
+    regime's name only if ``regimes`` is set (else None), or what
+    :func:`_failure` leaves of its error. The slice stops at the first
+    point that aborts the command; the rest of this pass is not evaluated.
+
+    The pass resolves ``auto`` and runs the route's own checks point by
+    point, so a bad point raises the error it raises alone. A hitemp point
+    is evaluated at once; an exact point keeps its series arguments, and
+    the series of every exact point are summed in one kernel call
+    (:func:`exact._observables_grid`) once no point has aborted.
+    Module-level so it pickles, and shares nothing.
+    """
+    results, series, waiting = [], [], []
+    for n_th, C in points:
+        name = _resolve_model(model, C, n_th)
+        try:
+            if name == "exact":
+                args = exact._series_args(C, n_th)
+            else:
+                n_ss, g2 = _pkg.hitemp.observables_hitemp(C, n_th)
+            regime = exact.classify_regime(C, n_th).value if regimes else None
+        except Exception as exc:
+            results.append(_failure(exc))
+            if isinstance(results[-1], Exception):  # aborts before any series is summed
+                return results
+            continue
+        if name == "exact":  # its series waits for the others
+            series.append(args)
+            waiting.append((len(results), regime))
+            results.append(None)
+        else:
+            results.append((name, n_ss, g2, regime))
+    try:
+        outcomes = exact._observables_grid(series)
+    except Exception as exc:  # no point's own error: it fails every exact point
+        outcomes = itertools.repeat(exc)
+    for (k, regime), outcome in zip(waiting, outcomes):
+        if isinstance(outcome, Exception):
+            results[k] = _failure(outcome)
+            if isinstance(results[k], Exception):
+                return results[: k + 1]
+        else:
+            results[k] = ("exact", *outcome, regime)
     return results
 
 
@@ -455,42 +491,75 @@ def _grid(cfg, what, *, c_default=None, nth_default=None) -> tuple[list[float], 
     return axes[0], axes[1]
 
 
-def _run_grid(cfg, model, c_values, nth_values, point=_point_observables):
-    """Evaluate ``point`` over the grid, n_th outer and C inner.
+def _run_grid(cfg, c_values, nth_values, work):
+    """Evaluate the grid, n_th outer and C inner, by ``work``, which maps a
+    slice of it, ``(n_th, C)`` pairs in grid order, to its results as
+    :func:`_slice_worker` does.
 
-    Returns ``(C, n_th, result)`` for each converged point, in grid order,
-    and one ``C=… n_th=…: <message>`` entry per point that failed to
-    converge. Any other failure aborts the command: the first failing point
-    in grid order raises its exception here.
+    Returns per point in grid order its result, or None where it failed to
+    converge, and one ``C=… n_th=…: <message>`` entry per such point. Any
+    other failure aborts the command: the first failing point in grid order
+    raises its exception here.
 
-    The grid is evaluated in contiguous slices by :func:`_slice_worker`:
-    one slice without ``--jobs``, and with ``--jobs N`` (``sweep`` only)
-    four per worker of an N-process pool. On an observables grid the
-    exact-route points of a slice share one series kernel call.
+    Without ``--jobs`` the grid is one slice; with ``--jobs N`` (``sweep``
+    only) it is cut into contiguous slices, four per worker of an N-process
+    pool.
     """
     jobs = int(_get(cfg, "jobs", 1))
     if jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {jobs}")
-    tasks = [(C, n_th, model, cfg) for n_th in nth_values for C in c_values]
-    workers = min(jobs, len(tasks))
+    grid = itertools.product(nth_values, c_values)
+    size = len(nth_values) * len(c_values)
+    workers = min(jobs, size)
     if workers > 1:
+        from multiprocessing import Pool  # only here: it costs every command's import
+
         # four slices per worker, as pool.map cuts a task list by default, so
         # that points of uneven cost still spread over the workers
-        size = -(-len(tasks) // (4 * workers))
-        slices = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+        step = -(-size // (4 * workers))
+        slices = [list(itertools.islice(grid, step)) for _ in range(0, size, step)]
         with Pool(processes=workers) as pool:
-            parts = pool.map(functools.partial(_slice_worker, point=point), slices)
+            results = list(itertools.chain.from_iterable(pool.map(work, slices)))
     else:
-        slices, parts = [tasks], [_slice_worker(tasks, point)]
-    points, failed = [], []
-    for (C, n_th, _, _), result in itertools.chain.from_iterable(map(zip, slices, parts)):
-        if isinstance(result, Exception):
-            raise result
+        results = work(grid)
+    failed = []
+    for k, result in enumerate(results):
         if isinstance(result, str):
+            n_th, C = nth_values[k // len(c_values)], c_values[k % len(c_values)]
             failed.append(f"C={_fmt(C)} n_th={_fmt(n_th)}: {result}")
-        else:
-            points.append((C, n_th, result))
-    return points, failed
+            results[k] = None
+        elif isinstance(result, Exception):
+            raise result
+    return results, failed
+
+
+def _observables_csv(c_values, nth_values, results, regimes) -> str:
+    """The CSV of an observables grid that :func:`_run_grid` evaluated:
+    per converged point C, n_th, n_ss and g2, and the route and regime
+    around them on a ``regimes`` grid (``sweep``). It is what the csv module
+    writes of those fields, each row from one %-format with each distinct C
+    and n_th formatted once; an undefined g2 is an empty field."""
+    buf = io.StringIO()  # holds less than a list of rows and their join
+    write = buf.write
+    write("C,n_th,model,n_ss,g2,regime\r\n" if regimes else "C,n_th,n_ss,g2\r\n")
+    c_text = [_fmt(C) for C in c_values]
+    pending = iter(results)
+    for n_th in nth_values:
+        n = _fmt(n_th)
+        for c, result in zip(c_text, pending):
+            if result is None:
+                continue
+            name, n_ss, g2, regime = result
+            if regimes:
+                if g2 is None:
+                    write("%s,%s,%s,%.17g,,%s\r\n" % (c, n, name, n_ss, regime))
+                else:
+                    write("%s,%s,%s,%.17g,%.17g,%s\r\n" % (c, n, name, n_ss, g2, regime))
+            elif g2 is None:
+                write("%s,%s,%.17g,\r\n" % (c, n, n_ss))
+            else:
+                write("%s,%s,%.17g,%.17g\r\n" % (c, n, n_ss, g2))
+    return buf.getvalue()
 
 
 def _exit_code(failed, code=EXIT_OK) -> int:
@@ -570,19 +639,22 @@ def cmd_stats(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
-    points, failed = _run_grid(cfg, _get(cfg, "model", "auto"), *_grid(cfg, "sweep"))
-    header = ["C", "n_th", "model", "n_ss", "g2", "regime"]
-    if _get(cfg, "format", "csv") == "json":
-        rows = [  # floats stay floats; g2 None -> null
-            dict(zip(header, (C, n_th, name, n_ss, g2, regime.value)))
-            for C, n_th, (name, n_ss, g2, regime) in points
-        ]
-        text = _json_dumps(rows)
+    model = _get(cfg, "model", "auto")
+    c_values, nth_values = _grid(cfg, "sweep")
+    if model in _ANALYTIC:
+        work = functools.partial(_observables_slice, model, True)
     else:
-        text = _csv_text(header, (
-            [_fmt(C), _fmt(n_th), name, _fmt(n_ss), _fmt(g2), regime.value]
-            for C, n_th, (name, n_ss, g2, regime) in points
-        ))
+        work = functools.partial(_slice_worker, _oracle_observables, model, cfg)
+    results, failed = _run_grid(cfg, c_values, nth_values, work)
+    if _get(cfg, "format", "csv") == "json":
+        header = ("C", "n_th", "model", "n_ss", "g2", "regime")
+        grid = itertools.product(nth_values, c_values)
+        text = _json_dumps([  # floats stay floats; g2 None -> null
+            dict(zip(header, (C, n_th, *result)))
+            for (n_th, C), result in zip(grid, results) if result is not None
+        ])
+    else:
+        text = _observables_csv(c_values, nth_values, results, True)
     _emit_text(text, cfg.out)
     return _exit_code(failed)
 
@@ -606,13 +678,10 @@ def cmd_figure(cfg) -> int:
     failed = []
     if fig_id in _CURVES:
         model, c_default, nth_default = _CURVES[fig_id]
-        grid = _grid(cfg, what, c_default=c_default, nth_default=nth_default)
-        points, failed = _run_grid(cfg, model, *grid)
-        header = ["C", "n_th", "n_ss", "g2"]
-        rows = (
-            [_fmt(C), _fmt(n_th), _fmt(n_ss), _fmt(g2)]
-            for C, n_th, (_, n_ss, g2, _) in points
-        )
+        c_values, nth_values = _grid(cfg, what, c_default=c_default, nth_default=nth_default)
+        work = functools.partial(_observables_slice, model, False)
+        results, failed = _run_grid(cfg, c_values, nth_values, work)
+        text = _observables_csv(c_values, nth_values, results, False)
     elif fig_id == 3:
         grid = [_flag(d) for d in ("c_set", "c_range", "nth_set") if getattr(cfg, d) is not None]
         if grid:
@@ -620,8 +689,7 @@ def cmd_figure(cfg) -> int:
         C = float(_get(cfg, "C", 1e2))
         n_th = float(_get(cfg, "n_th", 1e4))
         _, rep = _point_report("hitemp", C, n_th, cfg)
-        header = ["n", "P"]
-        rows = ([_fmt(n), _fmt(p)] for n, p in enumerate(rep.populations))
+        text = _csv_text(["n", "P"], ([_fmt(n), _fmt(p)] for n, p in enumerate(rep.populations)))
     else:  # fig_id == 6
         c_values, nth_values = _grid(cfg, what, c_default="1,41,1000", nth_default="20")
         if len(nth_values) != 1:
@@ -631,14 +699,15 @@ def cmd_figure(cfg) -> int:
         m_max = max(exact.phonon_populations_exact(C, n_th).size for C in c_values) - 1
         cols = [exact.phonon_populations_exact(C, n_th, m_max) for C in c_values]
         header = ["n"] + [f"P_C{_fmt(C)}" for C in c_values]
-        rows = ([_fmt(n)] + [_fmt(col[n]) for col in cols] for n in range(m_max + 1))
+        text = _csv_text(header, ([_fmt(n)] + [_fmt(col[n]) for col in cols]
+                                  for n in range(m_max + 1)))
 
     outdir = cfg.out or "."
     os.makedirs(outdir, exist_ok=True)
     csv_name = f"figure{fig_id}.csv"
     csv_path = os.path.join(outdir, csv_name)
     script_path = os.path.join(outdir, f"figure{fig_id}_plot.py")
-    _emit_text(_csv_text(header, rows), csv_path)
+    _emit_text(text, csv_path)
     _emit_text(_plot_script(fig_id, csv_name), script_path)
     print(csv_path)
     print(script_path)
@@ -809,8 +878,12 @@ def cmd_validate(cfg) -> int:
         if not (math.isfinite(tol) and tol >= 0.0):
             raise DomainError(f"{_flag(dest)} must be finite and >= 0, got {tol!r}")
         tolerances[key] = tol
-    results, failed = _run_grid(cfg, model, c_values, nth_values, point=_validate_point)
-    points = [{"C": C, "n_th": n_th, **row} for C, n_th, row in results]
+    work = functools.partial(_slice_worker, _validate_point, model, cfg)
+    results, failed = _run_grid(cfg, c_values, nth_values, work)
+    grid = itertools.product(nth_values, c_values)
+    points = [
+        {"C": C, "n_th": n_th, **row} for (n_th, C), row in zip(grid, results) if row is not None
+    ]
     live = [p for p in points if not p["skipped"]]
     summary = {"n_points": len(points), "n_skipped": len(points) - len(live)}
     passed = True

@@ -1,8 +1,10 @@
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import math
+import multiprocessing
 import os
 import py_compile
 import resource
@@ -16,7 +18,7 @@ import pytest
 import phonon_stats
 from phonon_stats import _kernels, cli, exact, hitemp
 from phonon_stats.cli import main
-from phonon_stats.errors import DomainError, PhononStatsError
+from phonon_stats.errors import DomainError, NotConverged, PhononStatsError
 
 SRC = str(Path(phonon_stats.__file__).resolve().parents[1])
 
@@ -652,7 +654,8 @@ def test_sweep_keeps_converged_rows_past_a_failed_point(capsys, jobs):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: C=0.001 n_th=1000000000: series at")
-    assert isinstance(cli._slice_worker([(1e-3, 1e9, "exact", {})])[0], str)
+    # the grid's own pass, with no command around it: a message, not an exception
+    assert isinstance(cli._observables_slice("exact", False, [(1e9, 1e-3)])[0], str)
 
 
 # exact, hitemp (n_th/C > 1e6) and vacuum points; at n_th = 100, C = 1e-3
@@ -773,6 +776,144 @@ def test_figure5_batch_matches_observables_exact(tmp_path, capsys):
         assert (row["n_ss"], row["g2"]) == ("%.17g" % n_ss, "" if g2 is None else "%.17g" % g2)
 
 
+def _points_alone(command, c_set, nth_set):
+    """What evaluating a grid's points one by one gives, ``command(C,
+    n_th)`` being one point's ``(exit code, error lines, rows, aborted)``:
+    the worst exit code, the error lines and the rows in grid order, or, at
+    the first point that aborts, its exit code and error lines alone."""
+    want = (0, [], [])
+    for n_th in nth_set.split(","):
+        for C in c_set.split(","):
+            code, errors, rows, aborted = command(C, n_th)
+            if aborted:
+                return code, errors, []
+            want = (max(want[0], code), want[1] + errors, want[2] + rows)
+    return want
+
+
+# per case: the figure, its grid, the point at which hitemp is made to raise
+# NotConverged (None: nowhere) and what the points give one by one, as
+# (exit code, error lines, rows); the exact series budget is lowered to
+# 3,000 terms, which (1e-3, 100) exceeds
+_FIGURE_CASES = [
+    pytest.param("4", "1e-3,0.5,3", "100,1", None, (2, 1, 5), id="4-budget"),
+    pytest.param("4", "1e-3,0.5,-1,3", "100,1", None, (1, 1, 0), id="4-budget-abort"),
+    pytest.param("1", "0.5,3,10", "1e3,1e4", 3.0, (2, 2, 4), id="1-notconverged"),
+    pytest.param("1", "0.5,3,10", "1e3,0,1e4", 3.0, (1, 1, 0), id="1-notconverged-abort"),
+    pytest.param("2", "3,1e-3", "1e4,1e3", 3.0, (2, 2, 2), id="2-notconverged"),
+    pytest.param("2", "3,1e-3,-1", "1e4,1e3", 3.0, (1, 1, 0), id="2-notconverged-abort"),
+]
+
+
+@pytest.mark.parametrize("fig, c_set, nth_set, failing_c, shape", _FIGURE_CASES)
+def test_curve_figure_batch_matches_points_alone(tmp_path, capsys, monkeypatch, fig, c_set,
+                                                 nth_set, failing_c, shape):
+    """A curve figure evaluates its grid in one pass, the exact series in
+    one kernel call, and writes what its points write one by one: the same
+    CSV rows, error lines and exit code. A point that aborts the command
+    (C = -1, or n_th = 0 on the hitemp route) ends it with its own error
+    line, after dropped points before it, and no CSV is written."""
+    monkeypatch.setattr(_kernels, "_MAX_TERMS", 3000)
+    real = hitemp.observables_hitemp
+
+    def observe(C, n_th):
+        if C == failing_c:
+            raise NotConverged("injected")
+        return real(C, n_th)
+
+    monkeypatch.setattr(hitemp, "observables_hitemp", observe)
+    calls = itertools.count()  # a fresh output directory per call
+
+    def command(c, n_th):
+        out_dir = tmp_path / str(next(calls))
+        code, out, err = run(capsys, "figure", fig, "--c-set", c, "--nth-set", n_th,
+                             "--out", str(out_dir))
+        path = out_dir / f"figure{fig}.csv"
+        rows = path.read_text().splitlines()[1:] if path.exists() else []
+        return code, err.splitlines(), rows, out == ""
+
+    want = _points_alone(command, c_set, nth_set)
+    assert (want[0], len(want[1]), len(want[2])) == shape
+    assert command(c_set, nth_set)[:3] == want
+
+
+def test_sweep_json_jobs_batch_matches_points_alone(capsys, monkeypatch):
+    """``sweep --format json --jobs 2`` over exact, hitemp and vacuum points,
+    one of them past the lowered series budget, writes the rows and error
+    lines of its points run one by one, and exits 2."""
+    monkeypatch.setattr(_kernels, "_MAX_TERMS", 3000)
+
+    def command(c, n_th):
+        code, out, err = run(capsys, "sweep", "--format", "json", "--jobs", "2",
+                             "--c-set", c, "--nth-set", n_th)
+        return code, err.splitlines(), json.loads(out) if out else [], out == ""
+
+    want = _points_alone(command, _MIXED_C, _MIXED_NTH)
+    assert (want[0], len(want[1]), len(want[2])) == (2, 1, 11)
+    assert {row["model"] for row in want[2]} == {"exact", "hitemp"}
+    assert "Vacuum" in {row["regime"] for row in want[2]}
+    assert command(_MIXED_C, _MIXED_NTH)[:3] == want
+
+
+@pytest.mark.parametrize("model", ["exact", "auto"])
+def test_sweep_regimes_at_the_coherent_boundary(capsys, model):
+    """Each row's regime is classify_regime of its point, on a grid through
+    C = 2 n_th + 1 exactly, 1e-12 and 1e-11 relative to either side of it,
+    and n_th = 0."""
+    nth_values = [0.0, 0.5, 1.0, 7.25, 1e3]
+    c_values = sorted({
+        (2.0 * n_th + 1.0) * (1.0 + rel)
+        for n_th in nth_values for rel in (0.0, 1e-12, -1e-12, 1e-11, -1e-11)
+    })
+    code, out, err = run(capsys, "sweep", "--model", model,
+                         "--c-set", ",".join("%.17g" % C for C in c_values),
+                         "--nth-set", ",".join("%.17g" % n for n in nth_values))
+    assert (code, err) == (0, "")
+    rows = _read_csv(out)
+    assert [(float(r["C"]), float(r["n_th"])) for r in rows] == [
+        (C, n_th) for n_th in nth_values for C in c_values
+    ]
+    seen = set()
+    for row in rows:
+        want = exact.classify_regime(float(row["C"]), float(row["n_th"])).value
+        assert row["regime"] == want
+        seen.add(want)
+    assert seen == {"Vacuum", "Coherent", "Bunched", "Antibunched"}
+    # exactly on it, n_th = 0 is the vacuum and every other n_th coherent
+    boundary = [r["regime"] for r in rows if float(r["C"]) == 2.0 * float(r["n_th"]) + 1.0]
+    assert boundary == ["Vacuum"] + ["Coherent"] * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--model=exact", "--c-set=0", "--nth-set=1"),
+    ("sweep", "--model=exact", "--c-set=inf", "--nth-set=1"),
+    ("sweep", "--model=exact", "--c-set=-inf", "--nth-set=1"),
+    ("sweep", "--model=exact", "--c-set=nan", "--nth-set=1"),
+    ("sweep", "--model=exact", "--c-set=1", "--nth-set=nan"),
+    ("sweep", "--model=auto", "--c-set=1", "--nth-set=inf"),
+    ("sweep", "--model=auto", "--c-set=0", "--nth-set=1"),
+    ("sweep", "--model=hitemp", "--c-set=1", "--nth-set=0"),
+    ("sweep", "--model=hitemp", "--c-set=nan", "--nth-set=1"),
+    ("sweep", "--model=hitemp", "--c-set=1", "--nth-set=-1"),
+    ("figure", "1", "--c-set=1", "--nth-set=0"),
+    ("figure", "2", "--c-set=inf", "--nth-set=1e3"),
+    ("figure", "4", "--c-set=0", "--nth-set=1"),
+    ("figure", "5", "--c-set=1", "--nth-set=-inf"),
+], ids=" ".join)
+def test_invalid_grid_points_raise_their_typed_error(tmp_path, capsys, argv):
+    """A point outside its route's domain ends a grid command with exit 1
+    and the error line of ``stats`` at that point on that route, never a
+    numpy warning (which tier-1 turns into an error)."""
+    flags = dict(arg.split("=") for arg in argv if "=" in arg)
+    if argv[0] == "figure":
+        flags["--model"] = cli._CURVES[int(argv[1])][0]
+        argv = (*argv, "--out", str(tmp_path))
+    alone = run(capsys, "stats", "--model=" + flags["--model"], "--C=" + flags["--c-set"],
+                "--n-th=" + flags["--nth-set"])
+    assert alone[:2] == (1, "") and "must be finite" in alone[2]
+    assert run(capsys, *argv) == alone
+
+
 def test_sweep_jobs_capped_by_grid(monkeypatch, capsys):
     started = []
 
@@ -789,7 +930,8 @@ def test_sweep_jobs_capped_by_grid(monkeypatch, capsys):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    # the pool is imported where a grid starts one, so it is patched at its source
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     code, out, _ = run(
         capsys, "sweep", "--model", "exact", "--c-set", "1,3", "--nth-set", "1",
         "--jobs", "8",

@@ -50,6 +50,23 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert _python(code, tmp_path).strip().splitlines()[-1] == "[]"
 
 
+def test_commands_without_jobs_load_no_multiprocessing(tmp_path):
+    """Only a pool needs ``multiprocessing``, so neither the import nor
+    ``stats``, ``sweep`` without ``--jobs`` or ``figure 4`` pays for it."""
+    code = f"""
+import contextlib, io, sys
+from phonon_stats.cli import main
+loaded = ["multiprocessing" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["stats", "--C", "3", "--n-th", "1"]) == 0
+    assert main(["sweep", "--c-set", "1e-7,0.5,3", "--nth-set", "0,1,20"]) == 0
+    assert main(["figure", "4", "--out", {str(tmp_path)!r}]) == 0
+loaded.append("multiprocessing" in sys.modules)
+print(loaded)
+"""
+    assert _python(code, tmp_path).strip().splitlines()[-1] == "[False, False]"
+
+
 def test_hitemp_observables_load_no_scipy(tmp_path):
     """The hitemp closed forms need only ``math``: the curve figures on
     the hitemp route and sweeps past the hand-off import no scipy."""
