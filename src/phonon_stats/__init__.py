@@ -10,13 +10,11 @@ Three independent routes to the same observables:
   ``functools.partial(lindblad.build_reduced_liouvillian, C, n_th)``, whose
   truncation :func:`converge_truncation` grows until the observables settle.
 
-:mod:`phonon_stats.params` maps laboratory parameters onto the two
-dimensionless model inputs (cooperativity C = 4 g^2/(gamma kappa), bath
-occupation n_th); :mod:`phonon_stats.cli` exposes everything as the
-``phonon-stats`` command. The series sums run in one vectorized numpy kernel
+:mod:`phonon_stats.cli` exposes everything as the ``phonon-stats`` command.
+The series sums run in one vectorized numpy kernel
 (:mod:`phonon_stats._kernels`). Tolerances and budgets are module constants,
 not keywords: ``_kernels._MAX_TERMS``, ``lindblad._LADDER_REL_TOL`` and
-``lindblad._DIM_CAP``, ``params._FIXED_POINT_TOL`` and ``params._MAX_ITER``.
+``lindblad._DIM_CAP``.
 
 Importing the package loads only :mod:`phonon_stats.errors`. Every other
 public name is looked up in ``_LAZY`` and its module is imported on first
@@ -31,7 +29,6 @@ import importlib
 from .errors import (
     BudgetExceeded,
     DomainError,
-    FixedPointDiverged,
     NotConverged,
     PhononStatsError,
     SingularSystem,
@@ -45,7 +42,7 @@ HAS_NUMBA = False
 
 # submodule -> the public names it defines, loaded on first access
 _EXPORTS = {
-    "params": ("PhysicalParams", "ReducedParams", "bose_occupation", "derive_reduced"),
+    "params": ("ReducedParams",),
     "specfun": ("SeriesSums", "recip_gamma_series"),
     "exact": (
         "observables_exact",
@@ -72,7 +69,7 @@ _EXPORTS = {
     "report": ("Regime", "SteadyStateReport"),
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"_kernels", "cli", "constants"}
+_SUBMODULES = frozenset(_EXPORTS) | {"_kernels", "cli"}
 
 
 def __getattr__(name):

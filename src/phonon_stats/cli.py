@@ -28,10 +28,10 @@ and figures 3 and 6 also compute the Fock populations, and an oracle model
 always solves for the full state. An analytic grid of observables is one
 pass per slice (:func:`_observables_slice`): the hitemp closed forms point
 by point and the series of all the slice's exact points in one kernel call,
-with the same output as point by point. Grids of oracle points
-(``validate``, ``sweep --model oracle-*``) go point by point through
-:func:`_slice_worker`, and their truncation ladders climb together, one
-sparse factorization per rung level; a fixed ``--trunc`` truncation is a
+with the same output as point by point. A grid of oracle points
+(``validate``, ``sweep --model oracle-*``) is one pass per slice too
+(:func:`_oracle_slice`): its truncation ladders climb together, one sparse
+factorization per rung level, and a fixed ``--trunc`` truncation is a
 ladder that accepts its first rung.
 
 What each command imports: this module loads only the exact route (numpy and
@@ -286,28 +286,24 @@ def _oracle_job(name, C, n_th, cfg):
     return build, lindblad.TruncationSpec(int(cfg.trunc), int(dim_cav)), False
 
 
-def _reports(name, C, n_th, cfg):
-    """Evaluate one (C, n_th) point under the named model: a point
-    generator (see :func:`_slice_worker`) that returns ``(name, report)``.
-    An oracle point yields its solve, ``(_oracle_solves, job)`` with the
-    job of :func:`_oracle_job`; the analytic routes yield nothing."""
+def _analytic_report(name, C, n_th) -> tuple[str, SteadyStateReport]:
+    """Evaluate one (C, n_th) point on the named analytic route, ``auto``
+    resolved: ``(route, report)``."""
     name = _resolve_model(name, C, n_th)
     if name == "exact":
         return name, exact.steady_state_exact(C, n_th)
-    if name == "hitemp":
-        return name, _pkg.hitemp.steady_state_hitemp(C, n_th)
-    report = yield _oracle_solves, _oracle_job(name, C, n_th, cfg)
-    return name, report
+    return name, _pkg.hitemp.steady_state_hitemp(C, n_th)
 
 
 def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
-    """Evaluate one (C, n_th) point under the named model, its batch alone."""
-    gen = _reports(name, C, n_th, cfg)
-    try:
-        batch, arg = next(gen)
-    except StopIteration as stop:
-        return stop.value
-    return _finish(gen, *batch([arg]))
+    """Evaluate one (C, n_th) point under the named model; an oracle point
+    is a batch of one solve."""
+    if name not in _ORACLES:
+        return _analytic_report(name, C, n_th)
+    report = _oracle_solves([_oracle_job(name, C, n_th, cfg)])[0]
+    if isinstance(report, Exception):
+        raise report
+    return name, report
 
 
 def _oracle_solves(jobs) -> list:
@@ -328,15 +324,6 @@ def _oracle_solves(jobs) -> list:
     return [result if isinstance(result, Exception) else result[1] for result in results]
 
 
-def _finish(gen, outcome):
-    """Resume the point generator ``gen`` from its batch's ``outcome``,
-    thrown in if it is an error; returns the point's value."""
-    try:
-        gen.throw(outcome) if isinstance(outcome, Exception) else gen.send(outcome)
-    except StopIteration as stop:
-        return stop.value
-
-
 def _failure(exc):
     """What a failed point leaves: its message (a string) for a failure to
     converge, so the rest of the grid survives it; the exception, which
@@ -344,55 +331,53 @@ def _failure(exc):
     return str(exc) if _drops_point(exc) else exc
 
 
-def _slice_worker(point, model, cfg, points):
+def _oracle_slice(row, analytic, oracle, cfg, points):
     """Evaluate a slice of grid points, ``(n_th, C)`` pairs in grid order,
-    under the named model: per point its result, its failure message (a
-    string) or the exception that aborts the command. The slice stops at the
-    first point that raises such an exception.
+    on the named oracle: per point its row, its failure message (a string)
+    or the exception that aborts the command. The slice stops at the first
+    point that raises such an exception.
 
-    ``point(model, C, n_th, cfg)`` is a generator like :func:`_reports`
-    that yields at most once, ``(batch, input)``, and is sent its outcome
-    (thrown it, if it is an error): ``batch`` maps a list of inputs to their
-    outcomes. The points run in grid order up to their yields, each batch
-    runs once on its inputs, and the points resume in grid order, so an
-    error that aborts comes before every later point and skipped-row
-    warnings keep grid order. An aborting slice still solves the oracle
-    points before the abort. Module-level so it pickles, and shares nothing.
+    Each point in grid order takes the report of the ``analytic`` model
+    (``validate``; None skips it) and then its :func:`_oracle_job`. The
+    jobs go to one :func:`_oracle_solves` batch, and each point then makes
+    its row, ``row(C, n_th, analytic_report, outcome)``, in grid order from
+    the outcome of its solve, a report or a package error. So an error that
+    aborts comes before every later point and skipped-row warnings keep
+    grid order; an aborting slice still solves the points before the
+    abort. Module-level so it pickles, and shares nothing.
     """
-    results, waiting = [], []
+    results, jobs, waiting = [], [], []
     for n_th, C in points:
-        gen = point(model, C, n_th, cfg)
         try:
-            waiting.append((len(results), gen, *next(gen)))
-            result = None
-        except StopIteration as stop:
-            result = stop.value
+            report = _analytic_report(analytic, C, n_th) if analytic else None
+            jobs.append(_oracle_job(oracle, C, n_th, cfg))
         except Exception as exc:
-            result = _failure(exc)
-        results.append(result)
-        if isinstance(result, Exception):  # aborts the command: no later point comes first
-            break
-    outcomes = {}
-    for batch in dict.fromkeys(b for _, _, b, _ in waiting):
+            results.append(_failure(exc))
+            if isinstance(results[-1], Exception):  # aborts: no later point comes first
+                break
+            continue
+        waiting.append((len(results), C, n_th, report))
+        results.append(None)
+    try:
+        outcomes = _oracle_solves(jobs) if jobs else []  # no solve loads no scipy
+    except Exception as exc:  # no point's own error: it fails every solve
+        outcomes = itertools.repeat(exc)
+    for (k, C, n_th, report), outcome in zip(waiting, outcomes):
         try:
-            outcomes[batch] = iter(batch([arg for _, _, b, arg in waiting if b is batch]))
-        except Exception as exc:  # no point's own error: it aborts the batch
-            outcomes[batch] = itertools.repeat(exc)
-    for j, gen, batch, _ in waiting:
-        try:
-            results[j] = _finish(gen, next(outcomes[batch]))
+            results[k] = row(C, n_th, report, outcome)
         except Exception as exc:
-            results[j] = _failure(exc)
-            if isinstance(results[j], Exception):
-                return results[: j + 1]
+            results[k] = _failure(exc)
+            if isinstance(results[k], Exception):
+                return results[: k + 1]
     return results
 
 
-def _oracle_observables(name, C, n_th, cfg):
-    """An oracle point's ``(model, n_ss, g2, regime)``: a point generator
-    like :func:`_reports`."""
-    name, rep = yield from _reports(name, C, n_th, cfg)
-    return name, rep.n_ss, rep.g2, rep.regime.value
+def _sweep_row(model, C, n_th, analytic, outcome):
+    """An oracle sweep point's ``(model, n_ss, g2, regime)``, a row of
+    :func:`_oracle_slice`."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return model, outcome.n_ss, outcome.g2, outcome.regime.value
 
 
 def _observables_slice(model, regimes, points):
@@ -494,7 +479,7 @@ def _grid(cfg, what, *, c_default=None, nth_default=None) -> tuple[list[float], 
 def _run_grid(cfg, c_values, nth_values, work):
     """Evaluate the grid, n_th outer and C inner, by ``work``, which maps a
     slice of it, ``(n_th, C)`` pairs in grid order, to its results as
-    :func:`_slice_worker` does.
+    :func:`_observables_slice` and :func:`_oracle_slice` do.
 
     Returns per point in grid order its result, or None where it failed to
     converge, and one ``C=… n_th=…: <message>`` entry per such point. Any
@@ -644,7 +629,8 @@ def cmd_sweep(cfg) -> int:
     if model in _ANALYTIC:
         work = functools.partial(_observables_slice, model, True)
     else:
-        work = functools.partial(_slice_worker, _oracle_observables, model, cfg)
+        work = functools.partial(_oracle_slice, functools.partial(_sweep_row, model), None,
+                                 model, cfg)
     results, failed = _run_grid(cfg, c_values, nth_values, work)
     if _get(cfg, "format", "csv") == "json":
         header = ("C", "n_th", "model", "n_ss", "g2", "regime")
@@ -843,25 +829,25 @@ def _pop_l1(pa, pb) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _validate_point(model, C, n_th, cfg):
-    """The analytic report against the oracle's at one point, as a dict: a
-    generator like :func:`_reports`. An oracle whose truncation ladder runs
-    out of budget leaves a skipped row."""
-    a_name, a_rep = yield from _reports(model, C, n_th, cfg)
-    try:
-        _, o_rep = yield from _reports(_get(cfg, "oracle", "oracle-reduced"), C, n_th, cfg)
-    except BudgetExceeded as exc:
-        _LOG.warning("skipping C=%g n_th=%g: %s", C, n_th, exc)
-        return {"model": a_name, "skipped": True, "reason": str(exc)}
+def _validate_row(C, n_th, analytic, outcome):
+    """The analytic report against the oracle's at one point, as a dict, a
+    row of :func:`_oracle_slice`. An oracle whose truncation ladder ran out
+    of budget leaves a skipped row."""
+    a_name, a_rep = analytic
+    if isinstance(outcome, BudgetExceeded):
+        _LOG.warning("skipping C=%g n_th=%g: %s", C, n_th, outcome)
+        return {"model": a_name, "skipped": True, "reason": str(outcome)}
+    if isinstance(outcome, Exception):
+        raise outcome
     dev_g2 = None
-    if a_rep.g2 is not None and o_rep.g2 is not None:
-        dev_g2 = _rel_dev(a_rep.g2, o_rep.g2)
+    if a_rep.g2 is not None and outcome.g2 is not None:
+        dev_g2 = _rel_dev(a_rep.g2, outcome.g2)
     return {
         "model": a_name,
         "skipped": False,
-        "dev_n_ss": _rel_dev(a_rep.n_ss, o_rep.n_ss),
+        "dev_n_ss": _rel_dev(a_rep.n_ss, outcome.n_ss),
         "dev_g2": dev_g2,
-        "pop_l1": _pop_l1(a_rep.populations, o_rep.populations),
+        "pop_l1": _pop_l1(a_rep.populations, outcome.populations),
     }
 
 
@@ -878,7 +864,8 @@ def cmd_validate(cfg) -> int:
         if not (math.isfinite(tol) and tol >= 0.0):
             raise DomainError(f"{_flag(dest)} must be finite and >= 0, got {tol!r}")
         tolerances[key] = tol
-    work = functools.partial(_slice_worker, _validate_point, model, cfg)
+    oracle = _get(cfg, "oracle", "oracle-reduced")
+    work = functools.partial(_oracle_slice, _validate_row, model, oracle, cfg)
     results, failed = _run_grid(cfg, c_values, nth_values, work)
     grid = itertools.product(nth_values, c_values)
     points = [
@@ -896,7 +883,7 @@ def cmd_validate(cfg) -> int:
     payload = {
         "grid": {"C": c_values, "n_th": nth_values},
         "model": model,
-        "oracle": _get(cfg, "oracle", "oracle-reduced"),
+        "oracle": oracle,
         "tolerances": tolerances,
         "points": points,
         "summary": summary,

@@ -28,10 +28,6 @@ class NotConverged(PhononStatsError):
         self.terms_used = terms_used
 
 
-class FixedPointDiverged(PhononStatsError):
-    """The self-consistent photon-number iteration failed to converge."""
-
-
 class SingularSystem(PhononStatsError):
     """The steady-state linear system is singular or numerically degenerate.
 

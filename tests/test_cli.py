@@ -18,7 +18,14 @@ import pytest
 import phonon_stats
 from phonon_stats import _kernels, cli, exact, hitemp
 from phonon_stats.cli import main
-from phonon_stats.errors import DomainError, NotConverged, PhononStatsError
+from phonon_stats.errors import (
+    BudgetExceeded,
+    DomainError,
+    NotConverged,
+    PhononStatsError,
+    SingularSystem,
+    UnphysicalState,
+)
 
 SRC = str(Path(phonon_stats.__file__).resolve().parents[1])
 
@@ -207,7 +214,7 @@ def test_stats_nonconvergence_exit_2(capsys):
 
 
 # every package error but a DomainError means exit 2 (errors.py); read from
-# the hierarchy, so a type added there is covered too
+# the hierarchy, and the test pins it, so a type lost or added there fails
 _NONDOMAIN = [cls for cls in PhononStatsError.__subclasses__() if cls is not DomainError]
 
 
@@ -223,7 +230,7 @@ def _failing_at_c3(real, error):
 def test_nondomain_package_errors_exit_2(capsys, monkeypatch, error):
     """``stats`` exits 2 with the error's line; ``sweep`` drops the point,
     prints one line naming it and exits 2, and writes every other row."""
-    assert len(_NONDOMAIN) >= 5
+    assert set(_NONDOMAIN) == {NotConverged, SingularSystem, UnphysicalState, BudgetExceeded}
     sweep = ("sweep", "--model", "hitemp", "--c-set", "1,3,10", "--nth-set", "1")
     code, clean, _ = run(capsys, *sweep)
     assert code == 0
@@ -746,6 +753,34 @@ def test_failing_oracle_batch_aborts_the_sweep(capsys, monkeypatch, tmp_path):
     assert not rows.exists()
 
 
+# per oracle: a point off the coherent line C = 2 n_th + 1, and a fixed truncation
+_ONE_POINT = [
+    pytest.param("oracle-reduced", "2", "1", ("--trunc", "30"), id="reduced"),
+    pytest.param("oracle-rwa", "3", "0.5", ("--trunc", "12"), id="rwa"),
+    pytest.param("oracle-prerwa", "3", "0.2", ("--trunc", "8", "--trunc-cav", "3"), id="prerwa"),
+]
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["ladder", "trunc"])
+@pytest.mark.parametrize("model, C, n_th, trunc", _ONE_POINT)
+def test_stats_matches_a_one_point_sweep(capsys, model, C, n_th, trunc, fixed):
+    """``stats`` solves its point alone and ``sweep`` solves it as a slice
+    of one grid point: both give the same model, the same %.17g n_ss and g2
+    and the same regime, on a ladder and at a fixed truncation."""
+    extra = trunc if fixed else ()
+    code, out, err = run(capsys, "stats", "--model", model, "--C", C, "--n-th", n_th, *extra)
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    code, out, err = run(capsys, "sweep", "--model", model, "--c-set", C, "--nth-set", n_th,
+                         *extra)
+    assert (code, err) == (0, "")
+    (row,) = _read_csv(out)
+    assert rep["regime"] != "Coherent"
+    assert (row["model"], row["n_ss"], row["g2"], row["regime"]) == (
+        rep["params"]["model"], "%.17g" % rep["n_ss"], "%.17g" % rep["g2"], rep["regime"]
+    )
+
+
 @pytest.mark.parametrize("c_set", ["1,-1", "-1,1"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_first_aborting_point_chooses_the_error(capsys, c_set, jobs):
@@ -1266,7 +1301,8 @@ def test_validate_refuses_tolerances_outside_0_inf(capsys, monkeypatch, tmp_path
     the flag and no output."""
     def no_point(*args):
         raise AssertionError("a point ran")
-    monkeypatch.setattr(cli, "_reports", no_point)
+    monkeypatch.setattr(cli, "_analytic_report", no_point)
+    monkeypatch.setattr(cli, "_oracle_job", no_point)
     for dest in ("tol_nss", "tol_g2", "tol_pop"):
         flag = cli._flag(dest)
         line = f"error: {flag} must be finite and >= 0, got {float(value)!r}\n"

@@ -11,3 +11,15 @@ def test_readme_examples():
     )
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_readme_layout_names_every_module():
+    """The README's Layout block names exactly the package's ``.py`` files."""
+    layout = README.read_text().split("## Layout", 1)[1].split("```")[1]
+    named = {
+        line.split()[0]
+        for line in layout.splitlines()
+        if line.startswith("  ") and line.split()[0].endswith(".py")
+    }
+    package = README.parent / "src" / "phonon_stats"
+    assert named == {path.name for path in package.glob("*.py")}

@@ -45,6 +45,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     # n_th/C stays below the 1e6 hand-off, so auto picks exact at every point
     assert main(["sweep", "--model", "auto", "--c-set", "0.1,1,10", "--nth-set", "0,1,1e3"]) == 0
     assert main(["figure", "4", "--out", {str(tmp_path)!r}]) == 0
+    # the exact route refuses the first point before any oracle job is made
+    assert main(["validate", "--c-set=-1,1", "--nth-set", "1"]) == 1
 {_LOADED_SCIPY}
 """
     assert _python(code, tmp_path).strip().splitlines()[-1] == "[]"
