@@ -81,11 +81,15 @@ def _check_cn(C: float, n_th: float, *, positive_nth: bool = False) -> tuple[flo
 def _series_args(C: float, n_th: float) -> tuple[float, float] | None:
     """The point's checked series arguments (nu, x), or ``None`` at
     ``n_th = 0``, where the state is the ground state and no series is
-    summed. Raises the point's :class:`~phonon_stats.errors.DomainError`."""
+    summed. Raises the point's :class:`~phonon_stats.errors.DomainError`,
+    which names C and n_th also where nu = (1 + 2 n_th)/C overflows."""
     C, n_th = _check_cn(C, n_th)
     if n_th == 0.0:
         return None
-    return specfun._check_args((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
+    try:
+        return specfun._check_args((1.0 + 2.0 * n_th) / C, 2.0 * n_th / C)
+    except DomainError as err:
+        raise DomainError(f"series at C={C:g}, n_th={n_th:g}: {err}") from err
 
 
 def _observables(C: float, n_th: float) -> tuple[float, float | None, SeriesSums | None]:

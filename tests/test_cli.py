@@ -919,6 +919,18 @@ def test_sweep_regimes_at_the_coherent_boundary(capsys, model):
     assert boundary == ["Vacuum"] + ["Coherent"] * 4
 
 
+@pytest.mark.parametrize("C,n_th", [("1e-300", "1e10"), ("5e-324", "1")])
+def test_exact_overflowing_series_names_the_point(capsys, C, n_th):
+    """nu = (1 + 2 n_th)/C overflows: ``stats`` and an exact sweep that
+    reaches the point exit 1 with one error line that names C and n_th
+    ahead of the series' own message."""
+    want = (f"error: series at C={float(C):g}, n_th={float(n_th):g}: "
+            "recip_gamma_series requires nu > 0, got inf\n")
+    assert run(capsys, "stats", "--model", "exact", "--C", C, "--n-th", n_th) == (1, "", want)
+    sweep = ("sweep", "--model", "exact", "--c-set", C, "--nth-set", "0," + n_th)
+    assert run(capsys, *sweep) == (1, "", want)
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--model=exact", "--c-set=0", "--nth-set=1"),
     ("sweep", "--model=exact", "--c-set=inf", "--nth-set=1"),
@@ -1190,6 +1202,31 @@ def test_figure6_columns_named_in_full_precision(tmp_path, capsys):
     # %.17g, as every other float the CLI writes, so the names stay apart
     header = (tmp_path / "figure6.csv").read_text().splitlines()[0]
     assert header == "n,P_C1.0000001000000001,P_C1.0000001999999999"
+
+
+def test_figure3_dataset(tmp_path, capsys):
+    """The default figure 3 writes the populations of the hitemp report at
+    (C, n_th) = (1e2, 1e4), row n as ``n,P`` in %.17g, and a plot script."""
+    code, out, err = run(capsys, "figure", "3", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    csv_path, script_path = tmp_path / "figure3.csv", tmp_path / "figure3_plot.py"
+    assert out.splitlines() == [str(csv_path), str(script_path)]
+    py_compile.compile(str(script_path), doraise=True)
+    rows = _read_csv(csv_path.read_text())
+    populations = hitemp.steady_state_hitemp(1e2, 1e4).populations
+    assert [(r["n"], r["P"]) for r in rows] == [
+        ("%.17g" % n, "%.17g" % p) for n, p in enumerate(populations)
+    ]
+
+
+def test_curve_figure_row_with_undefined_g2(tmp_path, capsys):
+    # at n_th = 0 the exact state is the ground state: n_ss = 0, no g2
+    code, _, err = run(capsys, "figure", "4", "--c-set", "1", "--nth-set", "0,1",
+                       "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    lines = (tmp_path / "figure4.csv").read_text().splitlines()
+    assert lines[:2] == ["C,n_th,n_ss,g2", "1,0,0,"]
+    assert len(lines) == 3
 
 
 @pytest.mark.parametrize("flags", [

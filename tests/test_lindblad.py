@@ -896,6 +896,29 @@ def test_builders_reject_nonfinite_parameters(bad):
             build_prerwa_liouvillian(_d19_reduced(), *args, two_mode)
 
 
+_TWO_MODE = TruncationSpec(dim_mech=8, dim_cav=2)
+
+
+@pytest.mark.parametrize("build,match", [
+    (partial(build_reduced_liouvillian, 3.0, 1.0, _TWO_MODE), "dim_cav must be 1"),
+    (partial(build_reduced_liouvillian, -1.0, 1.0, TruncationSpec(dim_mech=8)), "nonnegative"),
+    (partial(build_reduced_liouvillian, 3.0, -1.0, TruncationSpec(dim_mech=8)), "nonnegative"),
+    (partial(build_two_mode_rwa_liouvillian, 1.0, 0.0, 1.0, 1.0, _TWO_MODE), "positive"),
+    (partial(build_two_mode_rwa_liouvillian, 1.0, 10.0, -1.0, 1.0, _TWO_MODE), "positive"),
+    (partial(build_two_mode_rwa_liouvillian, 1.0, 10.0, 1.0, -1.0, _TWO_MODE), "n_th must be"),
+    (partial(build_prerwa_liouvillian, _d19_reduced(), -2000.0, 1.0, 1.0, _TWO_MODE), "positive"),
+    (partial(build_prerwa_liouvillian, _d19_reduced(), 2000.0, 0.0, 1.0, _TWO_MODE), "positive"),
+    (partial(build_prerwa_liouvillian, _d19_reduced(), 2000.0, 1.0, -1.0, _TWO_MODE), "n_th must be"),
+], ids=["reduced-dim_cav", "reduced-C", "reduced-n_th", "rwa-kappa", "rwa-gamma", "rwa-n_th",
+        "prerwa-kappa", "prerwa-gamma", "prerwa-n_th"])
+def test_builders_refuse_their_domain(build, match):
+    """Each builder's own sign and shape checks: a reduced model given a
+    cavity slot or a negative C or n_th, and two-mode models with kappa or
+    gamma not positive or a negative n_th, all raise DomainError."""
+    with pytest.raises(DomainError, match=match):
+        build()
+
+
 def test_prerwa_quadratic_term_changes_generator():
     red = _d19_reduced()
     trunc = TruncationSpec(dim_mech=10, dim_cav=3)

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -52,14 +53,17 @@ def _erfcx_mpmath(x: float):
 
 
 def test_erfcx_matches_mpmath():
-    """Both sides of the switch to the asymptotic series at x = 26, and x
-    past 1e154, where x^2 overflows: 6,214 points in all."""
+    """Both sides of the switch to the continued fraction at x = 1/2, x = 26,
+    where erfc(x) nears the subnormals, and x past 1e154, where x^2
+    overflows, up to the largest double: 6,419 points in all. Measured worst: 2.3e-16, and 4.7e-16 at the largest double, whose
+    erfcx of 3.1e-309 is subnormal (spacing 1.6e-15 relative)."""
     rng = np.random.default_rng(7)
     points = np.concatenate([
-        [0.0, 5e-324, 1e-300, 26.0 - 1e-9, 26.0, 26.0 + 1e-9,
-         1e154, 1.4e154, 1e200, 1e300, 2e307],
+        [0.0, 5e-324, 1e-300, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 26.0 - 1e-9, 26.0,
+         26.0 + 1e-9, 1e154, 1.4e154, 1e200, 1e300, 2e307, sys.float_info.max],
         np.linspace(0.0, 30.0, 3001),
         np.logspace(-8.0, 8.0, 2001),
+        0.5 + np.linspace(-1e-6, 1e-6, 201),
         26.0 + np.linspace(-1e-6, 1e-6, 201),
         rng.uniform(0.0, 40.0, 500),
         rng.uniform(0.0, 1e8, 500),
@@ -73,8 +77,26 @@ def test_erfcx_matches_mpmath():
 
 
 def test_erfcx_is_monotone_across_the_switch():
-    values = [hitemp.erfcx(26.0 + k * 1e-9) for k in range(-100, 101)]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    """erfcx falls strictly over 201 points 1e-9 apart around x = 1/2, where
+    erfc(x) exp(x^2) hands over to the continued fraction, and around
+    x = 26, where erfc(x) nears the subnormals."""
+    for switch in (0.5, 26.0):
+        values = [hitemp.erfcx(switch + k * 1e-9) for k in range(-100, 101)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("x0", [0.75, 2.0, 10.0, 26.0, 1e3])
+def test_erfcx_never_rises_between_neighbouring_doubles(x0):
+    """From x = 3/4 up erfcx never rises over 4,000 consecutive doubles. The
+    fraction branch uses only +, / and sqrt, which are correctly rounded, so
+    this does not depend on the platform's libm."""
+    x, prev, rises = x0, hitemp.erfcx(x0), 0
+    for _ in range(4000):
+        x = math.nextafter(x, math.inf)
+        value = hitemp.erfcx(x)
+        rises += value > prev
+        prev = value
+    assert rises == 0
 
 
 def _sums(nu, x):
