@@ -292,5 +292,8 @@ def population_logsums(nu, y, m_max, log_b0):
     log_b = np.empty(m_max + 1)
     log_b[0] = log_b0
     rho, levels, ok, _ = backward_ratios(y, nu - y, 1.0, m_max)
-    log_b[1:] = log_b0 + np.cumsum(np.log(rho / np.arange(1.0, m_max + 1.0)))
+    ratio = rho / np.arange(1.0, m_max + 1.0)
+    # where y = n_th/C underflows to 0, so do the ratios: their logs are -inf
+    log_ratio = np.log(ratio, out=np.full(m_max, -np.inf), where=ratio > 0.0)
+    log_b[1:] = log_b0 + np.cumsum(log_ratio)
     return log_b, levels, ok

@@ -14,13 +14,14 @@ solves), and ``auto``, which picks ``hitemp`` when n_th/C > 1e6 and
 routes differ there by up to 2.7e-4 in g2, so ``auto`` output jumps across
 the ratio (the README gives the measured jump).
 
-Grids: ``sweep``, the curve figures (1, 2, 4 and 5), figure 6's C list and
-``validate`` read their (C, n_th) grid through :func:`_grid` (per axis: the
-set flag, then the range flag, then the single-point flag, then the
-command's default) and evaluate it through :func:`_run_grid`, n_th outer and
-C inner. A point that fails to converge drops out of the output; the command
-writes the converged rest, prints one ``error: C=… n_th=…: <message>`` line
-per failed point and exits 2, whatever its exit code would have been.
+Grids: ``sweep``, the curve figures (1, 2, 4 and 5), figure 6's C list,
+figure 3's point and ``validate`` read their (C, n_th) grid through
+:func:`_grid` (per axis: the set flag, then the range flag, then the
+single-point flag, then the command's default); all but figures 3 and 6
+evaluate it through :func:`_run_grid`, n_th outer and C inner. A point
+that fails to converge drops out of the output; the command writes the
+converged rest, prints one ``error: C=… n_th=…: <message>`` line per failed
+point and exits 2, whatever its exit code would have been.
 
 What each command computes: ``sweep`` and figures 1, 2, 4 and 5 compute
 n_ss and g2 only, and ``sweep`` the regime as well; ``stats``, ``validate``
@@ -45,17 +46,17 @@ figure. The oracles, and so ``validate``, load ``scipy.sparse``, and only
 Every call goes through the module attribute, so a wrapper set on e.g.
 ``hitemp.observables_hitemp`` sees it.
 
-Sweeps and figure datasets are CSV (headered, RFC-4180 quoting and CRLF
-line ends as the csv module writes them; the observables grids format their
-rows directly, to the same bytes); single reports and validation summaries
-are JSON. Floats are rendered with %.17g so outputs round-trip and runs are
-byte-reproducible. Undefined g2 is an empty CSV field / JSON null, never 0.
+Sweeps and figure datasets are CSV: headered, CRLF line ends, and no field
+that needs quoting (numbers and ``P_C…`` names), so each row is its fields
+joined by commas, the bytes the csv module writes of them. Single reports
+and validation summaries are JSON. Floats are rendered with %.17g so outputs
+round-trip and runs are byte-reproducible. Undefined g2 is an empty CSV
+field / JSON null, never 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -72,7 +73,7 @@ import phonon_stats as _pkg
 from . import _kernels, exact
 from .errors import BudgetExceeded, DomainError, PhononStatsError
 from .params import ReducedParams
-from .report import SteadyStateReport
+from .report import Regime, SteadyStateReport
 
 __all__ = ["main"]
 
@@ -400,9 +401,10 @@ def _observables_slice(model, regimes, points):
         try:
             if name == "exact":
                 args = exact._series_args(C, n_th)
-            else:
+                regime = exact.classify_regime(C, n_th).value if regimes else None
+            else:  # the thermal-diffusion g2 lies in [pi/2, 2]: always bunched
                 n_ss, g2 = _pkg.hitemp.observables_hitemp(C, n_th)
-            regime = exact.classify_regime(C, n_th).value if regimes else None
+                regime = Regime.BUNCHED.value if regimes else None
         except Exception as exc:
             results.append(_failure(exc))
             if isinstance(results[-1], Exception):  # aborts before any series is summed
@@ -602,11 +604,8 @@ def _json_text(obj, newline: str) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV of rows of text fields that need no quoting, header first."""
+    return "".join(",".join(row) + "\r\n" for row in itertools.chain([header], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -646,59 +645,6 @@ def cmd_sweep(cfg) -> int:
 
 
 # figure datasets: captions' parameter sets, hard-coded, flag-overridable
-
-# curve figures: (model, default C grid, default n_th grid), in the flags' syntax
-_CURVES = {
-    1: ("hitemp", "1e-9:1e3:120:log", "1e3,1e4,1e5,1e6"),
-    2: ("hitemp", "1e-9:1e6:120:log", "1e3,1e4,1e5,1e6"),
-    4: ("exact", "0.1:1e3:100:log", "1,10,20,40"),
-    5: ("exact", "0.1:1e3:40:log", "0.1:40:40:log"),
-}
-
-
-def cmd_figure(cfg) -> int:
-    fig_id = int(cfg.fig_id)
-    if not 1 <= fig_id <= 6:
-        raise DomainError(f"fig_id must be in 1..6, got {fig_id}")
-    what = f"figure {fig_id}"
-    failed = []
-    if fig_id in _CURVES:
-        model, c_default, nth_default = _CURVES[fig_id]
-        c_values, nth_values = _grid(cfg, what, c_default=c_default, nth_default=nth_default)
-        work = functools.partial(_observables_slice, model, False)
-        results, failed = _run_grid(cfg, c_values, nth_values, work)
-        text = _observables_csv(c_values, nth_values, results, False)
-    elif fig_id == 3:
-        grid = [_flag(d) for d in ("c_set", "c_range", "nth_set") if getattr(cfg, d) is not None]
-        if grid:
-            raise DomainError(f"figure 3 takes one point (--C, --n-th), not {', '.join(grid)}")
-        C = float(_get(cfg, "C", 1e2))
-        n_th = float(_get(cfg, "n_th", 1e4))
-        _, rep = _point_report("hitemp", C, n_th, cfg)
-        text = _csv_text(["n", "P"], ([_fmt(n), _fmt(p)] for n, p in enumerate(rep.populations)))
-    else:  # fig_id == 6
-        c_values, nth_values = _grid(cfg, what, c_default="1,41,1000", nth_default="20")
-        if len(nth_values) != 1:
-            raise DomainError(f"figure 6 takes one n_th, got {len(nth_values)}")
-        n_th = nth_values[0]
-        # each column takes its own window; all are then recomputed at the widest
-        m_max = max(exact.phonon_populations_exact(C, n_th).size for C in c_values) - 1
-        cols = [exact.phonon_populations_exact(C, n_th, m_max) for C in c_values]
-        header = ["n"] + [f"P_C{_fmt(C)}" for C in c_values]
-        text = _csv_text(header, ([_fmt(n)] + [_fmt(col[n]) for col in cols]
-                                  for n in range(m_max + 1)))
-
-    outdir = cfg.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    csv_name = f"figure{fig_id}.csv"
-    csv_path = os.path.join(outdir, csv_name)
-    script_path = os.path.join(outdir, f"figure{fig_id}_plot.py")
-    _emit_text(text, csv_path)
-    _emit_text(_plot_script(fig_id, csv_name), script_path)
-    print(csv_path)
-    print(script_path)
-    return _exit_code(failed)
-
 
 _SCRIPT_CURVES = '''"""Plot %(csv)s: %(ycol)s against C, one curve per n_th."""
 import csv
@@ -786,28 +732,65 @@ fig.tight_layout()
 fig.savefig("%(png)s", dpi=200)
 '''
 
+_MEAN_CURVES = {"ycol": "n_ss", "ylabel": "mean phonon number n_ss",
+                "extra": 'ax.set_yscale("log")'}
 
-def _plot_script(fig_id: int, csv_name: str) -> str:
-    png = f"figure{fig_id}.png"
-    if fig_id in (1, 4):
-        return _SCRIPT_CURVES % {
-            "csv": csv_name,
-            "ycol": "n_ss",
-            "ylabel": "mean phonon number n_ss",
-            "extra": 'ax.set_yscale("log")',
-            "png": png,
-        }
-    if fig_id == 2:
-        return _SCRIPT_CURVES % {
-            "csv": csv_name,
-            "ycol": "g2",
-            "ylabel": "g2(0)",
-            "extra": "",
-            "png": png,
-        }
-    if fig_id in (3, 6):
-        return _SCRIPT_DIST % {"csv": csv_name, "png": png}
-    return _SCRIPT_CONTOUR % {"csv": csv_name, "png": png}
+# per figure: its route, its default C and n_th grids in the flags' syntax,
+# and its plot script's template and fields
+_FIGURES = {
+    1: ("hitemp", "1e-9:1e3:120:log", "1e3,1e4,1e5,1e6", _SCRIPT_CURVES, _MEAN_CURVES),
+    2: ("hitemp", "1e-9:1e6:120:log", "1e3,1e4,1e5,1e6", _SCRIPT_CURVES,
+        {"ycol": "g2", "ylabel": "g2(0)", "extra": ""}),
+    3: ("hitemp", "1e2", "1e4", _SCRIPT_DIST, {}),
+    4: ("exact", "0.1:1e3:100:log", "1,10,20,40", _SCRIPT_CURVES, _MEAN_CURVES),
+    5: ("exact", "0.1:1e3:40:log", "0.1:40:40:log", _SCRIPT_CONTOUR, {}),
+    6: ("exact", "1,41,1000", "20", _SCRIPT_DIST, {}),
+}
+
+
+def cmd_figure(cfg) -> int:
+    """Figures 1, 2, 4 and 5 are curves of n_ss and g2 over their grid,
+    figure 3 the populations of one point and figure 6 those of one n_th at
+    each C, in columns."""
+    fig_id = int(cfg.fig_id)
+    if fig_id not in _FIGURES:
+        raise DomainError(f"fig_id must be in 1..6, got {fig_id}")
+    route, c_default, nth_default, script, fields = _FIGURES[fig_id]
+    what = f"figure {fig_id}"
+    if fig_id == 3:
+        grid = [_flag(d) for d in ("c_set", "c_range", "nth_set") if getattr(cfg, d) is not None]
+        if grid:
+            raise DomainError(f"figure 3 takes one point (--C, --n-th), not {', '.join(grid)}")
+    c_values, nth_values = _grid(cfg, what, c_default=c_default, nth_default=nth_default)
+    failed = []
+    if fig_id == 3:
+        _, rep = _point_report(route, c_values[0], nth_values[0], cfg)
+        text = _csv_text(["n", "P"], ([_fmt(n), _fmt(p)] for n, p in enumerate(rep.populations)))
+    elif fig_id == 6:
+        if len(nth_values) != 1:
+            raise DomainError(f"figure 6 takes one n_th, got {len(nth_values)}")
+        n_th = nth_values[0]
+        # each column takes its own window; all are then recomputed at the widest
+        m_max = max(exact.phonon_populations_exact(C, n_th).size for C in c_values) - 1
+        cols = [exact.phonon_populations_exact(C, n_th, m_max) for C in c_values]
+        header = ["n"] + [f"P_C{_fmt(C)}" for C in c_values]
+        text = _csv_text(header, ([_fmt(n)] + [_fmt(col[n]) for col in cols]
+                                  for n in range(m_max + 1)))
+    else:
+        work = functools.partial(_observables_slice, route, False)
+        results, failed = _run_grid(cfg, c_values, nth_values, work)
+        text = _observables_csv(c_values, nth_values, results, False)
+
+    outdir = cfg.out or "."
+    os.makedirs(outdir, exist_ok=True)
+    csv_name = f"figure{fig_id}.csv"
+    csv_path = os.path.join(outdir, csv_name)
+    script_path = os.path.join(outdir, f"figure{fig_id}_plot.py")
+    _emit_text(text, csv_path)
+    _emit_text(script % {"csv": csv_name, "png": f"figure{fig_id}.png", **fields}, script_path)
+    print(csv_path)
+    print(script_path)
+    return _exit_code(failed)
 
 
 # validation
@@ -907,12 +890,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     parser.commands = sub.choices  # name -> subparser
 
-    def add_common(p, *, point=True, oracle=True):
+    def add_common(p, *, oracle=True):
         p.add_argument("--config", default=None, help="JSON config file; flags override it")
         p.add_argument("--out", default=None, help="output path (figure: output directory)")
-        if point:
-            p.add_argument("--C", type=float, default=None, help="multiphoton cooperativity")
-            p.add_argument("--n-th", type=float, default=None, help="bath occupation")
+        p.add_argument("--C", type=float, default=None, help="multiphoton cooperativity")
+        p.add_argument("--n-th", type=float, default=None, help="bath occupation")
         if oracle:
             p.add_argument("--trunc", type=int, default=None,
                            help="fixed mechanical truncation (skips the convergence ladder)")

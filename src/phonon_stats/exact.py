@@ -212,7 +212,8 @@ def _populations(
     trial = math.ceil(n_ss + 10.0 * math.sqrt(var))
     while True:
         p = _window(C, n_th, trial, log_b0, log_f2)
-        held = p * n_th / (1.0 + C * np.arange(trial + 1.0)) <= _TAIL_TOL
+        with np.errstate(over="ignore"):  # 1 + C m past the floats: the bound is 0
+            held = p * n_th / (1.0 + C * np.arange(trial + 1.0)) <= _TAIL_TOL
         if held[-1]:
             return p[: int(np.argmax(held)) + 1]
         trial *= 2

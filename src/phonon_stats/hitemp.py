@@ -49,8 +49,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, NotConverged
-from .report import SteadyStateReport
-from .exact import _check_cn, classify_regime
+from .report import Regime, SteadyStateReport
+from .exact import _check_cn
 
 __all__ = [
     "MomentTable",
@@ -307,7 +307,7 @@ def steady_state_hitemp(
         n_ss=n_ss,
         g2=g2,
         populations=populations,
-        regime=classify_regime(C, n_th),
+        regime=Regime.BUNCHED,  # g2 lies in [pi/2, 2] at every point
         diagnostics={
             "model": "hitemp",
             "moment_method": method,

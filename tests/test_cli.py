@@ -931,6 +931,43 @@ def test_exact_overflowing_series_names_the_point(capsys, C, n_th):
     assert run(capsys, *sweep) == (1, "", want)
 
 
+@pytest.mark.parametrize("C,n_th", [("1e308", "1"), ("1e307", "1e307"), ("3", "5e-324")])
+@pytest.mark.parametrize("model", ["exact", "auto"])
+def test_stats_at_float_extremes_warns_nothing(capsys, model, C, n_th):
+    """At the first two points 1 + C m leaves the floats in the window's tail
+    bound, whose limit there is 0; at the third y = n_th/C underflows to 0,
+    and so do the population ratios. Each exits 0 with finite output and no
+    numpy warning (which tier-1 turns into an error)."""
+    code, out, err = run(capsys, "stats", "--model", model, "--C", C, "--n-th", n_th)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["params"]["model"] == "exact"
+    assert math.isfinite(payload["n_ss"])
+    assert payload["g2"] is None or math.isfinite(payload["g2"])
+    assert all(math.isfinite(p) for p in payload["populations"])
+
+
+def test_exact_populations_where_n_th_over_c_underflows():
+    # y = n_th/C = 1e-600 is 0 in floats: every backward ratio is 0, its log -inf
+    assert exact.phonon_populations_exact(1e300, 1e-300, 5).tolist() == [1, 0, 0, 0, 0, 0]
+
+
+def test_hitemp_reports_and_rows_are_bunched(capsys):
+    """The thermal-diffusion g2 lies in [pi/2, 2], so every hitemp report and
+    row is ``Bunched``, also at points that lie above the exact route's
+    boundary C = 2 n_th + 1 (C = 100 at n_th = 1, and n_th = 1e-13)."""
+    code, out, err = run(capsys, "stats", "--model", "hitemp", "--C", "100", "--n-th", "1")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["regime"] == "Bunched" and math.pi / 2 <= payload["g2"] <= 2.0
+    code, out, err = run(capsys, "sweep", "--model", "hitemp", "--c-set", "1,100",
+                         "--nth-set", "1e-13,1")
+    assert (code, err) == (0, "")
+    rows = _read_csv(out)
+    assert len(rows) == 4
+    assert all(r["regime"] == "Bunched" and math.pi / 2 <= float(r["g2"]) <= 2.0 for r in rows)
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--model=exact", "--c-set=0", "--nth-set=1"),
     ("sweep", "--model=exact", "--c-set=inf", "--nth-set=1"),
@@ -953,7 +990,7 @@ def test_invalid_grid_points_raise_their_typed_error(tmp_path, capsys, argv):
     numpy warning (which tier-1 turns into an error)."""
     flags = dict(arg.split("=") for arg in argv if "=" in arg)
     if argv[0] == "figure":
-        flags["--model"] = cli._CURVES[int(argv[1])][0]
+        flags["--model"] = cli._FIGURES[int(argv[1])][0]
         argv = (*argv, "--out", str(tmp_path))
     alone = run(capsys, "stats", "--model=" + flags["--model"], "--C=" + flags["--c-set"],
                 "--n-th=" + flags["--nth-set"])
@@ -1287,6 +1324,19 @@ def test_validate_keeps_converged_points_past_a_failed_point(capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: C=0.001 n_th=1000000000:")
+
+
+def test_validate_drops_a_failed_oracle_solve(capsys):
+    """The oracle solve at C = 1e308 fails and drops its point, through the
+    re-raise in ``_validate_row``: the C = 1 row is still written and
+    passes, and exit 2 comes with that point's error line alone."""
+    code, out, err = run(capsys, "validate", "--c-set", "1,1e308", "--nth-set", "1")
+    assert code == 2
+    payload = json.loads(out)
+    assert [(p["C"], p["n_th"], p["skipped"]) for p in payload["points"]] == [(1.0, 1.0, False)]
+    assert payload["pass"] is True
+    (line,) = err.splitlines()
+    assert line.startswith("error: C=1e+308 n_th=1: ")
 
 
 def test_default_validate_factors_once_per_rung_level(capsys):
