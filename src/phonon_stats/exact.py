@@ -188,18 +188,41 @@ def _window(C: float, n_th: float, m_max: int, log_b0: float, log_f2: float) -> 
     return np.exp(log_b - log_f2)
 
 
+def _bound_window(C: float, n_th: float, log_p0: float) -> int:
+    """The first level m where the flux-balance bound on the tail past it,
+    U_m n_th/(1 + C m) with U_m = P_0 prod_{n<m} q_n >= P_m, is at most
+    ``_TAIL_TOL``. That is U_{m+1} (1 + n_th/(1 + C m)), summed in logs
+    over blocks of levels that double up to ``_kernels._CHUNK`` and end at
+    the term budget; where the bound still fails there, the level reached,
+    which the window check refuses."""
+    log_tol, log_u, lo, size = math.log(_TAIL_TOL), log_p0, 0, 64
+    end = _kernels._MAX_TERMS - _kernels._EXCESS
+    # where C m overflows, q_m is 0 and the bound -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        while lo < end:
+            m = np.arange(lo, min(lo + size, end), dtype=np.float64)
+            log_next = log_u + np.cumsum(np.log(n_th / (n_th + 1.0 + C * m)))
+            held = np.flatnonzero(log_next + np.log1p(n_th / (1.0 + C * m)) <= log_tol)
+            if held.size:
+                return lo + int(held[0])
+            log_u, lo, size = log_next[-1], lo + m.size, min(2 * size, _kernels._CHUNK)
+    return lo
+
+
 def _populations(
-    C: float, n_th: float, m_max: int | None, n_ss: float, g2: float | None, log_f2: float
+    C: float, n_th: float, m_max: int | None, log_f2: float
 ) -> np.ndarray:
     """P(0..m_max); with ``m_max=None`` the window ends where its tail is bounded.
 
     The flux balance gives P_{n+1} <= q_n P_n with q_n = n_th/(n_th + 1 + C n)
     falling in n, so the mass past level m is below P_m q_m/(1 - q_m) =
     P_m n_th/(1 + C m), with no 1 - sum(P) and its roundoff. The window ends
-    at the first level where that bound is at most ``_TAIL_TOL``; the trial
-    window that must hold it starts at n_ss + 10 sd, with
-    sd^2 = n_ss + n_ss^2 (g2 - 1) (n_ss where g2 is undefined), and doubles.
-    The series for B_0 = f_0(nu, y) is summed once, for every trial.
+    at the first level where that bound is at most ``_TAIL_TOL``. It is
+    sized once, before any level is computed, where the bound holds for
+    P_0 prod_{n<m} q_n >= P_m with P_0 = B_0/f_0(nu, 2y) (:func:`_bound_window`),
+    and cut at the first level whose own bound holds; a window whose last
+    level fails its own bound is refused. The series for B_0 = f_0(nu, y)
+    is summed once.
     """
     log_b0, _, _, terms, ok = next(
         zip(*_kernels.series_logsums((1.0 + 2.0 * n_th) / C, n_th / C))
@@ -208,15 +231,17 @@ def _populations(
         raise _budget_error(C, n_th, terms)
     if m_max is not None:
         return _window(C, n_th, m_max, log_b0, log_f2)
-    var = n_ss if g2 is None else n_ss + n_ss * n_ss * (g2 - 1.0)
-    trial = math.ceil(n_ss + 10.0 * math.sqrt(var))
-    while True:
-        p = _window(C, n_th, trial, log_b0, log_f2)
-        with np.errstate(over="ignore"):  # 1 + C m past the floats: the bound is 0
-            held = p * n_th / (1.0 + C * np.arange(trial + 1.0)) <= _TAIL_TOL
-        if held[-1]:
-            return p[: int(np.argmax(held)) + 1]
-        trial *= 2
+    m_max = _bound_window(C, n_th, log_b0 - log_f2)
+    p = _window(C, n_th, m_max, log_b0, log_f2)
+    with np.errstate(over="ignore"):  # 1 + C m past the floats: the bound is 0
+        held = p * n_th / (1.0 + C * np.arange(m_max + 1.0)) <= _TAIL_TOL
+    if not held[-1]:
+        raise NotConverged(
+            f"populations at C={C:g}, n_th={n_th:g}: the tail bound fails at "
+            f"the end of the {m_max}-level window sized for it",
+            terms_used=m_max,
+        )
+    return p[: int(np.argmax(held)) + 1]
 
 
 def phonon_populations_exact(C: float, n_th: float, m_max: int | None = None) -> np.ndarray:
@@ -270,7 +295,7 @@ def steady_state_exact(C: float, n_th: float, m_max: int | None = None) -> Stead
             diagnostics={"model": "exact", "population_tail": 0.0},
         )
     n_ss, g2, sums = _observables(C, n_th)
-    populations = _populations(C, n_th, m_max, n_ss, g2, sums.log_f)
+    populations = _populations(C, n_th, m_max, sums.log_f)
     tail = max(0.0, 1.0 - float(populations.sum()))
     return SteadyStateReport(
         n_ss=n_ss,

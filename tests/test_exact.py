@@ -1,6 +1,7 @@
 import math
 
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +160,61 @@ def test_default_window_ends_where_the_tail_bound_holds(point):
     assert rep.diagnostics["m_max"] == p.size - 1
     np.testing.assert_array_equal(exact.phonon_populations_exact(C, n_th), p)
     assert exact.steady_state_exact(C, 0.0).populations.size == 1
+
+
+@pytest.mark.parametrize("point", [(3.0, 1.0), (1e-2, 300.0), (1.0, 1e5), (1e-6, 10.0), (1e2, 1e-13)])
+def test_default_window_is_sized_once(point, monkeypatch):
+    # the window is sized from the bound P_0 prod_{n<m} q_n >= P_m before
+    # any level is computed, so one report runs the recurrence once, on a
+    # window that holds the cut
+    windows = []
+    logsums = _kernels.population_logsums
+
+    def counted(nu, y, m_max, log_b0):
+        windows.append(m_max)
+        return logsums(nu, y, m_max, log_b0)
+
+    monkeypatch.setattr(_kernels, "population_logsums", counted)
+    p = exact.steady_state_exact(*point).populations
+    assert len(windows) == 1
+    assert p.size - 1 <= windows[0] <= 1.5 * (p.size - 1) + 1
+
+
+def test_default_window_checked_before_any_level(monkeypatch):
+    # a budget that holds no window past 100 levels refuses the sized
+    # window of (1e-2, 300), about 6,000 levels, before the first level
+    def refuse(*args, **kwargs):
+        raise AssertionError("backward recurrence ran")
+
+    monkeypatch.setattr(_kernels, "backward_ratios", refuse)
+    monkeypatch.setattr(_kernels, "_EXCESS", _kernels._MAX_TERMS - 100)
+    with pytest.raises(NotConverged, match="does not fit"):
+        exact.steady_state_exact(1e-2, 300.0)
+
+
+def test_window_sizing_stops_at_the_budget_in_small_blocks():
+    # where the tail bound still fails at the term budget, the sizing stops
+    # there and the window check refuses that window; its blocks of at most
+    # _kernels._CHUNK levels keep the temporaries small, where blocks that
+    # doubled up to the budget would hold arrays of millions of levels
+    tracemalloc.start()
+    try:
+        m_max = exact._bound_window(1e-7, 1e7, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m_max == _kernels._MAX_TERMS - _kernels._EXCESS
+    assert peak < 16 * 8 * _kernels._CHUNK
+    with pytest.raises(NotConverged, match="does not fit"):
+        _kernels.check_window(m_max, "populations")
+
+
+def test_window_whose_end_fails_its_bound_is_refused(monkeypatch):
+    # the sized window has to hold the cut; one that does not is refused,
+    # not grown
+    monkeypatch.setattr(exact, "_bound_window", lambda C, n_th, log_p0: 3)
+    with pytest.raises(NotConverged, match="tail bound fails"):
+        exact.steady_state_exact(1e-2, 300.0)
 
 
 def test_populations_normalized_at_large_x():

@@ -304,6 +304,76 @@ def test_sector_build_memory_is_linear_in_the_sector():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+    # a fresh record is built one unit part at a time, never holding every
+    # product at once, so its traced peak stays within 2.5x the record it
+    # returns (1.4-1.6x measured)
+    for model, dims in (("reduced", (1, 4096)), ("rwa", (6, 128)), ("prerwa", (4, 16))):
+        lindblad._unit_parts.cache_clear()
+        tracemalloc.start()
+        try:
+            parts = lindblad._unit_parts(model, dims)
+            record, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            lindblad._unit_parts.cache_clear()
+        assert parts.dims == dims
+        assert peak <= 2.5 * record, (model, dims, peak / record)
+
+
+def _arrays(value):
+    """Every ndarray in ``value``: itself, a sparse matrix's data, indices
+    and indptr, and those in lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif sp.issparse(value):
+        yield from (value.data, value.indices, value.indptr)
+    elif isinstance(value, np.ndarray):
+        yield value
+
+
+def _canonical(indices, indptr, width):
+    """Whether the compressed pattern (indices, indptr) of rows ``width``
+    wide ascends within each row, with no duplicate."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    keys = rows.astype(np.int64) * width + indices
+    return bool(indptr[0] == 0 and np.all(np.diff(indptr) >= 0)
+                and np.all((0 <= indices) & (indices < width)) and np.all(np.diff(keys) > 0))
+
+
+@pytest.mark.parametrize("model, dims", [
+    ("reduced", (1, 8)), ("reduced", (1, 100)), ("rwa", (2, 8)), ("rwa", (4, 32)),
+    ("prerwa", (3, 8)), ("prerwa", (4, 16)),
+])
+def test_unit_parts_record_contract(model, dims):
+    # the streamed build keeps the record's contract: a canonical int32
+    # pattern, weights on it with int32 indices and no stored zeros, every
+    # pattern entry weighed by some part, and no array that takes writes
+    lindblad._unit_parts.cache_clear()
+    parts = lindblad._unit_parts(model, dims)
+    n, nnz = parts.sector.size, parts.indices.size
+    assert parts.indices.dtype == parts.indptr.dtype == parts.starts.dtype == np.intc
+    assert parts.indptr.size == n + 1 and parts.indptr[-1] == nnz
+    assert _canonical(parts.indices, parts.indptr, n)
+    np.testing.assert_array_equal(parts.starts, parts.indptr[:-1][np.diff(parts.indptr) > 0])
+    weighed = np.zeros(nnz, dtype=bool)
+    for w, count in ((parts.jump_w, len(parts.jumps)), (parts.term_w, len(parts.terms))):
+        if w is None:
+            assert count == 0
+            continue
+        assert w.format == "csr" and w.shape == (nnz, count) and w.dtype == np.float64
+        assert w.indices.dtype == w.indptr.dtype == np.intc
+        assert _canonical(w.indices, w.indptr, count)
+        assert np.all(w.data != 0.0)
+        weighed |= np.diff(w.indptr) > 0
+    assert weighed.all()
+    assert parts.pinned and parts.a_weights  # formed on first use, kept in the record
+    arrays = [a for value in vars(parts).values() for a in _arrays(value)]
+    assert len(arrays) >= 20
+    for a in arrays:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        parts.jump_w.data[0] = 1.0
 
 
 def test_sector_state_memory_is_linear_in_the_sector():
@@ -385,7 +455,7 @@ def test_charge_that_does_not_close_its_sector_raises():
     charge = np.array([0, 1])
     eye = sp.identity(2, format="csr")
     with pytest.raises(DomainError, match="does not close"):
-        lindblad._sector_kron(eye, -1j * sx, charge, lindblad._sector(charge, 2))
+        lindblad._sector_kron(eye, -1j * sx, charge, lindblad._place(charge))
 
 
 def _full_solve(sup):
