@@ -262,10 +262,21 @@ def _oracle_job(name, C, n_th, cfg):
         initial = lindblad.TruncationSpec(8, 2)
     elif name == "oracle-prerwa":
         omega = float(_get(cfg, "omega_m_eff", 50.0 * kappa))
-        # Default drive strength saturates g0*n_c/omega' = 1e-3 (with g0 = g/sqrt(n_c)),
-        # the deep-sideband hierarchy under which the pre-RWA terms were ordered.
-        n_c_default = (1e-3 * omega / g) ** 2 if g > 0.0 else 1.0
-        n_c = float(_get(cfg, "n_c", n_c_default))
+        n_c = getattr(cfg, "n_c", None)
+        if n_c is None:
+            # Default drive strength saturates g0*n_c/omega' = 1e-3 (with g0 = g/sqrt(n_c)),
+            # the deep-sideband hierarchy under which the pre-RWA terms were ordered.
+            try:
+                n_c = (1e-3 * omega / g) ** 2 if g > 0.0 else 1.0
+            except OverflowError:
+                n_c = math.inf
+            if not math.isfinite(n_c):
+                raise DomainError(
+                    f"the default --n-c = (1e-3 omega'/g)^2, g = sqrt(C gamma kappa/4), "
+                    f"overflows at C={C!r}, --gamma={gamma!r}, --kappa={kappa!r}, "
+                    f"--omega-m-eff={omega!r}; set --n-c"
+                )
+        n_c = float(n_c)
         reduced = ReducedParams(
             C=C,
             n_th=n_th,

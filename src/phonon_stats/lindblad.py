@@ -48,31 +48,38 @@ built and solved: d unknowns instead of d^2 for the reduced model, and
 memory and time that scale with the sector, not with d^2. Two solves
 share that block:
 
-* sparse LU in the generator's dtype (real for the reduced model), pinned
+* band LU in the generator's dtype (real for the reduced model), pinned
   by rho[0, 0] = 1 in place of that entry's own row and normalized after
   (W. J. Stewart, *Introduction to the Numerical Solution of Markov
-  Chains*, 1994), so the system keeps the block's sparsity. It runs where
-  the sector is small next to d^2: the reduced model (n = d) and the
-  two-mode RWA model (n of about 4 d at 4x32). The pinned system's CSC
-  pattern is cached with the unit parts, its columns in the order SuperLU
-  takes by minimum degree on A^T A, computed once per pattern, so a
-  rung's system is one gather from its block's data and its factorization
-  orders nothing. A batched rung (below) stacks the systems of its points
-  as one block-diagonal system, each block in that order, and factors it
-  once, so each point's solution equals its lone solve bit for bit;
-  COLAMD, SuperLU's default, moves them by up to 2e-15.
+  Chains*, 1994), so the system keeps the block's sparsity. Every jump and
+  Hamiltonian term moves the charge by at most 2, so with the sector
+  entries sorted by charge the pinned system is a band: kl = 1 below the
+  diagonal and ku = 2 above it for the reduced model at every d, 16 and
+  37 for RWA at dim_cav = 4 (dim_cav^2 below, at every dim_mech). LAPACK's
+  band LU (``gbsv``) solves it with no fill-reducing order, in
+  (2 kl + ku + 1) n entries of storage. It runs where the sector is small
+  next to d^2: the reduced model (n = d) and the two-mode RWA model (n of
+  about 4 d at 4x32). The band plan, the sector's charge order and each
+  pattern entry's place in band storage, is cached with the unit parts,
+  so a rung's systems are one scatter from their blocks' data, and each
+  system is solved by its own LAPACK call, so a batched point's solution
+  (below) equals its lone solve bit for bit. Against the sparse LU
+  (SuperLU) it replaced, on 2 vCPUs: 0.5-0.6 against 1.6-2.0 ms for RWA
+  at 4x32, 0.35 against 1.4 s at 8x512, and 0.16 against 0.94 s for the
+  reduced model at d = 2^19.
 * GMRES preconditioned by the generator's non-jump part, inverted in its
   eigenbasis (Nation, arXiv:1504.06768, reviews such solvers), whose
   entries on the sector are weighed from the cache like the block. It
   runs where the sector holds more than d^1.5 entries: the pre-RWA
-  parity sector (n = d^2/2), whose 4-D lattice sparse LU fills almost
-  densely. Measured on 2 vCPUs at C = 4,
-  n_th = 0.2, GMRES against LU: 6 against 8 ms at 3x8, 10-11 against
-  218-246 ms at 4x16, 22 against 551-604 ms at 5x16, and 0.14 s against
-  7.3 s (504 MiB peak) at 5x32; 15 to 33 iterations for C in [0.1, 50]
-  and n_th in [0, 1], with and without the quadratic fluctuation term.
-  On the other models GMRES loses: 15-18 against 4 ms for RWA at 4x32,
-  10 against 0.5 ms for the reduced model at 64 levels.
+  parity sector (n = d^2/2), whose 4-D lattice LU fills almost densely;
+  its charge order, n_b mod 2, leaves a band n/2 wide on each side.
+  Measured on 2 vCPUs at C = 4, n_th = 0.2, GMRES against sparse LU
+  (SuperLU): 6 against 8 ms at 3x8, 10-11 against 218-246 ms at 4x16, 22
+  against 551-604 ms at 5x16, and 0.14 s against 7.3 s (504 MiB peak) at
+  5x32; 15 to 33 iterations for C in [0.1, 50] and n_th in [0, 1], with
+  and without the quadratic fluctuation term. On the other models GMRES
+  loses: 15-18 against 4 ms (sparse LU) for RWA at 4x32, 10 against
+  0.5 ms for the reduced model at 64 levels.
 
 Both end in one tail on the sector entries, which stay the state: no d x d
 array is formed. They are hermitized with their transposes and normalized,
@@ -90,14 +97,15 @@ command's oracle points; a fixed truncation is a ladder that accepts its
 first rung). At each rung level the points still climbing are
 solved as one batch (:func:`_solve_batch`): the blocks of points that share
 a model and a truncation are assembled in one product, their coefficient
-rows times the cached weights, factored as one block-diagonal system (of
-at most ``_BATCH_UNKNOWNS`` unknowns; GMRES rungs one at a time), and
-taken through the tail as one (P, n) array, whose sums are taken row by
-row. A point leaves the batch when it accepts a rung or raises its own
-error. :func:`steady_state` and :func:`converge_truncation` are the batch
-of one, so a point's result does not depend on the points beside it. The
-default ``validate`` grid (25 points, 65 rungs) factors 5 systems, one per
-rung level, where it factored 65.
+rows times the cached weights (in parts of at most ``_BATCH_UNKNOWNS``
+unknowns; GMRES rungs one at a time), scattered into band storage
+together, each system factored by its own LAPACK call, and taken through
+the tail as one (P, n) array, whose sums are taken row by row. A point
+leaves the batch when it accepts a rung or raises its own error.
+:func:`steady_state` and :func:`converge_truncation` are the batch of one,
+so a point's result does not depend on the points beside it. The default
+``validate`` grid (25 points, 65 rungs) takes 5 assembly products, one per
+rung level, and 65 band solves.
 """
 
 from __future__ import annotations
@@ -106,12 +114,12 @@ import functools
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, MatrixRankWarning, gmres, splu, spsolve
+from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (
     BudgetExceeded,
@@ -142,10 +150,9 @@ _POPULATION_TAIL_TOL = 1e-9
 # accepted, and the largest Hilbert dimension it may try; read at call time
 _LADDER_REL_TOL = 1e-6
 _DIM_CAP = 4096
-# the most unknowns one batched factorization holds: past a few thousand
-# unknowns per system the factorization, not the per-system overhead, sets
-# the time, while the factors of a block-diagonal system take the memory of
-# all its blocks at once
+# the most unknowns one batch assembles and stores at once: its systems'
+# band storage, (2 kl + ku + 1) entries per unknown (5 for the reduced
+# model, 70 for RWA at dim_cav = 4), is held together until each is solved
 _BATCH_UNKNOWNS = 2**15
 # GMRES on the preconditioned system: relative residual, Krylov basis size
 # (restart + 1 vectors of the sector's length are held, 12.5 MB at 5x32)
@@ -296,7 +303,9 @@ class _Parts:
     sparse float64 matrices, (nnz, J) and (nnz, K - J) (None without
     terms): with the coefficients c, jump_w @ c[:J] gives the real part of
     the data of sum_k c_k G_k[S, S] in that pattern and term_w @ c[J:] its
-    imaginary part (:func:`_weigh`).
+    imaginary part (:func:`_weigh`). Two plans are formed on first use and
+    kept: ``band``, how the band LU stores the pinned system, and
+    ``a_weights``, the Krylov solve's weights of the non-jump part.
     """
 
     dims: tuple[int, int]
@@ -314,46 +323,32 @@ class _Parts:
     term_w: sp.csr_matrix | None
 
     @functools.cached_property
-    def pinned(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(indices, indptr, src, order) of the system that
-        :func:`_sector_lu` factors, the block with the row of rho[0, 0]
-        replaced by e_0^T, with its columns in SuperLU's order: its CSC
-        pattern, per entry its position in the block's data (nnz for the
-        pin's 1), and ``order``, the block column at each position. So a
-        rung's pinned system is one gather from its data.
-
-        The system is formed once with each entry's source as its value and
-        converted to CSC, so its pattern and entry order are those of the
-        pinned block's own ``tocsc``. ``order`` is the column order SuperLU
-        takes for it under ``permc_spec="MMD_ATA"``, minimum degree on A^T A
-        followed by its elimination tree's postorder (``splu(...).perm_c``,
-        inverted). It depends on the pattern alone, so it is computed once,
-        by factoring a stand-in with the pattern and entries drawn from
-        [1, 2) with a fixed seed. Such generic entries leave the stand-in
-        singular, barring a chance of measure zero, only where every matrix
-        of the pattern is, and then :class:`SingularSystem` is raised as
-        the solve would; every builder's pinned pattern holds its whole
-        diagonal, so no builder's is. Formed on first use, as the Krylov
+    def band(self) -> tuple[np.ndarray, int, int, np.ndarray, int]:
+        """(order, kl, ku, flat, pin), the plan by which :func:`_sector_lu`
+        stores the pinned system, the block with the row of rho[0, 0]
+        (sector entry 0, the pattern's first row) replaced by e_0^T, in
+        LAPACK band storage. ``order`` holds the sector positions sorted by
+        (charge, row, column) of their entries rho[i, j]; every jump and
+        Hamiltonian term moves the charge by at most 2, so in that order
+        the system is a band, kl rows below the diagonal and ku above it.
+        ``flat`` is the position of each pattern entry after the first row
+        in the system's Fortran-ordered (2 kl + ku + 1, n) storage, and
+        ``pin`` the position of rho[0, 0] in ``order``, the pin's row. Formed on first use, as the Krylov
         solve needs none.
         """
-        indices, indptr = self.indices, self.indptr
-        n, nnz, cut = indptr.size - 1, indices.size, indptr[1]
-        where = sp.csr_matrix(
-            (np.insert(np.arange(cut + 1.0, nnz + 1.0), 0, nnz + 1.0),
-             np.insert(indices[cut:], 0, 0), np.insert(indptr[1:] - cut + 1, 0, 0)),
-            shape=(n, n),
-        ).tocsc()
-        stand_in = sp.csc_matrix(
-            (np.random.default_rng(0).uniform(1.0, 2.0, where.nnz), where.indices, where.indptr),
-            shape=(n, n),
-        )
-        try:
-            order = np.argsort(splu(stand_in, permc_spec="MMD_ATA").perm_c).astype(np.intc)
-        except RuntimeError as exc:
-            raise SingularSystem(f"sparse solve failed: {exc}") from exc
-        where = where[:, order]
-        return _read_only(where.indices.astype(np.intc), where.indptr.astype(np.intc),
-                          where.data.astype(np.intc) - 1, order)
+        d, n, cut = self.charge.size, self.sector.size, self.indptr[1]
+        cols, rows = np.divmod(self.sector, d)
+        order = np.lexsort((cols, rows, self.charge[rows]))
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        r = rank[np.repeat(np.arange(1, n), np.diff(self.indptr[1:]))]
+        c = rank[self.indices[cut:]]
+        kl, ku = int((r - c).max(initial=0)), int((c - r).max(initial=0))
+        rows_ab = 2 * kl + ku + 1
+        flat = c * rows_ab + (kl + ku) + (r - c)
+        del r, c
+        return _read_only(order, kl, ku, flat.astype(np.intc if n * rows_ab < 2**31 else np.intp),
+                          int(rank[0]))
 
     @functools.cached_property
     def a_weights(self) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
@@ -370,16 +365,15 @@ class _Parts:
             _on_sector([-t for t in self.terms], place))
 
 
-def _stacked(indices, indptr, data: np.ndarray, form):
-    """The block-diagonal sparse matrix (``form``, csr_matrix or
-    csc_matrix) of one block per row of ``data`` (P, nnz), every block of
-    the compressed pattern (indices, indptr)."""
+def _stacked(indices, indptr, data: np.ndarray) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of one block per row of ``data``
+    (P, nnz), every block of the CSR pattern (indices, indptr)."""
     count, (nnz, n) = data.shape[0], (indices.size, indptr.size - 1)
-    if count == 1:  # the pattern itself, shared: the sparse solves only read it
-        return form((data[0], indices, indptr), shape=(n, n))
+    if count == 1:  # the pattern itself, shared: the products only read it
+        return sp.csr_matrix((data[0], indices, indptr), shape=(n, n))
     shift = np.arange(count, dtype=np.intc)[:, None]
     stacked_indptr = np.append((indptr[:-1] + nnz * shift).ravel(), np.intc(count * nnz))
-    return form(
+    return sp.csr_matrix(
         (data.ravel(), (indices + n * shift).ravel(), stacked_indptr),
         shape=(count * n, count * n),
     )
@@ -777,47 +771,53 @@ def _krylov_pays(n: int, d: int) -> bool:
     return n > d**1.5
 
 
-def _sector_lu(parts: _Parts, data: np.ndarray) -> np.ndarray:
+def _gbsv(kl: int, ku: int, ab: np.ndarray, b: np.ndarray) -> int:
+    """LAPACK's band LU solve of one system in place (Anderson et al.,
+    *LAPACK Users' Guide*, 3rd ed., SIAM 1999): ``ab`` its Fortran-ordered
+    (2 kl + ku + 1, n) band storage, overwritten by the factors, and ``b``
+    its (n, 1) right-hand side, overwritten by the solution. Returns
+    LAPACK's ``info``, positive where U has an exact zero on its
+    diagonal."""
+    gbsv = lapack.zgbsv if ab.dtype.kind == "c" else lapack.dgbsv
+    return gbsv(kl, ku, ab, b, overwrite_ab=1, overwrite_b=1)[3]
+
+
+def _sector_lu(parts: _Parts, data: np.ndarray) -> tuple[np.ndarray, list]:
     """Solve L[S, S] x = 0 for each row of ``data`` (P, nnz), the blocks'
-    data in the pattern of ``parts``, by sparse LU, the row of rho[0, 0]
+    data in the pattern of ``parts``, by band LU, the row of rho[0, 0]
     (sector entry 0) replaced by the unit row e_0^T and the right-hand side
     e_0, so x is the steady state scaled to rho[0, 0] = 1 (W. J. Stewart,
     *Introduction to the Numerical Solution of Markov Chains*, 1994). The
     row dropped is implied by the others, as the trace is a left null
-    vector of L, and the pinned system keeps the block's sparsity. Returns
-    x as (P, n) rows.
+    vector of L. Returns x as (P, n) rows and per system None or the
+    :class:`SingularSystem` of its failed factorization.
 
-    The P pinned systems are gathered by the pattern's plan
-    (:attr:`_Parts.pinned`) into one block-diagonal CSC system, each
-    block's columns in SuperLU's ``MMD_ATA`` order, cached with the
-    pattern, and factored by one ``spsolve`` in that order
-    (``permc_spec="NATURAL"``); each block's solution is scattered back to
-    the block's own columns. SuperLU gets CSC: handed CSR, it factors the
-    transpose, which cost the RWA model's g2 up to 8e-8 relative at
-    n_th = 1e-6. Postordering an already postordered elimination tree
-    leaves it as it is, so every row of x equals
-    ``spsolve(system, e_0, permc_spec="MMD_ATA")`` of its system alone bit
-    for bit (COLAMD, SuperLU's default, moves them by up to 2e-15), without
-    ordering anything per solve. Raises :class:`SingularSystem` when the
-    factorization fails, for any of the P systems.
+    The P pinned systems are scattered into their band storage, each in its
+    own Fortran-ordered (2 kl + ku + 1, n) slice of one array, by the plan
+    cached with the pattern (:attr:`_Parts.band`), and each is solved by
+    its own LAPACK call (:func:`_gbsv`), so every row of x equals its lone
+    solve bit for bit and only a singular system fails.
     """
-    count = data.shape[0]
-    n = parts.sector.size
-    ones = np.ones((count, 1), dtype=data.dtype)
-    indices, indptr, src, order = parts.pinned
-    system = _stacked(indices, indptr, np.concatenate([data, ones], axis=1)[:, src],
-                      sp.csc_matrix)
-    rhs = np.zeros((count, n), dtype=data.dtype)
-    rhs[:, 0] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            y = spsolve(system, rhs.ravel(), permc_spec="NATURAL")
-        except (RuntimeError, MatrixRankWarning) as exc:
-            raise SingularSystem(f"sparse solve failed: {exc}") from exc
-    x = np.empty((count, n), dtype=y.dtype)
-    x[:, order] = y.reshape(count, n)
-    return x
+    order, kl, ku, flat, pin = parts.band
+    count, n = data.shape[0], order.size
+    ab = np.zeros((count, n, 2 * kl + ku + 1), dtype=data.dtype)
+    stored = ab.reshape(count, -1)
+    stored[:, flat] = data[:, parts.indptr[1] :]
+    stored[:, pin * ab.shape[2] + kl + ku] = 1.0
+    y = np.zeros((count, n), dtype=data.dtype)
+    y[:, pin] = 1.0
+    errors: list = [None] * count
+    for p in range(count):
+        # ab[p].T is system p's storage in Fortran order, which LAPACK
+        # overwrites in place; a C-ordered array would be copied first
+        info = _gbsv(kl, ku, ab[p].T, y[p][:, None])
+        if info:
+            errors[p] = SingularSystem(
+                f"band LU failed: the pinned system is exactly singular (pivot {info} is 0)")
+    del ab, stored  # the factors go before x is formed
+    x = np.empty_like(y)
+    x[:, order] = y
+    return x, errors
 
 
 def _krylov(sup: Superoperator, block: sp.csr_matrix) -> tuple[np.ndarray, int]:
@@ -957,22 +957,13 @@ def _solve_group(parts: _Parts, group: list) -> list:
     if _krylov_pays(n, group[0].dim):
         sol = np.zeros((count, n), dtype=complex)
         for p, sup in enumerate(group):
-            block = _stacked(parts.indices, parts.indptr, data[p : p + 1], sp.csr_matrix)
+            block = _stacked(parts.indices, parts.indptr, data[p : p + 1])
             try:
                 sol[p], iterations[p] = _krylov(sup, block)
             except SingularSystem as exc:
                 out[p] = exc
     else:
-        try:
-            sol = _sector_lu(parts, data)
-        except SingularSystem as exc:
-            sol, out = np.zeros((count, n), dtype=data.dtype), [exc] * count
-            if count > 1:  # factored alone, only a failing system keeps its error
-                for p in range(count):
-                    try:
-                        sol[p], out[p] = _sector_lu(parts, data[p : p + 1])[0], None
-                    except SingularSystem as alone:
-                        out[p] = alone
+        sol, out = _sector_lu(parts, data)
 
     rows = np.flatnonzero([error is None for error in out])
     if rows.size < count:
@@ -999,7 +990,7 @@ def _solve_group(parts: _Parts, group: list) -> list:
 
     if rows.size < count:
         data = data[rows]
-    block = _stacked(parts.indices, parts.indptr, data, sp.csr_matrix)
+    block = _stacked(parts.indices, parts.indptr, data)
     r = (block @ rho.ravel()).reshape(rho.shape)
     # summed by numpy, not by a BLAS dot, which may hand a vector this long
     # to threads and wait milliseconds for them on a loaded machine
@@ -1027,12 +1018,12 @@ def _solve_batch(sups) -> None:
 
     Generators of one model and dims share their cache record
     (:class:`_Parts`), and form one group, solved by
-    :func:`_solve_group` in parts: its LU systems as block-diagonal systems
-    of up to ``_BATCH_UNKNOWNS`` unknowns (:func:`_sector_lu`), factored
-    again one by one where that fails, so that only a failing system
-    carries its :class:`SingularSystem`; its Krylov systems one at a time.
-    A part's blocks are assembled when it is solved and dropped after, so
-    a rung level holds the blocks of one part at a time.
+    :func:`_solve_group` in parts: its LU systems in parts of up to
+    ``_BATCH_UNKNOWNS`` unknowns, each system factored on its own
+    (:func:`_sector_lu`), so that only a singular system carries its
+    :class:`SingularSystem`; its Krylov systems one at a time. A part's
+    blocks are assembled when it is solved and dropped after, so a rung
+    level holds the blocks of one part at a time.
     """
     groups: dict[int, list] = {}
     for sup in sups:
@@ -1055,9 +1046,9 @@ def steady_state(sup: Superoperator) -> DensityMatrix:
     read, and it is solved in one of two ways chosen by its size n against
     the Hilbert dimension d:
 
-    * sparse LU of L[S, S] in the generator's own dtype (so a real
-      generator takes a real factorization), pinned by rho[0, 0] = 1
-      (:func:`_sector_lu`);
+    * band LU of L[S, S] in charge order, in the generator's own dtype (so
+      a real generator takes a real factorization), pinned by
+      rho[0, 0] = 1 (:func:`_sector_lu`);
     * where :func:`_krylov_pays`, GMRES preconditioned by the generator's
       own non-jump part, weighed from the builder's cache (:func:`_krylov`).
 
@@ -1157,7 +1148,7 @@ def _climb(jobs) -> list:
 
     At each rung level the points still climbing are built and go to one
     :func:`_solve_batch`, so points that share a model and a truncation
-    share one assembly product and one factorization, and each then takes
+    share one assembly product and one band plan, and each then takes
     its state through :func:`steady_state`. A point leaves when it accepts
     a rung or raises its own error, and its result equals that of its
     ladder climbed alone, bit for bit.
@@ -1210,7 +1201,7 @@ def converge_truncation(
     Hilbert-space dimensions.
 
     This is the batch of one of :func:`_climb`, which climbs the ladders of
-    a grid's points together, one factorization per rung level.
+    a grid's points together, one assembly product per rung level.
     """
     (result,) = _climb([(build, initial, True)])
     if isinstance(result, Exception):

@@ -265,6 +265,10 @@ def test_stats_hitemp_window_budget_exit_2():
 @pytest.mark.parametrize("argv", [
     ("--model", "hitemp", "--C", "5e-324", "--n-th", "1"),  # (a/sqrt(b))^2 overflows
     ("--C", "1e-12", "--n-th", "1e300"),  # auto -> hitemp, n_ss overflows to inf
+    # pre-RWA's default n_c = (1e-3 omega'/g)^2 overflows (ROADMAP K21)
+    ("--model", "oracle-prerwa", "--C", "5e-324", "--n-th", "1"),
+    ("--model", "oracle-prerwa", "--C", "1", "--n-th", "1", "--gamma", "5e-324"),
+    ("--model", "oracle-prerwa", "--C", "1", "--n-th", "1", "--omega-m-eff", "1e300"),
 ])
 def test_stats_hitemp_overflowing_point_is_typed(capsys, argv):
     # either finite values or one typed error line, never an OverflowError
@@ -1340,24 +1344,31 @@ def test_validate_drops_a_failed_oracle_solve(capsys):
 
 
 def test_default_validate_factors_once_per_rung_level(capsys):
-    """The default validate climbs its 25 ladders together: one sparse
-    factorization per rung level (8, 16, 32, 64 and 128 levels), each of
-    the points still climbing, not one per point and rung."""
+    """The default validate climbs its 25 ladders together: one assembly
+    product per rung level (8, 16, 32, 64 and 128 levels), of the points
+    still climbing, not one per point and rung, and each point's system
+    factored once per rung."""
     from phonon_stats import lindblad
 
-    sizes = []
-    solve = lindblad.spsolve
+    products, factored = [], []
+    weigh, solve = lindblad._weigh, lindblad._gbsv
 
-    def captured(a, b, **kwargs):
-        sizes.append(a.shape[0])
-        return solve(a, b, **kwargs)
+    def assembled(jump_w, term_w, coefs):
+        products.append(coefs.shape[0])
+        return weigh(jump_w, term_w, coefs)
+
+    def captured(kl, ku, ab, b):
+        factored.append(ab.shape[1])
+        return solve(kl, ku, ab, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lindblad, "spsolve", captured)
+        mp.setattr(lindblad, "_weigh", assembled)
+        mp.setattr(lindblad, "_gbsv", captured)
         code, out, _ = run(capsys, "validate")
     assert code == 0 and len(json.loads(out)["points"]) == 25
-    assert len(sizes) == 5
-    assert sizes[:2] == [25 * 8, 25 * 16]
+    assert len(products) == 5
+    assert products[:2] == [25, 25] and len(factored) == sum(products)
+    assert factored[:50] == [8] * 25 + [16] * 25
 
 
 def test_validate_small_grid(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from functools import partial
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import spsolve
 
 from phonon_stats import exact, lindblad
 from phonon_stats.errors import BudgetExceeded, DomainError, SingularSystem, UnphysicalState
@@ -367,7 +368,7 @@ def test_unit_parts_record_contract(model, dims):
         assert np.all(w.data != 0.0)
         weighed |= np.diff(w.indptr) > 0
     assert weighed.all()
-    assert parts.pinned and parts.a_weights  # formed on first use, kept in the record
+    assert parts.band and parts.a_weights  # formed on first use, kept in the record
     arrays = [a for value in vars(parts).values() for a in _arrays(value)]
     assert len(arrays) >= 20
     for a in arrays:
@@ -378,8 +379,8 @@ def test_unit_parts_record_contract(model, dims):
 
 def test_sector_state_memory_is_linear_in_the_sector():
     # the solve and the observables keep the state as its 4096 sector
-    # entries; a dense d x d state would take 128 MiB per copy. SuperLU
-    # allocates through C malloc, which tracemalloc does not trace
+    # entries; a dense d x d state would take 128 MiB per copy. The band
+    # LU's storage is numpy's, so tracemalloc sees it (0.16 MiB here)
     sup = build_reduced_liouvillian(1.0, 1e8, TruncationSpec(4096))
     tracemalloc.start()
     try:
@@ -390,25 +391,67 @@ def test_sector_state_memory_is_linear_in_the_sector():
     assert peak < 8 * 2**20
 
 
-def test_sector_lu_keeps_the_reduced_band():
+def _captured_gbsv(calls):
+    """A stand-in for ``lindblad._gbsv`` that appends each call's (kl, ku,
+    n) to ``calls`` and solves as it does."""
+    solve = lindblad._gbsv
+
+    def captured(kl, ku, ab, b):
+        calls.append((kl, ku, ab.shape[1]))
+        return solve(kl, ku, ab, b)
+
+    return captured
+
+
+def test_sector_lu_keeps_the_reduced_band(monkeypatch):
     # the pinned system keeps the band of the rate matrix (n_b moves by +1,
     # -1 and -2), so its LU stays near a few entries per unknown; a dense
     # pinned row fills it to about n^2 / 2
     sup = build_reduced_liouvillian(1.0, 1e8, TruncationSpec(4096))
-    systems = []
-    solve = lindblad.spsolve
+    calls = []
+    monkeypatch.setattr(lindblad, "_gbsv", _captured_gbsv(calls))
+    steady_state(sup)
+    (kl, ku, n), = calls
+    assert (kl, ku, n) == (1, 2, 4096)
+    assert (2 * kl + ku + 1) * n <= 10 * n
 
-    def captured(a, b, **kwargs):
-        systems.append(a)
-        return solve(a, b, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lindblad, "spsolve", captured)
-        steady_state(sup)
-    (a,) = systems
-    n = a.shape[0]
-    lu = splu(sp.csc_matrix(a))
-    assert lu.L.nnz + lu.U.nnz <= 10 * n
+@pytest.mark.parametrize("dim_cav, widths", [
+    (1, (1, 2)), (4, (16, 37)), (5, (25, 56)), (6, (36, 79)), (7, (49, 106)), (8, (64, 137)),
+])
+def test_band_widths_do_not_grow_with_the_mechanics(dim_cav, widths):
+    """In charge order the pinned system is a band whose widths (kl, ku)
+    are set by the cavity alone: the reduced model's (1, 2) at every d, and
+    the RWA model's the same at every dim_mech for a fixed dim_cav. So the
+    band storage, (2 kl + ku + 1) n entries, grows with the sector, not
+    with its square."""
+    model = "reduced" if dim_cav == 1 else "rwa"
+    for dim_mech in (8, 32, 256) if dim_cav == 1 else (32, 64, 128):
+        parts = lindblad._unit_parts(model, (dim_cav, dim_mech))
+        order, kl, ku, flat, pin = parts.band
+        n = parts.sector.size
+        assert (kl, ku) == widths
+        assert np.array_equal(np.sort(order), np.arange(n)) and parts.sector[order[pin]] == 0
+        assert flat.size == parts.indices.size - parts.indptr[1]
+        assert 0 <= flat.min() and flat.max() < (2 * kl + ku + 1) * n
+    if dim_cav == 1:
+        assert lindblad._unit_parts("reduced", (1, 2**17)).band[1:3] == widths
+
+
+def test_band_solve_memory_is_linear_in_the_sector():
+    # one band solve at d = 2^17: its storage, 5 entries per unknown, the
+    # right-hand side and the solution, all numpy's and traced; measured
+    # at 6.5 float64 per unknown
+    sup = build_reduced_liouvillian(1.0, 1e8, TruncationSpec(2**17))
+    data = sup._sector_data()[None]
+    assert sup.parts.band[1:3] == (1, 2)
+    tracemalloc.start()
+    try:
+        lindblad._sector_lu(sup.parts, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 8 * 2**17
 
 
 def test_sector_lu_matches_refined_solution():
@@ -689,9 +732,9 @@ def test_cache_records_refuse_writes():
             sup.charge[:] = 7
         parts = sup.parts
         fields = [getattr(parts, f.name) for f in dataclasses.fields(parts)]
-        arrays = _arrays(fields + [parts.pinned, parts.a_weights])
-        # charge, sector, diag, mirror, indices, indptr, starts, 4 of pinned
-        assert len(arrays) >= 11 + 3 * (len(parts.jumps) + len(parts.terms))
+        arrays = _arrays(fields + [parts.band, parts.a_weights])
+        # charge, sector, diag, mirror, indices, indptr, starts, 2 of band
+        assert len(arrays) >= 9 + 3 * (len(parts.jumps) + len(parts.terms))
         assert not [arr for arr in arrays if arr.flags.writeable]
     assert builds[0].charge.tolist() == list(range(8))
 
@@ -750,7 +793,7 @@ def test_batched_ladders_match_lone_ladders(monkeypatch, model, cap, bound):
     for bit: the truncation, n_ss, g2, populations and diagnostics. The
     point that runs out of budget raises the same error with the same last
     report. The batch bound splits the larger rung levels into several
-    factorizations."""
+    assembly products; each system is factored once."""
     monkeypatch.setattr(lindblad, "_DIM_CAP", cap)
     monkeypatch.setattr(lindblad, "_BATCH_UNKNOWNS", bound)
     jobs = _ladder_jobs(model)
@@ -762,18 +805,20 @@ def test_batched_ladders_match_lone_ladders(monkeypatch, model, cap, bound):
             return build(trunc)
         return rung
 
-    sizes = []
-    solve = lindblad.spsolve
+    products, factored = [], []
+    weigh = lindblad._weigh
 
-    def captured(a, b, **kwargs):
-        sizes.append(a.shape[0])
-        return solve(a, b, **kwargs)
+    def captured(jump_w, term_w, coefs):
+        products.append(coefs.shape[0])
+        return weigh(jump_w, term_w, coefs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lindblad, "spsolve", captured)
+        mp.setattr(lindblad, "_weigh", captured)
+        mp.setattr(lindblad, "_gbsv", _captured_gbsv(factored))
         together = lindblad._climb([(counted(i, build), initial, True)
                                     for i, (build, initial) in enumerate(jobs)])
-    assert max(rungs) < len(sizes) < sum(rungs)
+    assert max(rungs) < len(products) < sum(rungs)
+    assert len(factored) == sum(products) == sum(rungs)
     assert set(rungs[:-1]) == {2, 3, 4, 5}
     assert [type(got) for got in together].count(BudgetExceeded) == 1
     assert isinstance(together[-1], BudgetExceeded)
@@ -792,21 +837,16 @@ def test_batched_ladders_match_lone_ladders(monkeypatch, model, cap, bound):
 
 def test_failed_batch_factorization_is_refactored_system_by_system():
     # a pure pump (no loss) empties the vacuum, so its pinned system is
-    # singular; factored together with a sound system of the same pattern,
-    # the block-diagonal LU fails, and only the pump keeps the error
+    # singular; solved in one batch with a sound system of the same
+    # pattern, each system is factored once on its own, and only the pump
+    # keeps the error
     pump = lindblad._assemble("reduced", (1, 6), (0.0, 1.0, 0.0))
     sound = lindblad._assemble("reduced", (1, 6), (1.0, 0.5, 1.5))
-    sizes = []
-    solve = lindblad.spsolve
-
-    def captured(a, b, **kwargs):
-        sizes.append(a.shape[0])
-        return solve(a, b, **kwargs)
-
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lindblad, "spsolve", captured)
+        mp.setattr(lindblad, "_gbsv", _captured_gbsv(calls))
         lindblad._solve_batch([sound, pump])
-    assert sizes == [12, 6, 6]
+    assert calls == [(1, 2, 6), (1, 2, 6)]
     with pytest.raises(SingularSystem, match="exactly singular"):
         steady_state(pump)
     alone = steady_state(lindblad._assemble("reduced", (1, 6), (1.0, 0.5, 1.5)))
@@ -833,10 +873,10 @@ def test_solve_gates_refuse_only_their_own_point(monkeypatch, corrupt, error, ma
     solve = lindblad._sector_lu
 
     def corrupted(pattern, data):
-        x = solve(pattern, data)
-        assert x.shape[0] == 3
+        x, errors = solve(pattern, data)
+        assert x.shape[0] == 3 and errors == [None] * 3
         x[1] = corrupt(x[1])
-        return x
+        return x, errors
 
     monkeypatch.setattr(lindblad, "_sector_lu", corrupted)
     sups = [build_reduced_liouvillian(C, n_th, TruncationSpec(32)) for C, n_th in points]
@@ -849,23 +889,22 @@ def test_solve_gates_refuse_only_their_own_point(monkeypatch, corrupt, error, ma
         assert (got.residual, got.min_eigenvalue) == (want.residual, want.min_eigenvalue)
 
 
-def _mmd_ata_solve(sup):
+def _dense_pinned_solve(sup):
     """The pinned system of ``sup`` formed from its block (the row of
-    rho[0, 0] replaced by e_0^T, in CSC) and solved alone by SuperLU's
-    minimum-degree order on A^T A."""
-    block = _block(sup)
-    n = block.shape[0]
-    pin = sp.csr_matrix((np.ones(1, dtype=block.dtype), ([0], [0])), shape=(1, n))
-    system = sp.vstack([pin, block[1:]], format="csc")
-    rhs = np.zeros(n, dtype=block.dtype)
+    rho[0, 0] replaced by e_0^T) as a dense array, and its solution with
+    right-hand side e_0 by dense LU."""
+    system = _block(sup).toarray()
+    system[0] = 0.0
+    system[0, 0] = 1.0
+    rhs = np.zeros(system.shape[0], dtype=system.dtype)
     rhs[0] = 1.0
-    return system, spsolve(system, rhs, permc_spec="MMD_ATA")
+    return system, scipy.linalg.solve(system, rhs)
 
 
-def test_cached_order_solve_equals_the_mmd_ata_solve():
-    """The pinned LU in the column order cached with its pattern equals
-    SuperLU's own MMD_ATA solve bit for bit: real (reduced) and complex
-    (RWA) builds, whose pinned patterns hold their whole diagonal."""
+def test_band_solve_matches_a_dense_solve_of_the_pinned_system():
+    """The band LU in charge order solves the pinned system, real (reduced)
+    and complex (RWA), at n_th = 0 too: its solution agrees with a dense
+    LU's to roundoff and leaves a residual at roundoff."""
     cases = [
         build_reduced_liouvillian(1.0, 3.0, TruncationSpec(64)),
         build_reduced_liouvillian(3.0, 0.0, TruncationSpec(16)),
@@ -874,31 +913,37 @@ def test_cached_order_solve_equals_the_mmd_ata_solve():
     ]
     for sup in cases:
         data = sup._sector_data()
-        got = lindblad._sector_lu(sup.parts, data[None])[0]
-        system, want = _mmd_ata_solve(sup)
+        (got,), errors = lindblad._sector_lu(sup.parts, data[None])
+        system, want = _dense_pinned_solve(sup)
+        assert errors == [None]
         assert got.dtype == want.dtype == data.dtype
-        assert np.array_equal(got, want)
-        assert (abs(system).diagonal() > 0).all()
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-14 * scale
+        residual = np.abs(system @ got - np.eye(got.size)[0]).max()
+        assert residual <= 1e-15 * np.abs(system).max() * scale
 
 
-def test_rung_solves_reuse_the_order_of_their_pattern(monkeypatch):
-    """Rung solves ask SuperLU for no ordering of their own, the order is
-    computed once per pattern, and a block-diagonal batch split by a
-    lowered _BATCH_UNKNOWNS still equals each system's MMD_ATA solve."""
-    solves, orders = [], []
-    solve, factor = lindblad.spsolve, lindblad.splu
+def test_band_plan_is_formed_once_per_record(monkeypatch):
+    """The band plan is formed once per cache record and reused by every
+    rung solve there, a batch split by a lowered _BATCH_UNKNOWNS factors
+    each system once, and each equals its lone band solve bit for bit."""
+    formed, calls, solved = [], [], []
+    plan, solve = lindblad._Parts.band.func, lindblad._sector_lu
 
-    def captured(a, b, **kwargs):
-        x = solve(a, b, **kwargs)
-        solves.append((a.shape[0], kwargs["permc_spec"], x))
-        return x
+    def counted(parts):
+        formed.append(parts.sector.size)
+        return plan(parts)
 
-    def counted(a, **kwargs):
-        orders.append(a.shape[0])
-        return factor(a, **kwargs)
+    def captured(parts, data):
+        x, errors = solve(parts, data)
+        solved.append(x.copy())
+        return x, errors
 
-    monkeypatch.setattr(lindblad, "spsolve", captured)
-    monkeypatch.setattr(lindblad, "splu", counted)
+    band = functools.cached_property(counted)
+    band.__set_name__(lindblad._Parts, "band")
+    monkeypatch.setattr(lindblad._Parts, "band", band)
+    monkeypatch.setattr(lindblad, "_sector_lu", captured)
+    monkeypatch.setattr(lindblad, "_gbsv", _captured_gbsv(calls))
     lindblad._unit_parts.cache_clear()
     points = [(4.0, 0.0), (4.0, 0.2), (1.0, 2.0), (2.0, 0.5), (8.0, 1.0)]
     trunc = TruncationSpec(16, 3)
@@ -907,26 +952,23 @@ def test_rung_solves_reuse_the_order_of_their_pattern(monkeypatch):
     n = sups[0].sector().size
     monkeypatch.setattr(lindblad, "_BATCH_UNKNOWNS", 2 * n)
     lindblad._solve_batch(sups)
-    assert [(size, spec) for size, spec, _ in solves] == [
-        (2 * n, "NATURAL"), (2 * n, "NATURAL"), (n, "NATURAL")]
-    assert orders == [n]
-    order = sups[0].parts.pinned[3]
-    x = np.concatenate([y.reshape(-1, n) for *_, y in solves])
-    got = np.empty_like(x)
-    got[:, order] = x
-    for sup, row in zip(sups, got):
-        assert np.array_equal(row, _mmd_ata_solve(sup)[1])
-    # a ladder orders each rung's pattern once; a second ladder over the
-    # same rungs orders none
-    solves.clear()
-    orders.clear()
+    _, kl, ku, _, _ = sups[0].parts.band
+    assert formed == [n] and calls == [(kl, ku, n)] * 5
+    assert [x.shape[0] for x in solved] == [2, 2, 1]
+    for sup, row in zip(sups, np.concatenate(solved)):
+        (lone,), _ = solve(sup.parts, sup._sector_data()[None])
+        assert np.array_equal(row, lone)
+    assert formed == [n]
+    # a ladder forms each rung's plan once; a second ladder over the same
+    # rungs forms none
+    formed.clear()
+    calls.clear()
     build = partial(build_reduced_liouvillian, 10.0, 1.0)
     converge_truncation(build, TruncationSpec(8))
-    rungs = len(solves)
-    assert rungs >= 2 and orders == [8 * 2**k for k in range(rungs)]
+    rungs = len(calls)
+    assert rungs >= 2 and formed == [8 * 2**k for k in range(rungs)]
     converge_truncation(build, TruncationSpec(8))
-    assert len(solves) == 2 * rungs and len(orders) == rungs
-    assert {spec for _, spec, _ in solves} == {"NATURAL"}
+    assert len(calls) == 2 * rungs and len(formed) == rungs
 
 
 def test_prerwa_validation():
