@@ -31,8 +31,8 @@ pass per slice (:func:`_observables_slice`): the hitemp closed forms point
 by point and the series of all the slice's exact points in one kernel call,
 with the same output as point by point. A grid of oracle points
 (``validate``, ``sweep --model oracle-*``) is one pass per slice too
-(:func:`_oracle_slice`): its truncation ladders climb together, one sparse
-factorization per rung level, and a fixed ``--trunc`` truncation is a
+(:func:`_oracle_slice`): its truncation ladders climb together, one
+assembly product per rung level, and a fixed ``--trunc`` truncation is a
 ladder that accepts its first rung.
 
 What each command imports: this module loads only the exact route (numpy and
@@ -321,7 +321,7 @@ def _point_report(name, C, n_th, cfg) -> tuple[str, SteadyStateReport]:
 def _oracle_solves(jobs) -> list:
     """Per oracle solve, a job of :func:`_oracle_job`, its report or the
     package error that ends it. The solves climb together
-    (``lindblad._climb``), one factorization per rung level, and a fixed
+    (``lindblad._climb``), one assembly product per rung level, and a fixed
     truncation accepts its first rung."""
     lindblad = _pkg.lindblad
     if len(jobs) == 1 and jobs[0][2]:

@@ -55,18 +55,19 @@ share that block:
   Hamiltonian term moves the charge by at most 2, so with the sector
   entries sorted by charge the pinned system is a band: kl = 1 below the
   diagonal and ku = 2 above it for the reduced model at every d, 16 and
-  37 for RWA at dim_cav = 4 (dim_cav^2 below, at every dim_mech). LAPACK's
-  band LU (``gbsv``) solves it with no fill-reducing order, in
-  (2 kl + ku + 1) n entries of storage. It runs where the sector is small
+  37 for RWA at dim_cav = 4 (dim_cav^2 below, and no wider at any
+  dim_mech). LAPACK's band LU (``gbsv``) solves it with no fill-reducing
+  order, in (2 kl + ku + 1) n entries of storage. It runs where the sector is small
   next to d^2: the reduced model (n = d) and the two-mode RWA model (n of
   about 4 d at 4x32). The band plan, the sector's charge order and each
   pattern entry's place in band storage, is cached with the unit parts,
   so a rung's systems are one scatter from their blocks' data, and each
   system is solved by its own LAPACK call, so a batched point's solution
-  (below) equals its lone solve bit for bit. Against the sparse LU
-  (SuperLU) it replaced, on 2 vCPUs: 0.5-0.6 against 1.6-2.0 ms for RWA
-  at 4x32, 0.35 against 1.4 s at 8x512, and 0.16 against 0.94 s for the
-  reduced model at d = 2^19.
+  (below) equals its lone solve bit for bit. Against sparse LU (SuperLU,
+  its columns in a cached minimum-degree order), a record's first solve
+  on 2 vCPUs: 1.4 against 5.7 ms for RWA at 4x32, 0.36 against 1.38 s at
+  8x512, and 0.15 against 0.93 s for the reduced model at d = 2^19, at a
+  process peak of 282 against 473 MiB.
 * GMRES preconditioned by the generator's non-jump part, inverted in its
   eigenbasis (Nation, arXiv:1504.06768, reviews such solvers), whose
   entries on the sector are weighed from the cache like the block. It
@@ -333,8 +334,8 @@ class _Parts:
         the system is a band, kl rows below the diagonal and ku above it.
         ``flat`` is the position of each pattern entry after the first row
         in the system's Fortran-ordered (2 kl + ku + 1, n) storage, and
-        ``pin`` the position of rho[0, 0] in ``order``, the pin's row. Formed on first use, as the Krylov
-        solve needs none.
+        ``pin`` the position of rho[0, 0] in ``order``, the pin's row.
+        Formed on first use, as the Krylov solve needs none.
         """
         d, n, cut = self.charge.size, self.sector.size, self.indptr[1]
         cols, rows = np.divmod(self.sector, d)
