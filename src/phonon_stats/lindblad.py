@@ -57,9 +57,9 @@ share that block:
   diagonal and ku = 2 above it for the reduced model at every d, 16 and
   37 for RWA at dim_cav = 4 (dim_cav^2 below, and no wider at any
   dim_mech). LAPACK's band LU (``gbsv``) solves it with no fill-reducing
-  order, in (2 kl + ku + 1) n entries of storage. It runs where the sector is small
-  next to d^2: the reduced model (n = d) and the two-mode RWA model (n of
-  about 4 d at 4x32). The band plan, the sector's charge order and each
+  order, in (2 kl + ku + 1) n entries of storage. It runs where the
+  sector is small next to d^2: the reduced model (n = d) and the two-mode
+  RWA model (n of about 4 d at 4x32). The band plan, the sector's charge order and each
   pattern entry's place in band storage, is cached with the unit parts,
   so a rung's systems are one scatter from their blocks' data, and each
   system is solved by its own LAPACK call, so a batched point's solution
